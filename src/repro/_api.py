@@ -59,7 +59,6 @@ from .photonics import (
 from .photonics import devices
 from .simulation import (
     KERNELS,
-    TRANSPORTS,
     BatchEvaluation,
     CalibrationController,
     ChunkedEvaluation,
@@ -169,7 +168,6 @@ __all__ = [
     "RuntimeConfig",
     "SeedSchedule",
     "KERNELS",
-    "TRANSPORTS",
     "available_kernels",
     "kernel_capabilities",
     "derive_seed_schedule",

@@ -11,7 +11,7 @@ Usage::
 
 The ``--sng-kind``/``--length``/``--noiseless`` flags build an
 :class:`repro.session.EvalSpec` and
-``--workers``/``--chunk-length``/``--kernel``/``--transport`` a
+``--workers``/``--chunk-length``/``--kernel`` a
 :class:`repro.simulation.runtime.RuntimeConfig`; both are forwarded to
 the experiments that declare them (currently the simulation-backed
 ones, e.g. ``accuracy``).  Experiments that take no configuration are
@@ -28,7 +28,7 @@ from ..errors import ConfigurationError
 from ..reporting.csvio import write_csv
 from ..session import EvalSpec
 from ..simulation.kernels import KERNELS
-from ..simulation.runtime import TRANSPORTS, RuntimeConfig
+from ..simulation.runtime import RuntimeConfig
 from ..stochastic.sng import SNG_KINDS
 from .registry import (
     experiment_config_parameters,
@@ -62,7 +62,6 @@ def _build_config(args) -> tuple:
         args.workers is not None
         or args.chunk_length is not None
         or args.kernel is not None
-        or args.transport is not None
     ):
         runtime_kwargs = {
             "workers": args.workers,
@@ -70,8 +69,6 @@ def _build_config(args) -> tuple:
         }
         if args.kernel is not None:
             runtime_kwargs["kernel"] = args.kernel
-        if args.transport is not None:
-            runtime_kwargs["transport"] = args.transport
         runtime = RuntimeConfig(**runtime_kwargs)
     return spec, runtime
 
@@ -139,17 +136,8 @@ def main(argv=None) -> int:
         choices=KERNELS,
         default=None,
         help=(
-            "engine compute kernel: numpy (reference), packed (uint64 "
-            "bit-plane), numba (packed + JIT; needs the numba package)"
-        ),
-    )
-    runtime_group.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default=None,
-        help=(
-            "shard transport for process workers: pickle (pool-pipe "
-            "serialization) or shm (zero-copy shared-memory arenas)"
+            "engine compute kernel: numpy (reference) or packed (uint64 "
+            "bit-plane)"
         ),
     )
     args = parser.parse_args(argv)

@@ -28,12 +28,13 @@ loop for sustained overload:
   an immutable :class:`~repro.serving.metrics.MetricsSnapshot`.
 
 The served session's :class:`~repro.simulation.runtime.RuntimeConfig`
-knobs — workers, chunking, the engine's compute ``kernel``
-(``"numpy"``/``"packed"``/``"numba"``) and the shard ``transport``
-(``"pickle"``/``"shm"`` zero-copy shared memory) — flow straight
-through :meth:`~repro.session.Evaluator.evaluate`, so a server can be
-pointed at the packed bit-plane kernel and shared-memory sharding for
-throughput without any serving-side change, and serves the same bits.
+knobs — workers, chunking and the engine's compute ``kernel``
+(``"numpy"``/``"packed"``) — flow straight through
+:meth:`~repro.session.Evaluator.evaluate`, so a server can be pointed
+at the packed bit-plane kernel and row sharding for throughput without
+any serving-side change, and serves the same values (a sharded session
+returns its statistics result, whose ``values`` are all a server
+reads).
 
 Determinism contract
 --------------------

@@ -14,7 +14,7 @@ signature.  Here they become two frozen objects bound once:
   of a design point: SNG choice x stream length x architecture.
 * :class:`~repro.simulation.runtime.RuntimeConfig` — *how fast* to
   evaluate it: workers, chunk size, cache, and the engine's compute
-  ``kernel`` (``"numpy"``/``"packed"``/``"numba"``, see
+  ``kernel`` (``"numpy"``/``"packed"``, see
   :mod:`repro.simulation.kernels`).  Pure wall-clock/memory levers;
   never changes an output bit.
 
@@ -303,25 +303,9 @@ class Evaluator:
         derive one session per fault point and compare accuracy.
         Unlike the runtime knobs this changes which bits are produced,
         but the realization is schedule-seeded, so results remain
-        bit-for-bit identical across kernels, workers, chunk sizes and
-        transports.
+        bit-for-bit identical across kernels, workers and chunk sizes.
         """
         return self.with_options(fault=fault)
-
-    def with_transport(self, transport: str) -> "Evaluator":
-        """A new session moving shard data over another transport.
-
-        Transports (:data:`repro.simulation.transport.TRANSPORTS`) are
-        pure IPC knobs — ``"shm"`` shares zero-copy arenas with process
-        workers instead of pickling shard arrays, and never changes an
-        output bit.  An unknown transport (or ``"shm"`` with a
-        non-process backend) raises
-        :class:`~repro.errors.ConfigurationError` here, not on the
-        first evaluation.
-        """
-        return self.with_runtime(
-            dataclasses.replace(self.runtime, transport=transport)
-        )
 
     @property
     def kernel(self) -> str:
@@ -361,9 +345,9 @@ class Evaluator:
         Dispatches through :func:`~repro.simulation.runtime.run_batch`:
         returns a :class:`~repro.simulation.engine.BatchEvaluation` (or a
         :class:`~repro.simulation.runtime.ChunkedEvaluation` when the
-        bound runtime chunks streams longer than one tile).  *rng*
-        drives the per-row seed derivation when the spec has no fixed
-        ``base_seed``; it is ignored otherwise.
+        bound runtime shards rows or chunks streams longer than one
+        tile).  *rng* drives the per-row seed derivation when the spec
+        has no fixed ``base_seed``; it is ignored otherwise.
         """
         return run_batch(
             self.circuit,

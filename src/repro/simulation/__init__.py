@@ -17,7 +17,6 @@ from .kernels import (
     KERNELS,
     available_kernels,
     kernel_capabilities,
-    numba_available,
     pack_bits,
     popcount,
     resolve_kernel,
@@ -31,20 +30,17 @@ from .engine import (
 )
 from .functional import OpticalEvaluation, simulate_evaluation, simulate_sweep
 from .runtime import (
-    TRANSPORTS,
     ChunkedEvaluation,
     EvaluationCache,
     RuntimeConfig,
     default_evaluation_cache,
     default_worker_count,
     parallel_map,
-    resolve_transport,
     resolve_vectorized,
     run_batch,
     simulate_batch_sharded,
     simulate_chunked,
 )
-from .transport import SharedArena
 from .noise import apply_ber_flips, effective_probability_after_flips
 from .faults import (
     FaultInjector,
@@ -69,7 +65,6 @@ __all__ = [
     "KERNELS",
     "available_kernels",
     "kernel_capabilities",
-    "numba_available",
     "pack_bits",
     "popcount",
     "resolve_kernel",
@@ -84,12 +79,9 @@ __all__ = [
     "ChunkedEvaluation",
     "EvaluationCache",
     "RuntimeConfig",
-    "SharedArena",
-    "TRANSPORTS",
     "default_evaluation_cache",
     "default_worker_count",
     "parallel_map",
-    "resolve_transport",
     "resolve_vectorized",
     "run_batch",
     "simulate_batch_sharded",

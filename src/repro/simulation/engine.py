@@ -343,7 +343,7 @@ def _generate_streams(
 
     ``form`` is ``"bits"`` (``(B, C, L)`` uint8 tensors, the numpy
     kernel's layout) or ``"words"`` (``(B, C, L // 64)`` packed uint64,
-    the packed kernels').  The packed kernels generate every randomizer
+    the packed kernel's).  The packed kernel generates every randomizer
     in word form directly: LFSR and Sobol comparator streams come off
     their cached packed cycles, chaotic streams are packed blockwise
     from the carried orbit — never materializing the ``(B, C, L)``
@@ -477,10 +477,9 @@ def simulate_batch(
         the relocatable protocol the sharded/chunked runtime relies on.
     kernel:
         Compute kernel (:data:`repro.simulation.kernels.KERNELS`):
-        ``"numpy"`` (reference, default), ``"packed"`` (dependency-free
-        uint64 bit-plane engine) or ``"numba"`` (packed with a JIT word
-        loop; requires the optional numba package).  A pure wall-clock/
-        memory lever: every kernel returns bit-for-bit identical
+        ``"numpy"`` (reference, default) or ``"packed"``
+        (dependency-free uint64 bit-plane engine).  A pure wall-clock/
+        memory lever: both kernels return bit-for-bit identical
         results.
     fault:
         Optional :class:`~repro.simulation.faultmodel.FaultSpec` fault
@@ -488,8 +487,8 @@ def simulate_batch(
         pass; channel faults (decay erasure, flips/drift, the
         desynchronization shift) transform the observed output stream —
         seeded from the schedule's per-row ``noise_seeds`` so the
-        realization is bit-exact across kernels, workers, chunk sizes
-        and transports.  Stochastic fault components therefore need a
+        realization is bit-exact across kernels, workers and chunk
+        sizes.  Stochastic fault components therefore need a
         *schedule* or a fixed *base_seed*.
     """
     kernel = resolve_kernel(kernel)
@@ -574,7 +573,7 @@ def simulate_batch(
     # 3-4. per-clock optics + receiver, shared with the chunked runtime.
     if form == "words":
         powers, output_bits, ideal_bits, levels = packed_optical_pass(
-            circuit, data_streams, coeff_streams, noise_a, length, kernel=kernel
+            circuit, data_streams, coeff_streams, noise_a, length
         )
     else:
         powers, output_bits, ideal_bits, levels = _optical_pass(

@@ -15,8 +15,8 @@ Determinism contract
 Fault realizations are seeded from the per-row ``noise_seeds`` of the
 evaluation's :class:`~repro.simulation.engine.SeedSchedule` and indexed
 by the **absolute** 64-clock word of the stream, so the exact same bits
-flip whatever the worker count, shard layout, chunk length, transport
-or compute kernel — the same relocatability protocol the runtime's
+flip whatever the worker count, shard layout, chunk length or compute
+kernel — the same relocatability protocol the runtime's
 sharded/chunked paths rely on.  Mask words are generated by a
 counter-based splitmix64 hash and compared bit-sliced against the
 (possibly time-varying) quantized probability, entirely in ``uint64``

@@ -5,7 +5,7 @@ ultra-cheap single-gate bitwise logic on long bit streams.  The numpy
 engine of PR 1 vectorized the pipeline but still spends one *byte* (or
 one float64) of memory traffic per stream *bit*; this module adds a
 **kernel** dimension — orthogonal to the process/thread *pool* backend
-of :mod:`repro.simulation.runtime` — with three implementations behind
+of :mod:`repro.simulation.runtime` — with two implementations behind
 the unchanged ``simulate_batch`` signature:
 
 ``"numpy"``
@@ -22,14 +22,8 @@ the unchanged ``simulate_batch`` signature:
     packed words via popcount (:func:`popcount` —
     ``np.bitwise_count`` when the numpy build has it, a 16-bit LUT
     otherwise).
-``"numba"``
-    The packed engine with its per-word key-assembly loop JIT-compiled
-    by numba.  Optional: gated on import availability —
-    :func:`resolve_kernel` raises a clear
-    :class:`~repro.errors.ConfigurationError` when numba is absent, and
-    the test suite skips (not fails) the numba legs.
 
-Every kernel is **bit-for-bit identical** to ``"numpy"`` for all four
+The packed kernel is **bit-for-bit identical** to ``"numpy"`` for all four
 SNG kinds, noisy and noiseless (enforced by ``tests/test_kernels.py``
 and the ``bench_batched.py --kernels`` exit gate): the packed pipeline
 re-derives exactly the same comparator decisions, adder levels and
@@ -49,7 +43,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +61,6 @@ __all__ = [
     "KERNELS",
     "available_kernels",
     "kernel_capabilities",
-    "numba_available",
     "resolve_kernel",
     "pack_bits",
     "unpack_bits",
@@ -84,7 +77,7 @@ __all__ = [
     "packed_tile_statistics",
 ]
 
-KERNELS: Tuple[str, ...] = ("numpy", "packed", "numba")
+KERNELS: Tuple[str, ...] = ("numpy", "packed")
 """Compute-kernel implementations behind ``simulate_batch``."""
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
@@ -95,60 +88,22 @@ _WORD_BITS = 64
 # -- kernel registry -----------------------------------------------------------
 
 
-_NUMBA_STATE: Dict[str, object] = {"checked": False, "available": False}
-_NUMBA_LOCK = threading.Lock()
-
-
-def numba_available() -> bool:
-    """Whether the optional numba JIT dependency can be imported.
-
-    The import is attempted once and memoized — numba's first import is
-    expensive, and callers probe availability on every
-    :class:`~repro.simulation.runtime.RuntimeConfig` construction.
-    Thread backends probe concurrently, so the check-and-memoize is
-    double-checked under the module lock.
-    """
-    if _NUMBA_STATE["checked"]:
-        return bool(_NUMBA_STATE["available"])
-    with _NUMBA_LOCK:
-        if not _NUMBA_STATE["checked"]:
-            try:
-                import numba  # noqa: F401
-
-                _NUMBA_STATE["available"] = True
-            except ImportError:
-                _NUMBA_STATE["available"] = False
-            _NUMBA_STATE["checked"] = True
-    return bool(_NUMBA_STATE["available"])
-
-
 def available_kernels() -> Tuple[str, ...]:
     """The kernels usable in this environment, in registry order."""
-    return tuple(
-        name
-        for name in KERNELS
-        if name != "numba" or numba_available()
-    )
+    return KERNELS
 
 
 def resolve_kernel(kernel: str) -> str:
-    """Validate a kernel name, failing fast on unknown/unavailable ones.
+    """Validate a kernel name, failing fast on unknown ones.
 
     Unknown names raise whatever the caller is — a
     :class:`~repro.simulation.runtime.RuntimeConfig` constructor, the
     engine entry points, the CLI — so a typo can never silently fall
-    back to the reference kernel.  ``"numba"`` additionally requires the
-    optional dependency to be importable.
+    back to the reference kernel.
     """
     if kernel not in KERNELS:
         raise ConfigurationError(
             f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-        )
-    if kernel == "numba" and not numba_available():
-        raise ConfigurationError(
-            "kernel 'numba' requires the optional numba package, which is "
-            "not installed; use kernel='packed' for the dependency-free "
-            "bit-plane engine"
         )
     return kernel
 
@@ -178,15 +133,6 @@ def kernel_capabilities() -> Dict[str, Dict[str, Any]]:
                 "dependency-free uint64 bit-plane engine: 8x smaller bit "
                 "tensors; wins on long noiseless streams (the LFSR hot "
                 "path runs on words, not bytes)"
-            ),
-        },
-        "numba": {
-            "available": numba_available(),
-            "requires": "numba",
-            "bit_tensor_bytes_per_bit": 1.0 / 8.0,
-            "description": (
-                "the packed engine with the per-word key-assembly loop "
-                "JIT-compiled; requires the optional numba package"
             ),
         },
     }
@@ -289,7 +235,7 @@ class CircuitPassContext:
     Holds the link budget, the Eq. 6 received-power table and the
     calibrated threshold receiver — previously rebuilt on every
     ``_optical_pass`` call, i.e. once per tile of a chunked stream —
-    plus the packed kernels' flat per-``(pattern, level)`` lookup
+    plus the packed kernel's flat per-``(pattern, level)`` lookup
     tables, built lazily on first packed use.
 
     The flat tables index on ``key = (level << channel_count) |
@@ -324,7 +270,7 @@ class CircuitPassContext:
         return max(1, int(self.order).bit_length())
 
     def _flat_tables(self) -> Dict[str, Any]:
-        """The packed kernels' flat lookup tables (built once, lazily)."""
+        """The packed kernel's flat lookup tables (built once, lazily)."""
         flat = self._flat
         if flat is None:
             order, channels = self.order, self.channel_count
@@ -507,57 +453,6 @@ def _assemble_keys(
     return keys
 
 
-def _numba_assemble_keys(
-    planes: List["np.ndarray[Any, Any]"], length: int, dtype: Any
-) -> "np.ndarray[Any, Any]":
-    """The numba kernel's JIT key assembly (same contract as numpy's)."""
-    jit = _numba_key_loop()
-    stacked = np.ascontiguousarray(np.stack(planes, axis=0))
-    out = np.zeros((stacked.shape[1], int(length)), dtype=np.int64)
-    jit(stacked, int(length), out)
-    return out.astype(dtype)
-
-
-_NUMBA_KEY_LOOP: Optional[Callable[..., Any]] = None
-
-
-def _numba_key_loop() -> Callable[..., Any]:
-    """Compile (once) the per-word key-assembly loop with numba.
-
-    Guarded by the module numba lock: concurrent thread-backend shards
-    must not race the one-time JIT compile and rebind.
-    """
-    global _NUMBA_KEY_LOOP
-    loop = _NUMBA_KEY_LOOP
-    if loop is not None:
-        return loop
-    with _NUMBA_LOCK:
-        loop = _NUMBA_KEY_LOOP
-        if loop is None:
-            import numba
-
-            @numba.njit(cache=False)
-            def key_loop(  # pragma: no cover - needs numba
-                planes: "np.ndarray[Any, Any]",
-                length: int,
-                out: "np.ndarray[Any, Any]",
-            ) -> None:
-                plane_count, batch, words = planes.shape
-                for b in range(batch):
-                    for w in range(words):
-                        base = w * 64
-                        limit = min(64, length - base)
-                        for j in range(limit):
-                            key = 0
-                            for p in range(plane_count):
-                                key |= ((planes[p, b, w] >> j) & 1) << p
-                            out[b, base + j] = key
-
-            loop = key_loop
-            _NUMBA_KEY_LOOP = loop
-    return loop
-
-
 def _key_planes(
     context: CircuitPassContext,
     data_words: "np.ndarray[Any, Any]",
@@ -578,12 +473,9 @@ def _packed_keys(
     data_words: "np.ndarray[Any, Any]",
     coeff_words: "np.ndarray[Any, Any]",
     length: int,
-    kernel: str,
 ) -> "np.ndarray[Any, Any]":
     flat = context._flat_tables()
     planes = _key_planes(context, data_words, coeff_words)
-    if kernel == "numba":
-        return _numba_assemble_keys(planes, length, flat["key_dtype"])
     return _assemble_keys(planes, length, flat["key_dtype"])
 
 
@@ -593,14 +485,13 @@ def packed_optical_pass(
     coeff_words: "np.ndarray[Any, Any]",
     noise_a: Optional["np.ndarray[Any, Any]"],
     length: int,
-    kernel: str = "packed",
 ) -> Tuple[
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
 ]:
-    """The packed kernels' optics + receiver pass, full per-clock output.
+    """The packed kernel's optics + receiver pass, full per-clock output.
 
     Takes ``(B, C, W)`` packed word tensors (see :func:`pack_bits`) and
     returns the same ``(powers, output_bits, ideal_bits, levels)`` tuple
@@ -610,7 +501,7 @@ def packed_optical_pass(
     """
     context = pass_context(circuit)
     flat = context._flat_tables()
-    keys = _packed_keys(context, data_words, coeff_words, length, kernel)
+    keys = _packed_keys(context, data_words, coeff_words, length)
     powers = flat["powers"].take(keys)
     levels = (keys >> np.uint8(context.channel_count)).astype(np.int64)
     if noise_a is None:
@@ -686,7 +577,6 @@ def optical_pass(
         pack_bits(coeff_bits),
         noise_a,
         length,
-        kernel=kernel,
     )
 
 
@@ -1034,7 +924,6 @@ def packed_tile_statistics(
     length: int,
     noise_a: Optional["np.ndarray[Any, Any]"] = None,
     histogram_edges: Optional["np.ndarray[Any, Any]"] = None,
-    kernel: str = "packed",
     fault_channel: Optional[Any] = None,
     clock_offset: int = 0,
 ) -> Tuple[
@@ -1081,9 +970,7 @@ def packed_tile_statistics(
             out_words = _mux_words(coeff_words, level_planes, context.order)
             ideal_words = out_words
         else:
-            keys = _packed_keys(
-                context, data_words, coeff_words, length, kernel
-            )
+            keys = _packed_keys(context, data_words, coeff_words, length)
             if noise_a is None:
                 decision_bytes = flat["decisions"].take(keys)
             else:
@@ -1095,9 +982,7 @@ def packed_tile_statistics(
         errors = popcount(observed ^ ideal_words).sum(axis=-1)
         if histogram_edges is not None:
             if keys is None:
-                keys = _packed_keys(
-                    context, data_words, coeff_words, length, kernel
-                )
+                keys = _packed_keys(context, data_words, coeff_words, length)
             key_counts = np.bincount(
                 keys.reshape(-1).astype(np.int64),
                 minlength=flat["powers"].size,
@@ -1112,9 +997,7 @@ def packed_tile_statistics(
         ones = popcount(out_words).sum(axis=-1)
         errors = np.zeros(ones.shape, dtype=np.int64)
         if histogram_edges is not None:
-            keys = _packed_keys(
-                context, data_words, coeff_words, length, kernel
-            )
+            keys = _packed_keys(context, data_words, coeff_words, length)
             key_counts = np.bincount(
                 keys.reshape(-1).astype(np.int64),
                 minlength=flat["powers"].size,
@@ -1124,7 +1007,7 @@ def packed_tile_statistics(
             )
         return ones, errors, histogram
 
-    keys = _packed_keys(context, data_words, coeff_words, length, kernel)
+    keys = _packed_keys(context, data_words, coeff_words, length)
     if noise_a is None:
         decisions = flat["decisions"].astype(np.int64)
         ideal = flat["ideal"].astype(np.int64)

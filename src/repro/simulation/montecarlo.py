@@ -311,8 +311,8 @@ def fault_frontier(
     :class:`~repro.session.Evaluator` session derived per fault via
     :meth:`~repro.session.Evaluator.with_fault`, so the whole frontier
     inherits the session guarantees: fault realizations are
-    schedule-seeded and bit-for-bit identical across kernels, workers,
-    chunk sizes and transports.
+    schedule-seeded and bit-for-bit identical across kernels, workers
+    and chunk sizes.
 
     Returns a dict of aligned arrays: ``flip_probability`` and
     ``shift_clocks`` (the axis, as scheduled), ``mean_abs_error`` /

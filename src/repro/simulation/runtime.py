@@ -1,29 +1,28 @@
 """Scaling runtime over the batched engine: sharding, chunking, caching.
 
-PR 1 made ``(B, L)`` whole-vector evaluation the unit of work, but one
-:func:`~repro.simulation.engine.simulate_batch` call still runs on a
+One :func:`~repro.simulation.engine.simulate_batch` call runs on a
 single core and materializes the full ``(B, L)`` power/bit tensors.
-This module is the scaling layer above the engine:
+This module is the scaling layer above the engine, built around one
+tile loop (:func:`simulate_chunked`):
 
-* **Row-wise sharding** (:func:`simulate_batch_sharded`): per-row
-  ``(data_seed, coeff_seed, noise_seed)`` triples are pre-derived into a
-  :class:`~repro.simulation.engine.SeedSchedule`, shards of rows are
-  shipped to a process (or thread) pool, and the shard results are
-  reassembled into a :class:`~repro.simulation.engine.BatchEvaluation`
-  that is **bit-for-bit identical** to the single-process call under the
-  same schedule — every row is fully determined by its seed triple, so
-  rows are relocatable across workers.  Shard data moves over a
-  pluggable *transport*: ``"pickle"`` (pool-pipe serialization) or
-  ``"shm"`` (zero-copy shared-memory arenas, see
-  :mod:`repro.simulation.transport`).
-* **Chunked streaming** (:func:`simulate_chunked`): very long streams
-  (``length >> 2**20``, the ``O(1/N)``-convergence regime that motivates
-  low-discrepancy and chaotic-laser randomizers) are evaluated in
-  ``(B, chunk)`` tiles with running accumulators — ones count, link
-  bit-error count, optional received-power histogram — so memory stays
-  bounded by the tile size while the accumulated statistics stay
-  bit-exact with the one-shot pass.  LFSR/Sobol/counter streams resume
-  by index offset; chaotic orbits resume by carrying raw map state.
+* **Tile streaming**: an evaluation runs in ``(B, chunk)`` tiles with
+  running accumulators — ones count, link bit-error count, optional
+  received-power histogram — so memory stays bounded by the tile size
+  while the accumulated statistics stay bit-exact with the one-shot
+  pass.  LFSR/Sobol/counter streams resume by index offset; chaotic
+  orbits resume by carrying raw map state.  Very long streams
+  (``length >> 2**20``, the ``O(1/N)``-convergence regime that
+  motivates low-discrepancy and chaotic-laser randomizers) are the
+  multi-tile case; a tile as long as the stream is the single-tile case.
+* **Row-wise sharding** (``workers > 1``): per-row ``(data_seed,
+  coeff_seed, noise_seed)`` triples are pre-derived into a
+  :class:`~repro.simulation.engine.SeedSchedule`, shards of rows run
+  the tile loop on a process (or thread) pool, and their ``O(rows)``
+  accumulators are reassembled into one :class:`ChunkedEvaluation` that
+  is **bit-for-bit identical** to the serial run under the same
+  schedule — every row is fully determined by its seed triple, so rows
+  are relocatable across workers.  A shard result pickles to the same
+  few kilobytes whatever the stream length.
 * **Keyed evaluation cache** (:class:`EvaluationCache`, enabled through
   :class:`RuntimeConfig`): repeated exploration sweeps over the same
   ``circuit fingerprint x sng_kind x base_seed x sng_width x length x
@@ -31,8 +30,8 @@ This module is the scaling layer above the engine:
   receiver-noise seeds from ``base_seed`` so even noisy results are
   deterministic.
 * **Generic parallel map** (:func:`parallel_map`): the process-pool
-  primitive the exploration grid sweep and the Monte Carlo corner loop
-  share.
+  primitive the row shards, the exploration grid sweep and the Monte
+  Carlo corner loop share.
 
 :func:`run_batch` bundles the knobs behind one dispatcher
 (:class:`RuntimeConfig`); ``REPRO_RUNTIME_WORKERS`` sets the default
@@ -41,6 +40,7 @@ worker count process-wide (``auto`` = one per CPU).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -59,6 +59,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -95,13 +96,10 @@ from .kernels import (
     pack_bits,
     packed_tile_statistics,
     resolve_kernel,
-    unpack_bits,
 )
-from .transport import TRANSPORTS, SharedArena, resolve_transport
 
 __all__ = [
     "BACKENDS",
-    "TRANSPORTS",
     "ChunkedEvaluation",
     "EvaluationCache",
     "RuntimeConfig",
@@ -109,7 +107,6 @@ __all__ = [
     "default_worker_count",
     "parallel_map",
     "resolve_pool",
-    "resolve_transport",
     "resolve_vectorized",
     "run_batch",
     "simulate_batch_sharded",
@@ -267,24 +264,26 @@ def _shard_bounds(batch: int, workers: int) -> List[Tuple[int, int]]:
 
 
 def _map_row_shards(
-    worker: Callable[[Any], Any],
-    payload_builder: Callable[..., Any],
     xs: "np.ndarray[Any, Any]",
     schedule: SeedSchedule,
     workers: int,
     backend: str,
-) -> List[Any]:
-    """Fan one row-sharded evaluation out over the pool, order preserved.
+    options: Dict[str, Any],
+) -> ChunkedEvaluation:
+    """Run the tile loop on row shards over the pool and reassemble.
 
-    ``payload_builder(xs_shard, schedule_shard)`` produces each worker's
-    payload — the single place the shard layout is decided for both the
-    one-shot and the chunked sharded paths.
+    Each shard carries its input rows, its slice of the seed schedule
+    and the shared *options* (the remaining :func:`simulate_chunked`
+    arguments); each returns ``O(rows)`` accumulators, whatever the
+    stream length.
     """
     payloads = [
-        payload_builder(xs[lo:hi], schedule.shard(lo, hi))
+        (xs[lo:hi], schedule.shard(lo, hi), options)
         for lo, hi in _shard_bounds(xs.size, workers)
     ]
-    return parallel_map(worker, payloads, workers=workers, backend=backend)
+    return _concatenate_chunked(
+        parallel_map(_shard_worker, payloads, workers=workers, backend=backend)
+    )
 
 
 def _validate_fault(fault: Optional[FaultSpec], circuit: Any) -> None:
@@ -294,321 +293,6 @@ def _validate_fault(fault: Optional[FaultSpec], circuit: Any) -> None:
     if not isinstance(fault, FaultSpec):
         raise ConfigurationError(f"fault must be a FaultSpec, got {fault!r}")
     fault.validate_against_order(circuit.params.order)
-
-
-def _shard_worker(payload: Tuple[Any, ...]) -> BatchEvaluation:
-    """Evaluate one row shard (module-level so process pools can pickle it)."""
-    (
-        circuit,
-        xs,
-        length,
-        noisy,
-        sng_kind,
-        sng_width,
-        schedule,
-        kernel,
-        fault,
-    ) = payload
-    return simulate_batch(
-        circuit,
-        xs,
-        length=length,
-        noisy=noisy,
-        sng_kind=sng_kind,
-        sng_width=sng_width,
-        schedule=schedule,
-        kernel=kernel,
-        fault=fault,
-    )
-
-
-def _concatenate_batches(
-    shards: Sequence[BatchEvaluation], length: int
-) -> BatchEvaluation:
-    """Reassemble shard results into one batch, row order preserved."""
-    return BatchEvaluation(
-        xs=np.concatenate([s.xs for s in shards]),
-        values=np.concatenate([s.values for s in shards]),
-        expected=np.concatenate([s.expected for s in shards]),
-        stream_length=int(length),
-        received_power_mw=np.concatenate(
-            [s.received_power_mw for s in shards], axis=0
-        ),
-        output_bits=np.concatenate([s.output_bits for s in shards], axis=0),
-        ideal_bits=np.concatenate([s.ideal_bits for s in shards], axis=0),
-        select_levels=np.concatenate([s.select_levels for s in shards], axis=0),
-    )
-
-
-def _shard_input_fields(batch: int) -> Dict[str, Any]:
-    """Arena fields carrying the batch inputs (parent -> workers)."""
-    return {
-        "xs": ((batch,), np.float64),
-        "data_seeds": ((batch,), np.int64),
-        "coeff_seeds": ((batch,), np.int64),
-        "noise_seeds": ((batch,), np.int64),
-    }
-
-
-def _write_shard_inputs(
-    arena: SharedArena, xs: "np.ndarray[Any, Any]", schedule: SeedSchedule
-) -> None:
-    arena.write("xs", xs)
-    arena.write("data_seeds", schedule.data_seeds)
-    arena.write("coeff_seeds", schedule.coeff_seeds)
-    arena.write("noise_seeds", schedule.noise_seeds)
-
-
-def _read_shard_inputs(
-    arena: SharedArena, lo: int, hi: int
-) -> Tuple["np.ndarray[Any, Any]", SeedSchedule]:
-    """``(xs, schedule)`` for rows ``[lo, hi)`` from the input arena."""
-    return (
-        arena.read("xs", lo, hi),
-        SeedSchedule(
-            data_seeds=arena.read("data_seeds", lo, hi),
-            coeff_seeds=arena.read("coeff_seeds", lo, hi),
-            noise_seeds=arena.read("noise_seeds", lo, hi),
-        ),
-    )
-
-
-def _shm_shard_worker(payload: Tuple[Any, ...]) -> Tuple[int, int]:
-    """Evaluate one row shard in place through the shared arena.
-
-    Attaches by segment name, reads its input rows, writes its result
-    rows into the arena's field views, and returns only the row range —
-    no result tensor crosses the process boundary.  Bit tensors are
-    written in packed uint64 form (8x smaller) when a packed kernel
-    runs; the parent unpacks once at reassembly (an exact inverse).
-    """
-    (
-        spec,
-        circuit,
-        lo,
-        hi,
-        length,
-        noisy,
-        sng_kind,
-        sng_width,
-        kernel,
-        packed,
-        fault,
-    ) = payload
-    arena = SharedArena.attach(spec)
-    try:
-        xs, schedule = _read_shard_inputs(arena, lo, hi)
-        result = simulate_batch(
-            circuit,
-            xs,
-            length=length,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            sng_width=sng_width,
-            schedule=schedule,
-            kernel=kernel,
-            fault=fault,
-        )
-        arena.write("values", result.values, lo)
-        arena.write("expected", result.expected, lo)
-        arena.write("received_power_mw", result.received_power_mw, lo)
-        arena.write("select_levels", result.select_levels, lo)
-        if packed:
-            arena.write("output_words", pack_bits(result.output_bits), lo)
-            arena.write("ideal_words", pack_bits(result.ideal_bits), lo)
-        else:
-            arena.write("output_bits", result.output_bits, lo)
-            arena.write("ideal_bits", result.ideal_bits, lo)
-    finally:
-        arena.close()
-    return lo, hi
-
-
-def _simulate_batch_sharded_shm(
-    circuit: Any,
-    xs: "np.ndarray[Any, Any]",
-    length: int,
-    noisy: bool,
-    sng_kind: str,
-    sng_width: int,
-    schedule: SeedSchedule,
-    kernel: str,
-    workers: int,
-    backend: str,
-    fault: Optional[FaultSpec] = None,
-) -> BatchEvaluation:
-    """The zero-copy shm fan-out behind ``transport="shm"``.
-
-    One arena holds the inputs and every result field for the whole
-    batch; workers write their row ranges in place and reassembly is a
-    view (:meth:`~repro.simulation.transport.SharedArena.export_views`)
-    plus — under a packed kernel — one vectorized unpack of the bit
-    tensors.  Bit-for-bit identical to the pickle transport: the same
-    :func:`~repro.simulation.engine.simulate_batch` runs per shard, and
-    copies/views of identical values are identical.
-    """
-    batch = xs.size
-    packed = kernel != "numpy"
-    words = (int(length) + 63) // 64
-    fields = _shard_input_fields(batch)
-    fields.update(
-        {
-            "values": ((batch,), np.float64),
-            "expected": ((batch,), np.float64),
-            "received_power_mw": ((batch, length), np.float64),
-            "select_levels": ((batch, length), np.int64),
-        }
-    )
-    if packed:
-        fields["output_words"] = ((batch, words), np.uint64)
-        fields["ideal_words"] = ((batch, words), np.uint64)
-    else:
-        fields["output_bits"] = ((batch, length), np.uint8)
-        fields["ideal_bits"] = ((batch, length), np.uint8)
-    arena = SharedArena(fields)
-    try:
-        _write_shard_inputs(arena, xs, schedule)
-        spec = arena.spec
-        payloads = [
-            (
-                spec,
-                circuit,
-                lo,
-                hi,
-                length,
-                noisy,
-                sng_kind,
-                sng_width,
-                kernel,
-                packed,
-                fault,
-            )
-            for lo, hi in _shard_bounds(batch, workers)
-        ]
-        parallel_map(
-            _shm_shard_worker, payloads, workers=workers, backend=backend
-        )
-    except BaseException:
-        arena.destroy()
-        raise
-    views = arena.export_views()
-    if packed:
-        output_bits = unpack_bits(views["output_words"], length)
-        ideal_bits = unpack_bits(views["ideal_words"], length)
-    else:
-        output_bits = views["output_bits"]
-        ideal_bits = views["ideal_bits"]
-    return BatchEvaluation(
-        xs=views["xs"],
-        values=views["values"],
-        expected=views["expected"],
-        stream_length=int(length),
-        received_power_mw=views["received_power_mw"],
-        output_bits=output_bits,
-        ideal_bits=ideal_bits,
-        select_levels=views["select_levels"],
-    )
-
-
-def simulate_batch_sharded(
-    circuit: Any,
-    xs: Any,
-    length: int = 1024,
-    rng: Optional[np.random.Generator] = None,
-    noisy: bool = True,
-    sng_kind: str = "lfsr",
-    base_seed: Optional[int] = None,
-    sng_width: int = 16,
-    workers: Optional[int] = None,
-    backend: str = "process",
-    schedule: Optional[SeedSchedule] = None,
-    kernel: str = "numpy",
-    transport: str = "pickle",
-    fault: Optional[FaultSpec] = None,
-) -> BatchEvaluation:
-    """Row-sharded :func:`~repro.simulation.engine.simulate_batch`.
-
-    Pre-derives the per-row seed schedule from *rng* (or takes an
-    explicit *schedule*), splits the rows into up to *workers* contiguous
-    shards, evaluates them on a worker pool, and reassembles the result.
-    Because every row is fully determined by its seed triple, the
-    reassembled :class:`~repro.simulation.engine.BatchEvaluation` is
-    bit-for-bit identical to ``simulate_batch(..., schedule=schedule)``
-    run serially — sharding is a pure wall-clock optimization.
-
-    ``workers`` defaults to ``REPRO_RUNTIME_WORKERS`` (0 = serial).  The
-    ``thread`` backend avoids inter-process copies and suits workloads
-    dominated by GIL-releasing numpy kernels; ``process`` (default) is
-    immune to the GIL entirely.  *kernel* selects the compute kernel
-    every shard evaluates with (:data:`repro.simulation.kernels.KERNELS`)
-    and *transport* how shard results return from process workers:
-    ``"pickle"`` (serialize through the pool pipe) or ``"shm"`` (write
-    row ranges in place into a shared-memory arena, reassembled as
-    views — see :mod:`repro.simulation.transport`).  Like the pool
-    knobs, neither ever changes an output bit.
-    """
-    _validate_backend(backend)
-    kernel = resolve_kernel(kernel)
-    transport = resolve_transport(transport, backend)
-    xs = _validate_batch_inputs(
-        circuit, xs, length, sng_kind, base_seed, sng_width
-    )
-    _validate_fault(fault, circuit)
-    batch = xs.size
-    if schedule is None:
-        schedule = derive_seed_schedule(
-            batch, rng=rng, sng_kind=sng_kind, base_seed=base_seed
-        )
-    elif schedule.batch_size != batch:
-        raise ConfigurationError(
-            f"schedule covers {schedule.batch_size} rows but xs has {batch}"
-        )
-    workers = default_worker_count() if workers is None else int(workers)
-    if workers <= 1 or batch == 1:
-        return simulate_batch(
-            circuit,
-            xs,
-            length=length,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            sng_width=sng_width,
-            schedule=schedule,
-            kernel=kernel,
-            fault=fault,
-        )
-    if transport == "shm":
-        return _simulate_batch_sharded_shm(
-            circuit,
-            xs,
-            length,
-            noisy,
-            sng_kind,
-            sng_width,
-            schedule,
-            kernel,
-            workers,
-            backend,
-            fault=fault,
-        )
-    shards = _map_row_shards(
-        _shard_worker,
-        lambda xs_shard, schedule_shard: (
-            circuit,
-            xs_shard,
-            length,
-            noisy,
-            sng_kind,
-            sng_width,
-            schedule_shard,
-            kernel,
-            fault,
-        ),
-        xs,
-        schedule,
-        workers,
-        backend,
-    )
-    return _concatenate_batches(shards, length)
 
 
 # -- chunked streaming ---------------------------------------------------------
@@ -660,6 +344,10 @@ class ChunkedEvaluation:
     def transmission_ber(self) -> "np.ndarray[Any, Any]":
         """Per-row observed link bit-error rate."""
         return self.transmission_bit_errors / self.stream_length
+
+
+Evaluation = Union[BatchEvaluation, ChunkedEvaluation]
+"""Either result :func:`run_batch` returns (see :class:`RuntimeConfig`)."""
 
 
 class _UniformCursor:
@@ -747,7 +435,7 @@ class _UniformCursor:
 class _PackedCursor:
     """Resumable packed comparator-word source for one randomizer bank.
 
-    The packed kernels' counterpart of :class:`_UniformCursor`:
+    The packed kernel's counterpart of :class:`_UniformCursor`:
     ``take(offset, count)`` returns the ``(B, channels, ceil(count/64))``
     uint64 word slab covering stream clocks ``[offset, offset + count)``
     — bit-for-bit ``pack_bits(uniforms < values)`` of the tile the
@@ -798,161 +486,12 @@ class _PackedCursor:
         return pack_bits((uniforms < self._values[..., None]).astype(np.uint8))
 
 
-def _chunked_shard_worker(payload: Tuple[Any, ...]) -> ChunkedEvaluation:
-    """Stream one row shard (module-level so process pools can pickle it)."""
-    (
-        circuit,
-        xs,
-        length,
-        chunk_length,
-        noisy,
-        sng_kind,
-        sng_width,
-        schedule,
-        bins,
-        kernel,
-        fault,
-    ) = payload
-    return simulate_chunked(
-        circuit,
-        xs,
-        length=length,
-        chunk_length=chunk_length,
-        noisy=noisy,
-        sng_kind=sng_kind,
-        sng_width=sng_width,
-        schedule=schedule,
-        power_histogram_bins=bins,
-        workers=0,
-        kernel=kernel,
-        fault=fault,
-    )
-
-
-def _chunked_shm_worker(
-    payload: Tuple[Any, ...],
-) -> Tuple[int, int, Optional["np.ndarray[Any, Any]"]]:
-    """Stream one row shard, accumulating into the shared arena.
-
-    The streaming accumulators are ``O(rows)`` scalars per row plus an
-    optional fixed-size histogram, so the worker writes them straight
-    into its row range (histograms get one private arena row per shard
-    — integer counts over shared bin edges, summed exactly by the
-    parent) and returns only the tile geometry.
-    """
-    (
-        spec,
-        circuit,
-        shard_index,
-        lo,
-        hi,
-        length,
-        chunk_length,
-        noisy,
-        sng_kind,
-        sng_width,
-        bins,
-        kernel,
-        fault,
-    ) = payload
-    arena = SharedArena.attach(spec)
-    try:
-        xs, schedule = _read_shard_inputs(arena, lo, hi)
-        result = simulate_chunked(
-            circuit,
-            xs,
-            length=length,
-            chunk_length=chunk_length,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            sng_width=sng_width,
-            schedule=schedule,
-            power_histogram_bins=bins,
-            workers=0,
-            kernel=kernel,
-            fault=fault,
-        )
-        arena.write("expected", result.expected, lo)
-        arena.write("ones_count", result.ones_count, lo)
-        arena.write("bit_errors", result.transmission_bit_errors, lo)
-        if bins:
-            histogram = result.power_histogram
-            assert histogram is not None
-            arena.write("histogram", histogram[None, :], shard_index)
-    finally:
-        arena.close()
-    return result.chunk_count, result.chunk_length, result.power_bin_edges
-
-
-def _simulate_chunked_shm(
-    circuit: Any,
-    xs: "np.ndarray[Any, Any]",
-    length: int,
-    chunk_length: int,
-    noisy: bool,
-    sng_kind: str,
-    sng_width: int,
-    schedule: SeedSchedule,
-    bins: int,
-    kernel: str,
-    workers: int,
-    backend: str,
-    fault: Optional[FaultSpec] = None,
+def _shard_worker(
+    payload: Tuple[Any, SeedSchedule, Dict[str, Any]],
 ) -> ChunkedEvaluation:
-    """Shared-memory row sharding for the streaming path."""
-    batch = xs.size
-    bounds = _shard_bounds(batch, workers)
-    fields = _shard_input_fields(batch)
-    fields.update(
-        {
-            "expected": ((batch,), np.float64),
-            "ones_count": ((batch,), np.int64),
-            "bit_errors": ((batch,), np.int64),
-        }
-    )
-    if bins:
-        fields["histogram"] = ((len(bounds), bins), np.int64)
-    arena = SharedArena(fields)
-    try:
-        _write_shard_inputs(arena, xs, schedule)
-        spec = arena.spec
-        payloads = [
-            (
-                spec,
-                circuit,
-                shard_index,
-                lo,
-                hi,
-                length,
-                chunk_length,
-                noisy,
-                sng_kind,
-                sng_width,
-                bins,
-                kernel,
-                fault,
-            )
-            for shard_index, (lo, hi) in enumerate(bounds)
-        ]
-        metas = parallel_map(
-            _chunked_shm_worker, payloads, workers=workers, backend=backend
-        )
-    except BaseException:
-        arena.destroy()
-        raise
-    views = arena.export_views()
-    chunk_count, shard_chunk_length, edges = metas[0]
-    return ChunkedEvaluation(
-        xs=views["xs"],
-        expected=views["expected"],
-        stream_length=int(length),
-        chunk_length=int(shard_chunk_length),
-        chunk_count=int(chunk_count),
-        ones_count=views["ones_count"],
-        transmission_bit_errors=views["bit_errors"],
-        power_histogram=views["histogram"].sum(axis=0) if bins else None,
-        power_bin_edges=edges,
-    )
+    """Stream one row shard (module-level so process pools can pickle it)."""
+    xs, schedule, options = payload
+    return simulate_chunked(xs=xs, schedule=schedule, workers=0, **options)
 
 
 def _concatenate_chunked(
@@ -993,42 +532,40 @@ def simulate_chunked(
     workers: Optional[int] = None,
     backend: str = "process",
     kernel: str = "numpy",
-    transport: str = "pickle",
     fault: Optional[FaultSpec] = None,
 ) -> ChunkedEvaluation:
-    """Stream a long evaluation through ``(B, chunk_length)`` tiles.
+    """Stream an evaluation through ``(B, chunk_length)`` tiles.
 
-    Peak memory is bounded by the tile size instead of the stream
-    length, so ``length >> 2**20`` runs (the regime where the Sobol and
-    chaotic randomizers' ``O(1/N)`` convergence pays off) stay cheap.
-    The accumulated statistics — ones count, link bit-error count, and
-    the optional received-power histogram over *power_histogram_bins*
-    equal-width bins spanning the Eq. 6 table range — are **bit-exact**
-    with a one-shot ``simulate_batch(..., schedule=schedule)`` of the
+    The runtime's one tile loop.  Peak memory is bounded by the tile
+    size instead of the stream length, so ``length >> 2**20`` runs (the
+    regime where the Sobol and chaotic randomizers' ``O(1/N)``
+    convergence pays off) stay cheap; ``chunk_length >= length`` is the
+    single-tile case.  The accumulated statistics — ones count, link
+    bit-error count, and the optional received-power histogram over
+    *power_histogram_bins* equal-width bins spanning the Eq. 6 table
+    range — are **bit-exact** with a one-shot ``simulate_batch(..., schedule=schedule)`` of the
     same seed schedule: tiles reuse the engine's own optical pass, and
     every randomizer resumes exactly (index offsets for LFSR/Sobol/
     counter, carried orbit state for chaotic; receiver noise continues
     from per-row seeded generators, which numpy draws identically
     whether in one call or split across tiles).
 
-    Chunking composes with sharding: ``workers > 1`` (default: the
+    Tiling composes with sharding: ``workers > 1`` (default: the
     ``REPRO_RUNTIME_WORKERS`` environment setting, like every runtime
     entry point) streams row shards on a worker pool (each worker
     bounded by its own tile), and the reassembled accumulators are
-    identical to the serial streaming run — rows are independent under
-    the schedule, and per-shard histograms share the table-derived bin
-    edges so they sum exactly.  *transport* picks how shard
-    accumulators return from process workers (``"pickle"`` through the
-    pool pipe, ``"shm"`` in place through a shared-memory arena — see
-    :mod:`repro.simulation.transport`); both are bit-exact.
+    identical to the serial run — rows are independent under the
+    schedule, and per-shard histograms share the table-derived bin
+    edges so they sum exactly.  Only the ``O(rows)`` accumulators
+    travel back from a worker, so the pool pipes carry the same few
+    kilobytes whatever the stream length.
 
-    With a packed *kernel* (``"packed"``/``"numba"``) each tile is
-    evaluated on 64-clock uint64 words: the ones/bit-error accumulators
-    come from popcounts and per-key counts instead of per-clock byte
-    tensors (:func:`repro.simulation.kernels.packed_tile_statistics`),
-    and on the noiseless LFSR path no per-clock array is materialized
-    at all.  The accumulated statistics stay bit-exact with the numpy
-    kernel's.
+    With the packed *kernel* each tile is evaluated on 64-clock uint64
+    words: the ones/bit-error accumulators come from popcounts and
+    per-key counts instead of per-clock byte tensors
+    (:func:`repro.simulation.kernels.packed_tile_statistics`), and on
+    the noiseless LFSR path no per-clock array is materialized at all.
+    The accumulated statistics stay bit-exact with the numpy kernel's.
 
     *fault* injects a :class:`~repro.simulation.faultmodel.FaultSpec`
     scenario: flip/erasure masks are pure functions of the absolute
@@ -1039,7 +576,6 @@ def simulate_chunked(
     """
     _validate_backend(backend)
     kernel = resolve_kernel(kernel)
-    transport = resolve_transport(transport, backend)
     xs = _validate_batch_inputs(
         circuit, xs, length, sng_kind, base_seed, sng_width
     )
@@ -1063,43 +599,23 @@ def simulate_chunked(
         )
     workers = default_worker_count() if workers is None else int(workers)
     if workers > 1 and batch > 1:
-        if transport == "shm":
-            return _simulate_chunked_shm(
-                circuit,
-                xs,
-                length,
-                chunk_length,
-                noisy,
-                sng_kind,
-                sng_width,
-                schedule,
-                power_histogram_bins,
-                kernel,
-                workers,
-                backend,
-                fault=fault,
-            )
-        shards = _map_row_shards(
-            _chunked_shard_worker,
-            lambda xs_shard, schedule_shard: (
-                circuit,
-                xs_shard,
-                length,
-                chunk_length,
-                noisy,
-                sng_kind,
-                sng_width,
-                schedule_shard,
-                power_histogram_bins,
-                kernel,
-                fault,
-            ),
+        return _map_row_shards(
             xs,
             schedule,
             workers,
             backend,
+            dict(
+                circuit=circuit,
+                length=length,
+                chunk_length=chunk_length,
+                noisy=noisy,
+                sng_kind=sng_kind,
+                sng_width=sng_width,
+                power_histogram_bins=power_histogram_bins,
+                kernel=kernel,
+                fault=fault,
+            ),
         )
-        return _concatenate_chunked(shards)
     params = circuit.params
     order = params.order
     channel_count = order + 1
@@ -1213,7 +729,6 @@ def simulate_chunked(
                 count,
                 noise_a=noise_a,
                 histogram_edges=edges if histogram is not None else None,
-                kernel=kernel,
                 fault_channel=fault_channel,
                 clock_offset=start,
             )
@@ -1251,6 +766,57 @@ def simulate_chunked(
     )
 
 
+def simulate_batch_sharded(
+    circuit: Any,
+    xs: Any,
+    length: int = 1024,
+    rng: Optional[np.random.Generator] = None,
+    noisy: bool = True,
+    sng_kind: str = "lfsr",
+    base_seed: Optional[int] = None,
+    sng_width: int = 16,
+    workers: Optional[int] = None,
+    backend: str = "process",
+    schedule: Optional[SeedSchedule] = None,
+    kernel: str = "numpy",
+    fault: Optional[FaultSpec] = None,
+) -> ChunkedEvaluation:
+    """Row-sharded one-shot evaluation: the single-tile :func:`simulate_chunked`.
+
+    Pre-derives the per-row seed schedule from *rng* (or takes an
+    explicit *schedule*), splits the rows into up to *workers* contiguous
+    shards, streams each as one tile on a worker pool, and reassembles
+    the ``O(rows)`` statistics.  Because every row is fully determined
+    by its seed triple, the ones counts, bit-error counts and values are
+    bit-for-bit the reductions of ``simulate_batch(...,
+    schedule=schedule)`` run serially — sharding is a pure wall-clock
+    optimization.
+
+    ``workers`` defaults to ``REPRO_RUNTIME_WORKERS`` (0 = serial).  The
+    ``thread`` backend suits workloads dominated by GIL-releasing numpy
+    kernels; ``process`` (default) is immune to the GIL entirely.
+    *kernel* selects the compute kernel every shard evaluates with
+    (:data:`repro.simulation.kernels.KERNELS`).  Like the pool knobs it
+    never changes an output bit.
+    """
+    return simulate_chunked(
+        circuit,
+        xs,
+        length=length,
+        chunk_length=length,
+        rng=rng,
+        noisy=noisy,
+        sng_kind=sng_kind,
+        base_seed=base_seed,
+        sng_width=sng_width,
+        schedule=schedule,
+        workers=workers,
+        backend=backend,
+        kernel=kernel,
+        fault=fault,
+    )
+
+
 # -- keyed evaluation cache ----------------------------------------------------
 
 
@@ -1258,16 +824,20 @@ class EvaluationCache:
     """LRU cache of deterministic batch evaluations.
 
     Keyed on ``circuit fingerprint x sng_kind x base_seed x sng_width x
-    length x noisy x inputs digest`` — everything that determines a
-    schedule-seeded evaluation.  Exploration sweeps that revisit the
-    same design point skip the engine pass entirely; ``hits`` /
-    ``misses`` expose the effectiveness.
+    length x noisy x inputs digest x fault x result type`` — everything
+    that determines a schedule-seeded evaluation and the shape of its
+    result.  Exploration sweeps that revisit the same design point skip
+    the engine pass entirely; ``hits`` / ``misses`` expose the
+    effectiveness.
 
-    Each entry retains the full :class:`BatchEvaluation` including its
-    per-clock ``(B, L)`` tensors (roughly ``18 * B * L`` bytes), so size
+    Entries hold whichever result :func:`run_batch` returns for the
+    config: an in-process run stores a
+    :class:`~repro.simulation.engine.BatchEvaluation` with its per-clock
+    ``(B, L)`` tensors (roughly ``18 * B * L`` bytes, so size
     ``max_entries`` to your memory budget — the default is deliberately
-    small.  For streams long enough that one entry is itself a memory
-    problem, use :func:`simulate_chunked` instead of caching.
+    small), a sharded run stores its ``O(B)``
+    :class:`ChunkedEvaluation`.  The result type is part of the key, so
+    a hit always has the type the requesting config would compute.
 
     The cache is thread-safe: ``backend="thread"`` sharded runs and the
     serving layer's executor threads share the process-wide default
@@ -1281,7 +851,7 @@ class EvaluationCache:
                 f"max_entries must be >= 1, got {max_entries!r}"
             )
         self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[Tuple[Any, ...], BatchEvaluation]" = (
+        self._entries: "OrderedDict[Tuple[Any, ...], Evaluation]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
@@ -1299,7 +869,7 @@ class EvaluationCache:
             self.hits = 0
             self.misses = 0
 
-    def lookup(self, key: Tuple[Any, ...]) -> Optional[BatchEvaluation]:
+    def lookup(self, key: Tuple[Any, ...]) -> Optional[Evaluation]:
         """The cached evaluation for *key*, refreshing its LRU slot."""
         with self._lock:
             entry = self._entries.get(key)
@@ -1310,23 +880,18 @@ class EvaluationCache:
             self.hits += 1
             return entry
 
-    def store(self, key: Tuple[Any, ...], result: BatchEvaluation) -> None:
+    def store(self, key: Tuple[Any, ...], result: Evaluation) -> None:
         """Insert *result*, evicting the least-recently-used overflow.
 
-        The stored arrays are frozen read-only: hits return the stored
-        object by identity, so an in-place mutation by one caller would
-        otherwise silently corrupt every later hit of the same key.
+        Every ndarray field of the stored result is frozen read-only:
+        hits return the stored object by identity, so an in-place
+        mutation by one caller would otherwise silently corrupt every
+        later hit of the same key.
         """
-        for name in (
-            "xs",
-            "values",
-            "expected",
-            "received_power_mw",
-            "output_bits",
-            "ideal_bits",
-            "select_levels",
-        ):
-            getattr(result, name).setflags(write=False)
+        for field in dataclasses.fields(result):
+            value = getattr(result, field.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
         with self._lock:
             self._entries[key] = result
             self._entries.move_to_end(key)
@@ -1338,7 +903,11 @@ _DEFAULT_CACHE = EvaluationCache(max_entries=16)
 
 
 def default_evaluation_cache() -> EvaluationCache:
-    """The process-wide cache :func:`cached_simulate_batch` defaults to."""
+    """The process-wide cache :func:`run_batch` uses when no cache is bound.
+
+    ``RuntimeConfig(use_cache=True)`` without an explicit ``cache``
+    memoizes here.
+    """
     return _DEFAULT_CACHE
 
 
@@ -1350,7 +919,8 @@ def _evaluation_key(
     sng_kind: str,
     base_seed: int,
     sng_width: int,
-    fault: Optional[FaultSpec] = None,
+    fault: Optional[FaultSpec],
+    statistics: bool,
 ) -> Tuple[Any, ...]:
     digest = hashlib.sha1(np.ascontiguousarray(xs).tobytes()).hexdigest()
     return (
@@ -1365,75 +935,8 @@ def _evaluation_key(
         # FaultSpec is a frozen value object: equal scenarios hash equal,
         # and the fault realization is a pure function of base_seed + spec.
         fault,
+        statistics,
     )
-
-
-def _cached_simulate_batch(
-    circuit: Any,
-    xs: Any,
-    length: int = 1024,
-    noisy: bool = True,
-    sng_kind: str = "lfsr",
-    base_seed: int = 0x5EED,
-    sng_width: int = 16,
-    cache: Optional[EvaluationCache] = None,
-    workers: Optional[int] = None,
-    backend: str = "process",
-    kernel: str = "numpy",
-    transport: str = "pickle",
-    fault: Optional[FaultSpec] = None,
-) -> BatchEvaluation:
-    """Keyed, memoized batch evaluation for repeated exploration sweeps.
-
-    Requires a fixed *base_seed*: the whole evaluation (including the
-    receiver noise, whose per-row seeds are derived from *base_seed* via
-    the deterministic schedule) is then a pure function of the key, so a
-    hit can return the stored result unchanged.  A miss computes through
-    :func:`simulate_batch_sharded` (serial when ``workers <= 1``) and
-    stores the result in *cache* (the process-wide default when
-    omitted).  The *kernel* is deliberately **not** part of the cache
-    key: every kernel is bit-for-bit identical, so entries computed by
-    one serve hits requested under another.
-    """
-    if base_seed is None:
-        raise ConfigurationError(
-            "the evaluation cache needs a fixed base_seed; rng-derived "
-            "seeds make every call unique"
-        )
-    xs = _validate_batch_inputs(
-        circuit, xs, length, sng_kind, base_seed, sng_width
-    )
-    # Private copy: the stored result's arrays are frozen read-only on
-    # store, and np.asarray may have returned the caller's own float
-    # array by identity — freezing that would break callers who reuse
-    # or mutate their input buffer after the call.
-    xs = xs.copy()
-    cache = _DEFAULT_CACHE if cache is None else cache
-    key = _evaluation_key(
-        circuit, xs, length, noisy, sng_kind, base_seed, sng_width, fault
-    )
-    hit = cache.lookup(key)
-    if hit is not None:
-        return hit
-    schedule = derive_seed_schedule(
-        xs.size, sng_kind=sng_kind, base_seed=base_seed
-    )
-    result = simulate_batch_sharded(
-        circuit,
-        xs,
-        length=length,
-        noisy=noisy,
-        sng_kind=sng_kind,
-        sng_width=sng_width,
-        workers=workers,
-        backend=backend,
-        schedule=schedule,
-        kernel=kernel,
-        transport=transport,
-        fault=fault,
-    )
-    cache.store(key, result)
-    return result
 
 
 # -- one-stop dispatcher -------------------------------------------------------
@@ -1445,33 +948,28 @@ class RuntimeConfig:
 
     ``workers`` > 1 enables row sharding (``None`` defers to the
     ``REPRO_RUNTIME_WORKERS`` environment default); ``chunk_length``
-    enables tile streaming for streams longer than one tile (the result
-    is then a :class:`ChunkedEvaluation`); ``use_cache``/``cache``
-    enable memoization for fixed-``base_seed`` calls; ``vectorized``
-    routes the optics analysis consumers (Monte Carlo corners, yield
-    curves) through the stacked-array engine of
+    enables tile streaming for streams longer than one tile;
+    ``use_cache``/``cache`` enable memoization for fixed-``base_seed``
+    calls; ``vectorized`` routes the optics analysis consumers (Monte
+    Carlo corners, yield curves) through the stacked-array engine of
     :mod:`repro.core.vectorized` instead of the per-corner scalar loop
     — results agree to floating-point rounding, an order of magnitude
     faster.
 
+    The knobs decide the result type, never its bits: an in-process
+    single-tile run returns a
+    :class:`~repro.simulation.engine.BatchEvaluation` with per-clock
+    fields, and every sharded (``workers > 1``) or multi-tile run
+    returns a :class:`ChunkedEvaluation` of ``O(B)`` statistics.  Both
+    expose ``values``, ``expected``, ``absolute_errors``,
+    ``transmission_ber`` and ``mean_absolute_error``.
+
     ``kernel`` selects the engine's compute kernel
     (:data:`repro.simulation.kernels.KERNELS`): ``"numpy"`` (reference,
-    default), ``"packed"`` (dependency-free uint64 bit-plane engine) or
-    ``"numba"`` (packed with a JIT word loop; requires the optional
-    numba package).  Not to be confused with ``backend``, which picks
-    the process/thread *pool* for sharded fan-out — the two compose
-    freely, and like every other knob here the kernel never changes an
-    output bit.
-
-    ``transport`` selects how shard data moves between the parent and
-    process workers (:data:`repro.simulation.transport.TRANSPORTS`):
-    ``"pickle"`` (default) serializes shard inputs/results through the
-    pool pipe; ``"shm"`` shares one zero-copy
-    :mod:`multiprocessing.shared_memory` arena that workers write their
-    row ranges into, with reassembly as a view — no hot array is
-    serialized in either direction.  ``"shm"`` requires the
-    ``"process"`` backend (thread workers already share memory) and is,
-    like the kernel, bit-exact with the default.
+    default) or ``"packed"`` (dependency-free uint64 bit-plane engine).
+    Not to be confused with ``backend``, which picks the process/thread
+    *pool* for sharded fan-out — the two compose freely, and like every
+    other knob here the kernel never changes an output bit.
 
     Every construction-knowable misconfiguration fails in
     ``__post_init__`` — an invalid backend, kernel, chunk size, worker
@@ -1489,12 +987,10 @@ class RuntimeConfig:
     cache: Optional[EvaluationCache] = None
     vectorized: bool = False
     kernel: str = "numpy"
-    transport: str = "pickle"
 
     def __post_init__(self) -> None:
         _validate_backend(self.backend)
         resolve_kernel(self.kernel)
-        resolve_transport(self.transport, self.backend)
         if not isinstance(self.vectorized, bool):
             raise ConfigurationError(
                 f"vectorized must be a bool, got {self.vectorized!r}"
@@ -1538,18 +1034,25 @@ def run_batch(
     sng_width: int = 16,
     config: Optional[RuntimeConfig] = None,
     fault: Optional[FaultSpec] = None,
-) -> Any:
+) -> Evaluation:
     """Evaluate through the runtime, picking the scaling strategy.
 
-    Dispatch order: chunked streaming first (when ``config.chunk_length``
-    is set and the stream exceeds one tile — returns a
-    :class:`ChunkedEvaluation`, row-sharded across ``config.workers``;
-    chunking wins over the cache because a stream long enough to chunk
-    is exactly one whose ``(B, L)`` tensors must never be materialized,
-    let alone pinned in a cache), then the cache (when enabled; a cache
-    without a fixed *base_seed* is a misconfiguration and raises), then
-    sharding (``workers > 1``), else the serial engine call.  Consumers that only need ``.values`` / error
-    statistics work with either result type unchanged.
+    The result type follows one rule: an in-process single-tile run
+    (``workers <= 1`` and no ``config.chunk_length`` shorter than the
+    stream) calls the engine directly and returns a
+    :class:`~repro.simulation.engine.BatchEvaluation` with per-clock
+    fields; every sharded (``workers > 1``) or multi-tile run goes
+    through the tile loop of :func:`simulate_chunked` and returns a
+    :class:`ChunkedEvaluation`.  Consumers that only need ``values`` /
+    error statistics work with either result type unchanged.
+
+    Inputs and *fault* are validated once, before anything else — a
+    bad value raises :class:`~repro.errors.ConfigurationError` on every
+    path, the cached one included.  The cache (when enabled; a cache
+    without a fixed *base_seed* is a misconfiguration and raises)
+    memoizes single-tile runs; a multi-tile stream bypasses it, since
+    a stream long enough to tile is one whose evaluation should not be
+    pinned in memory.
 
     Every strategy runs over the **same** pre-derived seed schedule, so
     the worker count, chunk size and compute kernel
@@ -1559,91 +1062,73 @@ def run_batch(
     *fault* (:class:`~repro.simulation.faultmodel.FaultSpec`): its
     realization is seeded from the same schedule and addressed by
     absolute clock index, so the faulted bits are identical on every
-    strategy too.  (This schedule
-    protocol consumes *rng* differently than a bare ``simulate_batch``
-    call — run_batch results are reproducible against run_batch, not
-    against the engine's legacy per-row noise-block protocol.)
+    strategy too.  (This schedule protocol consumes *rng* differently
+    than a bare ``simulate_batch`` call — run_batch results are
+    reproducible against run_batch, not against the engine's legacy
+    per-row noise-block protocol.)
     """
     config = config or RuntimeConfig()
-    workers = config.resolved_workers
     if config.cache_requested and base_seed is None:
         # Silently recomputing while the caller believes memoization is
-        # on would defeat the config; fail on every dispatch path (the
-        # chunked branch used to skip this check and quietly ignore the
-        # cache request).
+        # on would defeat the config; fail on every dispatch path.
         raise ConfigurationError(
             "RuntimeConfig enables the evaluation cache but base_seed is "
             "None; rng-derived seeds make every call unique — pass a "
             "fixed base_seed or disable the cache"
         )
-    if config.chunk_length is not None and length > config.chunk_length:
-        xs = _validate_batch_inputs(
-            circuit, xs, length, sng_kind, base_seed, sng_width
-        )
-        schedule = derive_seed_schedule(
-            xs.size, rng=rng, sng_kind=sng_kind, base_seed=base_seed
-        )
-        return simulate_chunked(
-            circuit,
-            xs,
-            length=length,
-            chunk_length=config.chunk_length,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            sng_width=sng_width,
-            schedule=schedule,
-            workers=workers,
-            backend=config.backend,
-            kernel=config.kernel,
-            transport=config.transport,
-            fault=fault,
-        )
-    if config.cache_requested:  # base_seed is fixed: validated above
-        assert base_seed is not None
-        return _cached_simulate_batch(
-            circuit,
-            xs,
-            length=length,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            base_seed=base_seed,
-            sng_width=sng_width,
-            cache=config.cache,
-            workers=workers,
-            backend=config.backend,
-            kernel=config.kernel,
-            transport=config.transport,
-            fault=fault,
-        )
     xs = _validate_batch_inputs(
         circuit, xs, length, sng_kind, base_seed, sng_width
     )
+    _validate_fault(fault, circuit)
+    workers = config.resolved_workers
+    chunk_length = config.chunk_length or length
+    multi_tile = length > chunk_length
+    statistics = multi_tile or workers > 1
+    cache: Optional[EvaluationCache] = None
+    if config.cache_requested and not multi_tile:
+        assert base_seed is not None  # checked above
+        cache = _DEFAULT_CACHE if config.cache is None else config.cache
+        # Private copy: the stored result's arrays are frozen read-only,
+        # and xs may be the caller's own float array by identity.
+        xs = xs.copy()
+        key = _evaluation_key(
+            circuit, xs, length, noisy, sng_kind, base_seed, sng_width,
+            fault, statistics,
+        )
+        hit = cache.lookup(key)
+        if hit is not None:
+            return hit
     schedule = derive_seed_schedule(
         xs.size, rng=rng, sng_kind=sng_kind, base_seed=base_seed
     )
-    if workers > 1:
-        return simulate_batch_sharded(
+    result: Evaluation
+    if statistics:
+        result = simulate_chunked(
+            circuit,
+            xs,
+            length=length,
+            chunk_length=chunk_length,
+            noisy=noisy,
+            sng_kind=sng_kind,
+            sng_width=sng_width,
+            schedule=schedule,
+            workers=workers,
+            backend=config.backend,
+            kernel=config.kernel,
+            fault=fault,
+        )
+    else:
+        result = simulate_batch(
             circuit,
             xs,
             length=length,
             noisy=noisy,
             sng_kind=sng_kind,
             sng_width=sng_width,
-            workers=workers,
-            backend=config.backend,
             schedule=schedule,
             kernel=config.kernel,
-            transport=config.transport,
             fault=fault,
         )
-    return simulate_batch(
-        circuit,
-        xs,
-        length=length,
-        noisy=noisy,
-        sng_kind=sng_kind,
-        sng_width=sng_width,
-        schedule=schedule,
-        kernel=config.kernel,
-        fault=fault,
-    )
+    if cache is not None:
+        cache.store(key, result)
+    return result

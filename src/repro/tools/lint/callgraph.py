@@ -6,7 +6,7 @@ popcount``, ``repro.simulation.runtime.EvaluationCache.store``) and
 resolves call sites against that index:
 
 * plain names through the module's own definitions and its import
-  aliases (``from .transport import SharedArena as Arena`` included),
+  aliases (``from .kernels import popcount as count`` included),
   resolving relative imports against the module's package;
 * ``self.method(...)`` to the enclosing class, falling back to every
   project method of that name when the class does not define it
@@ -30,10 +30,10 @@ callables handed to the dispatch APIs the runtime uses:
 ``executor.map(fn, ...)``, ``threading.Thread(target=fn)``,
 ``loop.run_in_executor(None, fn, ...)`` — unwrapping
 ``functools.partial(fn, ...)`` wrappers.  A function that forwards one
-of its own parameters into a dispatcher (``def _map_row_shards(worker,
-...): parallel_map(worker, ...)``) is itself treated as a dispatcher:
+of its own parameters into a dispatcher (``def fan_out(worker, ...):
+parallel_map(worker, ...)``) is itself treated as a dispatcher:
 callables passed at its call sites become entries too (one level of
-higher-order forwarding, which is all the runtime uses).
+higher-order forwarding).
 
 Packed entry points — the roots of the RL009 hot-path check — are the
 functions and classes whose qualified name carries the packed-kernel

@@ -81,7 +81,6 @@ def _diagnostic(
 
 _ACQUIRE_CALLS = {
     "SharedMemory",
-    "SharedArena",
     "ProcessPoolExecutor",
     "ThreadPoolExecutor",
     "Pool",
@@ -100,9 +99,6 @@ _RELEASE_METHODS = {
     "join",
     "release",
     "detach",
-    # The documented SharedArena lifetime transfer: unlink-while-mapped
-    # plus a weakref finalizer on the exported views (PR 6 protocol).
-    "export_views",
 }
 
 
@@ -134,7 +130,7 @@ class ResourceLifecycleRule(Rule):
 
     name = "RL007"
     description = (
-        "resource-lifecycle: a shared_memory/SharedArena/executor/file "
+        "resource-lifecycle: a shared_memory/executor/file "
         "acquisition must reach a release (close/unlink/shutdown/...), a "
         "finally, a with block, or a registered finalizer on every "
         "control-flow path to function exit"

@@ -623,7 +623,7 @@ def _contains_unpack(node: ast.AST) -> bool:
 class PackedPurityRule(RuleVisitor):
     """RL005: no unpack→repack round-trips on the packed hot paths.
 
-    The packed kernels' 9× win comes from never materializing the
+    The packed kernel's 9× win comes from never materializing the
     per-clock bool plane; an ``unpack_bits(...)`` whose result flows
     back into ``pack_bits(...)`` silently reintroduces the 64× blow-up
     the representation exists to avoid.  Taint is tracked per function:

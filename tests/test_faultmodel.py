@@ -3,8 +3,8 @@
 The contract under test: a :class:`FaultSpec` names a *scenario*, and
 the realized fault bits are a pure function of (spec, seed schedule,
 absolute clock index) — so fault-injected evaluations are bit-for-bit
-identical across kernels, worker counts, chunk lengths and transports,
-and trajectory faults (drift ramps, laser decay) stitch exactly across
+identical across kernels, worker counts, chunk lengths and pool
+backends, and trajectory faults (drift ramps, laser decay) stitch exactly across
 chunk boundaries.
 """
 
@@ -30,7 +30,6 @@ def _planes(probability, clocks):
         _quantized_thresholds(np.full(clocks, probability))
     )
 from repro.simulation.kernels import (
-    numba_available,
     pack_bits,
     popcount,
     unpack_bits,
@@ -81,11 +80,19 @@ class TestFaultSpec:
             FaultSpec(drift_ramp_per_mclock=-0.5)
 
     def test_stuck_channel_validated_against_order(self, circuit):
-        fault = FaultSpec(stuck_channel=5, stuck_value=1)
-        with pytest.raises(ConfigurationError):
-            run_batch(
-                circuit, [0.5], length=64, base_seed=1, fault=fault
-            )
+        # Faults are validated before anything else, so the cached path
+        # rejects a non-FaultSpec as a ConfigurationError too, never as
+        # an unhashable cache key.
+        for config in (RuntimeConfig(), RuntimeConfig(use_cache=True)):
+            for fault in (
+                FaultSpec(stuck_channel=5, stuck_value=1),
+                {"flip": 0.1},
+            ):
+                with pytest.raises(ConfigurationError):
+                    run_batch(
+                        circuit, [0.5], length=64, base_seed=1,
+                        config=config, fault=fault,
+                    )
 
     def test_replace_returns_new_spec(self):
         spec = FaultSpec(flip_probability=0.1)
@@ -194,15 +201,8 @@ class TestChannelSemantics:
             channel.apply_words(np.zeros((1, 2), dtype=np.uint64), 0, 128)
 
 
-def _parity_kernels():
-    kernels = ["packed"]
-    if numba_available():
-        kernels.append("numba")
-    return kernels
-
-
 class TestParityMatrix:
-    @pytest.mark.parametrize("kernel", _parity_kernels())
+    @pytest.mark.parametrize("kernel", ["packed"])
     @pytest.mark.parametrize("sng_kind", ["lfsr", "counter", "sobol", "chaotic"])
     @pytest.mark.parametrize("noisy", [False, True])
     def test_kernels_bit_identical_under_faults(
@@ -296,16 +296,11 @@ class TestRelocatability:
         [
             RuntimeConfig(workers=2, backend="thread"),
             RuntimeConfig(workers=2, backend="process"),
-            RuntimeConfig(workers=2, backend="process", transport="shm"),
-            RuntimeConfig(
-                workers=2,
-                backend="process",
-                transport="shm",
-                kernel="packed",
-            ),
+            RuntimeConfig(workers=3, backend="process"),
+            RuntimeConfig(workers=2, backend="process", kernel="packed"),
         ],
     )
-    def test_workers_and_transports_change_no_bit(self, circuit, config):
+    def test_workers_and_kernels_change_no_bit(self, circuit, config):
         xs = np.linspace(0.0, 1.0, 5)
         serial = run_batch(
             circuit,
@@ -326,7 +321,12 @@ class TestRelocatability:
             fault=COMPOSITE,
         )
         assert np.array_equal(serial.values, sharded.values)
-        assert np.array_equal(serial.output_bits, sharded.output_bits)
+        assert np.array_equal(
+            serial.output_bits.sum(axis=1), sharded.ones_count
+        )
+        assert np.array_equal(
+            serial.transmission_bit_errors, sharded.transmission_bit_errors
+        )
 
     def test_cache_keyed_on_fault(self, circuit):
         cache = EvaluationCache(max_entries=8)

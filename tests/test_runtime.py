@@ -8,6 +8,8 @@ chunked streaming must accumulate exactly the one-shot statistics; a
 cache hit must return the stored result without recomputing.
 """
 
+import functools
+import pickle
 import threading
 
 import numpy as np
@@ -19,19 +21,17 @@ from repro.errors import ConfigurationError
 from repro.exploration.sweep import grid_sweep
 from repro.exploration.tradeoffs import throughput_accuracy_frontier
 from repro.simulation.engine import (
+    BatchEvaluation,
     SeedSchedule,
     derive_seed_schedule,
     simulate_batch,
 )
 from repro.simulation.montecarlo import run_monte_carlo
+from repro.simulation.faultmodel import FaultSpec
 from repro.simulation.runtime import (
     ChunkedEvaluation,
     EvaluationCache,
     RuntimeConfig,
-    # The public cached_simulate_batch is a deprecated wrapper over this
-    # impl (covered by tests/test_session.py and test_public_api.py);
-    # the cache-behavior tests below target the runtime itself.
-    _cached_simulate_batch as cached_simulate_batch,
     default_worker_count,
     parallel_map,
     run_batch,
@@ -54,6 +54,32 @@ def circuit():
     )
 
 
+def cached_simulate_batch(circuit, xs, cache=None, **kwargs):
+    """A memoized evaluation through run_batch's cache branch."""
+    config = RuntimeConfig(use_cache=True, cache=cache)
+    return run_batch(circuit, xs, config=config, **kwargs)
+
+
+def _assert_statistics_match(serial, statistics, histogram_bins=0):
+    """Sharded statistics equal the serial one-shot's per-clock reductions."""
+    assert isinstance(statistics, ChunkedEvaluation)
+    assert np.array_equal(serial.xs, statistics.xs)
+    assert np.array_equal(serial.expected, statistics.expected)
+    assert np.array_equal(serial.values, statistics.values)
+    assert serial.stream_length == statistics.stream_length
+    assert np.array_equal(
+        serial.output_bits.sum(axis=1), statistics.ones_count
+    )
+    assert np.array_equal(
+        serial.transmission_bit_errors, statistics.transmission_bit_errors
+    )
+    if histogram_bins:
+        histogram, _ = np.histogram(
+            serial.received_power_mw, bins=statistics.power_bin_edges
+        )
+        assert np.array_equal(histogram, statistics.power_histogram)
+
+
 def _assert_batches_identical(a, b):
     assert np.array_equal(a.xs, b.xs)
     assert np.array_equal(a.values, b.values)
@@ -65,41 +91,83 @@ def _assert_batches_identical(a, b):
     assert np.array_equal(a.select_levels, b.select_levels)
 
 
-class TestShardedEquivalence:
-    """(a) sharded == serial, bit for bit, for every SNG kind."""
+COMPOSITE_FAULT = FaultSpec(
+    flip_probability=0.05,
+    shift_clocks=7,
+    stuck_channel=0,
+    stuck_value=1,
+    drift_ramp_per_mclock=0.5,
+    decay_tau_clocks=100_000,
+)
 
+PARITY_XS = np.linspace(0.1, 0.9, 5)
+PARITY_LENGTH = 300  # not a multiple of 64: exercises the packed tail word
+
+
+@functools.lru_cache(maxsize=None)
+def _serial_reference(circuit, kind, noisy, fault):
+    """The serial one-shot pass the sharded parity matrix reduces."""
+    schedule = derive_seed_schedule(
+        PARITY_XS.size, sng_kind=kind, base_seed=11
+    )
+    serial = simulate_batch(
+        circuit, PARITY_XS, length=PARITY_LENGTH, noisy=noisy,
+        sng_kind=kind, schedule=schedule, fault=fault,
+    )
+    return schedule, serial
+
+
+class TestShardedEquivalence:
+    """(a) sharded statistics == serial reductions, bit for bit."""
+
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "chunk_length", [PARITY_LENGTH, 96], ids=["one-tile", "tiled"]
+    )
+    @pytest.mark.parametrize(
+        "fault", [None, COMPOSITE_FAULT], ids=["clean", "faulted"]
+    )
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_process_sharding_is_bit_exact(self, circuit, kind):
-        xs = np.linspace(0.0, 1.0, 7)
-        schedule = derive_seed_schedule(
-            xs.size, np.random.default_rng(77), sng_kind=kind
-        )
-        serial = simulate_batch(
-            circuit, xs, length=256, sng_kind=kind, schedule=schedule
-        )
-        sharded = simulate_batch_sharded(
+    @pytest.mark.parametrize("kernel", ["numpy", "packed"])
+    def test_statistics_match_serial_reductions(
+        self, circuit, kernel, kind, noisy, fault, chunk_length, workers,
+        backend,
+    ):
+        schedule, serial = _serial_reference(circuit, kind, noisy, fault)
+        sharded = simulate_chunked(
             circuit,
-            xs,
-            length=256,
+            PARITY_XS,
+            length=PARITY_LENGTH,
+            chunk_length=chunk_length,
+            noisy=noisy,
             sng_kind=kind,
             schedule=schedule,
-            workers=2,
+            power_histogram_bins=8,
+            workers=workers,
+            backend=backend,
+            kernel=kernel,
+            fault=fault,
         )
-        _assert_batches_identical(serial, sharded)
+        assert sharded.chunk_count == -(-PARITY_LENGTH // chunk_length)
+        _assert_statistics_match(serial, sharded, histogram_bins=8)
 
-    def test_thread_backend_is_bit_exact(self, circuit):
-        xs = np.linspace(0.1, 0.9, 5)
-        schedule = derive_seed_schedule(xs.size, np.random.default_rng(3))
-        serial = simulate_batch(circuit, xs, length=128, schedule=schedule)
-        sharded = simulate_batch_sharded(
-            circuit,
-            xs,
-            length=128,
-            schedule=schedule,
-            workers=2,
-            backend="thread",
-        )
-        _assert_batches_identical(serial, sharded)
+    def test_shard_result_size_is_independent_of_length(self, circuit):
+        # A worker pipes back O(rows) accumulators.  Only the pickle
+        # width of the two length integers may differ between lengths
+        # (2 bytes each once a length passes 2**16 - 1).
+        xs = np.linspace(0.1, 0.9, 4)
+        schedule = derive_seed_schedule(xs.size, base_seed=3)
+        sizes = []
+        for length in (1 << 10, 1 << 16):
+            result = simulate_chunked(
+                circuit, xs, length=length, chunk_length=length,
+                noisy=False, schedule=schedule, workers=0, kernel="packed",
+            )
+            sizes.append(len(pickle.dumps(result)))
+        assert abs(sizes[1] - sizes[0]) <= 4
+        assert sizes[0] < 2048
 
     def test_rng_protocol_matches_serial_schedule_run(self, circuit):
         # Deriving the schedule inside the sharded call consumes the rng
@@ -110,19 +178,20 @@ class TestShardedEquivalence:
         )
         schedule = derive_seed_schedule(3, np.random.default_rng(11))
         serial = simulate_batch(circuit, xs, length=128, schedule=schedule)
-        _assert_batches_identical(serial, sharded)
+        _assert_statistics_match(serial, sharded)
 
     def test_worker_count_does_not_change_bits(self, circuit):
         xs = np.linspace(0.0, 1.0, 6)
         schedule = derive_seed_schedule(xs.size, np.random.default_rng(4))
-        results = [
-            simulate_batch_sharded(
-                circuit, xs, length=128, schedule=schedule, workers=w
+        serial = simulate_batch(circuit, xs, length=128, schedule=schedule)
+        for workers in (0, 2, 3):
+            _assert_statistics_match(
+                serial,
+                simulate_batch_sharded(
+                    circuit, xs, length=128, schedule=schedule,
+                    workers=workers,
+                ),
             )
-            for w in (0, 2, 3)
-        ]
-        _assert_batches_identical(results[0], results[1])
-        _assert_batches_identical(results[0], results[2])
 
     def test_schedule_size_mismatch_rejected(self, circuit):
         schedule = derive_seed_schedule(2, np.random.default_rng(0))
@@ -350,7 +419,12 @@ class TestEvaluationCache:
         cached_simulate_batch(
             circuit, [0.25], length=128, base_seed=1, cache=cache
         )
-        assert cache.misses == 5
+        # A sharded run returns the statistics result: its own entry.
+        run_batch(
+            circuit, [0.5], length=128, base_seed=1,
+            config=RuntimeConfig(cache=cache, workers=2, backend="thread"),
+        )
+        assert cache.misses == 6
         assert cache.hits == 0
 
     def test_lru_eviction(self, circuit):
@@ -380,6 +454,14 @@ class TestEvaluationCache:
             first.values[0] = 123.0
         with pytest.raises(ValueError):
             first.output_bits[0, 0] ^= 1
+        # A sharded run caches its statistics result, frozen the same way.
+        sharded = run_batch(
+            circuit, [0.5, 0.25], length=64, base_seed=3,
+            config=RuntimeConfig(cache=cache, workers=2, backend="thread"),
+        )
+        assert isinstance(sharded, ChunkedEvaluation)
+        with pytest.raises(ValueError):
+            sharded.ones_count[0] += 1
 
     def test_callers_input_array_stays_writable(self, circuit):
         # Freezing the stored entry must not freeze the caller's own
@@ -453,12 +535,11 @@ class TestRunBatchDispatcher:
             circuit, xs, length=256, rng=np.random.default_rng(2),
             config=RuntimeConfig(chunk_length=100),
         )
-        _assert_batches_identical(serial, sharded)
-        assert isinstance(chunked, ChunkedEvaluation)
-        assert np.array_equal(chunked.values, serial.values)
-        assert np.array_equal(
-            chunked.transmission_bit_errors, serial.transmission_bit_errors
-        )
+        # In-process single tile: per-clock result; sharded or
+        # multi-tile: statistics result with the same reductions.
+        assert isinstance(serial, BatchEvaluation)
+        _assert_statistics_match(serial, sharded)
+        _assert_statistics_match(serial, chunked)
 
     def test_cache_dispatch(self, circuit):
         cache = EvaluationCache()
@@ -739,228 +820,3 @@ class TestParityRegressions:
         np.testing.assert_allclose(
             frontier["evaluation_time_s"], frontier["stream_length"] / 1e9
         )
-
-
-class TestSharedArena:
-    def test_write_read_roundtrip(self):
-        from repro.simulation.transport import SharedArena
-
-        arena = SharedArena(
-            {"a": ((4,), np.float64), "b": ((2, 3), np.int64)}
-        )
-        try:
-            arena.write("a", np.array([1.0, 2.0, 3.0, 4.0]))
-            arena.write("b", np.arange(6).reshape(2, 3))
-            assert np.array_equal(arena.read("a"), [1.0, 2.0, 3.0, 4.0])
-            assert np.array_equal(arena.read("a", 1, 3), [2.0, 3.0])
-            assert np.array_equal(
-                arena.read("b"), np.arange(6).reshape(2, 3)
-            )
-        finally:
-            arena.destroy()
-
-    def test_attach_sees_parent_writes_and_vice_versa(self):
-        from repro.simulation.transport import SharedArena
-
-        arena = SharedArena({"rows": ((4, 2), np.uint64)})
-        try:
-            attached = SharedArena.attach(arena.spec)
-            arena.write("rows", np.full((2, 2), 7, dtype=np.uint64), lo=1)
-            assert np.array_equal(
-                attached.read("rows", 1, 3),
-                np.full((2, 2), 7, dtype=np.uint64),
-            )
-            attached.write("rows", np.full((1, 2), 9, dtype=np.uint64), lo=3)
-            attached.close()
-            assert np.array_equal(
-                arena.read("rows", 3), np.full((1, 2), 9, dtype=np.uint64)
-            )
-        finally:
-            arena.destroy()
-
-    def test_export_views_is_zero_copy_and_self_cleaning(self):
-        from repro.simulation.transport import SharedArena
-
-        arena = SharedArena({"x": ((8,), np.float64)})
-        name = arena.name
-        arena.write("x", np.arange(8.0))
-        views = arena.export_views()
-        # The segment name is unlinked immediately: nobody new can
-        # attach, but the mapped pages stay valid through the views.
-        with pytest.raises(FileNotFoundError):
-            SharedArena.attach(
-                {"name": name, "fields": {"x": ((8,), "<f8", 0)}}
-            )
-        assert np.array_equal(views["x"], np.arange(8.0))
-        assert views["x"].base is not None  # a view, not a copy
-
-    def test_unknown_field_raises(self):
-        from repro.simulation.transport import SharedArena
-
-        arena = SharedArena({"x": ((2,), np.float64)})
-        try:
-            with pytest.raises(ConfigurationError, match="unknown arena"):
-                arena.read("y")
-        finally:
-            arena.destroy()
-
-
-class TestShmTransport:
-    def test_resolve_transport_validates(self):
-        from repro.simulation.runtime import TRANSPORTS, resolve_transport
-
-        assert TRANSPORTS == ("pickle", "shm")
-        assert resolve_transport("pickle", "thread") == "pickle"
-        assert resolve_transport("shm", "process") == "shm"
-        with pytest.raises(ConfigurationError, match="unknown transport"):
-            resolve_transport("carrier-pigeon")
-        with pytest.raises(ConfigurationError, match="process"):
-            resolve_transport("shm", "thread")
-
-    def test_runtime_config_rejects_shm_thread_pairing(self):
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(backend="thread", transport="shm")
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(transport="smoke-signals")
-        assert RuntimeConfig(transport="shm").transport == "shm"
-
-    @pytest.mark.parametrize("kernel", ["numpy", "packed"])
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_sharded_shm_matches_serial(self, circuit, kernel, workers):
-        xs = np.linspace(0.1, 0.9, 5)
-        schedule = derive_seed_schedule(xs.size, np.random.default_rng(3))
-        serial = simulate_batch(
-            circuit, xs, length=256, schedule=schedule
-        )
-        shm = simulate_batch_sharded(
-            circuit,
-            xs,
-            length=256,
-            schedule=schedule,
-            workers=workers,
-            kernel=kernel,
-            transport="shm",
-        )
-        _assert_batches_identical(serial, shm)
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_sharded_shm_matches_pickle_all_kinds(self, circuit, kind):
-        xs = np.linspace(0.1, 0.9, 5)
-        schedule = derive_seed_schedule(
-            xs.size, sng_kind=kind, base_seed=11
-        )
-        kwargs = dict(
-            length=192, sng_kind=kind, schedule=schedule, workers=2,
-            kernel="packed",
-        )
-        via_pickle = simulate_batch_sharded(
-            circuit, xs, transport="pickle", **kwargs
-        )
-        via_shm = simulate_batch_sharded(
-            circuit, xs, transport="shm", **kwargs
-        )
-        _assert_batches_identical(via_pickle, via_shm)
-
-    def test_sharded_shm_unaligned_length_noiseless(self, circuit):
-        # A non-multiple-of-64 length exercises the packed-word tail
-        # mask on the shm writeback path.
-        xs = np.linspace(0.2, 0.8, 4)
-        schedule = derive_seed_schedule(xs.size, np.random.default_rng(9))
-        serial = simulate_batch(
-            circuit, xs, length=250, noisy=False, schedule=schedule
-        )
-        shm = simulate_batch_sharded(
-            circuit,
-            xs,
-            length=250,
-            noisy=False,
-            schedule=schedule,
-            workers=2,
-            kernel="packed",
-            transport="shm",
-        )
-        _assert_batches_identical(serial, shm)
-
-    @pytest.mark.parametrize("kernel", ["numpy", "packed"])
-    def test_chunked_shm_matches_serial(self, circuit, kernel):
-        xs = np.linspace(0.1, 0.9, 5)
-        schedule = derive_seed_schedule(xs.size, np.random.default_rng(5))
-        serial = simulate_chunked(
-            circuit,
-            xs,
-            length=300,
-            chunk_length=96,
-            schedule=schedule,
-            power_histogram_bins=6,
-            workers=0,
-        )
-        shm = simulate_chunked(
-            circuit,
-            xs,
-            length=300,
-            chunk_length=96,
-            schedule=schedule,
-            power_histogram_bins=6,
-            workers=3,
-            kernel=kernel,
-            transport="shm",
-        )
-        assert np.array_equal(serial.xs, shm.xs)
-        assert np.array_equal(serial.expected, shm.expected)
-        assert np.array_equal(serial.ones_count, shm.ones_count)
-        assert np.array_equal(
-            serial.transmission_bit_errors, shm.transmission_bit_errors
-        )
-        assert np.array_equal(serial.power_histogram, shm.power_histogram)
-        assert np.array_equal(serial.power_bin_edges, shm.power_bin_edges)
-        assert serial.chunk_count == shm.chunk_count
-        assert serial.chunk_length == shm.chunk_length
-
-    def test_run_batch_routes_transport(self, circuit):
-        xs = [0.25, 0.5, 0.75]
-        reference = run_batch(
-            circuit, xs, length=256, base_seed=4,
-            config=RuntimeConfig(workers=0),
-        )
-        via_shm = run_batch(
-            circuit, xs, length=256, base_seed=4,
-            config=RuntimeConfig(workers=2, transport="shm", kernel="packed"),
-        )
-        _assert_batches_identical(reference, via_shm)
-
-    def test_shm_results_survive_gc_and_leak_no_segments(self, circuit):
-        import gc
-        import os
-
-        def psm_segments():
-            try:
-                return {
-                    f for f in os.listdir("/dev/shm") if f.startswith("psm_")
-                }
-            except FileNotFoundError:  # non-Linux: nothing to check
-                return set()
-
-        before = psm_segments()
-        xs = np.linspace(0.1, 0.9, 4)
-        result = simulate_batch_sharded(
-            circuit, xs, length=128, workers=2, transport="shm",
-            rng=np.random.default_rng(2),
-        )
-        values = result.values.copy()
-        del result
-        gc.collect()
-        assert psm_segments() - before == set()
-        assert values.shape == (4,)
-
-    def test_serial_fallback_still_validates_transport(self, circuit):
-        with pytest.raises(ConfigurationError):
-            simulate_batch_sharded(
-                circuit, [0.5], length=64, workers=0, transport="nope",
-                rng=np.random.default_rng(1),
-            )
-        with pytest.raises(ConfigurationError):
-            simulate_chunked(
-                circuit, [0.5], length=128, chunk_length=32, workers=0,
-                transport="shm", backend="thread",
-                rng=np.random.default_rng(1),
-            )

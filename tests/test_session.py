@@ -15,7 +15,6 @@ from repro.simulation.runtime import (
     ChunkedEvaluation,
     EvaluationCache,
     RuntimeConfig,
-    _cached_simulate_batch,
     run_batch,
     simulate_chunked,
 )
@@ -162,12 +161,16 @@ class TestEvaluatorBitExactness:
         chunked = Evaluator(
             circuit, spec, RuntimeConfig(chunk_length=100)
         ).evaluate(xs, rng=np.random.default_rng(5))
-        _assert_batches_identical(serial, sharded)
-        assert isinstance(chunked, ChunkedEvaluation)
-        assert np.array_equal(chunked.values, serial.values)
-        assert np.array_equal(
-            chunked.transmission_bit_errors, serial.transmission_bit_errors
-        )
+        for statistics in (sharded, chunked):
+            assert isinstance(statistics, ChunkedEvaluation)
+            assert np.array_equal(statistics.values, serial.values)
+            assert np.array_equal(
+                statistics.ones_count, serial.output_bits.sum(axis=1)
+            )
+            assert np.array_equal(
+                statistics.transmission_bit_errors,
+                serial.transmission_bit_errors,
+            )
 
     def test_stream_matches_simulate_chunked(self, circuit):
         xs = [0.3, 0.7]
@@ -311,8 +314,9 @@ class TestDeprecatedWrappers:
 
     def test_session_cache_shares_entries_with_runtime_impl(self, circuit):
         cache = EvaluationCache()
-        direct = _cached_simulate_batch(
-            circuit, [0.25, 0.75], length=64, base_seed=9, cache=cache
+        direct = run_batch(
+            circuit, [0.25, 0.75], length=64, base_seed=9,
+            config=RuntimeConfig(cache=cache),
         )
         session = Evaluator(
             circuit,
