@@ -171,9 +171,9 @@ def legacy_evaluation(circuit, x: float, length: int, rng) -> np.ndarray:
     """The pre-engine per-evaluation pipeline, bit-for-bit.
 
     One input at a time: per-bit LFSR stepping for every stream, a fresh
-    link-budget table per call, scalar receiver slicing.  Uses the same
-    per-row seed/noise rng protocol as the engine so outputs can be
-    asserted identical.
+    link-budget table per call, scalar receiver slicing.  Draws the row's
+    seeds from *rng* exactly like the engine's seed schedule (data seed,
+    coefficient seed, noise seed), so outputs can be asserted identical.
     """
     params = circuit.params
     order = params.order
@@ -181,6 +181,7 @@ def legacy_evaluation(circuit, x: float, length: int, rng) -> np.ndarray:
 
     data_seed = int(rng.integers(1, 1 << 31))
     coeff_seed = int(rng.integers(1, 1 << 31))
+    noise_rng = np.random.default_rng(int(rng.integers(0, 1 << 62)))
     data_sngs = make_independent_sngs(order, base_seed=data_seed)
     coeff_sngs = make_independent_sngs(order + 1, base_seed=coeff_seed)
 
@@ -208,7 +209,7 @@ def legacy_evaluation(circuit, x: float, length: int, rng) -> np.ndarray:
         zero_level_mw=budget.zero_band_mw[1],
         one_level_mw=budget.one_band_mw[0],
     )
-    decision = receiver.decide(powers, rng=rng)
+    decision = receiver.decide(powers, rng=noise_rng)
     return decision.bits.bits
 
 

@@ -39,7 +39,6 @@ calls under the same seeds, whatever the runtime knobs.
 from __future__ import annotations
 
 import dataclasses
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
@@ -50,6 +49,7 @@ from .errors import ConfigurationError
 if TYPE_CHECKING:
     from .core.circuit import OpticalStochasticCircuit
 from .simulation.engine import (
+    _as_index,
     _validate_base_seed,
     _validate_sng_width,
 )
@@ -151,14 +151,8 @@ class EvalSpec:
         # an opaque TypeError deep inside the engine.
         for name in ("length", "sng_width", "base_seed"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                ) from None
+            if value is not None:
+                object.__setattr__(self, name, _as_index(name, value))
         if self.length <= 0:
             raise ConfigurationError(
                 f"length must be positive, got {self.length!r}"

@@ -6,7 +6,8 @@ table, the threshold receiver — is expressible as array operations over a
 ``(batch, length)`` bit tensor.  :func:`simulate_batch` evaluates a whole
 vector of inputs in one such pass:
 
-1. per evaluation row, decorrelated SNG seeds are derived from the
+1. a :class:`SeedSchedule` gives every evaluation row its
+   ``(data seed, coeff seed, noise seed)`` triple, derived from the
    caller's ``rng`` (or a fixed ``base_seed``);
 2. data and coefficient streams are generated array-first — the LFSR via
    its cached full-period state table and strided window gathers, the
@@ -14,19 +15,25 @@ vector of inputs in one such pass:
    :mod:`repro.stochastic.sng`;
 3. the per-clock received power is a single ``(B, L)`` fancy-index into
    the precomputed Eq. 6 pattern table;
-4. the receiver slices the whole batch at once.
+4. the receiver slices the whole batch at once, each row's Gaussian
+   noise drawn from its private generator seeded by the schedule.
 
-The scalar entry points (:func:`repro.simulation.functional.simulate_evaluation`
-and ``simulate_sweep``) are thin wrappers over this engine, and the two
-paths are **bit-for-bit identical** for a fixed seed sequence: looping
-``simulate_evaluation`` over ``xs`` with one ``rng`` consumes the
-generator exactly like one ``simulate_batch(circuit, xs, rng=rng)`` call.
+Steps 1-2 and the noise draw are the front end the runtime's tile loop
+(:func:`repro.simulation.runtime.simulate_chunked`) shares window by
+window, so a one-shot call and a single-tile ``run_batch`` under the
+same ``rng`` return the same bits.  The scalar entry points
+(:func:`repro.simulation.functional.simulate_evaluation` and
+``simulate_sweep``) are thin wrappers over this engine: the schedule
+consumes ``rng`` row by row, so looping ``simulate_evaluation`` over
+``xs`` with one ``rng`` gives exactly the rows of one
+``simulate_batch(circuit, xs, rng=rng)`` call.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +41,8 @@ from ..errors import ConfigurationError
 
 if TYPE_CHECKING:
     from ..core.circuit import OpticalStochasticCircuit
-from ..stochastic.bitstream import exact_bit_matrix
-from ..stochastic.lfsr import lfsr_uniform_windows
+from ..stochastic.bitstream import exact_bit_window
+from ..stochastic.lfsr import LFSR, _TABLE_MAX_WIDTH, lfsr_uniform_windows
 from ..stochastic.sng import (
     SNG_KINDS,
     chaotic_orbit,
@@ -47,17 +54,20 @@ from ..stochastic.sng import (
 )
 from .faultmodel import (
     FaultSpec,
-    PackedFaultChannel,
+    fault_channel_for,
     pin_stuck_bits,
     pin_stuck_words,
 )
 from .kernels import (
     PackedChaoticSource,
+    PackedLfsrSource,
+    PackedSobolSource,
     optical_pass,
     pack_bits,
-    packed_lfsr_comparator_bits,
+    # Not called in this module; bound because perfbench/tracing.py
+    # wraps this module attribute by name.
+    packed_lfsr_comparator_bits,  # noqa: F401
     packed_optical_pass,
-    packed_sobol_comparator_bits,
     resolve_kernel,
 )
 
@@ -253,182 +263,298 @@ def _validate_sng_width(sng_kind: str, sng_width: int) -> None:
     scalar :class:`repro.stochastic.sng.SobolLikeSNG` enforces
     ``bits in [1, 30]``.  ``sng_width=32`` would silently produce wrong
     samples batched but raise scalar; validate here so both paths raise
-    the same :class:`ConfigurationError`.  (The lfsr path already fails
-    identically through the shared tap-table validation; counter and
-    chaotic randomizers ignore the width.)
+    the same :class:`ConfigurationError`.  The LFSR's own ``width >= 2``
+    rule is checked here too, before the seed derivation divides by the
+    register period; wider widths without a tap set fail in the shared
+    tap-table validation.  Counter and chaotic randomizers ignore the
+    width.
     """
     if sng_kind == "sobol" and not 1 <= int(sng_width) <= 30:
         raise ConfigurationError(
             f"sng_width must be in [1, 30] for the sobol randomizer, "
             f"got {sng_width!r}"
         )
-
-
-def _batch_uniforms(
-    kind: str,
-    base_seeds: "np.ndarray[Any, Any]",
-    channel_count: int,
-    length: int,
-    width: int,
-    offset: int = 0,
-) -> "np.ndarray[Any, Any]":
-    """Comparator sample tensor ``(B, channel_count, length)`` for *kind*.
-
-    Row ``b``, channel ``c`` holds exactly the uniform samples the
-    scalar path's ``make_independent_sngs(channel_count, kind,
-    base_seed=base_seeds[b])[c]`` would compare against.  With *offset*
-    the samples start ``offset`` clocks into each stream (the chunked
-    runtime's resume hook; lfsr and sobol only — chaotic streams resume
-    by carrying raw orbit state instead, see
-    :class:`repro.simulation.runtime._UniformCursor`).
-    """
-    if kind == "lfsr":
-        seeds = derive_lfsr_seeds(base_seeds, channel_count, width)
-        return lfsr_uniform_windows(seeds, length, width, offset=offset)
-    if kind == "sobol":
-        offsets = derive_sobol_offsets(base_seeds, channel_count)
-        indices = offsets[:, :, None] + (
-            offset + np.arange(length, dtype=np.int64)
+    if sng_kind == "lfsr" and int(sng_width) < 2:
+        raise ConfigurationError(
+            f"sng_width must be >= 2 for the lfsr randomizer, "
+            f"got {sng_width!r}"
         )
-        return van_der_corput(indices, width)
-    if kind == "chaotic":
-        if offset != 0:
+
+
+class _UniformCursor:
+    """Resumable comparator-sample source for one seeded randomizer bank.
+
+    ``take(offset, count)`` returns the ``(B, channels, count)`` slab of
+    uniforms covering stream clocks ``[offset, offset + count)`` — the
+    same floats whether the stream is taken in one window or in tiles.
+    Row ``b``, channel ``c`` holds exactly the samples the scalar path's
+    ``make_independent_sngs(channels, kind, base_seed=base_seeds[b])[c]``
+    compares against.  Table-cached LFSRs and Sobol streams are pure
+    index maps, so any offset is a cheap re-aim; chaotic orbits and
+    LFSRs too wide for the cycle table are iterated state machines, so
+    the cursor carries their state forward (raw logistic-map
+    intensities, live registers) and only supports sequential windows —
+    re-stepping ``offset`` states per tile would make long streams
+    quadratic.
+    """
+
+    def __init__(
+        self, kind: str, base_seeds: Any, channel_count: int, width: int
+    ) -> None:
+        self._kind = kind
+        self._seeds = np.asarray(base_seeds, dtype=np.int64)
+        self._channels = int(channel_count)
+        self._width = int(width)
+        self._next_offset = 0
+        self._registers: Optional[List[List[LFSR]]] = None
+        if kind == "chaotic":
+            self._state = derive_chaotic_intensities(
+                self._seeds, self._channels
+            )
+            self._warmups = np.asarray(
+                [chaotic_warmup(c) for c in range(self._channels)],
+                dtype=np.int64,
+            )[None, :]
+        elif kind == "lfsr" and self._width > _TABLE_MAX_WIDTH:
+            seeds = derive_lfsr_seeds(
+                self._seeds, self._channels, self._width
+            )
+            self._registers = [
+                [LFSR(self._width, int(seed)) for seed in row]
+                for row in seeds
+            ]
+
+    def _check_sequential(self, offset: int) -> None:
+        if offset != self._next_offset:
             raise ConfigurationError(
-                "chaotic streams cannot be resumed by offset; carry the "
-                "orbit state instead"
+                "stateful streams resume sequentially: expected offset "
+                f"{self._next_offset}, got {offset}"
             )
-        intensities = derive_chaotic_intensities(base_seeds, channel_count)
-        warmups = np.asarray(
-            [chaotic_warmup(c) for c in range(channel_count)], dtype=np.int64
+
+    def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
+        if self._registers is not None:
+            # Wide registers step live state instead of replaying
+            # `offset` states from the seed on every tile.
+            self._check_sequential(offset)
+            # Bounded (B, C, chunk) fallback tile for registers wider
+            # than the cycle table — the packed sources cover every
+            # standard width, so this never runs on the fast path.
+            out = np.empty(  # repro-lint: disable=RL009
+                (self._seeds.size, self._channels, count), dtype=float
+            )
+            for b, row in enumerate(self._registers):
+                for c, register in enumerate(row):
+                    out[b, c] = register.uniform(count)
+            self._next_offset = offset + count
+            return out
+        if self._kind == "lfsr":
+            seeds = derive_lfsr_seeds(self._seeds, self._channels, self._width)
+            return lfsr_uniform_windows(
+                seeds, count, self._width, offset=offset
+            )
+        if self._kind == "sobol":
+            offsets = derive_sobol_offsets(self._seeds, self._channels)
+            indices = offsets[:, :, None] + (
+                offset + np.arange(count, dtype=np.int64)
+            )
+            return van_der_corput(indices, self._width)
+        self._check_sequential(offset)
+        warmups = self._warmups if offset == 0 else 0
+        uniforms, self._state = chaotic_orbit(
+            self._state, warmups, count, return_state=True
         )
-        return chaotic_orbit(intensities, warmups[None, :], length)
-    raise ConfigurationError(f"unknown SNG kind {kind!r}")
+        self._next_offset = offset + count
+        return uniforms
 
 
-def _optical_pass(
-    circuit: "OpticalStochasticCircuit",
-    data_bits: "np.ndarray[Any, Any]",
-    coeff_bits: "np.ndarray[Any, Any]",
-    noise_a: Optional["np.ndarray[Any, Any]"],
-    kernel: str = "numpy",
-) -> Tuple[
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-]:
-    """Steps 3-4 of the pipeline for one ``(B, C, L)`` bit-tensor tile.
+class _PackedCursor:
+    """Resumable packed comparator-word source for one randomizer bank.
 
-    Returns ``(powers, output_bits, ideal_bits, levels)``; shared by the
-    one-shot batch evaluation and the chunked streaming runtime so the
-    two stay bit-for-bit identical per tile.  Delegates to the pluggable
-    compute-kernel layer (:mod:`repro.simulation.kernels`), which also
-    memoizes the link budget / Eq. 6 table / threshold receiver per
-    circuit fingerprint instead of rebuilding them per call.
+    The packed kernel's counterpart of :class:`_UniformCursor`:
+    ``take(offset, count)`` returns the ``(B, channels, ceil(count/64))``
+    uint64 word slab covering stream clocks ``[offset, offset + count)``
+    — bit-for-bit ``pack_bits(uniforms < values)`` of the window the
+    unpacked cursor would produce.  Table-cached LFSR and Sobol banks
+    read packed words straight off their cycles
+    (:class:`repro.simulation.kernels.PackedLfsrSource` /
+    :class:`~repro.simulation.kernels.PackedSobolSource`, built once and
+    re-aimed per window), chaotic banks pack blockwise off the carried
+    orbit (:class:`~repro.simulation.kernels.PackedChaoticSource`,
+    sequential resume like the unpacked cursor); only the fallback
+    cases — registers/widths beyond the cycle-table caps — go through
+    the unpacked cursor followed by compare-and-pack.
     """
-    return optical_pass(circuit, data_bits, coeff_bits, noise_a, kernel=kernel)
+
+    def __init__(
+        self,
+        kind: str,
+        base_seeds: Any,
+        channel_count: int,
+        width: int,
+        values: Any,
+    ) -> None:
+        self._values = np.asarray(values, dtype=float)
+        self._source: Optional[Any] = None
+        self._cursor: Optional[_UniformCursor] = None
+        if kind == "lfsr":
+            derived = derive_lfsr_seeds(base_seeds, channel_count, width)
+            self._source = PackedLfsrSource.create(
+                derived, self._values, width
+            )
+        elif kind == "sobol":
+            offsets = derive_sobol_offsets(base_seeds, channel_count)
+            self._source = PackedSobolSource.create(
+                offsets, self._values, width
+            )
+        elif kind == "chaotic":
+            self._source = PackedChaoticSource(
+                base_seeds, self._values, channel_count
+            )
+        if self._source is None:
+            self._cursor = _UniformCursor(kind, base_seeds, channel_count, width)
+
+    def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
+        if self._source is not None:
+            return np.asarray(self._source.take(offset, count))
+        assert self._cursor is not None
+        uniforms = self._cursor.take(offset, count)
+        return pack_bits((uniforms < self._values[..., None]).astype(np.uint8))
 
 
-def _generate_streams(
-    sng_kind: str,
-    kernel: str,
-    xs: "np.ndarray[Any, Any]",
-    coefficients: "np.ndarray[Any, Any]",
-    data_seeds: "np.ndarray[Any, Any]",
-    coeff_seeds: "np.ndarray[Any, Any]",
-    length: int,
-    sng_width: int,
-) -> Tuple[str, "np.ndarray[Any, Any]", "np.ndarray[Any, Any]"]:
-    """Data/coefficient streams for one batch: ``(form, data, coeff)``.
+class _StreamSource:
+    """The data and coefficient streams of one batch, window by window.
 
-    ``form`` is ``"bits"`` (``(B, C, L)`` uint8 tensors, the numpy
-    kernel's layout) or ``"words"`` (``(B, C, L // 64)`` packed uint64,
-    the packed kernel's).  The packed kernel generates every randomizer
-    in word form directly: LFSR and Sobol comparator streams come off
-    their cached packed cycles, chaotic streams are packed blockwise
-    from the carried orbit — never materializing the ``(B, C, L)``
-    float64 uniforms — and the counter randomizer's deterministic
-    matrix is packed once per distinct stream.  Only the fallback cases
-    (registers/widths beyond the cycle-table caps) are generated
-    unpacked and packed afterwards.  Either way the resulting streams
-    are bit-for-bit the comparator decisions of the numpy layout.
+    ``take(start, count)`` returns ``(form, data, coeff)`` for stream
+    clocks ``[start, start + count)``: the ``order`` data streams that
+    drive the MZIs and the ``order + 1`` coefficient streams that drive
+    the MRRs.  ``form`` is ``"bits"`` (``(B, C, count)`` uint8 tensors,
+    the numpy kernel's layout) or ``"words"`` (``(B, C, ceil(count /
+    64))`` packed uint64, the packed kernel's); either way the streams
+    are bit-for-bit the same comparator decisions.  A one-shot
+    evaluation takes ``(0, length)``, the tile loop takes its tiles in
+    order: seeded banks resume through their cursors, the counter
+    randomizer's deterministic streams are windows of
+    :func:`exact_bit_window`.
     """
-    batch = xs.size
-    order = coefficients.size - 1
-    channel_count = order + 1
-    if sng_kind == "counter":
-        data_matrix = exact_bit_matrix(xs, length)
-        coeff_matrix = exact_bit_matrix(coefficients, length)
-        if kernel == "numpy":
+
+    def __init__(
+        self,
+        kind: str,
+        kernel: str,
+        schedule: SeedSchedule,
+        xs: "np.ndarray[Any, Any]",
+        coefficients: "np.ndarray[Any, Any]",
+        width: int,
+        length: int,
+    ) -> None:
+        self._form = "bits" if kernel == "numpy" else "words"
+        self._xs = xs
+        self._coefficients = coefficients
+        self._length = int(length)
+        order = coefficients.size - 1
+        self._data_rows = (xs.size, order)
+        self._coeff_rows = (xs.size, order + 1)
+        self._banks: Optional[Tuple[Any, Any]] = None
+        if kind != "counter":
+            if self._form == "words":
+                self._banks = (
+                    _PackedCursor(
+                        kind, schedule.data_seeds, order, width, xs[:, None]
+                    ),
+                    _PackedCursor(
+                        kind,
+                        schedule.coeff_seeds,
+                        order + 1,
+                        width,
+                        coefficients[None, :],
+                    ),
+                )
+            else:
+                self._banks = (
+                    _UniformCursor(kind, schedule.data_seeds, order, width),
+                    _UniformCursor(
+                        kind, schedule.coeff_seeds, order + 1, width
+                    ),
+                )
+
+    def take(
+        self, start: int, count: int
+    ) -> Tuple[str, "np.ndarray[Any, Any]", "np.ndarray[Any, Any]"]:
+        if self._banks is None:
+            stop = start + count
+            data = exact_bit_window(self._xs, self._length, start, stop)
+            coeff = exact_bit_window(
+                self._coefficients, self._length, start, stop
+            )
+            if self._form == "words":
+                data, coeff = pack_bits(data), pack_bits(coeff)
             return (
-                "bits",
+                self._form,
                 np.broadcast_to(
-                    data_matrix[:, None, :], (batch, order, length)
+                    data[:, None, :], self._data_rows + data.shape[-1:]
                 ),
                 np.broadcast_to(
-                    coeff_matrix[None, :, :], (batch, channel_count, length)
+                    coeff[None, :, :], self._coeff_rows + coeff.shape[-1:]
                 ),
             )
-        words = (length + 63) // 64
-        return (
-            "words",
-            np.broadcast_to(
-                pack_bits(data_matrix)[:, None, :], (batch, order, words)
-            ),
-            np.broadcast_to(
-                pack_bits(coeff_matrix)[None, :, :],
-                (batch, channel_count, words),
-            ),
+        data_bank, coeff_bank = self._banks
+        data = data_bank.take(start, count)
+        coeff = coeff_bank.take(start, count)
+        if self._form == "bits":
+            data = (data < self._xs[:, None, None]).astype(np.uint8)
+            coeff = (coeff < self._coefficients[None, :, None]).astype(
+                np.uint8
+            )
+        return self._form, data, coeff
+
+
+class _ReceiverNoise:
+    """Each row's receiver-noise currents, drawn window by window.
+
+    Row ``b`` draws from its private generator
+    ``schedule.row_noise_rng(b)``; numpy Generators produce the same
+    normals whether drawn in one call or across consecutive calls, so a
+    one-shot draw of ``length`` samples equals the tile loop's draws
+    concatenated.  :meth:`draw` fills one preallocated ``(B, tile)``
+    buffer row by row and returns its first ``count`` columns.
+    """
+
+    def __init__(self, schedule: SeedSchedule, sigma: float, tile: int) -> None:
+        self._rngs = [
+            schedule.row_noise_rng(row) for row in range(schedule.batch_size)
+        ]
+        self._sigma = sigma
+        # The receiver noise is float current by nature: one (B, tile)
+        # buffer, reused by every tile, is its whole footprint.
+        self._buffer = np.empty(  # repro-lint: disable=RL009
+            (schedule.batch_size, tile), dtype=float
         )
-    if kernel != "numpy" and sng_kind == "lfsr":
-        data_words = packed_lfsr_comparator_bits(
-            derive_lfsr_seeds(data_seeds, order, sng_width),
-            xs[:, None],
-            length,
-            sng_width,
-        )
-        coeff_words = packed_lfsr_comparator_bits(
-            derive_lfsr_seeds(coeff_seeds, channel_count, sng_width),
-            coefficients[None, :],
-            length,
-            sng_width,
-        )
-        if data_words is not None and coeff_words is not None:
-            return "words", data_words, coeff_words
-    if kernel != "numpy" and sng_kind == "sobol":
-        data_words = packed_sobol_comparator_bits(
-            derive_sobol_offsets(data_seeds, order),
-            xs[:, None],
-            length,
-            sng_width,
-        )
-        coeff_words = packed_sobol_comparator_bits(
-            derive_sobol_offsets(coeff_seeds, channel_count),
-            coefficients[None, :],
-            length,
-            sng_width,
-        )
-        if data_words is not None and coeff_words is not None:
-            return "words", data_words, coeff_words
-    if kernel != "numpy" and sng_kind == "chaotic":
-        data_source = PackedChaoticSource(data_seeds, xs[:, None], order)
-        coeff_source = PackedChaoticSource(
-            coeff_seeds, coefficients[None, :], channel_count
-        )
-        return (
-            "words",
-            data_source.take(0, length),
-            coeff_source.take(0, length),
-        )
-    data_u = _batch_uniforms(sng_kind, data_seeds, order, length, sng_width)
-    coeff_u = _batch_uniforms(
-        sng_kind, coeff_seeds, channel_count, length, sng_width
-    )
-    data_bits = (data_u < xs[:, None, None]).astype(np.uint8)
-    coeff_bits = (coeff_u < coefficients[None, :, None]).astype(np.uint8)
-    if kernel == "numpy":
-        return "bits", data_bits, coeff_bits
-    return "words", pack_bits(data_bits), pack_bits(coeff_bits)
+
+    def draw(self, count: int) -> "np.ndarray[Any, Any]":
+        noise_a = self._buffer[:, :count]
+        for row, rng in enumerate(self._rngs):
+            noise_a[row] = rng.normal(0.0, self._sigma, count)
+        return noise_a
+
+
+def _pin_stuck(
+    form: str,
+    data: "np.ndarray[Any, Any]",
+    fault: Optional[FaultSpec],
+    count: int,
+) -> "np.ndarray[Any, Any]":
+    """The data streams with a stuck MZI's channel pinned.
+
+    Pinned *before* the optical pass: a stuck MZI changes the select
+    level, hence the faulty circuit's powers and ideal decisions too.
+    The streams come back unchanged without a stuck channel; the
+    pinning helpers copy, so broadcast views are safe to pass.
+    """
+    if fault is None or fault.stuck_channel is None:
+        return data
+    if form == "words":
+        return pin_stuck_words(data, fault, count)
+    return pin_stuck_bits(data, fault)
 
 
 def simulate_batch(
@@ -446,6 +572,13 @@ def simulate_batch(
 ) -> BatchEvaluation:
     """Run the optical circuit on every input in *xs* in one array pass.
 
+    The one-shot evaluation is the single-window case of the runtime's
+    tile loop: the same stream source, receiver-noise draw and fault
+    channel, taken once over ``[0, length)``, followed by the per-clock
+    optical pass.  It always runs under a :class:`SeedSchedule`, so for
+    the same arguments it returns the same bits as a single-tile
+    :func:`repro.simulation.runtime.run_batch`.
+
     Parameters
     ----------
     circuit:
@@ -455,8 +588,10 @@ def simulate_batch(
     length:
         Stream length (clock count) per evaluation.
     rng:
-        Random generator for the per-row SNG seeds and the receiver
-        noise (a default seeded generator is created when omitted).
+        Generator the per-row seed schedule is derived from
+        (:func:`derive_seed_schedule`: a ``(data seed, coeff seed,
+        noise seed)`` triple per row); a default seeded generator is
+        used when omitted.  Ignored with *base_seed* or *schedule*.
     noisy:
         When False the receiver slices noiselessly — isolating the
         stochastic-computing error from the transmission error.
@@ -464,17 +599,17 @@ def simulate_batch(
         Randomizer family: ``"lfsr"`` (default), ``"counter"``,
         ``"sobol"`` or ``"chaotic"``.
     base_seed:
-        Fix the SNG seed space instead of deriving per-row seeds from
-        *rng* — every row then reuses the same randomizer streams
-        (the pre-engine behaviour, useful for exact reproducibility).
+        Fix the seed schedule instead of deriving it from *rng*: every
+        row reuses the same randomizer streams, and the per-row
+        receiver-noise and fault seeds derive from *base_seed* alone, so
+        the whole evaluation is a deterministic function of the inputs.
     sng_width:
         LFSR register width / comparator resolution in bits.
     schedule:
-        Explicit per-row :class:`SeedSchedule` (from
-        :func:`derive_seed_schedule`).  When given, *rng* and
-        *base_seed* are ignored: SNG seeds come from the schedule and
-        each row's receiver noise from its private seeded generator —
-        the relocatable protocol the sharded/chunked runtime relies on.
+        Explicit per-row :class:`SeedSchedule`.  When given, *rng* and
+        *base_seed* are ignored.  Each row's receiver noise comes from
+        its private seeded generator, which is what makes rows
+        relocatable across shards and tiles.
     kernel:
         Compute kernel (:data:`repro.simulation.kernels.KERNELS`):
         ``"numpy"`` (reference, default) or ``"packed"``
@@ -485,131 +620,47 @@ def simulate_batch(
         Optional :class:`~repro.simulation.faultmodel.FaultSpec` fault
         scenario.  A stuck MZI pins its data channel before the optical
         pass; channel faults (decay erasure, flips/drift, the
-        desynchronization shift) transform the observed output stream —
+        desynchronization shift) transform the observed output stream,
         seeded from the schedule's per-row ``noise_seeds`` so the
         realization is bit-exact across kernels, workers and chunk
-        sizes.  Stochastic fault components therefore need a
-        *schedule* or a fixed *base_seed*.
+        sizes.
     """
     kernel = resolve_kernel(kernel)
     xs = _validate_batch_inputs(
-        circuit, xs, length, sng_kind, base_seed, sng_width
+        circuit, xs, length, sng_kind, base_seed, sng_width, fault
     )
-    params = circuit.params
-    order = params.order
-    batch = xs.size
+    schedule = _resolve_schedule(xs.size, schedule, rng, sng_kind, base_seed)
     coefficients = np.asarray(circuit.polynomial.coefficients, dtype=float)
-    noise_sigma = params.detector.noise_current_a
-    if fault is not None:
-        if not isinstance(fault, FaultSpec):
-            raise ConfigurationError(
-                f"fault must be a FaultSpec, got {fault!r}"
-            )
-        fault.validate_against_order(order)
-
-    noise_a: Optional["np.ndarray[Any, Any]"] = (
-        np.empty((batch, length), dtype=float) if noisy else None
+    source = _StreamSource(
+        sng_kind, kernel, schedule, xs, coefficients, sng_width, length
     )
-    if schedule is not None:
-        if schedule.batch_size != batch:
-            raise ConfigurationError(
-                f"schedule covers {schedule.batch_size} rows but xs has "
-                f"{batch}"
-            )
-        data_seeds = schedule.data_seeds
-        coeff_seeds = schedule.coeff_seeds
-        if noisy:
-            assert noise_a is not None
-            for row in range(batch):
-                noise_a[row] = schedule.row_noise_rng(row).normal(
-                    0.0, noise_sigma, length
-                )
-    else:
-        # Per-row rng protocol, interleaved exactly like a scalar loop
-        # would consume the generator: (data seed, coefficient seed,
-        # noise block) per evaluation.  Keeping this order is what makes
-        # the batched and per-evaluation paths bit-for-bit identical
-        # under a shared rng.
-        rng = rng or np.random.default_rng(_FALLBACK_RNG_SEED)
-        seeded = sng_kind != "counter"
-        data_seeds = np.empty(batch, dtype=np.int64)
-        coeff_seeds = np.empty(batch, dtype=np.int64)
-        for row in range(batch):
-            if base_seed is None and seeded:
-                data_seeds[row], coeff_seeds[row] = _derive_base_seeds(rng)
-            if noisy:
-                assert noise_a is not None
-                noise_a[row] = rng.normal(0.0, noise_sigma, length)
-        if base_seed is not None or not seeded:
-            fixed = (
-                int(base_seed) if base_seed is not None else _DEFAULT_FIXED_SEED
-            )
-            data_seeds[:] = fixed
-            coeff_seeds[:] = fixed + COEFF_SEED_STRIDE
-
-    # 1-2. randomizers: data streams for the MZIs, coefficient streams
-    # for the MRRs — (B, channels, L) bit tensors for the numpy kernel,
-    # packed (B, channels, L // 64) uint64 words for the packed ones.
-    form, data_streams, coeff_streams = _generate_streams(
-        sng_kind,
-        kernel,
-        xs,
-        coefficients,
-        data_seeds,
-        coeff_seeds,
-        length,
-        sng_width,
+    form, data_streams, coeff_streams = source.take(0, length)
+    data_streams = _pin_stuck(form, data_streams, fault, length)
+    noise_a = (
+        _ReceiverNoise(
+            schedule, circuit.params.detector.noise_current_a, length
+        ).draw(length)
+        if noisy
+        else None
     )
-    if fault is not None and fault.stuck_channel is not None:
-        # Pinned *before* the optical pass: a stuck MZI changes the
-        # select level, hence the faulty circuit's powers and ideal
-        # decisions too.  (The generators may return broadcast views —
-        # the pinning helpers copy.)
-        if form == "words":
-            data_streams = pin_stuck_words(data_streams, fault, length)
-        else:
-            data_streams = pin_stuck_bits(data_streams, fault)
-
-    # 3-4. per-clock optics + receiver, shared with the chunked runtime.
     if form == "words":
         powers, output_bits, ideal_bits, levels = packed_optical_pass(
             circuit, data_streams, coeff_streams, noise_a, length
         )
     else:
-        powers, output_bits, ideal_bits, levels = _optical_pass(
-            circuit, data_streams, coeff_streams, noise_a, kernel=kernel
+        powers, output_bits, ideal_bits, levels = optical_pass(
+            circuit, data_streams, coeff_streams, noise_a
         )
-
-    if fault is not None and fault.has_stream_faults:
-        if schedule is not None:
-            fault_seeds = schedule.noise_seeds
-        elif not fault.needs_seeds:
-            # Stuck/shift faults are deterministic; any seed column works.
-            fault_seeds = np.zeros(batch, dtype=np.int64)
-        elif base_seed is not None:
-            # The deterministic schedule of this base_seed — exactly the
-            # seeds run_batch would thread through, so the bare call and
-            # the runtime agree on the realization.
-            fault_seeds = derive_seed_schedule(
-                batch, sng_kind=sng_kind, base_seed=base_seed
-            ).noise_seeds
-        else:
-            raise ConfigurationError(
-                "stochastic fault injection needs relocatable per-row "
-                "seeds: pass a SeedSchedule or a fixed base_seed "
-                "(run_batch and the Evaluator session derive one "
-                "automatically)"
-            )
-        channel = PackedFaultChannel(fault, fault_seeds, length)
+    channel = fault_channel_for(fault, schedule.noise_seeds, length)
+    if channel is not None:
         output_bits = channel.apply_bits(output_bits, 0)
 
-    values = output_bits.mean(axis=1)
     # Vectorized de Casteljau is elementwise: identical floats to calling
     # circuit.expected_value(x) per row.
     expected = np.asarray(circuit.polynomial(xs), dtype=float)
     return BatchEvaluation(
         xs=xs,
-        values=values,
+        values=output_bits.mean(axis=1),
         expected=expected,
         stream_length=int(length),
         received_power_mw=powers,
@@ -619,6 +670,21 @@ def simulate_batch(
     )
 
 
+def _as_index(name: str, value: Any) -> int:
+    """*value* as a plain int (numpy integers accepted).
+
+    Floats and other non-integral values raise
+    :class:`ConfigurationError` here, before any allocation, instead of
+    an opaque ``TypeError`` deep inside numpy.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+
+
 def _validate_batch_inputs(
     circuit: Any,
     xs: Any,
@@ -626,6 +692,7 @@ def _validate_batch_inputs(
     sng_kind: str,
     base_seed: Optional[int],
     sng_width: int,
+    fault: Optional[FaultSpec] = None,
 ) -> "np.ndarray[Any, Any]":
     """Shared entry validation of the one-shot and runtime batch paths."""
     from ..core.circuit import OpticalStochasticCircuit
@@ -639,12 +706,37 @@ def _validate_batch_inputs(
         raise ConfigurationError("xs must be a non-empty 1-D array")
     if not np.all((xs >= 0.0) & (xs <= 1.0)):  # also rejects NaN
         raise ConfigurationError("x must be in [0, 1]")
-    if length <= 0:
+    if _as_index("length", length) <= 0:
         raise ConfigurationError(f"length must be positive, got {length!r}")
     if sng_kind not in SNG_KINDS:
         raise ConfigurationError(
             f"unknown SNG kind {sng_kind!r}; expected one of {SNG_KINDS}"
         )
+    if base_seed is not None:
+        _as_index("base_seed", base_seed)
     _validate_base_seed(base_seed)
-    _validate_sng_width(sng_kind, sng_width)
+    _validate_sng_width(sng_kind, _as_index("sng_width", sng_width))
+    if fault is not None:
+        if not isinstance(fault, FaultSpec):
+            raise ConfigurationError(
+                f"fault must be a FaultSpec, got {fault!r}"
+            )
+        fault.validate_against_order(circuit.params.order)
     return xs
+
+
+def _resolve_schedule(
+    batch: int,
+    schedule: Optional[SeedSchedule],
+    rng: Optional[np.random.Generator],
+    sng_kind: str,
+    base_seed: Optional[int],
+) -> SeedSchedule:
+    """The caller's *schedule* (checked against *batch*), else a derived one."""
+    if schedule is None:
+        return derive_seed_schedule(batch, rng, sng_kind, base_seed)
+    if schedule.batch_size != batch:
+        raise ConfigurationError(
+            f"schedule covers {schedule.batch_size} rows but xs has {batch}"
+        )
+    return schedule

@@ -20,9 +20,12 @@ Both entry points are thin wrappers over the batched engine
 bit-for-bit identical to looping :func:`simulate_evaluation` under a
 shared ``rng``.
 
-SNG seeds are derived from the caller's ``rng`` by default, so distinct
-evaluations (and distinct sweep points) get decorrelated randomizer
-streams; pass ``base_seed`` to pin the seed space instead.
+Each evaluation row runs under the engine's seed schedule: its SNG
+seeds and its receiver-noise seed are drawn from the caller's ``rng``,
+so distinct evaluations (and distinct sweep points) get decorrelated
+randomizer streams, and the results equal those of
+:func:`repro.simulation.runtime.run_batch` under the same ``rng``.
+Pass ``base_seed`` to pin the whole schedule instead.
 """
 
 from __future__ import annotations
@@ -103,8 +106,8 @@ def simulate_evaluation(
     length:
         Stream length (clock count).
     rng:
-        Random generator for the SNG seed derivation and the receiver
-        noise (a default seeded generator is created when omitted).
+        Generator the row's SNG seeds and receiver-noise seed are drawn
+        from (a default seeded generator is used when omitted).
     noisy:
         When False the receiver slices noiselessly — isolating the
         stochastic-computing error from the transmission error.
@@ -112,8 +115,9 @@ def simulate_evaluation(
         Randomizer family: ``"lfsr"`` (default), ``"counter"``,
         ``"sobol"`` or ``"chaotic"``.
     base_seed:
-        Pin the SNG seed space instead of deriving it from *rng*
-        (repeat calls then reuse identical randomizer streams).
+        Pin the seed schedule instead of deriving it from *rng*: repeat
+        calls then reuse identical randomizer streams and receiver
+        noise.
     sng_width:
         LFSR register width / comparator resolution in bits.
     """

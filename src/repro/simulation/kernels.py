@@ -34,8 +34,7 @@ backend and the chunk size.
 The module also owns the memoized per-circuit pass context
 (:func:`pass_context`): the link budget, Eq. 6 table and threshold
 receiver are built once per circuit fingerprint instead of once per
-``_optical_pass`` call, which previously repeated that work for every
-tile of a chunked stream.
+optical pass, i.e. once per tile of a chunked stream.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ __all__ = [
     "PackedSobolSource",
     "PackedChaoticSource",
     "packed_lfsr_comparator_bits",
-    "packed_sobol_comparator_bits",
     "packed_tile_statistics",
 ]
 
@@ -233,8 +231,8 @@ class CircuitPassContext:
     """Per-circuit precomputation shared by every kernel.
 
     Holds the link budget, the Eq. 6 received-power table and the
-    calibrated threshold receiver — previously rebuilt on every
-    ``_optical_pass`` call, i.e. once per tile of a chunked stream —
+    calibrated threshold receiver — built once per circuit rather than
+    once per optical pass, i.e. once per tile of a chunked stream —
     plus the packed kernel's flat per-``(pattern, level)`` lookup
     tables, built lazily on first packed use.
 
@@ -848,26 +846,6 @@ def packed_lfsr_comparator_bits(
     fast path does not apply.
     """
     source = PackedLfsrSource.create(seeds, values, width)
-    if source is None:
-        return None
-    return source.take(offset, length)
-
-
-def packed_sobol_comparator_bits(
-    offsets: "np.ndarray[Any, Any]",
-    values: "np.ndarray[Any, Any]",
-    length: int,
-    width: int,
-    offset: int = 0,
-) -> Optional["np.ndarray[Any, Any]"]:
-    """One-shot :class:`PackedSobolSource` window (``None`` = fall back).
-
-    Returns the ``(B, C, ceil(length / 64))`` uint64 words that
-    ``pack_bits(van_der_corput(offsets[..., None] + offset +
-    arange(length), width) < values[..., None])`` would produce, or
-    ``None`` when the packed fast path does not apply.
-    """
-    source = PackedSobolSource.create(offsets, values, width)
     if source is None:
         return None
     return source.take(offset, length)

@@ -65,38 +65,24 @@ from typing import (
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..stochastic.bitstream import exact_bit_window
-from ..stochastic.lfsr import LFSR, _TABLE_MAX_WIDTH
-from ..stochastic.sng import (
-    chaotic_orbit,
-    chaotic_warmup,
-    derive_chaotic_intensities,
-    derive_lfsr_seeds,
-    derive_sobol_offsets,
-)
+
+# Not called in this module; bound because perfbench/tracing.py wraps
+# this module attribute by name.
+from ..stochastic.sng import derive_lfsr_seeds  # noqa: F401
 from .engine import (
     BatchEvaluation,
     SeedSchedule,
-    _batch_uniforms,
-    _optical_pass,
+    _as_index,
+    _pin_stuck,
+    _ReceiverNoise,
+    _resolve_schedule,
+    _StreamSource,
     _validate_batch_inputs,
     derive_seed_schedule,
     simulate_batch,
 )
-from .faultmodel import (
-    FaultSpec,
-    fault_channel_for,
-    pin_stuck_bits,
-    pin_stuck_words,
-)
-from .kernels import (
-    PackedChaoticSource,
-    PackedLfsrSource,
-    PackedSobolSource,
-    pack_bits,
-    packed_tile_statistics,
-    resolve_kernel,
-)
+from .faultmodel import FaultSpec, fault_channel_for
+from .kernels import optical_pass, packed_tile_statistics, resolve_kernel
 
 __all__ = [
     "BACKENDS",
@@ -286,15 +272,6 @@ def _map_row_shards(
     )
 
 
-def _validate_fault(fault: Optional[FaultSpec], circuit: Any) -> None:
-    """Shared fault validation of every runtime dispatch path."""
-    if fault is None:
-        return
-    if not isinstance(fault, FaultSpec):
-        raise ConfigurationError(f"fault must be a FaultSpec, got {fault!r}")
-    fault.validate_against_order(circuit.params.order)
-
-
 # -- chunked streaming ---------------------------------------------------------
 
 
@@ -348,142 +325,6 @@ class ChunkedEvaluation:
 
 Evaluation = Union[BatchEvaluation, ChunkedEvaluation]
 """Either result :func:`run_batch` returns (see :class:`RuntimeConfig`)."""
-
-
-class _UniformCursor:
-    """Resumable comparator-sample source for one seeded randomizer bank.
-
-    ``take(offset, count)`` returns the ``(B, channels, count)`` slab of
-    uniforms covering stream clocks ``[offset, offset + count)`` —
-    bit-for-bit the same floats the one-shot engine tensor holds at
-    those columns.  Table-cached LFSRs and Sobol streams are pure index
-    maps, so any offset is a cheap re-aim; chaotic orbits and LFSRs too
-    wide for the cycle table are iterated state machines, so the cursor
-    carries their state forward (raw logistic-map intensities, live
-    registers) and only supports the sequential chunk order the
-    streaming loop issues — re-stepping ``offset`` states per tile would
-    make long streams quadratic.
-    """
-
-    def __init__(
-        self, kind: str, base_seeds: Any, channel_count: int, width: int
-    ) -> None:
-        self._kind = kind
-        self._seeds = np.asarray(base_seeds, dtype=np.int64)
-        self._channels = int(channel_count)
-        self._width = int(width)
-        self._next_offset = 0
-        self._registers: Optional[List[List[LFSR]]] = None
-        if kind == "chaotic":
-            self._state = derive_chaotic_intensities(
-                self._seeds, self._channels
-            )
-            self._warmups = np.asarray(
-                [chaotic_warmup(c) for c in range(self._channels)],
-                dtype=np.int64,
-            )[None, :]
-        elif kind == "lfsr" and self._width > _TABLE_MAX_WIDTH:
-            seeds = derive_lfsr_seeds(
-                self._seeds, self._channels, self._width
-            )
-            self._registers = [
-                [LFSR(self._width, int(seed)) for seed in row]
-                for row in seeds
-            ]
-
-    def _check_sequential(self, offset: int) -> None:
-        if offset != self._next_offset:
-            raise ConfigurationError(
-                "stateful streams resume sequentially: expected offset "
-                f"{self._next_offset}, got {offset}"
-            )
-
-    def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
-        if self._registers is not None:
-            # Wide registers step live state instead of replaying
-            # `offset` states from the seed on every tile.
-            self._check_sequential(offset)
-            # Bounded (B, C, chunk) fallback tile for registers wider
-            # than the cycle table — the packed sources cover every
-            # standard width, so this never runs on the fast path.
-            out = np.empty(  # repro-lint: disable=RL009
-                (self._seeds.size, self._channels, count), dtype=float
-            )
-            for b, row in enumerate(self._registers):
-                for c, register in enumerate(row):
-                    out[b, c] = register.uniform(count)
-            self._next_offset = offset + count
-            return out
-        if self._kind != "chaotic":
-            return _batch_uniforms(
-                self._kind,
-                self._seeds,
-                self._channels,
-                count,
-                self._width,
-                offset=offset,
-            )
-        self._check_sequential(offset)
-        warmups = self._warmups if offset == 0 else 0
-        uniforms, self._state = chaotic_orbit(
-            self._state, warmups, count, return_state=True
-        )
-        self._next_offset = offset + count
-        return uniforms
-
-
-class _PackedCursor:
-    """Resumable packed comparator-word source for one randomizer bank.
-
-    The packed kernel's counterpart of :class:`_UniformCursor`:
-    ``take(offset, count)`` returns the ``(B, channels, ceil(count/64))``
-    uint64 word slab covering stream clocks ``[offset, offset + count)``
-    — bit-for-bit ``pack_bits(uniforms < values)`` of the tile the
-    unpacked cursor would produce.  Table-cached LFSR and Sobol banks
-    read packed words straight off their cycles
-    (:class:`repro.simulation.kernels.PackedLfsrSource` /
-    :class:`~repro.simulation.kernels.PackedSobolSource`, built once and
-    re-aimed per tile), chaotic banks pack blockwise off the carried
-    orbit (:class:`~repro.simulation.kernels.PackedChaoticSource`,
-    sequential resume like the unpacked cursor); only the fallback
-    cases — registers/widths beyond the cycle-table caps — go through
-    the unpacked cursor followed by compare-and-pack.
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        base_seeds: Any,
-        channel_count: int,
-        width: int,
-        values: Any,
-    ) -> None:
-        self._values = np.asarray(values, dtype=float)
-        self._source: Optional[Any] = None
-        self._cursor: Optional[_UniformCursor] = None
-        if kind == "lfsr":
-            derived = derive_lfsr_seeds(base_seeds, channel_count, width)
-            self._source = PackedLfsrSource.create(
-                derived, self._values, width
-            )
-        elif kind == "sobol":
-            offsets = derive_sobol_offsets(base_seeds, channel_count)
-            self._source = PackedSobolSource.create(
-                offsets, self._values, width
-            )
-        elif kind == "chaotic":
-            self._source = PackedChaoticSource(
-                base_seeds, self._values, channel_count
-            )
-        if self._source is None:
-            self._cursor = _UniformCursor(kind, base_seeds, channel_count, width)
-
-    def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
-        if self._source is not None:
-            return np.asarray(self._source.take(offset, count))
-        assert self._cursor is not None
-        uniforms = self._cursor.take(offset, count)
-        return pack_bits((uniforms < self._values[..., None]).astype(np.uint8))
 
 
 def _shard_worker(
@@ -543,12 +384,14 @@ def simulate_chunked(
     single-tile case.  The accumulated statistics — ones count, link
     bit-error count, and the optional received-power histogram over
     *power_histogram_bins* equal-width bins spanning the Eq. 6 table
-    range — are **bit-exact** with a one-shot ``simulate_batch(..., schedule=schedule)`` of the
-    same seed schedule: tiles reuse the engine's own optical pass, and
-    every randomizer resumes exactly (index offsets for LFSR/Sobol/
-    counter, carried orbit state for chaotic; receiver noise continues
-    from per-row seeded generators, which numpy draws identically
-    whether in one call or split across tiles).
+    range — are **bit-exact** with a one-shot ``simulate_batch(...,
+    schedule=schedule)`` of the same seed schedule: both take their
+    streams, receiver noise and stuck-MZI pinning from the engine's one
+    front end, the one-shot in a single window and this loop tile by
+    tile.  Every randomizer resumes exactly (index offsets for
+    LFSR/Sobol/counter, carried orbit state for chaotic; receiver noise
+    continues from per-row seeded generators, which numpy draws
+    identically whether in one call or split across tiles).
 
     Tiling composes with sharding: ``workers > 1`` (default: the
     ``REPRO_RUNTIME_WORKERS`` environment setting, like every runtime
@@ -577,27 +420,29 @@ def simulate_chunked(
     _validate_backend(backend)
     kernel = resolve_kernel(kernel)
     xs = _validate_batch_inputs(
-        circuit, xs, length, sng_kind, base_seed, sng_width
+        circuit, xs, length, sng_kind, base_seed, sng_width, fault
     )
-    _validate_fault(fault, circuit)
+    chunk_length = _as_index("chunk_length", chunk_length)
     if chunk_length <= 0:
         raise ConfigurationError(
             f"chunk_length must be positive, got {chunk_length!r}"
         )
+    power_histogram_bins = _as_index(
+        "power_histogram_bins", power_histogram_bins
+    )
     if power_histogram_bins < 0:
         raise ConfigurationError(
             f"power_histogram_bins must be >= 0, got {power_histogram_bins!r}"
         )
+    workers = (
+        default_worker_count()
+        if workers is None
+        else _as_index("workers", workers)
+    )
+    if workers < 0:
+        raise ConfigurationError(f"workers must be >= 0, got {workers!r}")
     batch = xs.size
-    if schedule is None:
-        schedule = derive_seed_schedule(
-            batch, rng=rng, sng_kind=sng_kind, base_seed=base_seed
-        )
-    elif schedule.batch_size != batch:
-        raise ConfigurationError(
-            f"schedule covers {schedule.batch_size} rows but xs has {batch}"
-        )
-    workers = default_worker_count() if workers is None else int(workers)
+    schedule = _resolve_schedule(batch, schedule, rng, sng_kind, base_seed)
     if workers > 1 and batch > 1:
         return _map_row_shards(
             xs,
@@ -616,45 +461,19 @@ def simulate_chunked(
                 fault=fault,
             ),
         )
-    params = circuit.params
-    order = params.order
-    channel_count = order + 1
+    tile = min(chunk_length, length)
     coefficients = np.asarray(circuit.polynomial.coefficients, dtype=float)
-    noise_sigma = params.detector.noise_current_a
-
-    use_packed = kernel != "numpy"
-    data_cursor: Any = None
-    coeff_cursor: Any = None
-    if sng_kind != "counter":
-        if use_packed:
-            data_cursor = _PackedCursor(
-                sng_kind, schedule.data_seeds, order, sng_width, xs[:, None]
-            )
-            coeff_cursor = _PackedCursor(
-                sng_kind,
-                schedule.coeff_seeds,
-                channel_count,
-                sng_width,
-                coefficients[None, :],
-            )
-        else:
-            data_cursor = _UniformCursor(
-                sng_kind, schedule.data_seeds, order, sng_width
-            )
-            coeff_cursor = _UniformCursor(
-                sng_kind, schedule.coeff_seeds, channel_count, sng_width
-            )
-    noise_rngs: Optional[List[Any]] = (
-        [schedule.row_noise_rng(row) for row in range(batch)] if noisy else None
+    source = _StreamSource(
+        sng_kind, kernel, schedule, xs, coefficients, sng_width, length
+    )
+    noise = (
+        _ReceiverNoise(schedule, circuit.params.detector.noise_current_a, tile)
+        if noisy
+        else None
     )
     # One stream-fault channel for the whole run: masks are addressed by
     # absolute clock, the desynchronization carry advances tile by tile.
-    fault_channel = (
-        fault_channel_for(fault, schedule.noise_seeds, length)
-        if fault is not None
-        else None
-    )
-    pin_stuck = fault is not None and fault.stuck_channel is not None
+    fault_channel = fault_channel_for(fault, schedule.noise_seeds, length)
 
     ones_count = np.zeros(batch, dtype=np.int64)
     error_count = np.zeros(batch, dtype=np.int64)
@@ -670,65 +489,17 @@ def simulate_chunked(
     chunk_count = 0
     for start in range(0, length, chunk_length):
         count = min(chunk_length, length - start)
-        if use_packed:
-            if sng_kind == "counter":
-                data_streams = np.broadcast_to(
-                    pack_bits(
-                        exact_bit_window(xs, length, start, start + count)
-                    )[:, None, :],
-                    (batch, order, (count + 63) // 64),
-                )
-                coeff_streams = np.broadcast_to(
-                    pack_bits(
-                        exact_bit_window(
-                            coefficients, length, start, start + count
-                        )
-                    )[None, :, :],
-                    (batch, channel_count, (count + 63) // 64),
-                )
-            else:
-                data_streams = data_cursor.take(start, count)
-                coeff_streams = coeff_cursor.take(start, count)
-        elif sng_kind == "counter":
-            data_streams = np.broadcast_to(
-                exact_bit_window(xs, length, start, start + count)[:, None, :],
-                (batch, order, count),
-            )
-            coeff_streams = np.broadcast_to(
-                exact_bit_window(coefficients, length, start, start + count)[
-                    None, :, :
-                ],
-                (batch, channel_count, count),
-            )
-        else:
-            data_u = data_cursor.take(start, count)
-            coeff_u = coeff_cursor.take(start, count)
-            data_streams = (data_u < xs[:, None, None]).astype(np.uint8)
-            coeff_streams = (coeff_u < coefficients[None, :, None]).astype(
-                np.uint8
-            )
-        if pin_stuck:
-            assert fault is not None
-            data_streams = (
-                pin_stuck_words(data_streams, fault, count)
-                if use_packed
-                else pin_stuck_bits(data_streams, fault)
-            )
-        noise_a = (
-            np.stack(
-                [gen.normal(0.0, noise_sigma, count) for gen in noise_rngs]
-            )
-            if noise_rngs is not None
-            else None
-        )
-        if use_packed:
+        form, data_streams, coeff_streams = source.take(start, count)
+        data_streams = _pin_stuck(form, data_streams, fault, count)
+        noise_a = noise.draw(count) if noise is not None else None
+        if form == "words":
             ones_inc, error_inc, histogram_inc = packed_tile_statistics(
                 circuit,
                 data_streams,
                 coeff_streams,
                 count,
                 noise_a=noise_a,
-                histogram_edges=edges if histogram is not None else None,
+                histogram_edges=edges,
                 fault_channel=fault_channel,
                 clock_offset=start,
             )
@@ -738,7 +509,7 @@ def simulate_chunked(
                 assert histogram_inc is not None
                 histogram += histogram_inc
         else:
-            powers, output_bits, ideal_bits, _ = _optical_pass(
+            powers, output_bits, ideal_bits, _ = optical_pass(
                 circuit, data_streams, coeff_streams, noise_a
             )
             if fault_channel is not None:
@@ -757,7 +528,7 @@ def simulate_chunked(
         xs=xs,
         expected=expected,
         stream_length=int(length),
-        chunk_length=int(min(chunk_length, length)),
+        chunk_length=tile,
         chunk_count=chunk_count,
         ones_count=ones_count,
         transmission_bit_errors=error_count,
@@ -1062,10 +833,8 @@ def run_batch(
     *fault* (:class:`~repro.simulation.faultmodel.FaultSpec`): its
     realization is seeded from the same schedule and addressed by
     absolute clock index, so the faulted bits are identical on every
-    strategy too.  (This schedule protocol consumes *rng* differently
-    than a bare ``simulate_batch`` call — run_batch results are
-    reproducible against run_batch, not against the engine's legacy
-    per-row noise-block protocol.)
+    strategy too.  A bare ``simulate_batch`` call derives its schedule
+    the same way, so it returns the same bits as a single-tile run.
     """
     config = config or RuntimeConfig()
     if config.cache_requested and base_seed is None:
@@ -1077,9 +846,8 @@ def run_batch(
             "fixed base_seed or disable the cache"
         )
     xs = _validate_batch_inputs(
-        circuit, xs, length, sng_kind, base_seed, sng_width
+        circuit, xs, length, sng_kind, base_seed, sng_width, fault
     )
-    _validate_fault(fault, circuit)
     workers = config.resolved_workers
     chunk_length = config.chunk_length or length
     multi_tile = length > chunk_length

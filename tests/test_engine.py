@@ -6,6 +6,8 @@ loop produces under a shared rng, for every SNG kind and circuit order —
 and both must match the pre-engine per-bit pipeline for fixed seeds.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,16 @@ from repro.core.design import mrr_first_design
 from repro.core.link_budget import received_power_table
 from repro.core.params import paper_section5a_parameters
 from repro.errors import ConfigurationError
-from repro.simulation.engine import BatchEvaluation, simulate_batch
+from repro.simulation.engine import (
+    BatchEvaluation,
+    derive_seed_schedule,
+    simulate_batch,
+)
+from repro.simulation.faultmodel import FaultSpec
 from repro.simulation.functional import simulate_evaluation, simulate_sweep
+from repro.simulation.kernels import KERNELS, pass_context
 from repro.simulation.receiver import OpticalReceiver
+from repro.simulation.runtime import RuntimeConfig, run_batch
 from repro.stochastic import LFSR
 from repro.stochastic.bernstein import BernsteinPolynomial
 from repro.stochastic.bitstream import Bitstream
@@ -150,8 +159,9 @@ class TestLegacyPipelineEquivalence:
         order = params.order
 
         # The pre-engine pipeline: scalar SNGs with per-bit LFSR
-        # stepping, per-evaluation pattern/table lookup, scalar receiver.
-        rng = np.random.default_rng(99)
+        # stepping, per-evaluation pattern/table lookup, scalar receiver
+        # drawing the row's noise from the base_seed schedule.
+        rng = derive_seed_schedule(1, base_seed=base_seed).row_noise_rng(0)
         data_sngs = make_independent_sngs(order, base_seed=base_seed)
         coeff_sngs = make_independent_sngs(
             order + 1, base_seed=base_seed + 0x9E3779B9
@@ -280,6 +290,77 @@ class TestSeedDerivation:
         assert np.array_equal(a.output_bits, b.output_bits)
 
 
+PROTOCOL_FAULTS = [None, FaultSpec(flip_probability=0.1, shift_clocks=3)]
+
+
+class TestOneSeedProtocol:
+    """A bare call derives its seed schedule exactly like run_batch."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("fault", PROTOCOL_FAULTS, ids=["clean", "fault"])
+    def test_bare_call_matches_single_tile_run_batch(
+        self, kind, kernel, noisy, fault
+    ):
+        circuit = _circuit(2)
+        xs = [0.1, 0.5, 0.8]
+        options = dict(length=300, noisy=noisy, sng_kind=kind, fault=fault)
+        bare = simulate_batch(
+            circuit, xs, rng=np.random.default_rng(21), kernel=kernel,
+            **options,
+        )
+        runtime = run_batch(
+            circuit, xs, rng=np.random.default_rng(21),
+            config=RuntimeConfig(workers=0, kernel=kernel), **options,
+        )
+        assert isinstance(runtime, BatchEvaluation)
+        for name in (
+            "values",
+            "output_bits",
+            "ideal_bits",
+            "select_levels",
+            "received_power_mw",
+        ):
+            assert np.array_equal(getattr(bare, name), getattr(runtime, name))
+
+
+class TestReceiverNoiseOracle:
+    """Receiver-noise flips at low SNR match the Gaussian Q-function.
+
+    A threshold receiver with additive Gaussian current noise flips the
+    noiseless decision of a clock with current ``I`` with probability
+    ``Q(|I - thr| / sigma)``, so the flip count over independent clocks
+    is Poisson-binomial around the sum of those probabilities.
+    """
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_noise_flips_match_q_function(self, kernel):
+        circuit = OpticalStochasticCircuit.from_design(
+            mrr_first_design(order=2, wl_spacing_nm=1.0, probe_power_mw=0.05),
+            BernsteinPolynomial([0.25, 0.625, 0.375]),
+        )
+        xs = np.linspace(0.0, 1.0, 16)
+        schedule = derive_seed_schedule(16, np.random.default_rng(2019))
+        options = dict(length=1 << 14, schedule=schedule, kernel=kernel)
+        noisy = simulate_batch(circuit, xs, **options)
+        clean = simulate_batch(circuit, xs, noisy=False, **options)
+        flips = np.count_nonzero(noisy.output_bits != clean.output_bits)
+
+        receiver = pass_context(circuit).receiver
+        sigma = receiver.detector.noise_current_a
+        powers, clocks = np.unique(clean.received_power_mw, return_counts=True)
+        currents = receiver.detector.photocurrent_a(powers)
+        margins = np.abs(currents - receiver.threshold_a)
+        flip_p = np.asarray(
+            [0.5 * math.erfc(m / (sigma * math.sqrt(2.0))) for m in margins]
+        )
+        mean = float(np.sum(clocks * flip_p))
+        spread = math.sqrt(float(np.sum(clocks * flip_p * (1.0 - flip_p))))
+        assert mean > 1000.0  # a low-SNR corner: noise really flips bits
+        assert abs(flips - mean) <= 5.0 * spread
+
+
 class TestBatchEvaluationContainer:
     def test_per_row_statistics(self):
         circuit = _circuit(2)
@@ -316,6 +397,17 @@ class TestBatchEvaluationContainer:
             simulate_batch(circuit, [0.5], sng_kind="quantum")
         with pytest.raises(ConfigurationError):
             simulate_batch("circuit", [0.5])
+        # Non-integer sizes and seeds fail typed, before any allocation.
+        for bad in ({"length": 100.5}, {"sng_width": 16.5}, {"base_seed": 1.5}):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                simulate_batch(circuit, [0.5], **bad)
+        # The LFSR's own width rule fails before the seed derivation
+        # divides by the register period (RuntimeWarnings are errors).
+        for width in (0, 1):
+            with pytest.raises(ConfigurationError, match="sng_width"):
+                simulate_batch(circuit, [0.5], sng_width=width)
+        with pytest.raises(ConfigurationError, match="FaultSpec"):
+            simulate_batch(circuit, [0.5], fault="flip")
 
     def test_nan_inputs_rejected(self):
         # NaN survives any()/< checks; the batch path must reject it

@@ -106,15 +106,26 @@ class TestFaultSpec:
             FaultSpec(flip_probability=0.1)
         )
 
-    def test_stochastic_fault_without_seed_protocol_raises(self, circuit):
-        with pytest.raises(ConfigurationError):
-            simulate_batch(
-                circuit,
-                [0.5],
-                length=64,
-                rng=np.random.default_rng(0),
-                fault=FaultSpec(flip_probability=0.1),
-            )
+    def test_bare_stochastic_fault_matches_run_batch(self, circuit):
+        # A bare rng call derives the same seed schedule as run_batch,
+        # so the stochastic fault realization needs no explicit seeds.
+        fault = FaultSpec(flip_probability=0.1)
+        bare = simulate_batch(
+            circuit,
+            [0.2, 0.5],
+            length=64,
+            rng=np.random.default_rng(0),
+            fault=fault,
+        )
+        runtime = run_batch(
+            circuit,
+            [0.2, 0.5],
+            length=64,
+            rng=np.random.default_rng(0),
+            fault=fault,
+        )
+        assert np.array_equal(bare.output_bits, runtime.output_bits)
+        assert np.any(bare.output_bits != bare.ideal_bits)
 
 
 class TestBernoulliMasks:

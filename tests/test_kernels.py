@@ -17,7 +17,7 @@ import repro
 from repro.errors import ConfigurationError
 from repro.simulation import kernels
 from repro.simulation.engine import (
-    _batch_uniforms,
+    _UniformCursor,
     derive_seed_schedule,
     simulate_batch,
 )
@@ -30,7 +30,6 @@ from repro.simulation.kernels import (
     kernel_capabilities,
     pack_bits,
     packed_lfsr_comparator_bits,
-    packed_sobol_comparator_bits,
     pass_context,
     popcount,
     resolve_kernel,
@@ -219,13 +218,12 @@ class TestPackedWordSources:
         base_seeds = np.array([3, 77])
         values = np.array([[0.1, 0.5, 0.9], [0.25, 0.5, 0.75]])
         offsets = derive_sobol_offsets(base_seeds, 3)
+        source = PackedSobolSource.create(offsets, values, width)
+        assert source is not None
         for offset, length in ((0, 130), (37, 64), (100, 70001)):
-            words = packed_sobol_comparator_bits(
-                offsets, values, length, width, offset=offset
-            )
-            assert words is not None
-            uniforms = _batch_uniforms(
-                "sobol", base_seeds, 3, length, width, offset=offset
+            words = source.take(offset, length)
+            uniforms = _UniformCursor("sobol", base_seeds, 3, width).take(
+                offset, length
             )
             expected = (uniforms < values[..., None]).astype(np.uint8)
             assert np.array_equal(unpack_bits(words, length), expected)
@@ -240,20 +238,13 @@ class TestPackedWordSources:
         stitched = np.concatenate(
             [unpack_bits(t, 96) for t in tiles], axis=-1
         )
-        one_shot = unpack_bits(
-            packed_sobol_comparator_bits(
-                offsets, np.array([[0.3, 0.6]]), 288, 16
-            ),
-            288,
-        )
+        one_shot = unpack_bits(source.take(0, 288), 288)
         assert np.array_equal(stitched, one_shot)
 
     def test_packed_sobol_wide_width_falls_back(self):
         offsets = derive_sobol_offsets(np.array([3]), 2)
         assert (
-            packed_sobol_comparator_bits(
-                offsets, np.array([[0.5, 0.5]]), 64, 24
-            )
+            PackedSobolSource.create(offsets, np.array([[0.5, 0.5]]), 24)
             is None
         )
 
@@ -271,7 +262,7 @@ class TestPackedWordSources:
         values = np.array([[0.1, 0.5, 0.9], [0.25, 0.5, 0.75]])
         source = PackedChaoticSource(base_seeds, values, 3)
         words = source.take(0, length)
-        uniforms = _batch_uniforms("chaotic", base_seeds, 3, length, 16)
+        uniforms = _UniformCursor("chaotic", base_seeds, 3, 16).take(0, length)
         expected = (uniforms < values[..., None]).astype(np.uint8)
         assert np.array_equal(unpack_bits(words, length), expected)
 

@@ -332,6 +332,26 @@ class TestChunkedEquivalence:
                 circuit, [0.5], length=128, chunk_length=32,
                 power_histogram_bins=-1,
             )
+        # Non-integer sizes fail typed, before any allocation.
+        for bad in (
+            {"length": 100.5},
+            {"chunk_length": 64.5},
+            {"power_histogram_bins": 2.5},
+            {"workers": 1.5},
+        ):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                simulate_chunked(
+                    circuit, [0.5], **{"length": 128, "chunk_length": 32, **bad}
+                )
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            run_batch(circuit, [0.5], length=100.5)
+        # Negative workers raise like RuntimeConfig(workers=-1) does.
+        with pytest.raises(ConfigurationError, match="workers"):
+            simulate_chunked(circuit, [0.5, 0.6], length=128, workers=-1)
+        # The LFSR width rule fails before the seed derivation divides
+        # by the register period (RuntimeWarnings are errors).
+        with pytest.raises(ConfigurationError, match="sng_width"):
+            run_batch(circuit, [0.5], length=128, sng_width=0)
 
 
 class TestResumableSources:
