@@ -1,136 +1,63 @@
 #!/usr/bin/env python3
-"""Scalar-vs-batched-vs-runtime throughput benchmark for the engine.
+"""Timing legs behind the committed kernel, fault and serving artifacts.
 
-Part 1 times three implementations of the same 256-input sweep (order 2,
-1024-bit streams):
+One leg per run, one ``BENCH_*.json`` artifact per leg:
 
-* **legacy loop** — a faithful reconstruction of the pre-engine hot
-  path: one evaluation at a time, per-bit Python LFSR stepping, link
-  budget rebuilt per call;
-* **engine loop** — ``simulate_evaluation`` per input (the engine with
-  batch size 1);
-* **batched** — one ``simulate_batch`` pass.
+* ``kernels`` — numpy vs packed on the noiseless LFSR one-shot path
+  (``B=32``, ``L=2**20``), with the layout bit-tensor bytes and a
+  measured tracemalloc peak of one streamed tile per kernel
+  (``BENCH_kernels.json``);
+* ``faults`` — numpy vs packed under one composite fault scenario
+  (flips + desynchronization + drift ramp) at the same size
+  (``BENCH_faults.json``);
+* ``serving`` — an open-loop saturation study of the admission-
+  controlled ``BatchServer`` (``BENCH_serving.json``): seeded Poisson
+  arrivals at 0.5x / 1x / 2x of the measured saturation rate through an
+  unbounded baseline, a shedding server and a degrading server.
 
-Part 2 benchmarks the scaling runtime on top of the engine:
+The kernels and faults legs only time: the tier-1 test suite owns every
+bit-exactness check between kernels, workers, chunk lengths and fault
+scenarios.  The serving leg exits non-zero unless its four wall-clock
+gates hold, which no deterministic test can express: the unbounded
+baseline's queue grows past the bounded cap, the shedding server's
+traced allocation peak stays at or below the baseline's, the served p99
+stays inside the configured deadline, and the degrading server serves
+at least 95% of all requests.
 
-* **sharded vs serial** — the same seed schedule evaluated in one
-  process and across a worker pool; the reassembled statistics (ones
-  counts, bit errors, values) must equal the serial pass's per-clock
-  reductions bit for bit (exit gate), and on >= 4 cores the recorded
-  speedup is expected to reach the 2x target.  The leg also records the
-  pickled size of one shard result at two stream lengths — a shard
-  returns ``O(rows)`` accumulators, so the two sizes match;
-* **chunked vs one-shot** — a long stream (default ``2**21`` bits)
-  evaluated in bounded-memory ``(B, chunk)`` tiles; the accumulated
-  ones/bit-error counts must equal the one-shot statistics (exit gate).
-
-Part 3 (``--kernels``) benchmarks the pluggable compute kernels
-(:mod:`repro.simulation.kernels`) and writes a separate
-``BENCH_kernels.json`` artifact:
-
-* **numpy vs packed** — the same noiseless
-  LFSR batch (default ``B=256``, ``L=2**20``) through each kernel; the
-  packed uint64 bit-plane engine targets >= 4x with ~8x smaller bit
-  tensors (1 bit per clock instead of 1 byte);
-* **parity matrix** — both kernels must return bit-for-bit
-  identical values, output bits and error counts for all four SNG
-  kinds, noisy and noiseless, and compose with chunking and sharding
-  without changing a bit (the exit gate).
-
-Part 4 (``--serving``) benchmarks the async service facade
-(:class:`repro.serving.BatchServer` over a row-independent
-:class:`repro.session.Evaluator`):
-
-* **per-request serial** — each client awaits its answer before the
-  next submits, forcing micro-batches of one;
-* **coalesced** — all clients submit concurrently and the micro-batcher
-  folds them into a handful of engine calls.
-
-The exit gate is per-request bit-exactness: serial, coalesced and a
-direct ``Evaluator.evaluate`` of the same inputs must agree exactly —
-coalescing must never change an answer.
-
-All bit-exactness checks are the pass/fail gates.  Wall-clock speedups
-are recorded in the ``BENCH_*.json`` artifact for CI trend tracking but,
-being machine-dependent, never fail the run.
-
-Part 6 (``--faults``) benchmarks the schedule-seeded fault engine
-(:mod:`repro.simulation.faultmodel`) and writes ``BENCH_faults.json``:
-
-* **numpy vs packed fault sweep** — the same composite fault scenario
-  (bit flips + desynchronization + drift ramp) applied through each
-  kernel; the packed path XORs word-level uint64 Bernoulli masks and
-  targets the same >= 4x speedup as the clean packed hot path;
-* **fault parity matrix** — scenario x kernel x (one-shot, chunked at a
-  word-misaligned tile length, sharded) must be bit-for-bit identical
-  (the exit gate): the fault realization is a pure function of the seed
-  schedule and the absolute clock index.
-
-Part 7 (``--serving-saturation``) stress-tests the hardened serving
-tier under open-loop ramped Poisson arrivals (seeded interarrival
-gaps at 0.5x / 1x / 2x of the measured saturation rate, the overload
-phase opening with a burst) and writes ``BENCH_serving.json``:
-
-* **unbounded baseline** — the legacy configuration (``max_queue=0``)
-  absorbs the whole overload into the queue: its depth and traced
-  memory peak grow with the arrival count;
-* **shed** — a bounded queue plus deadlines: queue depth stays within
-  the bound, shed/expired requests fail with typed errors, and the
-  p99 latency of *served* requests stays within the configured
-  deadline at 2x the saturating arrival rate (exit gate);
-* **degrade** — the progressive-precision ladder steps the session to
-  shorter streams under pressure, serving >= 95% of all requests at
-  2x saturation (exit gate) with each rung's measured RMSE recorded.
+Every artifact carries the environment block of ``perfbench/run.py``
+(cores, CPU model, Python and numpy versions, git sha, load average)
+plus the hypervisor steal ticks spent during the leg.
 
 Run:  PYTHONPATH=src python benchmarks/bench_batched.py \
-          [--out FILE] [--workers N] [--long-length BITS] [--serving] \
-          [--serving-saturation] [--saturation-requests N] \
-          [--saturation-length BITS] [--serving-out FILE] \
-          [--kernels] [--kernel-length BITS] [--kernels-out FILE] \
-          [--faults] [--fault-length BITS] [--faults-out FILE] \
-          [--runtime-out FILE]
+          {kernels,faults,serving} [--out FILE]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.circuit import OpticalStochasticCircuit
-from repro.core.link_budget import received_power_table
 from repro.core.params import paper_section5a_parameters
 from repro.simulation.engine import derive_seed_schedule, simulate_batch
-from repro.simulation.functional import simulate_evaluation
-from repro.simulation.receiver import OpticalReceiver
-from repro.simulation.runtime import simulate_batch_sharded, simulate_chunked
 from repro.stochastic.bernstein import BernsteinPolynomial
-from repro.stochastic.bitstream import Bitstream
-from repro.stochastic.elements import adder_select
-from repro.stochastic.sng import make_independent_sngs
 
-BATCH = 256
-LENGTH = 1024
 ORDER = 2
 SEED = 0xBEEF
-TARGET_SPEEDUP = 10.0
 
-SHARD_BATCH = 256
-SHARD_LENGTH = 16384
-SHARD_TARGET_SPEEDUP = 2.0
-SHARD_TARGET_MIN_CORES = 4
+# B=32 keeps the numpy one-shot pass at L=2**20 under 3 GB peak RSS
+# (B=256 needs about 18 GB).
+KERNEL_BATCH = 32
+KERNEL_LENGTH = 1 << 20
+STREAMING_PEAK_LENGTH = 1 << 17
 
-CHUNK_BATCH = 4
-LONG_LENGTH = 1 << 21
-CHUNK_LENGTH = 1 << 17
-
-SERVING_REQUESTS = 128
-SERVING_LENGTH = 1024
-SERVING_TARGET_SPEEDUP = 4.0
+FAULT_BATCH = 32
+FAULT_LENGTH = 1 << 20
 
 SATURATION_REQUESTS = 600
 # Long enough that batch service time (~10 ms) dominates event-loop
@@ -145,77 +72,10 @@ SATURATION_DEADLINE_FACTOR = 15.0  # deadline = factor x batch service time
 SATURATION_SERVED_TARGET = 0.95  # degrade policy must serve this fraction
 SATURATION_ARRIVAL_SEED = 0x0A27  # seeds the Poisson interarrival gaps
 
-KERNEL_BATCH = 256
-KERNEL_LENGTH = 1 << 20
-KERNEL_TARGET_SPEEDUP = 4.0
-KERNEL_TARGET_MEMORY_RATIO = 8.0
-KERNEL_PARITY_BATCH = 8
-KERNEL_PARITY_LENGTH = 1000
-
-FAULT_BATCH = 256
-FAULT_LENGTH = 1 << 20
-FAULT_TARGET_SPEEDUP = 4.0
-FAULT_PARITY_BATCH = 8
-FAULT_PARITY_LENGTH = 1000
-
-
-def _stepped_uniform(lfsr, count: int) -> np.ndarray:
-    """Per-bit Python stepping — the pre-engine LFSR hot loop."""
-    out = np.empty(count)
-    for i in range(count):
-        out[i] = lfsr.step()
-    return out / float(1 << lfsr.width)
-
-
-def legacy_evaluation(circuit, x: float, length: int, rng) -> np.ndarray:
-    """The pre-engine per-evaluation pipeline, bit-for-bit.
-
-    One input at a time: per-bit LFSR stepping for every stream, a fresh
-    link-budget table per call, scalar receiver slicing.  Draws the row's
-    seeds from *rng* exactly like the engine's seed schedule (data seed,
-    coefficient seed, noise seed), so outputs can be asserted identical.
-    """
-    params = circuit.params
-    order = params.order
-    coefficients = circuit.polynomial.coefficients
-
-    data_seed = int(rng.integers(1, 1 << 31))
-    coeff_seed = int(rng.integers(1, 1 << 31))
-    noise_rng = np.random.default_rng(int(rng.integers(0, 1 << 62)))
-    data_sngs = make_independent_sngs(order, base_seed=data_seed)
-    coeff_sngs = make_independent_sngs(order + 1, base_seed=coeff_seed)
-
-    data_streams = [
-        Bitstream((_stepped_uniform(sng._lfsr, length) < x).astype(np.uint8))
-        for sng in data_sngs
-    ]
-    coeff_streams = [
-        Bitstream(
-            (_stepped_uniform(sng._lfsr, length) < float(b)).astype(np.uint8)
-        )
-        for sng, b in zip(coeff_sngs, coefficients)
-    ]
-
-    levels = adder_select(data_streams)
-    coeff_matrix = np.stack([s.bits for s in coeff_streams])
-    pattern_index = np.zeros(length, dtype=np.int64)
-    for channel in range(order + 1):
-        pattern_index |= coeff_matrix[channel].astype(np.int64) << channel
-    budget = received_power_table(params)  # rebuilt per call, as before
-    table = budget.power_mw
-    powers = table[pattern_index, levels]
-    receiver = OpticalReceiver.from_power_bands(
-        params.detector,
-        zero_level_mw=budget.zero_band_mw[1],
-        one_level_mw=budget.one_band_mw[0],
-    )
-    decision = receiver.decide(powers, rng=noise_rng)
-    return decision.bits.bits
-
 
 def best_of(repetitions: int, run) -> tuple:
-    """Best-of-N wall-clock timing: single-shot timings on a shared CI
-    runner are allocation/load-noise dominated.  Returns the best time
+    """Best-of-N wall-clock timing: single-shot timings on a shared
+    machine are allocation/load-noise dominated.  Returns the best time
     and the last output (callables are deterministic per repetition)."""
     best, output = float("inf"), None
     for _ in range(repetitions):
@@ -225,237 +85,22 @@ def best_of(repetitions: int, run) -> tuple:
     return best, output
 
 
-def _shard_result_bytes(circuit, xs, schedule, length: int) -> int:
-    """Pickled size of one shard's result: what a worker pipes back."""
-    import pickle
-
-    result = simulate_chunked(
-        circuit,
-        xs,
-        length=length,
-        chunk_length=length,
-        noisy=False,
-        schedule=schedule,
-        workers=0,
-        kernel="packed",
-    )
-    return len(pickle.dumps(result, protocol=pickle.DEFAULT_PROTOCOL))
-
-
-def bench_sharded(circuit, workers: int) -> dict:
-    """Serial vs process-sharded evaluation of one shared seed schedule."""
-    xs = np.linspace(0.0, 1.0, SHARD_BATCH)
-    schedule = derive_seed_schedule(xs.size, np.random.default_rng(SEED))
-
-    serial_s, serial = best_of(
-        2,
-        lambda: simulate_batch(
-            circuit, xs, length=SHARD_LENGTH, schedule=schedule
-        ),
-    )
-    sharded_s, sharded = best_of(
-        2,
-        lambda: simulate_batch_sharded(
-            circuit,
-            xs,
-            length=SHARD_LENGTH,
-            schedule=schedule,
-            workers=workers,
-        ),
-    )
-    bit_exact = bool(
-        np.array_equal(serial.output_bits.sum(axis=1), sharded.ones_count)
-        and np.array_equal(
-            serial.transmission_bit_errors, sharded.transmission_bit_errors
-        )
-        and np.array_equal(serial.values, sharded.values)
-    )
-    # One shard's rows at two stream lengths 16x apart: the result is
-    # O(rows) accumulators, so the pickled sizes agree.
-    shard_rows = -(-SHARD_BATCH // max(2, int(workers)))
-    shard_result_bytes = {
-        str(length): _shard_result_bytes(
-            circuit, xs[:shard_rows], schedule.shard(0, shard_rows), length
-        )
-        for length in (SHARD_LENGTH, 16 * SHARD_LENGTH)
-    }
-    speedup = serial_s / sharded_s
-    cores = os.cpu_count() or 1
+def _time_kernels(run) -> dict:
+    """Best-of-2 seconds per kernel, and each one's ratio to numpy."""
+    seconds = {}
+    for kernel in ("numpy", "packed"):
+        seconds[kernel], outcome = best_of(2, lambda: run(kernel))
+        del outcome  # drop the (B, L) tensors before the next kernel runs
     return {
-        "batch": SHARD_BATCH,
-        "length": SHARD_LENGTH,
-        "workers": int(workers),
-        "cpu_cores": cores,
-        "nproc": len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else cores,
-        "numpy": np.__version__,
-        "serial_seconds": round(serial_s, 6),
-        "sharded_seconds": round(sharded_s, 6),
-        "sharded_speedup": round(speedup, 2),
-        "target_speedup": SHARD_TARGET_SPEEDUP,
-        "target_min_cores": SHARD_TARGET_MIN_CORES,
-        # The 2x target only makes sense with real parallel hardware;
-        # on fewer cores it is recorded as not-applicable (null).
-        "meets_target_speedup": (
-            bool(speedup >= SHARD_TARGET_SPEEDUP)
-            if cores >= SHARD_TARGET_MIN_CORES and workers >= 2
-            else None
-        ),
-        "shard_rows": int(shard_rows),
-        "shard_result_bytes": shard_result_bytes,
-        "bit_exact": bit_exact,
+        kernel: {
+            "seconds": round(value, 6),
+            "speedup_vs_numpy": round(seconds["numpy"] / value, 2),
+        }
+        for kernel, value in seconds.items()
     }
 
 
-def bench_chunked(circuit, long_length: int, chunk_length: int) -> dict:
-    """One-shot vs tile-streamed evaluation of one long-stream schedule."""
-    xs = np.linspace(0.1, 0.9, CHUNK_BATCH)
-    schedule = derive_seed_schedule(xs.size, np.random.default_rng(SEED))
-
-    t0 = time.perf_counter()
-    one_shot = simulate_batch(
-        circuit, xs, length=long_length, schedule=schedule
-    )
-    one_shot_s = time.perf_counter() - t0
-    ones = one_shot.output_bits.sum(axis=1)
-    errors = one_shot.transmission_bit_errors
-    del one_shot  # the whole point: the (B, L) tensors are the memory hog
-
-    t0 = time.perf_counter()
-    chunked = simulate_chunked(
-        circuit,
-        xs,
-        length=long_length,
-        chunk_length=chunk_length,
-        schedule=schedule,
-        workers=0,  # measure pure chunking, immune to the env default
-    )
-    chunked_s = time.perf_counter() - t0
-
-    statistics_exact = bool(
-        np.array_equal(chunked.ones_count, ones)
-        and np.array_equal(chunked.transmission_bit_errors, errors)
-    )
-    return {
-        "batch": CHUNK_BATCH,
-        "length": int(long_length),
-        "chunk_length": int(chunk_length),
-        "chunks": chunked.chunk_count,
-        "one_shot_seconds": round(one_shot_s, 6),
-        "chunked_seconds": round(chunked_s, 6),
-        "chunked_overhead": round(chunked_s / one_shot_s, 2),
-        # Peak per-clock float64 tensor footprint of a tile vs the
-        # one-shot pass: data uniforms (B, ORDER, L) + coefficient
-        # uniforms (B, ORDER+1, L) + powers (B, L) + noise (B, L) are
-        # alive simultaneously (uint8 bit tensors add a few % more).
-        "tile_bytes": int(CHUNK_BATCH * (2 * ORDER + 3) * chunk_length * 8),
-        "one_shot_bytes": int(CHUNK_BATCH * (2 * ORDER + 3) * long_length * 8),
-        "statistics_exact": statistics_exact,
-    }
-
-
-def _kernel_parity_matrix(circuit) -> dict:
-    """Exhaustive bit-exactness gate: kernel x sng_kind x noisy.
-
-    The packed kernel must reproduce the numpy kernel's values, output
-    bits, error counts, per-clock powers and levels exactly — one-shot,
-    and composed with chunked streaming and thread-pool sharding.
-    """
-    from repro.simulation.kernels import available_kernels
-    from repro.simulation.runtime import simulate_chunked
-
-    xs = np.linspace(0.0, 1.0, KERNEL_PARITY_BATCH)
-    checks = {}
-    exact = True
-    for kernel in available_kernels():
-        if kernel == "numpy":
-            continue
-        for sng_kind in ("lfsr", "counter", "sobol", "chaotic"):
-            for noisy in (False, True):
-                schedule = derive_seed_schedule(
-                    xs.size,
-                    np.random.default_rng(SEED),
-                    sng_kind=sng_kind,
-                )
-                reference = simulate_batch(
-                    circuit,
-                    xs,
-                    length=KERNEL_PARITY_LENGTH,
-                    noisy=noisy,
-                    sng_kind=sng_kind,
-                    schedule=schedule,
-                )
-                other = simulate_batch(
-                    circuit,
-                    xs,
-                    length=KERNEL_PARITY_LENGTH,
-                    noisy=noisy,
-                    sng_kind=sng_kind,
-                    schedule=schedule,
-                    kernel=kernel,
-                )
-                chunked = simulate_chunked(
-                    circuit,
-                    xs,
-                    length=KERNEL_PARITY_LENGTH,
-                    chunk_length=96,
-                    noisy=noisy,
-                    sng_kind=sng_kind,
-                    schedule=schedule,
-                    workers=0,
-                    kernel=kernel,
-                )
-                sharded = simulate_batch_sharded(
-                    circuit,
-                    xs,
-                    length=KERNEL_PARITY_LENGTH,
-                    noisy=noisy,
-                    sng_kind=sng_kind,
-                    schedule=schedule,
-                    workers=2,
-                    backend="thread",
-                    kernel=kernel,
-                )
-                ok = bool(
-                    np.array_equal(reference.values, other.values)
-                    and np.array_equal(
-                        reference.output_bits, other.output_bits
-                    )
-                    and np.array_equal(
-                        reference.received_power_mw,
-                        other.received_power_mw,
-                    )
-                    and np.array_equal(
-                        reference.select_levels, other.select_levels
-                    )
-                    and np.array_equal(
-                        reference.transmission_bit_errors,
-                        other.transmission_bit_errors,
-                    )
-                    and np.array_equal(
-                        chunked.ones_count,
-                        reference.output_bits.sum(axis=1),
-                    )
-                    and np.array_equal(
-                        chunked.transmission_bit_errors,
-                        reference.transmission_bit_errors,
-                    )
-                    and np.array_equal(
-                        sharded.ones_count,
-                        reference.output_bits.sum(axis=1),
-                    )
-                    and np.array_equal(
-                        sharded.transmission_bit_errors,
-                        reference.transmission_bit_errors,
-                    )
-                )
-                checks[f"{kernel}/{sng_kind}/{'noisy' if noisy else 'noiseless'}"] = ok
-                exact = exact and ok
-    return {"bit_exact": exact, "cases": checks}
-
-
-def _measured_streaming_peaks(circuit, kernels) -> dict:
+def _measured_streaming_peaks(circuit) -> dict:
     """tracemalloc peak per kernel for one noiseless streamed tile.
 
     The layout arithmetic (1 bit vs 1 byte per clock) says the packed
@@ -472,15 +117,15 @@ def _measured_streaming_peaks(circuit, kernels) -> dict:
 
     from repro.simulation.runtime import simulate_chunked
 
-    xs = np.linspace(0.0, 1.0, 32)
+    xs = np.linspace(0.0, 1.0, KERNEL_BATCH)
     schedule = derive_seed_schedule(xs.size, np.random.default_rng(SEED))
     peaks = {}
-    for kernel in kernels:
+    for kernel in ("numpy", "packed"):
         run = lambda kernel=kernel: simulate_chunked(
             circuit,
             xs,
-            length=1 << 17,
-            chunk_length=1 << 17,
+            length=STREAMING_PEAK_LENGTH,
+            chunk_length=STREAMING_PEAK_LENGTH,
             noisy=False,
             schedule=schedule,
             workers=0,
@@ -495,214 +140,50 @@ def _measured_streaming_peaks(circuit, kernels) -> dict:
     return peaks
 
 
-def bench_kernels(circuit, batch: int, length: int) -> dict:
-    """numpy vs packed on the noiseless LFSR hot path.
-
-    The timing config (default ``B=256``, ``L=2**20``) is the paper's
-    long-stream regime; the recorded speedup targets >= 4x for the
-    packed kernel, with ~8x smaller bit tensors (1 bit per clock
-    instead of the numpy kernel's 1 byte — a layout fact, cross-checked
-    by a measured tracemalloc peak on the streaming path).  The exit
-    gate is the parity matrix — machine-dependent speedups and peaks
-    never fail the run.
-    """
-    from repro.simulation.kernels import available_kernels
-
-    xs = np.linspace(0.0, 1.0, batch)
-    schedule = derive_seed_schedule(batch, np.random.default_rng(SEED))
+def bench_kernels(circuit) -> dict:
+    """numpy vs packed on the noiseless LFSR one-shot path."""
+    xs = np.linspace(0.0, 1.0, KERNEL_BATCH)
+    schedule = derive_seed_schedule(KERNEL_BATCH, np.random.default_rng(SEED))
+    results = _time_kernels(
+        lambda kernel: simulate_batch(
+            circuit,
+            xs,
+            length=KERNEL_LENGTH,
+            noisy=False,
+            schedule=schedule,
+            kernel=kernel,
+        )
+    )
     # One byte per clock per data/coefficient stream vs one bit packed.
-    numpy_bit_bytes = batch * (2 * ORDER + 1) * length
-    results = {}
-    reference_values = reference_errors = None
-    reference_seconds = None
-    values_exact = True
-    for kernel in available_kernels():
-        seconds, outcome = best_of(
-            2,
-            lambda kernel=kernel: simulate_batch(
-                circuit,
-                xs,
-                length=length,
-                noisy=False,
-                schedule=schedule,
-                kernel=kernel,
-            ),
-        )
-        values = np.asarray(outcome.values)
-        errors = np.asarray(outcome.transmission_bit_errors)
-        del outcome  # drop the (B, L) tensors before the next kernel runs
-        if kernel == "numpy":
-            reference_values, reference_errors = values, errors
-            reference_seconds = seconds
-        else:
-            values_exact = values_exact and bool(
-                np.array_equal(values, reference_values)
-                and np.array_equal(errors, reference_errors)
-            )
-        bit_bytes = (
-            numpy_bit_bytes if kernel == "numpy" else numpy_bit_bytes // 8
-        )
-        results[kernel] = {
-            "seconds": round(seconds, 6),
-            "speedup_vs_numpy": (
-                1.0
-                if kernel == "numpy"
-                else round(reference_seconds / seconds, 2)
-            ),
-            "bit_tensor_bytes": int(bit_bytes),
-        }
-    parity = _kernel_parity_matrix(circuit)
-    packed = results["packed"]
-    streaming_peaks = _measured_streaming_peaks(circuit, list(results))
-    for name, peak in streaming_peaks.items():
-        results[name]["measured_streaming_peak_bytes"] = peak
+    numpy_bit_bytes = KERNEL_BATCH * (2 * ORDER + 1) * KERNEL_LENGTH
+    results["numpy"]["bit_tensor_bytes"] = numpy_bit_bytes
+    results["packed"]["bit_tensor_bytes"] = numpy_bit_bytes // 8
+    peaks = _measured_streaming_peaks(circuit)
+    for kernel, peak in peaks.items():
+        results[kernel]["measured_streaming_peak_bytes"] = peak
     return {
         "benchmark": "bench_kernels",
-        "batch": int(batch),
-        "length": int(length),
+        "batch": KERNEL_BATCH,
+        "length": KERNEL_LENGTH,
         "order": ORDER,
         "sng_kind": "lfsr",
         "noisy": False,
         "kernels": results,
-        # Layout arithmetic (1 bit vs 1 byte per clock per stream)...
-        "bit_tensor_memory_ratio": round(
-            numpy_bit_bytes / packed["bit_tensor_bytes"], 2
-        ),
-        # ...cross-checked by a measured allocation peak on the
-        # streaming statistics path (32 rows x one 2**17-bit tile).
+        # The layout ratio of bit_tensor_bytes (8x) is cross-checked by
+        # a measured allocation peak on the streaming statistics path:
+        # one tile of KERNEL_BATCH rows x this many clocks.
+        "streaming_peak_length": STREAMING_PEAK_LENGTH,
         "measured_streaming_peak_ratio": round(
-            streaming_peaks["numpy"] / streaming_peaks["packed"], 2
-        ),
-        "target_speedup": KERNEL_TARGET_SPEEDUP,
-        "target_memory_ratio": KERNEL_TARGET_MEMORY_RATIO,
-        "meets_target_speedup": bool(
-            packed["speedup_vs_numpy"] >= KERNEL_TARGET_SPEEDUP
-        ),
-        "hot_path_values_exact": values_exact,
-        "parity": parity,
-        # Parity is the gate; the machine-dependent speedup is recorded
-        # for trend tracking but never fails the run.
-        "passed": bool(parity["bit_exact"] and values_exact),
-    }
-
-
-def _fault_parity_matrix(circuit) -> dict:
-    """Bit-exactness gate for injected faults: kernel x scenario x shape.
-
-    For every fault scenario, the packed kernel must reproduce the
-    numpy kernel's faulty values and output bits exactly — one-shot,
-    chunked (including a tile length that is not a multiple of 64, so
-    masks cross word boundaries mid-tile), and sharded across workers.
-    The fault realization is schedule-seeded, so any divergence is an
-    engine bug, never sampling noise.
-    """
-    from repro.simulation.faultmodel import FaultSpec
-    from repro.simulation.kernels import available_kernels
-    from repro.simulation.runtime import RuntimeConfig, run_batch
-
-    scenarios = {
-        "flip": FaultSpec(flip_probability=0.02),
-        "shift": FaultSpec(shift_clocks=7),
-        "stuck": FaultSpec(stuck_channel=0, stuck_value=1),
-        "drift": FaultSpec(drift_ramp_per_mclock=64.0),
-        "decay": FaultSpec(decay_tau_clocks=4096),
-        "composite": FaultSpec(
-            flip_probability=0.01,
-            shift_clocks=3,
-            stuck_channel=1,
-            stuck_value=0,
-            drift_ramp_per_mclock=32.0,
-            decay_tau_clocks=8192,
+            peaks["numpy"] / peaks["packed"], 2
         ),
     }
-    xs = np.linspace(0.0, 1.0, FAULT_PARITY_BATCH)
-    checks = {}
-    exact = True
-    for name, fault in scenarios.items():
-        for sng_kind in ("lfsr", "chaotic"):
-            reference = run_batch(
-                circuit,
-                xs,
-                length=FAULT_PARITY_LENGTH,
-                sng_kind=sng_kind,
-                base_seed=SEED,
-                fault=fault,
-            )
-            for kernel in available_kernels():
-                if kernel == "numpy":
-                    continue
-                other = run_batch(
-                    circuit,
-                    xs,
-                    length=FAULT_PARITY_LENGTH,
-                    sng_kind=sng_kind,
-                    base_seed=SEED,
-                    config=RuntimeConfig(kernel=kernel),
-                    fault=fault,
-                )
-                chunked = run_batch(
-                    circuit,
-                    xs,
-                    length=FAULT_PARITY_LENGTH,
-                    sng_kind=sng_kind,
-                    base_seed=SEED,
-                    config=RuntimeConfig(
-                        kernel=kernel, chunk_length=100, workers=0
-                    ),
-                    fault=fault,
-                )
-                sharded = run_batch(
-                    circuit,
-                    xs,
-                    length=FAULT_PARITY_LENGTH,
-                    sng_kind=sng_kind,
-                    base_seed=SEED,
-                    config=RuntimeConfig(
-                        kernel=kernel, workers=2, backend="thread"
-                    ),
-                    fault=fault,
-                )
-                ok = bool(
-                    np.array_equal(reference.values, other.values)
-                    and np.array_equal(
-                        reference.output_bits, other.output_bits
-                    )
-                    and np.array_equal(
-                        reference.transmission_bit_errors,
-                        other.transmission_bit_errors,
-                    )
-                    and np.array_equal(
-                        chunked.ones_count,
-                        reference.output_bits.sum(axis=1),
-                    )
-                    and np.array_equal(
-                        chunked.transmission_bit_errors,
-                        reference.transmission_bit_errors,
-                    )
-                    and np.array_equal(
-                        sharded.ones_count,
-                        reference.output_bits.sum(axis=1),
-                    )
-                    and np.array_equal(
-                        sharded.transmission_bit_errors,
-                        reference.transmission_bit_errors,
-                    )
-                )
-                checks[f"{name}/{sng_kind}/{kernel}"] = ok
-                exact = exact and ok
-    return {"bit_exact": exact, "cases": checks}
 
 
-def bench_faults(circuit, batch: int, length: int) -> dict:
-    """numpy vs packed fault injection on the long-stream sweep.
+def bench_faults(circuit) -> dict:
+    """numpy vs packed one-shot fault injection on a long stream.
 
-    The same composite fault scenario (flips + desync + drift) applied
-    through each kernel: the packed engine builds its Bernoulli masks
-    as uint64 word planes and XORs them in place, so the faulty sweep
-    targets the same >= 4x speedup as the clean packed hot path — the
-    fault axis must not forfeit the packed-kernel win.  The exit gate
-    is the fault parity matrix; the machine-dependent speedup is
-    recorded for trend tracking.
+    The packed engine builds its Bernoulli masks as uint64 word planes
+    and XORs them in place; the numpy kernel applies byte masks.
     """
     from repro.simulation.faultmodel import FaultSpec
     from repro.simulation.runtime import RuntimeConfig, run_batch
@@ -712,49 +193,22 @@ def bench_faults(circuit, batch: int, length: int) -> dict:
         shift_clocks=5,
         drift_ramp_per_mclock=0.25,
     )
-    xs = np.linspace(0.0, 1.0, batch)
-    results = {}
-    reference_values = None
-    reference_seconds = None
-    values_exact = True
-    for kernel in ("numpy", "packed"):
-        seconds, outcome = best_of(
-            2,
-            lambda kernel=kernel: run_batch(
-                circuit,
-                xs,
-                length=length,
-                noisy=False,
-                base_seed=SEED,
-                config=RuntimeConfig(kernel=kernel),
-                fault=fault,
-            ),
+    xs = np.linspace(0.0, 1.0, FAULT_BATCH)
+    results = _time_kernels(
+        lambda kernel: run_batch(
+            circuit,
+            xs,
+            length=FAULT_LENGTH,
+            noisy=False,
+            base_seed=SEED,
+            config=RuntimeConfig(kernel=kernel),
+            fault=fault,
         )
-        values = np.asarray(outcome.values)
-        errors = np.asarray(outcome.transmission_bit_errors)
-        del outcome
-        if kernel == "numpy":
-            reference_values, reference_errors = values, errors
-            reference_seconds = seconds
-        else:
-            values_exact = values_exact and bool(
-                np.array_equal(values, reference_values)
-                and np.array_equal(errors, reference_errors)
-            )
-        results[kernel] = {
-            "seconds": round(seconds, 6),
-            "speedup_vs_numpy": (
-                1.0
-                if kernel == "numpy"
-                else round(reference_seconds / seconds, 2)
-            ),
-        }
-    parity = _fault_parity_matrix(circuit)
-    packed = results["packed"]
+    )
     return {
         "benchmark": "bench_faults",
-        "batch": int(batch),
-        "length": int(length),
+        "batch": FAULT_BATCH,
+        "length": FAULT_LENGTH,
         "order": ORDER,
         "noisy": False,
         "fault": {
@@ -763,86 +217,6 @@ def bench_faults(circuit, batch: int, length: int) -> dict:
             "drift_ramp_per_mclock": fault.drift_ramp_per_mclock,
         },
         "kernels": results,
-        "target_speedup": FAULT_TARGET_SPEEDUP,
-        "meets_target_speedup": bool(
-            packed["speedup_vs_numpy"] >= FAULT_TARGET_SPEEDUP
-        ),
-        "hot_path_values_exact": values_exact,
-        "parity": parity,
-        # Parity is the gate; the machine-dependent speedup is recorded
-        # for trend tracking but never fails the run.
-        "passed": bool(parity["bit_exact"] and values_exact),
-    }
-
-
-def bench_serving(circuit) -> dict:
-    """Per-request serial vs coalesced micro-batched serving.
-
-    A row-independent session (pinned seed space, noiseless receiver)
-    guarantees each request's answer is a pure function of its input,
-    so serial and coalesced serving must return identical floats —
-    that identity (plus agreement with a direct ``Evaluator.evaluate``)
-    is the exit gate.
-    """
-    import asyncio
-
-    from repro.serving import BatchServer
-    from repro.session import EvalSpec, Evaluator
-
-    evaluator = Evaluator(
-        circuit,
-        EvalSpec(length=SERVING_LENGTH, noisy=False, base_seed=SEED),
-    )
-    xs = np.linspace(0.0, 1.0, SERVING_REQUESTS)
-    direct = np.asarray(evaluator.evaluate(xs).values, dtype=float)
-
-    async def serial_clients() -> tuple:
-        async with BatchServer(
-            evaluator, max_batch_delay_s=0.0
-        ) as server:
-            values = [await server.submit(float(x)) for x in xs]
-            return values, server.stats
-
-    async def coalesced_clients() -> tuple:
-        async with BatchServer(
-            evaluator,
-            max_batch_size=SERVING_REQUESTS,
-            max_batch_delay_s=0.005,
-        ) as server:
-            values = await server.submit_many(xs)
-            return values, server.stats
-
-    t0 = time.perf_counter()
-    serial_values, serial_stats = asyncio.run(serial_clients())
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    coalesced_values, coalesced_stats = asyncio.run(coalesced_clients())
-    coalesced_s = time.perf_counter() - t0
-
-    serial_values = np.asarray(serial_values, dtype=float)
-    coalesced_values = np.asarray(coalesced_values, dtype=float)
-    bit_exact = bool(
-        np.array_equal(serial_values, direct)
-        and np.array_equal(coalesced_values, direct)
-    )
-    speedup = serial_s / coalesced_s
-    return {
-        "requests": SERVING_REQUESTS,
-        "length": SERVING_LENGTH,
-        "serial_seconds": round(serial_s, 6),
-        "coalesced_seconds": round(coalesced_s, 6),
-        "serial_engine_calls": serial_stats.batches,
-        "coalesced_engine_calls": coalesced_stats.batches,
-        "largest_micro_batch": coalesced_stats.largest_batch,
-        "serial_requests_per_second": round(SERVING_REQUESTS / serial_s, 1),
-        "coalesced_requests_per_second": round(
-            SERVING_REQUESTS / coalesced_s, 1
-        ),
-        "coalescing_speedup": round(speedup, 2),
-        "target_speedup": SERVING_TARGET_SPEEDUP,
-        "meets_target_speedup": bool(speedup >= SERVING_TARGET_SPEEDUP),
-        "bit_exact": bit_exact,
     }
 
 
@@ -885,14 +259,12 @@ def _arrival_schedule(requests, saturation_rate, batch, rng):
     return schedule
 
 
-def _run_saturation_scenario(
-    evaluator, batch, schedule, **server_kwargs
-):
+def _run_saturation_scenario(evaluator, batch, schedule, **server_kwargs):
     """Drive one server configuration through the arrival schedule.
 
     Returns outcome counters, client-observed latencies of served
-    requests, served (index, value) pairs, the metrics snapshot, the
-    wall-clock span, and the tracemalloc peak across the run.
+    requests, the metrics snapshot, the wall-clock span, and the
+    tracemalloc peak across the run.
     """
     import asyncio
     import tracemalloc
@@ -914,12 +286,11 @@ def _run_saturation_scenario(
         await server.start()
         outcomes = {"served": 0, "shed": 0, "expired": 0, "failed": 0}
         latencies = []
-        served_values = {}
 
-        async def client(index, x):
+        async def client(x):
             t0 = time.perf_counter()
             try:
-                value = await server.submit(x)
+                await server.submit(x)
             except DeadlineExceededError:
                 outcomes["expired"] += 1
             except OverloadedError:
@@ -929,13 +300,12 @@ def _run_saturation_scenario(
             else:
                 outcomes["served"] += 1
                 latencies.append(time.perf_counter() - t0)
-                served_values[index] = value
 
         t0 = time.perf_counter()
         tasks = []
         pending_gap = 0.0
-        for index, (x, gap) in enumerate(schedule):
-            tasks.append(asyncio.create_task(client(index, x)))
+        for x, gap in schedule:
+            tasks.append(asyncio.create_task(client(x)))
             pending_gap += gap
             # Aggregate sub-5ms gaps into one sleep: the schedule's
             # *average* rate survives the event loop's timer overhead.
@@ -946,18 +316,16 @@ def _run_saturation_scenario(
         elapsed = time.perf_counter() - t0
         snapshot = server.metrics()
         await server.stop()
-        return outcomes, latencies, served_values, snapshot, elapsed
+        return outcomes, latencies, snapshot, elapsed
 
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        outcomes, latencies, served_values, snapshot, elapsed = asyncio.run(
-            scenario()
-        )
+        outcomes, latencies, snapshot, elapsed = asyncio.run(scenario())
         peak_bytes = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return outcomes, latencies, served_values, snapshot, elapsed, peak_bytes
+    return outcomes, latencies, snapshot, elapsed, peak_bytes
 
 
 def _scenario_report(outcomes, latencies, snapshot, elapsed, peak_bytes):
@@ -999,27 +367,24 @@ def _scenario_report(outcomes, latencies, snapshot, elapsed, peak_bytes):
     }
 
 
-def bench_serving_saturation(circuit, requests, batch, length) -> dict:
+def bench_serving(circuit) -> dict:
     """Open-loop saturation study of the admission-controlled server.
 
     Measures the session's batch service time, derives the saturating
     arrival rate, and drives three server configurations through the
     same seeded ramped-Poisson schedule (0.5x / 1x / 2x):
 
-    * ``unbounded`` — the legacy ``max_queue=0`` baseline, arrival
-      burst absorbed entirely into the queue (memory-growth baseline);
+    * ``unbounded`` — the ``max_queue=0`` baseline, arrival burst
+      absorbed entirely into the queue (memory-growth baseline);
     * ``shed`` — bounded queue + deadline: typed refusals, p99 of
-      served requests within the deadline (exit gate);
+      served requests within the deadline (gate);
     * ``degrade`` — bounded queue + precision ladder: serves >= 95% of
-      requests by stepping down stream length, per-rung RMSE recorded
-      (exit gate).
+      requests by stepping down stream length (gate).
     """
-    from repro.serving import (
-        DegradationController,
-        DegradationLadder,
-    )
+    from repro.serving import DegradationController, DegradationLadder
     from repro.session import EvalSpec, Evaluator
 
+    length, batch = SATURATION_LENGTH, SATURATION_BATCH
     evaluator = Evaluator(
         circuit,
         EvalSpec(length=length, noisy=False, base_seed=SEED),
@@ -1034,33 +399,17 @@ def bench_serving_saturation(circuit, requests, batch, length) -> dict:
     deadline_s = SATURATION_DEADLINE_FACTOR * service_s
 
     rng = np.random.default_rng(SATURATION_ARRIVAL_SEED)
-    schedule = _arrival_schedule(requests, saturation_rate, batch, rng)
-    burst_schedule = [(x, 0.0) for x, _ in schedule]
-    direct = np.asarray(
-        evaluator.evaluate([x for x, _ in schedule]).values, dtype=float
+    schedule = _arrival_schedule(
+        SATURATION_REQUESTS, saturation_rate, batch, rng
     )
+    burst_schedule = [(x, 0.0) for x, _ in schedule]
 
     # -- unbounded baseline: the whole burst lands in the queue --------
-    (
-        unbounded_outcomes,
-        unbounded_latencies,
-        _,
-        unbounded_snapshot,
-        unbounded_elapsed,
-        unbounded_peak,
-    ) = _run_saturation_scenario(
+    unbounded = _run_saturation_scenario(
         evaluator, batch, burst_schedule, policy="block", max_queue=0
     )
-
     # -- shed: bounded queue + deadline --------------------------------
-    (
-        shed_outcomes,
-        shed_latencies,
-        shed_values,
-        shed_snapshot,
-        shed_elapsed,
-        shed_peak,
-    ) = _run_saturation_scenario(
+    shed = _run_saturation_scenario(
         evaluator,
         batch,
         schedule,
@@ -1068,7 +417,6 @@ def bench_serving_saturation(circuit, requests, batch, length) -> dict:
         max_queue=max_queue,
         default_deadline_s=deadline_s,
     )
-
     # -- degrade: bounded queue + progressive-precision ladder ---------
     ladder = DegradationLadder(
         (length, max(1, length // 4), max(1, length // 16))
@@ -1081,14 +429,7 @@ def bench_serving_saturation(circuit, requests, batch, length) -> dict:
         patience=1,
         recovery_patience=8,
     )
-    (
-        degrade_outcomes,
-        degrade_latencies,
-        _,
-        degrade_snapshot,
-        degrade_elapsed,
-        degrade_peak,
-    ) = _run_saturation_scenario(
+    degrade = _run_saturation_scenario(
         evaluator,
         batch,
         schedule,
@@ -1098,55 +439,25 @@ def bench_serving_saturation(circuit, requests, batch, length) -> dict:
         measure_rmse=True,
     )
 
-    # -- exit gates ----------------------------------------------------
-    unbounded_bound = unbounded_snapshot.queue_depth.max_observed_bound
-    shed_bound = shed_snapshot.queue_depth.max_observed_bound
-    degrade_bound = degrade_snapshot.queue_depth.max_observed_bound
-    queue_bounded = bool(
-        (shed_bound is None or shed_bound <= max_queue)
-        and (degrade_bound is None or degrade_bound <= max_queue)
-        and shed_bound is not None
-        and degrade_bound is not None
-    )
-    unbounded_grows = bool(
-        unbounded_bound is None or unbounded_bound > max_queue
-    )
-    memory_flat = bool(shed_peak <= unbounded_peak)
-    shed_sorted = sorted(shed_latencies)
-    shed_p99_within_deadline = bool(
-        shed_sorted and _nearest_rank(shed_sorted, 0.99) <= deadline_s
-    )
-    shed_bit_exact = bool(
-        shed_values
-        and all(
-            value == direct[index] for index, value in shed_values.items()
-        )
-    )
-    degrade_served_fraction = degrade_outcomes["served"] / requests
-    degrade_serves_target = bool(
-        degrade_served_fraction >= SATURATION_SERVED_TARGET
-    )
-    degraded_rungs = [r for r in degrade_snapshot.rungs if r.rung > 0]
-    degrade_stepped_down = bool(
-        degraded_rungs and all(r.served > 0 for r in degraded_rungs)
-    )
-    rmse_recorded = bool(
-        degrade_snapshot.rungs
-        and all(r.rmse is not None for r in degrade_snapshot.rungs)
-    )
-    passed = bool(
-        queue_bounded
-        and unbounded_grows
-        and memory_flat
-        and shed_p99_within_deadline
-        and shed_bit_exact
-        and degrade_serves_target
-        and degrade_stepped_down
-        and rmse_recorded
-    )
+    # -- gates ---------------------------------------------------------
+    unbounded_bound = unbounded[2].queue_depth.max_observed_bound
+    shed_sorted = sorted(shed[1])
+    degrade_served_fraction = degrade[0]["served"] / SATURATION_REQUESTS
+    gates = {
+        "unbounded_baseline_grows": bool(
+            unbounded_bound is None or unbounded_bound > max_queue
+        ),
+        "memory_flat_vs_unbounded": bool(shed[4] <= unbounded[4]),
+        "shed_p99_within_deadline": bool(
+            shed_sorted and _nearest_rank(shed_sorted, 0.99) <= deadline_s
+        ),
+        "degrade_serves_target": bool(
+            degrade_served_fraction >= SATURATION_SERVED_TARGET
+        ),
+    }
     return {
         "benchmark": "bench_serving_saturation",
-        "requests": requests,
+        "requests": SATURATION_REQUESTS,
         "length": length,
         "max_batch_size": batch,
         "max_queue": max_queue,
@@ -1154,485 +465,103 @@ def bench_serving_saturation(circuit, requests, batch, length) -> dict:
         "saturation_rate_per_s": round(saturation_rate, 1),
         "deadline_s": round(deadline_s, 6),
         "deadline_factor": SATURATION_DEADLINE_FACTOR,
-        "unbounded": _scenario_report(
-            unbounded_outcomes,
-            unbounded_latencies,
-            unbounded_snapshot,
-            unbounded_elapsed,
-            unbounded_peak,
-        ),
-        "shed": _scenario_report(
-            shed_outcomes,
-            shed_latencies,
-            shed_snapshot,
-            shed_elapsed,
-            shed_peak,
-        ),
-        "degrade": _scenario_report(
-            degrade_outcomes,
-            degrade_latencies,
-            degrade_snapshot,
-            degrade_elapsed,
-            degrade_peak,
-        ),
+        "unbounded": _scenario_report(*unbounded),
+        "shed": _scenario_report(*shed),
+        "degrade": _scenario_report(*degrade),
         "degrade_served_fraction": round(degrade_served_fraction, 4),
         "served_fraction_target": SATURATION_SERVED_TARGET,
-        "gates": {
-            "queue_bounded": queue_bounded,
-            "unbounded_baseline_grows": unbounded_grows,
-            "memory_flat_vs_unbounded": memory_flat,
-            "shed_p99_within_deadline": shed_p99_within_deadline,
-            "shed_bit_exact": shed_bit_exact,
-            "degrade_serves_target": degrade_serves_target,
-            "degrade_stepped_down": degrade_stepped_down,
-            "rung_rmse_recorded": rmse_recorded,
-        },
-        "passed": passed,
+        "gates": gates,
+        "passed": all(gates.values()),
     }
 
 
+def _print_kernel_rows(artifact) -> None:
+    print(
+        f"{artifact['benchmark']}: {artifact['batch']} rows x "
+        f"{artifact['length']} bits, noiseless"
+    )
+    for name, row in artifact["kernels"].items():
+        print(
+            f"  {name:<7s}: {row['seconds'] * 1e3:9.1f} ms "
+            f"({row['speedup_vs_numpy']:.2f}x vs numpy)"
+        )
+    if "measured_streaming_peak_ratio" in artifact:
+        print(
+            f"  streamed-tile allocation peak, numpy / packed: "
+            f"{artifact['measured_streaming_peak_ratio']:.1f}x"
+        )
+
+
+def _print_serving(s) -> None:
+    print(
+        f"serving saturation: {s['requests']} requests x "
+        f"{s['length']}-bit streams, queue cap {s['max_queue']}, "
+        f"deadline {s['deadline_s'] * 1e3:.1f} ms "
+        f"({s['saturation_rate_per_s']:.0f} req/s saturates)"
+    )
+    for name in ("unbounded", "shed", "degrade"):
+        row = s[name]
+        outcomes = row["outcomes"]
+        p99 = row["latency_p99_ms"]
+        print(
+            f"  {name:<9s}: served {outcomes['served']:4d} "
+            f"shed {outcomes['shed']:4d} expired "
+            f"{outcomes['expired']:4d}, "
+            f"p99 {p99 if p99 is not None else '-':>8} ms, "
+            f"queue depth <= {row['peak_queue_depth_bound']}, "
+            f"peak alloc {row['tracemalloc_peak_kb']:.0f} KB"
+        )
+    for rung in s["degrade"]["rungs"]:
+        print(
+            f"    rung {rung['rung']} ({rung['length']:5d} bits): "
+            f"served {rung['served']:4d}, rmse {rung['rmse']:.5f}"
+        )
+    print(
+        f"  degrade served fraction: {s['degrade_served_fraction']:.3f} "
+        f"(target >= {s['served_fraction_target']:.2f}); gates: "
+        + ", ".join(f"{key}={value}" for key, value in s["gates"].items())
+    )
+
+
+LEGS = {
+    "kernels": (bench_kernels, _print_kernel_rows),
+    "faults": (bench_faults, _print_kernel_rows),
+    "serving": (bench_serving, _print_serving),
+}
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("leg", choices=LEGS, help="which timing leg to run")
     parser.add_argument(
-        "--out",
-        default="BENCH_batched.json",
-        help="JSON artifact path (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=BATCH, help="sweep size (default 256)"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="sharded worker count (default: one per CPU core)",
-    )
-    parser.add_argument(
-        "--long-length",
-        type=int,
-        default=LONG_LENGTH,
-        help="chunked-benchmark stream length (default 2**21)",
-    )
-    parser.add_argument(
-        "--chunk-length",
-        type=int,
-        default=CHUNK_LENGTH,
-        help="chunked-benchmark tile length (default 2**17)",
-    )
-    parser.add_argument(
-        "--serving",
-        action="store_true",
-        help="also benchmark BatchServer coalescing vs per-request calls",
-    )
-    parser.add_argument(
-        "--serving-saturation",
-        action="store_true",
-        help=(
-            "also run the open-loop saturation study (unbounded baseline "
-            "vs shed vs degrade) with structural exit gates"
-        ),
-    )
-    parser.add_argument(
-        "--saturation-requests",
-        type=int,
-        default=SATURATION_REQUESTS,
-        help="saturation-study request count (default %(default)s)",
-    )
-    parser.add_argument(
-        "--saturation-batch",
-        type=int,
-        default=SATURATION_BATCH,
-        help="saturation-study max batch size (default %(default)s)",
-    )
-    parser.add_argument(
-        "--saturation-length",
-        type=int,
-        default=SATURATION_LENGTH,
-        help="saturation-study stream length (default %(default)s)",
-    )
-    parser.add_argument(
-        "--serving-out",
-        default="BENCH_serving.json",
-        help=(
-            "saturation-study JSON artifact path, written with "
-            "--serving-saturation (default: %(default)s)"
-        ),
-    )
-    parser.add_argument(
-        "--kernels",
-        action="store_true",
-        help=(
-            "also benchmark the compute kernels (numpy vs packed) with a "
-            "bit-exactness exit gate"
-        ),
-    )
-    parser.add_argument(
-        "--kernel-batch",
-        type=int,
-        default=KERNEL_BATCH,
-        help="kernel-benchmark sweep size (default 256)",
-    )
-    parser.add_argument(
-        "--kernel-length",
-        type=int,
-        default=KERNEL_LENGTH,
-        help="kernel-benchmark stream length (default 2**20)",
-    )
-    parser.add_argument(
-        "--kernels-out",
-        default="BENCH_kernels.json",
-        help="kernel-benchmark JSON artifact path (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--faults",
-        action="store_true",
-        help=(
-            "also benchmark schedule-seeded fault injection (numpy vs "
-            "packed word-mask application) with a parity exit gate"
-        ),
-    )
-    parser.add_argument(
-        "--fault-batch",
-        type=int,
-        default=FAULT_BATCH,
-        help="fault-benchmark sweep size (default 256)",
-    )
-    parser.add_argument(
-        "--fault-length",
-        type=int,
-        default=FAULT_LENGTH,
-        help="fault-benchmark stream length (default 2**20)",
-    )
-    parser.add_argument(
-        "--faults-out",
-        default="BENCH_faults.json",
-        help="fault-benchmark JSON artifact path (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--runtime-out",
-        default=None,
-        help=(
-            "also write the runtime artifact (the sharded and chunked "
-            "legs) to this path"
-        ),
+        "--out", help="JSON artifact path (default: BENCH_<leg>.json)"
     )
     args = parser.parse_args(argv)
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
+    out = args.out or f"BENCH_{args.leg}.json"
+    bench, report = LEGS[args.leg]
+    # perfbench/run.py owns the environment record of every benchmark.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from perfbench.run import environment, read_steal_ticks
 
     circuit = OpticalStochasticCircuit(
         paper_section5a_parameters(),
         BernsteinPolynomial([0.25, 0.625, 0.375]),
     )
-    xs = np.linspace(0.0, 1.0, args.batch)
-
-    # Warm every cache so the timings compare steady-state throughput.
-    simulate_batch(circuit, xs, length=LENGTH, rng=np.random.default_rng(0))
-
-    # Every repetition reseeds the same rng protocol, so the outputs
-    # used for the bit-exactness check are identical across repetitions.
-    def run_legacy():
-        rng = np.random.default_rng(SEED)
-        return np.stack(
-            [legacy_evaluation(circuit, float(x), LENGTH, rng) for x in xs]
-        )
-
-    def run_engine_loop():
-        rng = np.random.default_rng(SEED)
-        return np.asarray(
-            [
-                simulate_evaluation(
-                    circuit, float(x), length=LENGTH, rng=rng
-                ).value
-                for x in xs
-            ]
-        )
-
-    legacy_s, legacy_bits = best_of(2, run_legacy)
-    engine_loop_s, engine_loop_values = best_of(3, run_engine_loop)
-    batched_s, batch = best_of(
-        5,
-        lambda: simulate_batch(
-            circuit, xs, length=LENGTH, rng=np.random.default_rng(SEED)
-        ),
-    )
-
-    bit_exact = bool(
-        np.array_equal(legacy_bits, batch.output_bits)
-        and np.array_equal(engine_loop_values, batch.values)
-    )
-    speedup_legacy = legacy_s / batched_s
-    speedup_engine = engine_loop_s / batched_s
-
-    sharded = bench_sharded(circuit, workers)
-    chunked = bench_chunked(circuit, args.long_length, args.chunk_length)
-    serving = bench_serving(circuit) if args.serving else None
-    saturation_section = None
-    if args.serving_saturation:
-        saturation_section = bench_serving_saturation(
-            circuit,
-            args.saturation_requests,
-            args.saturation_batch,
-            args.saturation_length,
-        )
-        with open(args.serving_out, "w") as handle:
-            json.dump(saturation_section, handle, indent=2)
-            handle.write("\n")
-    kernel_section = None
-    if args.kernels:
-        kernel_section = bench_kernels(
-            circuit, args.kernel_batch, args.kernel_length
-        )
-        with open(args.kernels_out, "w") as handle:
-            json.dump(kernel_section, handle, indent=2)
-            handle.write("\n")
-    faults_section = None
-    if args.faults:
-        faults_section = bench_faults(
-            circuit, args.fault_batch, args.fault_length
-        )
-        with open(args.faults_out, "w") as handle:
-            json.dump(faults_section, handle, indent=2)
-            handle.write("\n")
-    if args.runtime_out:
-        runtime_artifact = {
-            "benchmark": "bench_runtime",
-            "sharded": sharded,
-            "chunked": chunked,
-            "passed": bool(
-                sharded["bit_exact"] and chunked["statistics_exact"]
-            ),
-        }
-        with open(args.runtime_out, "w") as handle:
-            json.dump(runtime_artifact, handle, indent=2)
-            handle.write("\n")
-        print(f"  runtime artifact written to {args.runtime_out}")
-
-    passed = bool(
-        bit_exact
-        and sharded["bit_exact"]
-        and chunked["statistics_exact"]
-        and (serving is None or serving["bit_exact"])
-        and (saturation_section is None or saturation_section["passed"])
-        and (kernel_section is None or kernel_section["passed"])
-        and (faults_section is None or faults_section["passed"])
-    )
-    result = {
-        "benchmark": "bench_batched",
-        "batch": int(args.batch),
-        "length": LENGTH,
-        "order": ORDER,
-        "legacy_loop_seconds": round(legacy_s, 6),
-        "engine_loop_seconds": round(engine_loop_s, 6),
-        "batched_seconds": round(batched_s, 6),
-        "speedup_vs_legacy_loop": round(speedup_legacy, 2),
-        "speedup_vs_engine_loop": round(speedup_engine, 2),
-        "evaluations_per_second_batched": round(args.batch / batched_s, 1),
-        "bit_exact": bit_exact,
-        "target_speedup": TARGET_SPEEDUP,
-        "meets_target_speedup": speedup_legacy >= TARGET_SPEEDUP,
-        "sharded": sharded,
-        "chunked": chunked,
-        "serving": serving,
-        "serving_artifact": (
-            args.serving_out if args.serving_saturation else None
-        ),
-        "kernels_artifact": args.kernels_out if args.kernels else None,
-        "faults_artifact": args.faults_out if args.faults else None,
-        "runtime_artifact": args.runtime_out,
-        # Correctness is the gate; wall-clock speedups are recorded for
-        # trend tracking but machine-dependent, so they never fail CI.
-        "passed": passed,
-    }
-    with open(args.out, "w") as handle:
-        json.dump(result, handle, indent=2)
+    env = environment()
+    steal_start = read_steal_ticks()
+    artifact = bench(circuit)
+    env["steal_ticks"] = read_steal_ticks() - steal_start
+    artifact["environment"] = env
+    with open(out, "w") as handle:
+        json.dump(artifact, handle, indent=2)
         handle.write("\n")
 
-    print(f"sweep of {args.batch} inputs, order {ORDER}, {LENGTH}-bit streams")
-    print(f"  legacy per-evaluation loop : {legacy_s * 1e3:9.1f} ms")
-    print(f"  engine per-evaluation loop : {engine_loop_s * 1e3:9.1f} ms")
-    print(f"  batched engine (one pass)  : {batched_s * 1e3:9.1f} ms")
-    print(
-        f"  speedup: {speedup_legacy:.1f}x vs legacy, "
-        f"{speedup_engine:.1f}x vs engine loop "
-        f"(target >= {TARGET_SPEEDUP:.0f}x vs legacy)"
-    )
-    print(f"  bit-exact vs legacy path   : {bit_exact}")
-    print(
-        f"sharded runtime: {SHARD_BATCH} rows x {SHARD_LENGTH} bits, "
-        f"{sharded['workers']} workers on {sharded['cpu_cores']} cores"
-    )
-    print(f"  serial engine pass         : {sharded['serial_seconds'] * 1e3:9.1f} ms")
-    print(f"  sharded (process pool)     : {sharded['sharded_seconds'] * 1e3:9.1f} ms")
-    print(
-        f"  speedup: {sharded['sharded_speedup']:.2f}x "
-        f"(target >= {SHARD_TARGET_SPEEDUP:.0f}x on >= "
-        f"{SHARD_TARGET_MIN_CORES} cores), bit-exact: {sharded['bit_exact']}"
-    )
-    print(
-        "  shard result bytes         : "
-        + ", ".join(
-            f"{size} B at L={length}"
-            for length, size in sharded["shard_result_bytes"].items()
-        )
-        + f" ({sharded['shard_rows']} rows)"
-    )
-    print(
-        f"chunked runtime: {CHUNK_BATCH} rows x {chunked['length']} bits in "
-        f"{chunked['chunks']} tiles of {chunked['chunk_length']}"
-    )
-    print(f"  one-shot engine pass       : {chunked['one_shot_seconds'] * 1e3:9.1f} ms")
-    print(f"  chunked streaming          : {chunked['chunked_seconds'] * 1e3:9.1f} ms")
-    print(
-        f"  tile footprint: {chunked['tile_bytes'] / 1e6:.0f} MB vs "
-        f"{chunked['one_shot_bytes'] / 1e6:.0f} MB one-shot; "
-        f"statistics exact: {chunked['statistics_exact']}"
-    )
-    if kernel_section is not None:
-        print(
-            f"compute kernels: {kernel_section['batch']} rows x "
-            f"{kernel_section['length']} bits, noiseless lfsr"
-        )
-        for name, row in kernel_section["kernels"].items():
-            print(
-                f"  {name:<10s}: {row['seconds'] * 1e3:9.1f} ms "
-                f"({row['speedup_vs_numpy']:.2f}x, bit tensors "
-                f"{row['bit_tensor_bytes'] / 1e6:.0f} MB)"
-            )
-        print(
-            f"  packed speedup target >= {KERNEL_TARGET_SPEEDUP:.0f}x, "
-            f"bit-tensor memory ratio "
-            f"{kernel_section['bit_tensor_memory_ratio']:.0f}x (layout), "
-            f"{kernel_section['measured_streaming_peak_ratio']:.1f}x "
-            f"measured streaming peak; "
-            f"parity gate: {kernel_section['parity']['bit_exact']}"
-        )
-        print(f"  kernel artifact written to {args.kernels_out}")
-    if faults_section is not None:
-        print(
-            f"fault injection: {faults_section['batch']} rows x "
-            f"{faults_section['length']} bits, composite scenario"
-        )
-        for name, row in faults_section["kernels"].items():
-            print(
-                f"  {name:<10s}: {row['seconds'] * 1e3:9.1f} ms "
-                f"({row['speedup_vs_numpy']:.2f}x)"
-            )
-        print(
-            f"  packed fault speedup target >= "
-            f"{FAULT_TARGET_SPEEDUP:.0f}x; "
-            f"parity gate: {faults_section['parity']['bit_exact']}"
-        )
-        print(f"  fault artifact written to {args.faults_out}")
-    if serving is not None:
-        print(
-            f"serving facade: {serving['requests']} requests x "
-            f"{serving['length']}-bit streams"
-        )
-        print(
-            f"  per-request serial         : {serving['serial_seconds'] * 1e3:9.1f} ms "
-            f"({serving['serial_engine_calls']} engine calls)"
-        )
-        print(
-            f"  coalesced micro-batching   : {serving['coalesced_seconds'] * 1e3:9.1f} ms "
-            f"({serving['coalesced_engine_calls']} engine calls, largest "
-            f"batch {serving['largest_micro_batch']})"
-        )
-        print(
-            f"  speedup: {serving['coalescing_speedup']:.2f}x "
-            f"(target >= {SERVING_TARGET_SPEEDUP:.0f}x), "
-            f"bit-exact: {serving['bit_exact']}"
-        )
-    if saturation_section is not None:
-        s = saturation_section
-        print(
-            f"serving saturation: {s['requests']} requests x "
-            f"{s['length']}-bit streams, queue cap {s['max_queue']}, "
-            f"deadline {s['deadline_s'] * 1e3:.1f} ms "
-            f"({s['saturation_rate_per_s']:.0f} req/s saturates)"
-        )
-        for name in ("unbounded", "shed", "degrade"):
-            row = s[name]
-            outcomes = row["outcomes"]
-            p99 = row["latency_p99_ms"]
-            print(
-                f"  {name:<9s}: served {outcomes['served']:4d} "
-                f"shed {outcomes['shed']:4d} expired "
-                f"{outcomes['expired']:4d}, "
-                f"p99 {p99 if p99 is not None else '-':>8} ms, "
-                f"queue depth <= {row['peak_queue_depth_bound']}, "
-                f"peak alloc {row['tracemalloc_peak_kb']:.0f} KB"
-            )
-        for rung in s["degrade"]["rungs"]:
-            print(
-                f"    rung {rung['rung']} ({rung['length']:5d} bits): "
-                f"served {rung['served']:4d}, rmse {rung['rmse']:.5f}"
-            )
-        print(
-            f"  degrade served fraction: {s['degrade_served_fraction']:.3f} "
-            f"(target >= {s['served_fraction_target']:.2f}); gates: "
-            + ", ".join(
-                f"{key}={value}" for key, value in s["gates"].items()
-            )
-        )
-        print(f"  serving artifact written to {args.serving_out}")
-    print(f"  artifact written to {args.out}")
-    if not bit_exact:
-        print("FAILED: batched output diverges from the legacy path", file=sys.stderr)
+    report(artifact)
+    print(f"  artifact written to {out}")
+    if not artifact.get("passed", True):
+        failed = [key for key, ok in artifact["gates"].items() if not ok]
+        print("FAILED: serving gates: " + ", ".join(failed), file=sys.stderr)
         return 1
-    if not sharded["bit_exact"]:
-        print(
-            "FAILED: sharded statistics diverge from the serial path",
-            file=sys.stderr,
-        )
-        return 1
-    if not chunked["statistics_exact"]:
-        print(
-            "FAILED: chunked statistics diverge from the one-shot pass",
-            file=sys.stderr,
-        )
-        return 1
-    if serving is not None and not serving["bit_exact"]:
-        print(
-            "FAILED: served values diverge from the direct session call",
-            file=sys.stderr,
-        )
-        return 1
-    if saturation_section is not None and not saturation_section["passed"]:
-        failed_gates = [
-            key
-            for key, value in saturation_section["gates"].items()
-            if not value
-        ]
-        print(
-            "FAILED: serving saturation gates: " + ", ".join(failed_gates),
-            file=sys.stderr,
-        )
-        return 1
-    if kernel_section is not None and not kernel_section["passed"]:
-        print(
-            "FAILED: a compute kernel diverges from the numpy reference",
-            file=sys.stderr,
-        )
-        return 1
-    if faults_section is not None and not faults_section["passed"]:
-        print(
-            "FAILED: a fault-injected kernel diverges from the numpy "
-            "reference",
-            file=sys.stderr,
-        )
-        return 1
-    if not result["meets_target_speedup"]:
-        print(
-            f"note: measured speedup below the {TARGET_SPEEDUP:.0f}x target "
-            "on this machine (recorded in the artifact, not a failure)",
-            file=sys.stderr,
-        )
-    if sharded["meets_target_speedup"] is False:
-        print(
-            f"note: sharded speedup below the {SHARD_TARGET_SPEEDUP:.0f}x "
-            "target on this machine (recorded in the artifact, not a failure)",
-            file=sys.stderr,
-        )
     return 0
 
 

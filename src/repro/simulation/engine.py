@@ -673,16 +673,17 @@ def simulate_batch(
 def _as_index(name: str, value: Any) -> int:
     """*value* as a plain int (numpy integers accepted).
 
-    Floats and other non-integral values raise
+    Floats, bools and other non-integral values raise
     :class:`ConfigurationError` here, before any allocation, instead of
-    an opaque ``TypeError`` deep inside numpy.
+    an opaque ``TypeError`` deep inside numpy (or, for a bool, a
+    silent 0/1).
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(
-            f"{name} must be an integer, got {value!r}"
-        ) from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def _validate_batch_inputs(

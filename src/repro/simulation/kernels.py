@@ -24,8 +24,9 @@ the unchanged ``simulate_batch`` signature:
     otherwise).
 
 The packed kernel is **bit-for-bit identical** to ``"numpy"`` for all four
-SNG kinds, noisy and noiseless (enforced by ``tests/test_kernels.py``
-and the ``bench_batched.py --kernels`` exit gate): the packed pipeline
+SNG kinds, noisy and noiseless (enforced by the parity matrices in
+``tests/test_kernels.py``; ``bench_batched.py kernels`` only times the
+two): the packed pipeline
 re-derives exactly the same comparator decisions, adder levels and
 receiver thresholds, only in a different data layout.  Choosing a
 kernel is therefore a pure wall-clock/memory lever, like the pool

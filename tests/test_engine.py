@@ -398,7 +398,15 @@ class TestBatchEvaluationContainer:
         with pytest.raises(ConfigurationError):
             simulate_batch("circuit", [0.5])
         # Non-integer sizes and seeds fail typed, before any allocation.
-        for bad in ({"length": 100.5}, {"sng_width": 16.5}, {"base_seed": 1.5}):
+        # A bool is an int to operator.index; it must not pass as 1.
+        for bad in (
+            {"length": 100.5},
+            {"sng_width": 16.5},
+            {"base_seed": 1.5},
+            {"length": True},
+            {"sng_width": True},
+            {"base_seed": True},
+        ):
             with pytest.raises(ConfigurationError, match="must be an integer"):
                 simulate_batch(circuit, [0.5], **bad)
         # The LFSR's own width rule fails before the seed derivation

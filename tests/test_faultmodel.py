@@ -57,6 +57,26 @@ COMPOSITE = FaultSpec(
     decay_tau_clocks=100_000,
 )
 
+# One spec per fault family plus a mixed one, each crossed with every
+# kernel, SNG kind and receiver mode by the parity matrix below;
+# ``composite-heavy`` is the heavier mix the rest of this module uses.
+PARITY_SCENARIOS = {
+    "flip": FaultSpec(flip_probability=0.02),
+    "shift": FaultSpec(shift_clocks=7),
+    "stuck": FaultSpec(stuck_channel=0, stuck_value=1),
+    "drift": FaultSpec(drift_ramp_per_mclock=64.0),
+    "decay": FaultSpec(decay_tau_clocks=4096),
+    "composite": FaultSpec(
+        flip_probability=0.01,
+        shift_clocks=3,
+        stuck_channel=1,
+        stuck_value=0,
+        drift_ramp_per_mclock=32.0,
+        decay_tau_clocks=8192,
+    ),
+    "composite-heavy": COMPOSITE,
+}
+
 
 class TestFaultSpec:
     def test_null_spec_is_null(self):
@@ -216,8 +236,11 @@ class TestParityMatrix:
     @pytest.mark.parametrize("kernel", ["packed"])
     @pytest.mark.parametrize("sng_kind", ["lfsr", "counter", "sobol", "chaotic"])
     @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize(
+        "scenario", list(PARITY_SCENARIOS.values()), ids=list(PARITY_SCENARIOS)
+    )
     def test_kernels_bit_identical_under_faults(
-        self, circuit, kernel, sng_kind, noisy
+        self, circuit, kernel, sng_kind, noisy, scenario
     ):
         xs = np.linspace(0.0, 1.0, 4)
         reference = run_batch(
@@ -227,7 +250,7 @@ class TestParityMatrix:
             noisy=noisy,
             sng_kind=sng_kind,
             base_seed=9,
-            fault=COMPOSITE,
+            fault=scenario,
         )
         other = run_batch(
             circuit,
@@ -237,7 +260,7 @@ class TestParityMatrix:
             sng_kind=sng_kind,
             base_seed=9,
             config=RuntimeConfig(kernel=kernel),
-            fault=COMPOSITE,
+            fault=scenario,
         )
         assert np.array_equal(reference.values, other.values)
         assert np.array_equal(reference.output_bits, other.output_bits)

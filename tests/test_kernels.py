@@ -373,7 +373,8 @@ class TestKernelParity:
         assert_batches_equal(reference, other)
 
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
-    @pytest.mark.parametrize("length", [40, 64, 65, 128, 1000])
+    # 70_001 runs the whole pipeline across the LFSR's 2**16 - 1 wrap.
+    @pytest.mark.parametrize("length", [40, 64, 65, 128, 1000, 70_001])
     def test_one_shot_parity_tails(self, circuit, kernel, length):
         xs = np.linspace(0, 1, 5)
         schedule = derive_seed_schedule(xs.size, np.random.default_rng(7))

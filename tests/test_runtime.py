@@ -338,13 +338,17 @@ class TestChunkedEquivalence:
             {"chunk_length": 64.5},
             {"power_histogram_bins": 2.5},
             {"workers": 1.5},
+            {"chunk_length": True},
+            {"power_histogram_bins": True},
+            {"workers": True},
         ):
             with pytest.raises(ConfigurationError, match="must be an integer"):
                 simulate_chunked(
                     circuit, [0.5], **{"length": 128, "chunk_length": 32, **bad}
                 )
-        with pytest.raises(ConfigurationError, match="must be an integer"):
-            run_batch(circuit, [0.5], length=100.5)
+        for bad in ({"length": 100.5}, {"length": True}, {"base_seed": True}):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                run_batch(circuit, [0.5], **bad)
         # Negative workers raise like RuntimeConfig(workers=-1) does.
         with pytest.raises(ConfigurationError, match="workers"):
             simulate_chunked(circuit, [0.5, 0.6], length=128, workers=-1)

@@ -362,6 +362,11 @@ class TestAdmission:
         assert metrics.shed == 1
         assert metrics.admitted == 3
         assert metrics.submitted == 4
+        # The queue never held more than its cap, and shedding the
+        # overflow changed no served answer.
+        assert metrics.queue_depth.max_observed_bound <= 2
+        direct = evaluator.evaluate([0.1, 0.2, 0.3]).values
+        assert np.array_equal(np.asarray(values, dtype=float), direct)
 
     def test_block_policy_backpressures_instead_of_shedding(self, evaluator):
         session, entered, release = gated_evaluator(evaluator)

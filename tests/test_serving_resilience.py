@@ -522,6 +522,7 @@ class TestDegradation:
         )
         assert np.array_equal(np.asarray(values, dtype=float), degraded_direct)
         assert metrics.current_rung == 1
+        assert metrics.queue_depth.max_observed_bound <= 4
         assert metrics.degraded_served == 3
         assert metrics.served == 4
         rungs = {rung.rung: rung for rung in metrics.rungs}

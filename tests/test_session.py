@@ -71,6 +71,9 @@ class TestEvalSpec:
             EvalSpec(sng_width=12.0)
         with pytest.raises(ConfigurationError, match="integer"):
             EvalSpec(base_seed=1.5)
+        for name in ("length", "sng_width", "base_seed"):
+            with pytest.raises(ConfigurationError, match="integer"):
+                EvalSpec(**{name: True})
         # numpy integers normalize to plain ints.
         spec = EvalSpec(length=np.int64(2048), base_seed=np.int32(7))
         assert spec.length == 2048 and isinstance(spec.length, int)
