@@ -14,7 +14,7 @@ from repro.core.params import paper_section5a_parameters
 from repro.core.snr import minimum_probe_power_mw
 from repro.core.transmission import TransmissionModel
 from repro.photonics.ring import RingParameters
-from repro.simulation.functional import simulate_evaluation
+from repro.session import EvalSpec, Evaluator
 from repro.stochastic import BernsteinPolynomial, ComparatorSNG, ReSCUnit
 from repro.stochastic.functions import paper_example_bernstein
 
@@ -58,10 +58,9 @@ def test_optical_functional_simulation(benchmark):
     circuit = OpticalStochasticCircuit(
         paper_section5a_parameters(), BernsteinPolynomial([0.25, 0.625, 0.375])
     )
+    session = Evaluator(circuit, EvalSpec(length=4096))
     rng = np.random.default_rng(1)
-    result = benchmark(
-        lambda: simulate_evaluation(circuit, 0.5, length=4096, rng=rng)
-    )
+    result = benchmark(lambda: session.evaluate([0.5], rng=rng))
     assert result.stream_length == 4096
 
 

@@ -5,7 +5,7 @@ Part 1 times the Monte Carlo yield study two ways on the same
 pre-drawn fabrication corners (default 2000 samples, single worker):
 
 * **scalar corner loop** — one ``TransmissionModel`` rebuild and one
-  ``worst_case_eye`` per corner (the pre-PR hot path);
+  ``worst_case_eye`` per corner (the scalar reference path);
 * **vectorized** — all corners as one stacked
   ``repro.core.vectorized`` pass.
 
@@ -22,7 +22,10 @@ the vectorized sweep must match the scalar energies point for point —
 including equal ``inf`` (closed-eye) and ``nan`` (FSR-overflow) masks.
 Wall-clock speedups are recorded in the ``BENCH_optics.json`` artifact
 against their targets (10x Monte Carlo, 5x sweep) for CI trend
-tracking but, being machine-dependent, never fail the run.
+tracking but, being machine-dependent, never fail the run.  The
+artifact carries the environment block of ``perfbench/run.py`` (cores,
+CPU, Python and numpy versions, git sha) plus the hypervisor steal
+ticks spent during the run, like the ``bench_batched.py`` legs.
 
 Run:  PYTHONPATH=src python benchmarks/bench_optics.py \
           [--out FILE] [--samples N] [--workers N]
@@ -34,6 +37,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -176,9 +180,15 @@ def main() -> int:
         "the headline comparison)",
     )
     args = parser.parse_args()
+    # perfbench/run.py owns the environment record of every benchmark.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from perfbench.run import environment, read_steal_ticks
 
+    env = environment()
+    steal_start = read_steal_ticks()
     monte_carlo = bench_monte_carlo(args.samples, args.workers)
     sweep = bench_fig7_sweep()
+    env["steal_ticks"] = read_steal_ticks() - steal_start
 
     passed = bool(monte_carlo["parity"] and sweep["parity"])
     result = {
@@ -188,6 +198,7 @@ def main() -> int:
         # Parity is the gate; wall-clock speedups are recorded for
         # trend tracking but machine-dependent, so they never fail CI.
         "passed": passed,
+        "environment": env,
     }
     with open(args.out, "w") as handle:
         json.dump(result, handle, indent=2)

@@ -159,15 +159,15 @@ class OpticalStochasticCircuit:
     ):
         """Bit-level functional simulation of one evaluation.
 
-        Delegates to :func:`repro.simulation.functional.simulate_evaluation`;
-        see that module for the step-by-step physical pipeline.  Returns
-        an :class:`~repro.simulation.functional.OpticalEvaluation`.
+        Row 0 of :meth:`evaluate_batch` over ``[x]``, returned as an
+        :class:`~repro.simulation.functional.OpticalEvaluation`; see
+        :mod:`repro.simulation.functional` for the step-by-step physical
+        pipeline.
         """
-        from ..simulation.functional import simulate_evaluation
+        from ..simulation.functional import _evaluation_from_batch
 
-        return simulate_evaluation(
-            self, x=x, length=length, rng=rng, noisy=noisy
-        )
+        batch = self.evaluate_batch([x], length=length, rng=rng, noisy=noisy)
+        return _evaluation_from_batch(batch, 0)
 
     def evaluate_batch(
         self,
@@ -181,13 +181,13 @@ class OpticalStochasticCircuit:
     ):
         """Vectorized bit-level simulation of many evaluations at once.
 
-        Delegates to :func:`repro.simulation.engine.simulate_batch`;
+        A serial single-tile :func:`repro.simulation.runtime.run_batch`;
         returns a :class:`~repro.simulation.engine.BatchEvaluation` with
         one row per input.
         """
-        from ..simulation.engine import simulate_batch
+        from ..simulation.runtime import RuntimeConfig, run_batch
 
-        return simulate_batch(
+        return run_batch(
             self,
             xs,
             length=length,
@@ -196,6 +196,7 @@ class OpticalStochasticCircuit:
             sng_kind=sng_kind,
             base_seed=base_seed,
             sng_width=sng_width,
+            config=RuntimeConfig(workers=0),
         )
 
     def describe(self) -> str:

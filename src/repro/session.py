@@ -67,6 +67,8 @@ __all__ = [
 DEFAULT_STREAM_CHUNK: int = 1 << 16
 """Tile size :meth:`Evaluator.stream` falls back to when none is bound."""
 
+_GRACE_NOTE = "removal due after the policy's two-PR grace window"
+
 DEPRECATED_WRAPPERS: Dict[str, Dict[str, Any]] = {
     "repro.stochastic.image.apply_circuit_kernel": {
         "replacement": "Evaluator(circuit, spec, runtime).apply_kernel(image)",
@@ -87,17 +89,40 @@ DEPRECATED_WRAPPERS: Dict[str, Dict[str, Any]] = {
         ),
         "removed": True,
     },
+    "repro.simulation.functional.simulate_evaluation": {
+        "replacement": (
+            "Evaluator(circuit, EvalSpec(...)).evaluate([x], rng=rng), row 0"
+        ),
+        "removal_note": _GRACE_NOTE,
+        "removed": False,
+    },
+    "repro.simulation.functional.simulate_sweep": {
+        "replacement": (
+            "Evaluator(circuit, EvalSpec(...)).evaluate(xs, rng=rng).values"
+        ),
+        "removal_note": _GRACE_NOTE,
+        "removed": False,
+    },
+    "repro.simulation.runtime.simulate_batch_sharded": {
+        "replacement": (
+            "Evaluator(circuit, spec, RuntimeConfig(workers=N, "
+            "backend=...)).evaluate(xs)"
+        ),
+        "removal_note": _GRACE_NOTE,
+        "removed": False,
+    },
 }
 """Legacy free functions folded into the session API.
 
 Each maps a dotted legacy entry point to its session-method
 ``replacement`` plus a ``removal_note`` recording the deprecation and
 removal history (the policy: wrappers survive at least two PRs past
-deprecation before removal; both were deprecated in PR 3 and removed
-in PR 6).  Entries with ``removed: True`` no longer resolve — the
-registry stays as the migration record, and
-``tests/test_public_api.py`` enforces that removed names are really
-gone while their replacements exist.
+deprecation before removal).  Entries with ``removed: False`` still
+resolve, as shims that warn ``DeprecationWarning`` with the entry's
+text and return the same bits as their replacement.  Entries with
+``removed: True`` no longer resolve — the registry stays as the
+migration record, and ``tests/test_public_api.py`` enforces that
+removed names are really gone while their replacements exist.
 """
 
 
@@ -414,9 +439,8 @@ class Evaluator:
             if chunk_length is not None
             else (self.runtime.chunk_length or DEFAULT_STREAM_CHUNK)
         )
-        config = dataclasses.replace(
-            self.runtime, chunk_length=int(resolved)
-        )
+        # No int() here: RuntimeConfig rejects a float or bool tile size.
+        config = dataclasses.replace(self.runtime, chunk_length=resolved)
         # Delegate so the spec-to-run_batch mapping lives in evaluate()
         # alone — a new spec field can never diverge between the
         # batched and streamed paths.

@@ -21,12 +21,12 @@ vector of inputs in one such pass:
 Steps 1-2 and the noise draw are the front end the runtime's tile loop
 (:func:`repro.simulation.runtime.simulate_chunked`) shares window by
 window, so a one-shot call and a single-tile ``run_batch`` under the
-same ``rng`` return the same bits.  The scalar entry points
-(:func:`repro.simulation.functional.simulate_evaluation` and
-``simulate_sweep``) are thin wrappers over this engine: the schedule
-consumes ``rng`` row by row, so looping ``simulate_evaluation`` over
-``xs`` with one ``rng`` gives exactly the rows of one
-``simulate_batch(circuit, xs, rng=rng)`` call.
+same ``rng`` return the same bits.  :func:`repro.simulation.runtime.run_batch`
+is this function's one caller in the package: every evaluation —
+``Evaluator.evaluate``, ``circuit.evaluate`` / ``evaluate_batch`` — enters
+there.  The schedule consumes ``rng`` row by row, so looping
+single-input evaluations over ``xs`` with one ``rng`` gives exactly
+the rows of one ``simulate_batch(circuit, xs, rng=rng)`` call.
 """
 
 from __future__ import annotations
@@ -702,7 +702,10 @@ def _validate_batch_inputs(
         raise ConfigurationError(
             "circuit must be an OpticalStochasticCircuit"
         )
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    try:
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"x must be a number in [0, 1], got {xs!r}")
     if xs.ndim != 1 or xs.size == 0:
         raise ConfigurationError("xs must be a non-empty 1-D array")
     if not np.all((xs >= 0.0) & (xs <= 1.0)):  # also rejects NaN

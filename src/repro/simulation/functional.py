@@ -13,19 +13,15 @@ Runs the complete Fig. 3 pipeline for one evaluation:
 4. the receiver slices the power against the link-budget midpoint
    threshold (optionally with Gaussian receiver noise) and counts ones.
 
-Both entry points are thin wrappers over the batched engine
-(:func:`repro.simulation.engine.simulate_batch`):
-:func:`simulate_evaluation` is a batch of one, and
-:func:`simulate_sweep` is one vectorized pass over all inputs —
-bit-for-bit identical to looping :func:`simulate_evaluation` under a
-shared ``rng``.
-
-Each evaluation row runs under the engine's seed schedule: its SNG
-seeds and its receiver-noise seed are drawn from the caller's ``rng``,
-so distinct evaluations (and distinct sweep points) get decorrelated
-randomizer streams, and the results equal those of
-:func:`repro.simulation.runtime.run_batch` under the same ``rng``.
-Pass ``base_seed`` to pin the whole schedule instead.
+:meth:`repro.core.circuit.OpticalStochasticCircuit.evaluate` runs it as
+row 0 of a serial single-tile :func:`repro.simulation.runtime.run_batch`
+over ``[x]`` (the call :class:`repro.session.Evaluator` makes) and
+returns an :class:`OpticalEvaluation` view of that row.  The free
+functions :func:`simulate_evaluation` and :func:`simulate_sweep` are
+deprecated shims over the same call (``session.DEPRECATED_WRAPPERS``).
+The seed schedule consumes ``rng`` row by row, so looping single
+evaluations over ``xs`` with one ``rng`` gives exactly the rows of one
+batched call; ``base_seed`` pins the whole schedule instead.
 """
 
 from __future__ import annotations
@@ -35,9 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..stochastic.bitstream import Bitstream
-from .engine import BatchEvaluation, simulate_batch
+from .engine import BatchEvaluation
+from .runtime import RuntimeConfig, _warn_deprecated, run_batch
 
 __all__ = ["OpticalEvaluation", "simulate_evaluation", "simulate_sweep"]
 
@@ -95,49 +91,28 @@ def simulate_evaluation(
     base_seed: Optional[int] = None,
     sng_width: int = 16,
 ) -> OpticalEvaluation:
-    """Run the optical circuit for *length* bit slots on input *x*.
+    """Deprecated: row 0 of ``Evaluator(circuit, EvalSpec(...)).evaluate([x])``.
 
-    Parameters
-    ----------
-    circuit:
-        An :class:`repro.core.circuit.OpticalStochasticCircuit`.
-    x:
-        Input value in ``[0, 1]``.
-    length:
-        Stream length (clock count).
-    rng:
-        Generator the row's SNG seeds and receiver-noise seed are drawn
-        from (a default seeded generator is used when omitted).
-    noisy:
-        When False the receiver slices noiselessly — isolating the
-        stochastic-computing error from the transmission error.
-    sng_kind:
-        Randomizer family: ``"lfsr"`` (default), ``"counter"``,
-        ``"sobol"`` or ``"chaotic"``.
-    base_seed:
-        Pin the seed schedule instead of deriving it from *rng*: repeat
-        calls then reuse identical randomizer streams and receiver
-        noise.
-    sng_width:
-        LFSR register width / comparator resolution in bits.
+    Runs the optical circuit for *length* bit slots on input *x* and
+    returns the same :class:`OpticalEvaluation` bits as before
+    (:meth:`repro.core.circuit.OpticalStochasticCircuit.evaluate` is the
+    non-deprecated form).
     """
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"x must be a number in [0, 1], got {x!r}")
-    if not 0.0 <= x <= 1.0:
-        raise ConfigurationError(f"x must be in [0, 1], got {x!r}")
-    batch = simulate_batch(
-        circuit,
-        [x],
-        length=length,
-        rng=rng,
-        noisy=noisy,
-        sng_kind=sng_kind,
-        base_seed=base_seed,
-        sng_width=sng_width,
+    _warn_deprecated("repro.simulation.functional.simulate_evaluation")
+    return _evaluation_from_batch(
+        run_batch(
+            circuit,
+            [x],
+            length=length,
+            rng=rng,
+            noisy=noisy,
+            sng_kind=sng_kind,
+            base_seed=base_seed,
+            sng_width=sng_width,
+            config=RuntimeConfig(workers=0),
+        ),
+        0,
     )
-    return _evaluation_from_batch(batch, 0)
 
 
 def simulate_sweep(
@@ -150,14 +125,12 @@ def simulate_sweep(
     base_seed: Optional[int] = None,
     sng_width: int = 16,
 ) -> np.ndarray:
-    """De-randomized outputs across the inputs *xs* (one batched pass).
+    """Deprecated: ``Evaluator(circuit, EvalSpec(...)).evaluate(xs).values``.
 
-    Bit-exact with evaluating each input through
-    :func:`simulate_evaluation` under the same ``rng``, but an order of
-    magnitude faster; use :func:`repro.simulation.engine.simulate_batch`
-    directly for the full per-row observables.
+    De-randomized outputs across the inputs *xs*, one batched pass.
     """
-    return simulate_batch(
+    _warn_deprecated("repro.simulation.functional.simulate_sweep")
+    return run_batch(
         circuit,
         xs,
         length=length,
@@ -166,4 +139,5 @@ def simulate_sweep(
         sng_kind=sng_kind,
         base_seed=base_seed,
         sng_width=sng_width,
+        config=RuntimeConfig(workers=0),
     ).values

@@ -391,8 +391,8 @@ def _pattern_index(
     return pattern.astype(np.int64)
 
 
-def _numpy_optical_pass(
-    context: CircuitPassContext,
+def optical_pass(
+    circuit: Any,
     data_bits: "np.ndarray[Any, Any]",
     coeff_bits: "np.ndarray[Any, Any]",
     noise_a: Optional["np.ndarray[Any, Any]"],
@@ -402,7 +402,15 @@ def _numpy_optical_pass(
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
 ]:
-    """The reference per-clock optics + receiver pass on byte tensors."""
+    """Steps 3-4 of the pipeline for one ``(B, C, L)`` bit-tensor tile.
+
+    The numpy reference kernel's per-clock optics + receiver pass on
+    byte tensors.  Returns ``(powers, output_bits, ideal_bits,
+    levels)``; shared by the one-shot batch evaluation and the chunked
+    streaming runtime so the two stay bit-for-bit identical per tile.
+    :func:`packed_optical_pass` is its packed-word counterpart.
+    """
+    context = pass_context(circuit)
     levels = data_bits.sum(axis=1, dtype=np.int64)
     pattern_index = _pattern_index(coeff_bits)
     powers = context.table[pattern_index, levels]
@@ -437,45 +445,28 @@ def _bit_plane_sum(
     return planes
 
 
-def _assemble_keys(
-    planes: List["np.ndarray[Any, Any]"], length: int, dtype: Any
-) -> "np.ndarray[Any, Any]":
-    """Per-clock lookup keys from bit planes: ``(B, length)`` of *dtype*.
-
-    Plane ``i`` contributes bit ``i`` of the key.  This is the packed
-    kernels' only per-clock byte materialization.
-    """
-    keys = np.zeros((planes[0].shape[0], int(length)), dtype=dtype)
-    for index, plane in enumerate(planes):
-        bits = unpack_bits(plane, length)
-        keys |= bits.astype(dtype) << dtype(index)
-    return keys
-
-
-def _key_planes(
-    context: CircuitPassContext,
-    data_words: "np.ndarray[Any, Any]",
-    coeff_words: "np.ndarray[Any, Any]",
-) -> List["np.ndarray[Any, Any]"]:
-    """Bit planes of the flat lookup key: coefficient bits then level."""
-    planes = [
-        coeff_words[:, channel, :]
-        for channel in range(context.channel_count)
-    ]
-    level_planes = _bit_plane_sum(data_words)
-    planes.extend(level_planes[: context.level_bits])
-    return planes
-
-
 def _packed_keys(
     context: CircuitPassContext,
     data_words: "np.ndarray[Any, Any]",
     coeff_words: "np.ndarray[Any, Any]",
     length: int,
 ) -> "np.ndarray[Any, Any]":
-    flat = context._flat_tables()
-    planes = _key_planes(context, data_words, coeff_words)
-    return _assemble_keys(planes, length, flat["key_dtype"])
+    """Per-clock flat lookup keys: ``(B, length)`` of the key dtype.
+
+    Key bit ``c`` is coefficient channel ``c``'s bit and the bits above
+    are the bit-sliced adder level (``key = (level << channels) |
+    pattern``).  This is the packed kernels' only per-clock byte
+    materialization.
+    """
+    dtype = context._flat_tables()["key_dtype"]
+    planes = [
+        coeff_words[:, channel, :] for channel in range(context.channel_count)
+    ]
+    planes.extend(_bit_plane_sum(data_words)[: context.level_bits])
+    keys = np.zeros((coeff_words.shape[0], int(length)), dtype=dtype)
+    for index, plane in enumerate(planes):
+        keys |= unpack_bits(plane, length).astype(dtype) << dtype(index)
+    return keys
 
 
 def packed_optical_pass(
@@ -503,28 +494,28 @@ def packed_optical_pass(
     keys = _packed_keys(context, data_words, coeff_words, length)
     powers = flat["powers"].take(keys)
     levels = (keys >> np.uint8(context.channel_count)).astype(np.int64)
-    if noise_a is None:
-        output_bits = flat["decisions"].take(keys)
-    else:
-        output_bits = _noisy_decisions(context, flat, keys, noise_a)
+    output_bits = _decisions(context, flat, keys, noise_a)
     ideal_bits = flat["ideal"].take(keys)
     return powers, output_bits, ideal_bits, levels
 
 
-def _noisy_decisions(
+def _decisions(
     context: CircuitPassContext,
     flat: Dict[str, Any],
     keys: "np.ndarray[Any, Any]",
-    noise_a: "np.ndarray[Any, Any]",
+    noise_a: Optional["np.ndarray[Any, Any]"],
 ) -> "np.ndarray[Any, Any]":
-    """Receiver decisions under pre-drawn noise, from per-clock keys.
+    """Receiver decisions from per-clock keys, under pre-drawn noise if any.
 
-    The single definition of the packed noisy decision rule — shared by
-    the full-output pass and the chunked statistics accumulator so the
-    two can never diverge.  Bit-for-bit the numpy kernel's
-    ``decide_batch``: identical currents (flat-gathered photocurrents
-    plus the same noise draw), identical strict ``>`` threshold.
+    The single definition of the packed decision rule — shared by the
+    full-output pass and the chunked statistics accumulator so the two
+    can never diverge.  Noiseless, a flat-table gather; noisy,
+    bit-for-bit the numpy kernel's ``decide_batch``: identical currents
+    (flat-gathered photocurrents plus the same noise draw), identical
+    strict ``>`` threshold.
     """
+    if noise_a is None:
+        return flat["decisions"].take(keys)
     noise = np.asarray(noise_a, dtype=float)
     if noise.shape != keys.shape:
         raise ConfigurationError(
@@ -533,50 +524,6 @@ def _noisy_decisions(
         )
     currents = flat["currents"].take(keys) + noise
     return (currents > context.receiver.threshold_a).astype(np.uint8)
-
-
-def _key_counts(
-    keys: "np.ndarray[Any, Any]", size: int
-) -> "np.ndarray[Any, Any]":
-    """Per-row key occurrence counts: ``(B, size)`` int64, one bincount."""
-    batch = keys.shape[0]
-    offsets = np.arange(batch, dtype=np.int64)[:, None] * size
-    return np.bincount(
-        (keys.astype(np.int64) + offsets).reshape(-1),
-        minlength=batch * size,
-    ).reshape(batch, size)
-
-
-def optical_pass(
-    circuit: Any,
-    data_bits: "np.ndarray[Any, Any]",
-    coeff_bits: "np.ndarray[Any, Any]",
-    noise_a: Optional["np.ndarray[Any, Any]"],
-    kernel: str = "numpy",
-) -> Tuple[
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-]:
-    """Steps 3-4 of the pipeline for one ``(B, C, L)`` bit-tensor tile.
-
-    Returns ``(powers, output_bits, ideal_bits, levels)``; shared by the
-    one-shot batch evaluation and the chunked streaming runtime so the
-    two stay bit-for-bit identical per tile — whatever the *kernel*.
-    """
-    kernel = resolve_kernel(kernel)
-    context = pass_context(circuit)
-    if kernel == "numpy":
-        return _numpy_optical_pass(context, data_bits, coeff_bits, noise_a)
-    length = data_bits.shape[-1]
-    return packed_optical_pass(
-        circuit,
-        pack_bits(data_bits),
-        pack_bits(coeff_bits),
-        noise_a,
-        length,
-    )
 
 
 # -- packed comparator-word generation -----------------------------------------
@@ -880,22 +827,6 @@ def _mux_words(
     return out
 
 
-def _histogram_from_key_counts(
-    flat_powers: "np.ndarray[Any, Any]",
-    key_counts: "np.ndarray[Any, Any]",
-    edges: "np.ndarray[Any, Any]",
-) -> "np.ndarray[Any, Any]":
-    """Received-power histogram from per-key totals, exactly.
-
-    ``np.histogram`` bins each power value identically wherever it
-    appears, so the histogram of all per-clock powers equals the
-    histogram of the distinct flat-table values weighted by their
-    occurrence counts — integer weights, exact sums.
-    """
-    counts, _ = np.histogram(flat_powers, bins=edges, weights=key_counts)
-    return counts.astype(np.int64)
-
-
 def packed_tile_statistics(
     circuit: Any,
     data_words: "np.ndarray[Any, Any]",
@@ -915,99 +846,56 @@ def packed_tile_statistics(
     The chunked streaming runtime's packed hot path: per-row ones and
     link bit-error counts (and the optional received-power histogram)
     straight from packed words, bit-exact with running the numpy pass on
-    the unpacked tile and summing.
+    the unpacked tile and summing.  One sequence serves every tile:
 
-    * Noiseless, with the (verified) separated-band property that the
-      threshold decision equals the multiplexer bit: the output stream
-      is a word-level mux of the coefficient words by the bit-sliced
-      level — ones come from :func:`popcount`, errors are exactly zero,
-      and no per-clock byte array exists at all (keys are only
-      assembled when the histogram is requested).
-    * Otherwise (receiver noise, or an exotic detector whose decisions
-      diverge from the mux): per-clock keys are assembled and the same
-      flat tables as :func:`packed_optical_pass` resolve the decisions.
-
-    With *fault_channel* (a
-    :class:`~repro.simulation.faultmodel.PackedFaultChannel`) the
-    observed output words are transformed in place of the clean stream
-    before counting — *clock_offset* is the tile's absolute stream
-    clock, so trajectory faults and the desynchronization carry resume
-    exactly across tiles.  Errors then count observed-vs-ideal bits
-    word-level (popcounts of the XOR), still with no per-clock float
-    tensor; the power histogram keeps binning the *optical* powers,
-    which receiver-side channel faults do not touch.
+    1. Output and ideal words.  Noiseless, with the (verified)
+       separated-band property that the threshold decision equals the
+       multiplexer bit, both are one word-level mux of the coefficient
+       words by the bit-sliced level — no per-clock byte array at all.
+       Otherwise (receiver noise, or an exotic detector whose decisions
+       diverge from the mux) per-clock keys are assembled, the same flat
+       tables as :func:`packed_optical_pass` resolve the decisions, and
+       both streams are packed.
+    2. The observed words: with *fault_channel* (a
+       :class:`~repro.simulation.faultmodel.PackedFaultChannel`) the
+       output words pass through it — *clock_offset* is the tile's
+       absolute stream clock, so trajectory faults and the
+       desynchronization carry resume exactly across tiles.
+    3. ``ones`` and ``errors`` are popcounts of the observed words and
+       of their XOR with the ideal words.
+    4. The power histogram bins the per-key totals of the *optical*
+       powers, which receiver-side channel faults do not touch:
+       ``np.histogram`` bins each power value identically wherever it
+       appears, so weighting the distinct flat-table values by their
+       integer occurrence counts is exact.
     """
     context = pass_context(circuit)
     flat = context._flat_tables()
-    ones: "np.ndarray[Any, Any]"
-    errors: "np.ndarray[Any, Any]"
-    histogram: Optional["np.ndarray[Any, Any]"] = None
-    if fault_channel is not None:
-        keys: Optional["np.ndarray[Any, Any]"] = None
-        if noise_a is None and flat["decision_is_ideal"]:
-            level_planes = _bit_plane_sum(data_words)[: context.level_bits]
-            out_words = _mux_words(coeff_words, level_planes, context.order)
-            ideal_words = out_words
-        else:
-            keys = _packed_keys(context, data_words, coeff_words, length)
-            if noise_a is None:
-                decision_bytes = flat["decisions"].take(keys)
-            else:
-                decision_bytes = _noisy_decisions(context, flat, keys, noise_a)
-            out_words = pack_bits(decision_bytes)
-            ideal_words = pack_bits(flat["ideal"].take(keys))
-        observed = fault_channel.apply_words(out_words, clock_offset, length)
-        ones = popcount(observed).sum(axis=-1)
-        errors = popcount(observed ^ ideal_words).sum(axis=-1)
-        if histogram_edges is not None:
-            if keys is None:
-                keys = _packed_keys(context, data_words, coeff_words, length)
-            key_counts = np.bincount(
-                keys.reshape(-1).astype(np.int64),
-                minlength=flat["powers"].size,
-            )
-            histogram = _histogram_from_key_counts(
-                flat["powers"], key_counts, histogram_edges
-            )
-        return ones, errors, histogram
+    keys: Optional["np.ndarray[Any, Any]"] = None
     if noise_a is None and flat["decision_is_ideal"]:
         level_planes = _bit_plane_sum(data_words)[: context.level_bits]
         out_words = _mux_words(coeff_words, level_planes, context.order)
-        ones = popcount(out_words).sum(axis=-1)
-        errors = np.zeros(ones.shape, dtype=np.int64)
-        if histogram_edges is not None:
-            keys = _packed_keys(context, data_words, coeff_words, length)
-            key_counts = np.bincount(
-                keys.reshape(-1).astype(np.int64),
-                minlength=flat["powers"].size,
-            )
-            histogram = _histogram_from_key_counts(
-                flat["powers"], key_counts, histogram_edges
-            )
-        return ones, errors, histogram
-
-    keys = _packed_keys(context, data_words, coeff_words, length)
-    if noise_a is None:
-        decisions = flat["decisions"].astype(np.int64)
-        ideal = flat["ideal"].astype(np.int64)
-        key_counts = _key_counts(keys, flat["powers"].size)
-        ones = key_counts @ decisions
-        errors = key_counts @ np.not_equal(decisions, ideal).astype(np.int64)
-        if histogram_edges is not None:
-            histogram = _histogram_from_key_counts(
-                flat["powers"], key_counts.sum(axis=0), histogram_edges
-            )
-        return ones, errors, histogram
-
-    output_bits = _noisy_decisions(context, flat, keys, noise_a)
-    ideal_bits = flat["ideal"].take(keys)
-    ones = output_bits.sum(axis=1, dtype=np.int64)
-    errors = np.sum(output_bits != ideal_bits, axis=1, dtype=np.int64)
+        ideal_words = out_words
+    else:
+        keys = _packed_keys(context, data_words, coeff_words, length)
+        out_words = pack_bits(_decisions(context, flat, keys, noise_a))
+        ideal_words = pack_bits(flat["ideal"].take(keys))
+    observed = (
+        out_words
+        if fault_channel is None
+        else fault_channel.apply_words(out_words, clock_offset, length)
+    )
+    ones = popcount(observed).sum(axis=-1)
+    errors = popcount(observed ^ ideal_words).sum(axis=-1)
+    histogram: Optional["np.ndarray[Any, Any]"] = None
     if histogram_edges is not None:
+        if keys is None:
+            keys = _packed_keys(context, data_words, coeff_words, length)
         key_counts = np.bincount(
             keys.reshape(-1).astype(np.int64), minlength=flat["powers"].size
         )
-        histogram = _histogram_from_key_counts(
-            flat["powers"], key_counts, histogram_edges
+        counts, _ = np.histogram(
+            flat["powers"], bins=histogram_edges, weights=key_counts
         )
+        histogram = counts.astype(np.int64)
     return ones, errors, histogram

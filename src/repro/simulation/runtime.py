@@ -47,6 +47,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -404,8 +405,8 @@ def simulate_chunked(
     kilobytes whatever the stream length.
 
     With the packed *kernel* each tile is evaluated on 64-clock uint64
-    words: the ones/bit-error accumulators come from popcounts and
-    per-key counts instead of per-clock byte tensors
+    words: the ones/bit-error accumulators are popcounts of packed
+    output words instead of sums over per-clock byte tensors
     (:func:`repro.simulation.kernels.packed_tile_statistics`), and on
     the noiseless LFSR path no per-clock array is materialized at all.
     The accumulated statistics stay bit-exact with the numpy kernel's.
@@ -492,6 +493,7 @@ def simulate_chunked(
         form, data_streams, coeff_streams = source.take(start, count)
         data_streams = _pin_stuck(form, data_streams, fault, count)
         noise_a = noise.draw(count) if noise is not None else None
+        histogram_inc: Optional["np.ndarray[Any, Any]"] = None
         if form == "words":
             ones_inc, error_inc, histogram_inc = packed_tile_statistics(
                 circuit,
@@ -503,24 +505,21 @@ def simulate_chunked(
                 fault_channel=fault_channel,
                 clock_offset=start,
             )
-            ones_count += ones_inc
-            error_count += error_inc
-            if histogram is not None:
-                assert histogram_inc is not None
-                histogram += histogram_inc
         else:
             powers, output_bits, ideal_bits, _ = optical_pass(
                 circuit, data_streams, coeff_streams, noise_a
             )
             if fault_channel is not None:
                 output_bits = fault_channel.apply_bits(output_bits, start)
-            ones_count += output_bits.sum(axis=1, dtype=np.int64)
-            error_count += np.sum(
-                output_bits != ideal_bits, axis=1, dtype=np.int64
-            )
-            if histogram is not None:
-                assert edges is not None
-                histogram += np.histogram(powers, bins=edges)[0]
+            ones_inc = output_bits.sum(axis=1, dtype=np.int64)
+            error_inc = np.sum(output_bits != ideal_bits, axis=1, dtype=np.int64)
+            if edges is not None:
+                histogram_inc = np.histogram(powers, bins=edges)[0]
+        ones_count += ones_inc
+        error_count += error_inc
+        if histogram is not None:
+            assert histogram_inc is not None
+            histogram += histogram_inc
         chunk_count += 1
 
     expected = np.asarray(circuit.polynomial(xs), dtype=float)
@@ -534,6 +533,23 @@ def simulate_chunked(
         transmission_bit_errors=error_count,
         power_histogram=histogram,
         power_bin_edges=edges,
+    )
+
+
+def _warn_deprecated(name: str) -> None:
+    """The deprecation call of every shim in ``session.DEPRECATED_WRAPPERS``.
+
+    The registry is imported at call time (``session`` imports this
+    module); ``stacklevel=3`` points the warning at the shim's caller.
+    """
+    from ..session import DEPRECATED_WRAPPERS
+
+    entry = DEPRECATED_WRAPPERS[name]
+    warnings.warn(
+        f"{name} is deprecated ({entry['removal_note']}); use "
+        f"{entry['replacement']}",
+        DeprecationWarning,
+        stacklevel=3,
     )
 
 
@@ -552,24 +568,14 @@ def simulate_batch_sharded(
     kernel: str = "numpy",
     fault: Optional[FaultSpec] = None,
 ) -> ChunkedEvaluation:
-    """Row-sharded one-shot evaluation: the single-tile :func:`simulate_chunked`.
+    """Deprecated: the single-tile :func:`simulate_chunked`.
 
-    Pre-derives the per-row seed schedule from *rng* (or takes an
-    explicit *schedule*), splits the rows into up to *workers* contiguous
-    shards, streams each as one tile on a worker pool, and reassembles
-    the ``O(rows)`` statistics.  Because every row is fully determined
-    by its seed triple, the ones counts, bit-error counts and values are
-    bit-for-bit the reductions of ``simulate_batch(...,
-    schedule=schedule)`` run serially — sharding is a pure wall-clock
-    optimization.
-
-    ``workers`` defaults to ``REPRO_RUNTIME_WORKERS`` (0 = serial).  The
-    ``thread`` backend suits workloads dominated by GIL-releasing numpy
-    kernels; ``process`` (default) is immune to the GIL entirely.
-    *kernel* selects the compute kernel every shard evaluates with
-    (:data:`repro.simulation.kernels.KERNELS`).  Like the pool knobs it
-    never changes an output bit.
+    Use ``Evaluator(circuit, spec, RuntimeConfig(workers=N,
+    backend=...)).evaluate(xs)`` (see ``DEPRECATED_WRAPPERS`` in
+    :mod:`repro.session`).  Returns the same
+    :class:`ChunkedEvaluation` bits as before.
     """
+    _warn_deprecated("repro.simulation.runtime.simulate_batch_sharded")
     return simulate_chunked(
         circuit,
         xs,
@@ -617,11 +623,12 @@ class EvaluationCache:
     """
 
     def __init__(self, max_entries: int = 16) -> None:
+        max_entries = _as_index("max_entries", max_entries)
         if max_entries < 1:
             raise ConfigurationError(
                 f"max_entries must be >= 1, got {max_entries!r}"
             )
-        self.max_entries = int(max_entries)
+        self.max_entries = max_entries
         self._entries: "OrderedDict[Tuple[Any, ...], Evaluation]" = (
             OrderedDict()
         )
@@ -766,11 +773,15 @@ class RuntimeConfig:
             raise ConfigurationError(
                 f"vectorized must be a bool, got {self.vectorized!r}"
             )
+        for name in ("workers", "chunk_length"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _as_index(name, value))
         if self.chunk_length is not None and self.chunk_length <= 0:
             raise ConfigurationError(
                 f"chunk_length must be positive, got {self.chunk_length!r}"
             )
-        if self.workers is not None and int(self.workers) < 0:
+        if self.workers is not None and self.workers < 0:
             raise ConfigurationError(
                 f"workers must be >= 0, got {self.workers!r}"
             )
@@ -789,9 +800,7 @@ class RuntimeConfig:
     @property
     def resolved_workers(self) -> int:
         """The effective worker count (environment default applied)."""
-        return (
-            default_worker_count() if self.workers is None else int(self.workers)
-        )
+        return default_worker_count() if self.workers is None else self.workers
 
 
 def run_batch(

@@ -18,13 +18,13 @@ from repro.core.design import mrr_first_design
 from repro.core.link_budget import received_power_table
 from repro.core.params import paper_section5a_parameters
 from repro.errors import ConfigurationError
+from repro.session import EvalSpec, Evaluator
 from repro.simulation.engine import (
     BatchEvaluation,
     derive_seed_schedule,
     simulate_batch,
 )
 from repro.simulation.faultmodel import FaultSpec
-from repro.simulation.functional import simulate_evaluation, simulate_sweep
 from repro.simulation.kernels import KERNELS, pass_context
 from repro.simulation.receiver import OpticalReceiver
 from repro.simulation.runtime import RuntimeConfig, run_batch
@@ -68,40 +68,28 @@ class TestBatchScalarEquivalence:
     def test_batch_matches_scalar_loop(self, kind, order):
         circuit = _circuit(order)
         xs = np.linspace(0.0, 1.0, 7)
+        session = Evaluator(circuit, EvalSpec(length=256, sng_kind=kind))
         rng_loop = np.random.default_rng(1234)
-        loop = [
-            simulate_evaluation(
-                circuit, float(x), length=256, rng=rng_loop, sng_kind=kind
-            )
-            for x in xs
-        ]
+        loop = [session.evaluate([x], rng=rng_loop) for x in xs]
         rng_batch = np.random.default_rng(1234)
         batch = simulate_batch(
             circuit, xs, length=256, rng=rng_batch, sng_kind=kind
         )
-        assert np.array_equal(
-            np.asarray([e.value for e in loop]), batch.values
-        )
-        assert np.array_equal(
-            np.stack([e.output_bits.bits for e in loop]), batch.output_bits
-        )
-        assert np.array_equal(
-            np.stack([e.ideal_bits.bits for e in loop]), batch.ideal_bits
-        )
-        assert np.array_equal(
-            np.stack([e.select_levels for e in loop]), batch.select_levels
-        )
+        for field in ("values", "output_bits", "ideal_bits", "select_levels"):
+            assert np.array_equal(
+                np.concatenate([getattr(e, field) for e in loop]),
+                getattr(batch, field),
+            )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_noiseless_batch_matches_scalar_loop(self, kind):
         circuit = _circuit(2)
         xs = [0.0, 0.3, 1.0]
-        loop = [
-            simulate_evaluation(
-                circuit, x, length=128, noisy=False, sng_kind=kind, base_seed=9
-            ).value
-            for x in xs
-        ]
+        session = Evaluator(
+            circuit,
+            EvalSpec(length=128, noisy=False, sng_kind=kind, base_seed=9),
+        )
+        loop = [session.evaluate_one(x) for x in xs]
         batch = simulate_batch(
             circuit, xs, length=128, noisy=False, sng_kind=kind, base_seed=9
         )
@@ -110,7 +98,9 @@ class TestBatchScalarEquivalence:
     def test_sweep_is_thin_wrapper(self):
         circuit = _circuit(2)
         xs = [0.1, 0.5, 0.9]
-        a = simulate_sweep(circuit, xs, length=256, rng=np.random.default_rng(5))
+        a = Evaluator(circuit, EvalSpec(length=256)).sweep(
+            xs, rng=np.random.default_rng(5)
+        ).values
         b = simulate_batch(
             circuit, xs, length=256, rng=np.random.default_rng(5)
         ).values
@@ -424,7 +414,7 @@ class TestBatchEvaluationContainer:
         with pytest.raises(ConfigurationError):
             simulate_batch(circuit, [0.5, np.nan])
         with pytest.raises(ConfigurationError):
-            simulate_evaluation(circuit, float("nan"))
+            circuit.evaluate(float("nan"))
         with pytest.raises(ConfigurationError):
             ComparatorSNG().generate_batch([np.nan], 16)
         with pytest.raises(ConfigurationError):
@@ -435,12 +425,11 @@ class TestBatchEvaluationContainer:
         # table) must still evaluate, bit-exact with the scalar loop.
         circuit = _circuit(2)
         xs = [0.3, 0.7]
-        loop = [
-            simulate_evaluation(
-                circuit, x, length=64, noisy=False, base_seed=5, sng_width=22
-            ).value
-            for x in xs
-        ]
+        session = Evaluator(
+            circuit,
+            EvalSpec(length=64, noisy=False, base_seed=5, sng_width=22),
+        )
+        loop = [session.evaluate_one(x) for x in xs]
         batch = simulate_batch(
             circuit, xs, length=64, noisy=False, base_seed=5, sng_width=22
         )

@@ -57,6 +57,15 @@ COMPOSITE = FaultSpec(
     decay_tau_clocks=100_000,
 )
 
+# Flips, a steep drift ramp, decay and a shift: every trajectory the
+# fault channel carries across tile boundaries.
+TRAJECTORY = FaultSpec(
+    flip_probability=0.02,
+    drift_ramp_per_mclock=200.0,
+    decay_tau_clocks=500,
+    shift_clocks=9,
+)
+
 # One spec per fault family plus a mixed one, each crossed with every
 # kernel, SNG kind and receiver mode by the parity matrix below;
 # ``composite-heavy`` is the heavier mix the rest of this module uses.
@@ -293,29 +302,30 @@ class TestParityMatrix:
 class TestRelocatability:
     @pytest.mark.parametrize("chunk_length", [64, 100, 333, 999])
     @pytest.mark.parametrize("kernel", ["numpy", "packed"])
+    @pytest.mark.parametrize("noisy", [True, False])
     def test_trajectory_faults_stitch_across_chunks(
-        self, circuit, chunk_length, kernel
+        self, circuit, chunk_length, kernel, noisy
     ):
-        """Drift at absolute clock k must not depend on the tiling."""
+        """Drift at absolute clock k must not depend on the tiling.
+
+        ``noisy=False`` with the packed kernel is the word-level mux
+        tile under a fault channel — the ``stream-fault`` path.
+        """
         xs = np.linspace(0.1, 0.9, 3)
-        fault = FaultSpec(
-            flip_probability=0.02,
-            drift_ramp_per_mclock=200.0,
-            decay_tau_clocks=500,
-            shift_clocks=9,
-        )
         one_shot = run_batch(
-            circuit, xs, length=LENGTH, base_seed=21, fault=fault
+            circuit, xs, length=LENGTH, noisy=noisy, base_seed=21,
+            fault=TRAJECTORY,
         )
         chunked = run_batch(
             circuit,
             xs,
             length=LENGTH,
+            noisy=noisy,
             base_seed=21,
             config=RuntimeConfig(
                 kernel=kernel, chunk_length=chunk_length, workers=0
             ),
-            fault=fault,
+            fault=TRAJECTORY,
         )
         assert np.array_equal(
             chunked.ones_count, one_shot.output_bits.sum(axis=1)

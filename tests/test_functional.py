@@ -9,7 +9,7 @@ from repro.core.circuit import OpticalStochasticCircuit
 from repro.core.design import mrr_first_design
 from repro.core.params import paper_section5a_parameters
 from repro.errors import ConfigurationError
-from repro.simulation.functional import simulate_evaluation, simulate_sweep
+from repro.session import EvalSpec, Evaluator
 from repro.stochastic import BernsteinPolynomial, ReSCUnit
 from repro.stochastic.functions import paper_example_bernstein
 
@@ -23,7 +23,7 @@ def paper_circuit() -> OpticalStochasticCircuit:
 
 class TestEndToEnd:
     def test_converges_to_bernstein_value(self, paper_circuit, rng):
-        result = simulate_evaluation(paper_circuit, 0.5, length=16384, rng=rng)
+        result = paper_circuit.evaluate(0.5, length=16384, rng=rng)
         assert result.value == pytest.approx(result.expected, abs=0.02)
 
     @given(x=st.floats(min_value=0.0, max_value=1.0))
@@ -33,28 +33,26 @@ class TestEndToEnd:
             paper_section5a_parameters(),
             BernsteinPolynomial([0.25, 0.625, 0.375]),
         )
-        result = simulate_evaluation(circuit, x, length=8192)
+        result = circuit.evaluate(x, length=8192)
         assert abs(result.value - result.expected) < 0.04
 
     def test_high_snr_link_is_error_free(self, paper_circuit, rng):
         # Fig. 5(c) bands at 1 mW probe give SNR ~45: no link errors.
-        result = simulate_evaluation(paper_circuit, 0.5, length=8192, rng=rng)
+        result = paper_circuit.evaluate(0.5, length=8192, rng=rng)
         assert result.transmission_bit_errors == 0
 
     def test_noiseless_matches_ideal_multiplexer(self, paper_circuit):
-        result = simulate_evaluation(
-            paper_circuit, 0.3, length=4096, noisy=False
-        )
+        result = paper_circuit.evaluate(0.3, length=4096, noisy=False)
         assert result.transmission_bit_errors == 0
         assert result.output_bits == result.ideal_bits
 
     def test_select_levels_within_range(self, paper_circuit):
-        result = simulate_evaluation(paper_circuit, 0.7, length=1024)
+        result = paper_circuit.evaluate(0.7, length=1024)
         assert result.select_levels.min() >= 0
         assert result.select_levels.max() <= 2
 
     def test_powers_fall_in_link_budget_bands(self, paper_circuit):
-        result = simulate_evaluation(paper_circuit, 0.5, length=2048)
+        result = paper_circuit.evaluate(0.5, length=2048)
         budget = paper_circuit.link_budget()
         low = budget.zero_band_mw[0] - 1e-9
         high = budget.one_band_mw[1] + 1e-9
@@ -62,7 +60,7 @@ class TestEndToEnd:
         assert result.received_power_mw.max() <= high
 
     def test_bookkeeping(self, paper_circuit):
-        result = simulate_evaluation(paper_circuit, 0.25, length=512)
+        result = paper_circuit.evaluate(0.25, length=512)
         assert result.stream_length == 512
         assert result.x == 0.25
         assert 0.0 <= result.transmission_ber <= 1.0
@@ -79,7 +77,7 @@ class TestAgreementWithElectronicReSC:
         optical = OpticalStochasticCircuit.from_design(design, program)
         x = 0.5
         e = electronic.evaluate(x, length=16384)
-        o = simulate_evaluation(optical, x, length=16384, rng=rng)
+        o = optical.evaluate(x, length=16384, rng=rng)
         assert e.value == pytest.approx(o.value, abs=0.03)
         assert e.expected == pytest.approx(o.expected)
 
@@ -91,7 +89,7 @@ class TestDegradedLink:
         circuit = OpticalStochasticCircuit(
             params, BernsteinPolynomial([0.25, 0.625, 0.375])
         )
-        result = simulate_evaluation(circuit, 0.5, length=8192, rng=rng)
+        result = circuit.evaluate(0.5, length=8192, rng=rng)
         assert result.transmission_bit_errors > 0
 
     def test_graceful_degradation(self, rng):
@@ -101,7 +99,7 @@ class TestDegradedLink:
         circuit = OpticalStochasticCircuit(
             params, BernsteinPolynomial([0.25, 0.625, 0.375])
         )
-        result = simulate_evaluation(circuit, 0.5, length=16384, rng=rng)
+        result = circuit.evaluate(0.5, length=16384, rng=rng)
         assert result.transmission_ber > 0.0
         assert result.absolute_error < 10 * max(result.transmission_ber, 0.01)
 
@@ -109,16 +107,16 @@ class TestDegradedLink:
 class TestValidationAndSweep:
     def test_input_validation(self, paper_circuit):
         with pytest.raises(ConfigurationError):
-            simulate_evaluation(paper_circuit, 1.5)
+            paper_circuit.evaluate(1.5)
         with pytest.raises(ConfigurationError):
-            simulate_evaluation(paper_circuit, 0.5, length=0)
+            paper_circuit.evaluate(0.5, length=0)
         with pytest.raises(ConfigurationError):
-            simulate_evaluation("circuit", 0.5)
+            Evaluator("circuit", EvalSpec())
 
     def test_sweep_shape(self, paper_circuit, rng):
-        values = simulate_sweep(
-            paper_circuit, [0.0, 0.5, 1.0], length=2048, rng=rng
-        )
+        values = Evaluator(paper_circuit, EvalSpec(length=2048)).evaluate(
+            [0.0, 0.5, 1.0], rng=rng
+        ).values
         assert values.shape == (3,)
         # Endpoints interpolate b_0 and b_n.
         assert values[0] == pytest.approx(0.25, abs=0.05)

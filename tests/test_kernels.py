@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import repro
 from repro.errors import ConfigurationError
 from repro.simulation import kernels
+from repro.simulation.faultmodel import FaultSpec
 from repro.simulation.engine import (
     _UniformCursor,
     derive_seed_schedule,
@@ -38,7 +39,6 @@ from repro.simulation.kernels import (
 from repro.simulation.runtime import (
     RuntimeConfig,
     run_batch,
-    simulate_batch_sharded,
     simulate_chunked,
 )
 from repro.stochastic.lfsr import lfsr_uniform_windows
@@ -429,11 +429,26 @@ class TestKernelParity:
         assert_batches_equal(reference, other)
 
 
+# The trajectory scenario of test_faultmodel's tile-stitching test:
+# flips, a steep drift ramp, decay and a shift.
+TRAJECTORY = FaultSpec(
+    flip_probability=0.02,
+    drift_ramp_per_mclock=200.0,
+    decay_tau_clocks=500,
+    shift_clocks=9,
+)
+
+
 class TestRuntimeComposition:
     @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     @pytest.mark.parametrize("sng_kind", SNG_KINDS)
     @pytest.mark.parametrize("noisy", [True, False])
-    def test_chunked_statistics_parity(self, circuit, kernel, sng_kind, noisy):
+    @pytest.mark.parametrize(
+        "fault", [None, TRAJECTORY], ids=["clean", "trajectory"]
+    )
+    def test_chunked_statistics_parity(
+        self, circuit, kernel, sng_kind, noisy, fault
+    ):
         xs = np.linspace(0.05, 0.95, 4)
         schedule = derive_seed_schedule(
             xs.size, np.random.default_rng(31), sng_kind=sng_kind
@@ -445,6 +460,7 @@ class TestRuntimeComposition:
             noisy=noisy,
             sng_kind=sng_kind,
             schedule=schedule,
+            fault=fault,
         )
         reference = simulate_chunked(
             circuit,
@@ -456,6 +472,7 @@ class TestRuntimeComposition:
             schedule=schedule,
             power_histogram_bins=16,
             workers=0,
+            fault=fault,
         )
         chunked = simulate_chunked(
             circuit,
@@ -468,6 +485,7 @@ class TestRuntimeComposition:
             power_histogram_bins=16,
             workers=0,
             kernel=kernel,
+            fault=fault,
         )
         assert np.array_equal(
             chunked.ones_count, one_shot.output_bits.sum(axis=1)
@@ -487,10 +505,11 @@ class TestRuntimeComposition:
         xs = np.linspace(0, 1, 8)
         schedule = derive_seed_schedule(xs.size, np.random.default_rng(5))
         serial = simulate_batch(circuit, xs, length=400, schedule=schedule)
-        sharded = simulate_batch_sharded(
+        sharded = simulate_chunked(
             circuit,
             xs,
             length=400,
+            chunk_length=400,
             schedule=schedule,
             workers=2,
             backend="thread",

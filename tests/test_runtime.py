@@ -20,6 +20,7 @@ from repro.core.params import paper_section5a_parameters
 from repro.errors import ConfigurationError
 from repro.exploration.sweep import grid_sweep
 from repro.exploration.tradeoffs import throughput_accuracy_frontier
+from repro.session import EvalSpec, Evaluator
 from repro.simulation.engine import (
     BatchEvaluation,
     SeedSchedule,
@@ -35,7 +36,6 @@ from repro.simulation.runtime import (
     default_worker_count,
     parallel_map,
     run_batch,
-    simulate_batch_sharded,
     simulate_chunked,
 )
 from repro.stochastic.bernstein import BernsteinPolynomial
@@ -173,9 +173,9 @@ class TestShardedEquivalence:
         # Deriving the schedule inside the sharded call consumes the rng
         # exactly like derive_seed_schedule would.
         xs = [0.2, 0.5, 0.8]
-        sharded = simulate_batch_sharded(
-            circuit, xs, length=128, rng=np.random.default_rng(11), workers=2
-        )
+        sharded = Evaluator(
+            circuit, EvalSpec(length=128), RuntimeConfig(workers=2)
+        ).evaluate(xs, rng=np.random.default_rng(11))
         schedule = derive_seed_schedule(3, np.random.default_rng(11))
         serial = simulate_batch(circuit, xs, length=128, schedule=schedule)
         _assert_statistics_match(serial, sharded)
@@ -187,24 +187,22 @@ class TestShardedEquivalence:
         for workers in (0, 2, 3):
             _assert_statistics_match(
                 serial,
-                simulate_batch_sharded(
-                    circuit, xs, length=128, schedule=schedule,
-                    workers=workers,
+                simulate_chunked(
+                    circuit, xs, length=128, chunk_length=128,
+                    schedule=schedule, workers=workers,
                 ),
             )
 
     def test_schedule_size_mismatch_rejected(self, circuit):
         schedule = derive_seed_schedule(2, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
-            simulate_batch_sharded(
+            simulate_chunked(
                 circuit, [0.1, 0.2, 0.3], schedule=schedule, workers=2
             )
 
     def test_unknown_backend_rejected(self, circuit):
         with pytest.raises(ConfigurationError):
-            simulate_batch_sharded(
-                circuit, [0.5], workers=2, backend="gpu"
-            )
+            RuntimeConfig(workers=2, backend="gpu")
 
 
 class TestChunkedEquivalence:
@@ -349,6 +347,26 @@ class TestChunkedEquivalence:
         for bad in ({"length": 100.5}, {"length": True}, {"base_seed": True}):
             with pytest.raises(ConfigurationError, match="must be an integer"):
                 run_batch(circuit, [0.5], **bad)
+        # The runtime knobs are not truncated either: workers=2.7 used to
+        # run 2 workers, chunk_length=2.5 to fail only at the first
+        # evaluation, max_entries=2.5 to keep 2 entries.
+        for bad in (
+            {"workers": 2.7},
+            {"workers": True},
+            {"workers": "2"},
+            {"chunk_length": 2.5},
+            {"chunk_length": True},
+            {"chunk_length": "64"},
+        ):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                RuntimeConfig(**bad)
+        for bad_entries in (2.5, True, "2"):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                EvaluationCache(max_entries=bad_entries)
+        config = RuntimeConfig(workers=np.int64(2), chunk_length=np.int32(64))
+        assert config.workers == 2 and isinstance(config.workers, int)
+        assert config.chunk_length == 64 and isinstance(config.chunk_length, int)
+        assert EvaluationCache(max_entries=np.int64(3)).max_entries == 3
         # Negative workers raise like RuntimeConfig(workers=-1) does.
         with pytest.raises(ConfigurationError, match="workers"):
             simulate_chunked(circuit, [0.5, 0.6], length=128, workers=-1)

@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.exploration.tradeoffs import measured_accuracy_frontier
 from repro.experiments import list_experiments, run_experiment
 from repro.experiments.registry import experiment_config_parameters
-from repro.session import DEPRECATED_WRAPPERS, EvalSpec, Evaluator
+from repro.session import EvalSpec, Evaluator
 from repro.simulation.montecarlo import run_monte_carlo
 from repro.simulation.runtime import (
     ChunkedEvaluation,
@@ -295,26 +295,7 @@ class TestMeasuredFrontier:
             measured_accuracy_frontier(Evaluator(circuit), [0])
 
 
-class TestDeprecatedWrappers:
-    def test_registry_records_removal(self):
-        # PR 6 removed both wrappers (deprecated in PR 3, past the
-        # two-PR grace window); the registry stays as the migration
-        # record, with the removal recorded per entry.
-        assert DEPRECATED_WRAPPERS
-        for entry in DEPRECATED_WRAPPERS.values():
-            assert entry["removed"] is True
-            assert "Evaluator" in entry["replacement"]
-            assert "deprecated in PR" in entry["removal_note"]
-            assert "removed in PR" in entry["removal_note"]
-
-    def test_removed_wrappers_no_longer_resolve(self):
-        import importlib
-
-        for dotted in DEPRECATED_WRAPPERS:
-            module_name, _, attribute = dotted.rpartition(".")
-            module = importlib.import_module(module_name)
-            assert not hasattr(module, attribute)
-
+class TestSessionCache:
     def test_session_cache_shares_entries_with_runtime_impl(self, circuit):
         cache = EvaluationCache()
         direct = run_batch(
@@ -395,11 +376,20 @@ class TestRunExperimentConfig:
 
 
 class TestRuntimeConfigValidation:
-    def test_construction_knowable_misconfigurations(self):
+    def test_construction_knowable_misconfigurations(self, circuit):
         with pytest.raises(ConfigurationError):
             RuntimeConfig(workers=-1)
         with pytest.raises(ConfigurationError):
             RuntimeConfig(cache="not-a-cache")
+        # A per-call tile size is validated like a bound one: 2.5 used to
+        # run 2-clock tiles, True 1-clock tiles, and "64" was accepted.
+        session = Evaluator(circuit, EvalSpec(length=256, base_seed=1))
+        for bad in (2.5, True, "64"):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                session.stream([0.5], chunk_length=bad)
+        with pytest.raises(ConfigurationError, match="positive"):
+            session.stream([0.5], chunk_length=0)
+        assert session.stream([0.5], chunk_length=np.int64(64)).chunk_count == 4
 
     def test_cache_requested_property(self):
         assert not RuntimeConfig().cache_requested
