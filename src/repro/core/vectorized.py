@@ -214,15 +214,15 @@ def monte_carlo_eye_batch(
     setting, like every runtime entry point.
     """
     from ..simulation.runtime import (
+        _resolve_workers,
         _shard_bounds,
-        default_worker_count,
         parallel_map,
     )
 
     if not isinstance(params, OpticalSCParameters):
         raise ConfigurationError("params must be OpticalSCParameters")
     ring, filt = _as_offset_arrays(ring_offsets_nm, filter_offsets_nm)
-    workers = default_worker_count() if workers is None else int(workers)
+    workers = _resolve_workers(workers)
     if workers <= 1 or ring.size <= 1:
         return worst_case_eye_batch(params, ring, filt)
     payloads = [

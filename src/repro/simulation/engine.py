@@ -9,12 +9,12 @@ vector of inputs in one such pass:
 1. a :class:`SeedSchedule` gives every evaluation row its
    ``(data seed, coeff seed, noise seed)`` triple, derived from the
    caller's ``rng`` (or a fixed ``base_seed``);
-2. data and coefficient streams are generated array-first — the LFSR via
-   its cached full-period state table and strided window gathers, the
-   Sobol/counter/chaotic randomizers via their vectorized forms in
-   :mod:`repro.stochastic.sng`;
-3. the per-clock received power is a single ``(B, L)`` fancy-index into
-   the precomputed Eq. 6 pattern table;
+2. data and coefficient streams are generated array-first as packed
+   ``uint64`` comparator words, 64 clocks per word — the one layout both
+   kernels take (:class:`_StreamSource`);
+3. the kernel's optical pass (the numpy kernel unpacks the words on
+   entry) maps each clock's select level and coefficient pattern to its
+   received power in the precomputed Eq. 6 pattern table;
 4. the receiver slices the whole batch at once, each row's Gaussian
    noise drawn from its private generator seeded by the schedule.
 
@@ -52,12 +52,7 @@ from ..stochastic.sng import (
     derive_sobol_offsets,
     van_der_corput,
 )
-from .faultmodel import (
-    FaultSpec,
-    fault_channel_for,
-    pin_stuck_bits,
-    pin_stuck_words,
-)
+from .faultmodel import FaultSpec, fault_channel_for, pin_stuck_words
 from .kernels import (
     PackedChaoticSource,
     PackedLfsrSource,
@@ -284,6 +279,9 @@ def _validate_sng_width(sng_kind: str, sng_width: int) -> None:
 class _UniformCursor:
     """Resumable comparator-sample source for one seeded randomizer bank.
 
+    The float reference of :class:`_PackedCursor`, and its window-gather
+    side for short streams and registers beyond the cycle table.
+
     ``take(offset, count)`` returns the ``(B, channels, count)`` slab of
     uniforms covering stream clocks ``[offset, offset + count)`` — the
     same floats whether the stream is taken in one window or in tiles.
@@ -367,22 +365,34 @@ class _UniformCursor:
         return uniforms
 
 
+_CYCLE_GATHER_RATIO = 3
+"""Gather-to-cycle float ratio at which :class:`_PackedCursor` packs a cycle.
+
+3 puts a default serving batch (B <= 4, L = 4096) on the gather side
+for both banks and a 16 x 2**14 call on the cycle side.
+"""
+
+
 class _PackedCursor:
     """Resumable packed comparator-word source for one randomizer bank.
 
-    The packed kernel's counterpart of :class:`_UniformCursor`:
     ``take(offset, count)`` returns the ``(B, channels, ceil(count/64))``
     uint64 word slab covering stream clocks ``[offset, offset + count)``
-    — bit-for-bit ``pack_bits(uniforms < values)`` of the window the
-    unpacked cursor would produce.  Table-cached LFSR and Sobol banks
-    read packed words straight off their cycles
+    — bit-for-bit ``pack_bits(uniforms < values)`` of the window
+    :class:`_UniformCursor` produces; both kernels take these words.
+    Table-cached LFSR and Sobol banks read them straight off the packed
+    cycle of each distinct value
     (:class:`repro.simulation.kernels.PackedLfsrSource` /
     :class:`~repro.simulation.kernels.PackedSobolSource`, built once and
-    re-aimed per window), chaotic banks pack blockwise off the carried
-    orbit (:class:`~repro.simulation.kernels.PackedChaoticSource`,
-    sequential resume like the unpacked cursor); only the fallback
-    cases — registers/widths beyond the cycle-table caps — go through
-    the unpacked cursor followed by compare-and-pack.
+    re-aimed per window) unless the stream is short: packing the cycles
+    compares ``distinct values x 2**width`` floats, so when the
+    ``rows x channels x length`` window floats number less than
+    ``1 / _CYCLE_GATHER_RATIO`` of that, the bank gathers its windows
+    through the unpacked cursor and compares and packs them — which
+    also bounds that float tile.  Chaotic banks pack blockwise off the
+    carried orbit (:class:`~repro.simulation.kernels.PackedChaoticSource`,
+    sequential resume like the unpacked cursor); registers and widths
+    beyond the cycle-table caps always gather.
     """
 
     def __init__(
@@ -392,16 +402,21 @@ class _PackedCursor:
         channel_count: int,
         width: int,
         values: Any,
+        length: int,
     ) -> None:
         self._values = np.asarray(values, dtype=float)
         self._source: Optional[Any] = None
         self._cursor: Optional[_UniformCursor] = None
-        if kind == "lfsr":
+        # A set, not np.unique: a bank holds at most a batch of values.
+        distinct = len(set(self._values.ravel().tolist()))
+        gathered = np.size(base_seeds) * channel_count * int(length)
+        cycle_pays = distinct << int(width) <= _CYCLE_GATHER_RATIO * gathered
+        if kind == "lfsr" and cycle_pays:
             derived = derive_lfsr_seeds(base_seeds, channel_count, width)
             self._source = PackedLfsrSource.create(
                 derived, self._values, width
             )
-        elif kind == "sobol":
+        elif kind == "sobol" and cycle_pays:
             offsets = derive_sobol_offsets(base_seeds, channel_count)
             self._source = PackedSobolSource.create(
                 offsets, self._values, width
@@ -424,72 +439,60 @@ class _PackedCursor:
 class _StreamSource:
     """The data and coefficient streams of one batch, window by window.
 
-    ``take(start, count)`` returns ``(form, data, coeff)`` for stream
-    clocks ``[start, start + count)``: the ``order`` data streams that
-    drive the MZIs and the ``order + 1`` coefficient streams that drive
-    the MRRs.  ``form`` is ``"bits"`` (``(B, C, count)`` uint8 tensors,
-    the numpy kernel's layout) or ``"words"`` (``(B, C, ceil(count /
-    64))`` packed uint64, the packed kernel's); either way the streams
-    are bit-for-bit the same comparator decisions.  A one-shot
-    evaluation takes ``(0, length)``, the tile loop takes its tiles in
-    order: seeded banks resume through their cursors, the counter
-    randomizer's deterministic streams are windows of
-    :func:`exact_bit_window`.
+    ``take(start, count)`` returns ``(data_words, coeff_words)`` for
+    stream clocks ``[start, start + count)``: the ``order`` data streams
+    that drive the MZIs and the ``order + 1`` coefficient streams that
+    drive the MRRs, as ``(B, C, ceil(count / 64))`` packed uint64 words
+    (:func:`repro.simulation.kernels.pack_bits` layout) — the one layout
+    both kernels take.  A one-shot evaluation takes ``(0, length)``, the
+    tile loop takes its tiles in order: seeded banks resume through
+    their :class:`_PackedCursor`, the counter randomizer's deterministic
+    streams are packed windows of :func:`exact_bit_window`.
     """
 
     def __init__(
         self,
         kind: str,
-        kernel: str,
         schedule: SeedSchedule,
         xs: "np.ndarray[Any, Any]",
         coefficients: "np.ndarray[Any, Any]",
         width: int,
         length: int,
     ) -> None:
-        self._form = "bits" if kernel == "numpy" else "words"
         self._xs = xs
         self._coefficients = coefficients
         self._length = int(length)
         order = coefficients.size - 1
         self._data_rows = (xs.size, order)
         self._coeff_rows = (xs.size, order + 1)
-        self._banks: Optional[Tuple[Any, Any]] = None
+        self._banks: Optional[Tuple[_PackedCursor, _PackedCursor]] = None
         if kind != "counter":
-            if self._form == "words":
-                self._banks = (
-                    _PackedCursor(
-                        kind, schedule.data_seeds, order, width, xs[:, None]
-                    ),
-                    _PackedCursor(
-                        kind,
-                        schedule.coeff_seeds,
-                        order + 1,
-                        width,
-                        coefficients[None, :],
-                    ),
-                )
-            else:
-                self._banks = (
-                    _UniformCursor(kind, schedule.data_seeds, order, width),
-                    _UniformCursor(
-                        kind, schedule.coeff_seeds, order + 1, width
-                    ),
-                )
+            self._banks = (
+                _PackedCursor(
+                    kind, schedule.data_seeds, order, width, xs[:, None], length
+                ),
+                _PackedCursor(
+                    kind,
+                    schedule.coeff_seeds,
+                    order + 1,
+                    width,
+                    coefficients[None, :],
+                    length,
+                ),
+            )
 
     def take(
         self, start: int, count: int
-    ) -> Tuple[str, "np.ndarray[Any, Any]", "np.ndarray[Any, Any]"]:
+    ) -> Tuple["np.ndarray[Any, Any]", "np.ndarray[Any, Any]"]:
         if self._banks is None:
             stop = start + count
-            data = exact_bit_window(self._xs, self._length, start, stop)
-            coeff = exact_bit_window(
-                self._coefficients, self._length, start, stop
+            data = pack_bits(
+                exact_bit_window(self._xs, self._length, start, stop)
             )
-            if self._form == "words":
-                data, coeff = pack_bits(data), pack_bits(coeff)
+            coeff = pack_bits(
+                exact_bit_window(self._coefficients, self._length, start, stop)
+            )
             return (
-                self._form,
                 np.broadcast_to(
                     data[:, None, :], self._data_rows + data.shape[-1:]
                 ),
@@ -498,14 +501,7 @@ class _StreamSource:
                 ),
             )
         data_bank, coeff_bank = self._banks
-        data = data_bank.take(start, count)
-        coeff = coeff_bank.take(start, count)
-        if self._form == "bits":
-            data = (data < self._xs[:, None, None]).astype(np.uint8)
-            coeff = (coeff < self._coefficients[None, :, None]).astype(
-                np.uint8
-            )
-        return self._form, data, coeff
+        return data_bank.take(start, count), coeff_bank.take(start, count)
 
 
 class _ReceiverNoise:
@@ -538,23 +534,20 @@ class _ReceiverNoise:
 
 
 def _pin_stuck(
-    form: str,
-    data: "np.ndarray[Any, Any]",
+    data_words: "np.ndarray[Any, Any]",
     fault: Optional[FaultSpec],
     count: int,
 ) -> "np.ndarray[Any, Any]":
-    """The data streams with a stuck MZI's channel pinned.
+    """The packed data streams with a stuck MZI's channel pinned.
 
     Pinned *before* the optical pass: a stuck MZI changes the select
     level, hence the faulty circuit's powers and ideal decisions too.
-    The streams come back unchanged without a stuck channel; the
-    pinning helpers copy, so broadcast views are safe to pass.
+    The streams come back unchanged without a stuck channel;
+    :func:`pin_stuck_words` copies, so broadcast views are safe to pass.
     """
     if fault is None or fault.stuck_channel is None:
-        return data
-    if form == "words":
-        return pin_stuck_words(data, fault, count)
-    return pin_stuck_bits(data, fault)
+        return data_words
+    return pin_stuck_words(data_words, fault, count)
 
 
 def simulate_batch(
@@ -632,10 +625,10 @@ def simulate_batch(
     schedule = _resolve_schedule(xs.size, schedule, rng, sng_kind, base_seed)
     coefficients = np.asarray(circuit.polynomial.coefficients, dtype=float)
     source = _StreamSource(
-        sng_kind, kernel, schedule, xs, coefficients, sng_width, length
+        sng_kind, schedule, xs, coefficients, sng_width, length
     )
-    form, data_streams, coeff_streams = source.take(0, length)
-    data_streams = _pin_stuck(form, data_streams, fault, length)
+    data_words, coeff_words = source.take(0, length)
+    data_words = _pin_stuck(data_words, fault, length)
     noise_a = (
         _ReceiverNoise(
             schedule, circuit.params.detector.noise_current_a, length
@@ -643,14 +636,10 @@ def simulate_batch(
         if noisy
         else None
     )
-    if form == "words":
-        powers, output_bits, ideal_bits, levels = packed_optical_pass(
-            circuit, data_streams, coeff_streams, noise_a, length
-        )
-    else:
-        powers, output_bits, ideal_bits, levels = optical_pass(
-            circuit, data_streams, coeff_streams, noise_a
-        )
+    optics = packed_optical_pass if kernel == "packed" else optical_pass
+    powers, output_bits, ideal_bits, levels = optics(
+        circuit, data_words, coeff_words, noise_a, length
+    )
     channel = fault_channel_for(fault, schedule.noise_seeds, length)
     if channel is not None:
         output_bits = channel.apply_bits(output_bits, 0)

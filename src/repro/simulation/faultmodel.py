@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
@@ -115,14 +114,19 @@ class FaultSpec:
     decay_tau_clocks: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # Imported at call time: the engine imports this module.
+        from .engine import _as_index
+
         for name in ("flip_probability", "drift_ramp_per_mclock"):
             value = getattr(self, name)
+            message = f"{name} must be a float, got {value!r}"
+            # float(True) is 1.0: a bool is a mistyped flag, not a rate.
+            if isinstance(value, (bool, np.bool_)):
+                raise ConfigurationError(message)
             try:
                 value = float(value)
             except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"{name} must be a float, got {getattr(self, name)!r}"
-                ) from None
+                raise ConfigurationError(message) from None
             if not math.isfinite(value):
                 raise ConfigurationError(
                     f"{name} must be finite, got {value!r}"
@@ -131,14 +135,8 @@ class FaultSpec:
         for name in ("shift_clocks", "stuck_channel", "stuck_value",
                      "decay_tau_clocks"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                ) from None
+            if value is not None:
+                object.__setattr__(self, name, _as_index(name, value))
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ConfigurationError(
                 f"flip_probability must be in [0, 1], got "
@@ -530,13 +528,4 @@ def pin_stuck_words(
         _mask_tail(pinned[:, spec.stuck_channel, :], count)
     else:
         pinned[:, spec.stuck_channel, :] = np.uint64(0)
-    return pinned
-
-
-def pin_stuck_bits(
-    data_bits: "np.ndarray[Any, Any]", spec: FaultSpec
-) -> "np.ndarray[Any, Any]":
-    """Byte-layout data streams with the stuck channel pinned (a copy)."""
-    pinned = np.array(data_bits)
-    pinned[:, spec.stuck_channel, :] = np.uint8(spec.stuck_value)
     return pinned

@@ -9,11 +9,12 @@ of :mod:`repro.simulation.runtime` — with two implementations behind
 the unchanged ``simulate_batch`` signature:
 
 ``"numpy"``
-    The reference engine: ``(B, C, L)`` uint8 bit tensors, one fancy
-    index into the Eq. 6 pattern table per clock.  Always available.
+    The reference engine: unpacks the streams to ``(B, C, L)`` uint8 bit
+    tensors on entry, then one fancy index into the Eq. 6 pattern table
+    per clock.  Always available.
 ``"packed"``
-    Dependency-free bit-plane engine: data/coefficient bits are packed
-    64 clocks per uint64 word (``(B, C, L//64)``), the adder level is a
+    Dependency-free bit-plane engine: stays on the streams' words,
+    64 clocks per uint64 (``(B, C, L//64)``), the adder level is a
     carry-save bit-sliced sum across channels, and the receiver decision
     is resolved through precomputed per-``(pattern, level)`` flat tables
     — so the bit tensors shrink 8× and the hot noiseless path runs on
@@ -23,11 +24,13 @@ the unchanged ``simulate_batch`` signature:
     ``np.bitwise_count`` when the numpy build has it, a 16-bit LUT
     otherwise).
 
-The packed kernel is **bit-for-bit identical** to ``"numpy"`` for all four
-SNG kinds, noisy and noiseless (enforced by the parity matrices in
+Both kernels take the same packed comparator words from the engine's
+one stream front end (:class:`repro.simulation.engine._StreamSource`),
+so they differ only from the optical pass on.  The packed kernel is
+**bit-for-bit identical** to ``"numpy"`` for all four SNG kinds, noisy
+and noiseless (enforced by the parity matrices in
 ``tests/test_kernels.py``; ``bench_batched.py kernels`` only times the
-two): the packed pipeline
-re-derives exactly the same comparator decisions, adder levels and
+two): the packed pass re-derives exactly the same adder levels and
 receiver thresholds, only in a different data layout.  Choosing a
 kernel is therefore a pure wall-clock/memory lever, like the pool
 backend and the chunk size.
@@ -120,8 +123,9 @@ def kernel_capabilities() -> Dict[str, Dict[str, Any]]:
             "requires": None,
             "bit_tensor_bytes_per_bit": 1.0,
             "description": (
-                "reference engine: uint8 bit tensors, always available; "
-                "fastest for tiny batches where packing overhead dominates"
+                "reference engine and the default: unpacks the stream "
+                "words to uint8 bit tensors; the oracle the packed "
+                "kernel's parity tests compare against"
             ),
         },
         "packed": {
@@ -130,8 +134,8 @@ def kernel_capabilities() -> Dict[str, Dict[str, Any]]:
             "bit_tensor_bytes_per_bit": 1.0 / 8.0,
             "description": (
                 "dependency-free uint64 bit-plane engine: 8x smaller bit "
-                "tensors; wins on long noiseless streams (the LFSR hot "
-                "path runs on words, not bytes)"
+                "tensors; wins most on long noiseless streams (the pass "
+                "runs on words, not bytes)"
             ),
         },
     }
@@ -393,24 +397,28 @@ def _pattern_index(
 
 def optical_pass(
     circuit: Any,
-    data_bits: "np.ndarray[Any, Any]",
-    coeff_bits: "np.ndarray[Any, Any]",
+    data_words: "np.ndarray[Any, Any]",
+    coeff_words: "np.ndarray[Any, Any]",
     noise_a: Optional["np.ndarray[Any, Any]"],
+    length: int,
 ) -> Tuple[
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
 ]:
-    """Steps 3-4 of the pipeline for one ``(B, C, L)`` bit-tensor tile.
+    """Steps 3-4 of the pipeline for one tile of packed streams.
 
-    The numpy reference kernel's per-clock optics + receiver pass on
-    byte tensors.  Returns ``(powers, output_bits, ideal_bits,
-    levels)``; shared by the one-shot batch evaluation and the chunked
-    streaming runtime so the two stay bit-for-bit identical per tile.
-    :func:`packed_optical_pass` is its packed-word counterpart.
+    The numpy reference kernel's per-clock optics + receiver pass, with
+    the arguments of :func:`packed_optical_pass`: the packed words are
+    unpacked to ``(B, C, length)`` byte tensors on entry.  Returns
+    ``(powers, output_bits, ideal_bits, levels)``; shared by the
+    one-shot batch evaluation and the chunked streaming runtime so the
+    two stay bit-for-bit identical per tile.
     """
     context = pass_context(circuit)
+    data_bits = unpack_bits(data_words, length)
+    coeff_bits = unpack_bits(coeff_words, length)
     levels = data_bits.sum(axis=1, dtype=np.int64)
     pattern_index = _pattern_index(coeff_bits)
     powers = context.table[pattern_index, levels]
@@ -742,13 +750,6 @@ class PackedChaoticSource:
             np.asarray(values, dtype=float), self._state.shape
         )
         self._next_offset = 0
-
-    @classmethod
-    def create(
-        cls, base_seeds: Any, values: Any, channel_count: int
-    ) -> "PackedChaoticSource":
-        """Factory mirroring the cycle sources' (never ``None``)."""
-        return cls(base_seeds, values, channel_count)
 
     def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
         """Packed words for stream clocks ``[offset, offset + count)``."""

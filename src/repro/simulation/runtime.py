@@ -123,6 +123,20 @@ def default_worker_count() -> int:
         return 0
 
 
+def _resolve_workers(workers: Any) -> int:
+    """*workers* checked like ``RuntimeConfig.workers``; ``None`` = default.
+
+    A non-integral or bool count raises :class:`ConfigurationError`
+    instead of being truncated by ``int`` into a silent pool size.
+    """
+    if workers is None:
+        return default_worker_count()
+    workers = _as_index("workers", workers)
+    if workers < 0:
+        raise ConfigurationError(f"workers must be >= 0, got {workers!r}")
+    return workers
+
+
 def _validate_backend(backend: str) -> str:
     if backend not in BACKENDS:
         raise ConfigurationError(
@@ -168,6 +182,8 @@ def resolve_pool(
     the historical defaults (environment worker count, process pool).
     """
     backend = "process"
+    if workers is not None:
+        workers = _resolve_workers(workers)
     if runtime is not None:
         if not isinstance(runtime, RuntimeConfig):
             raise ConfigurationError(
@@ -219,7 +235,7 @@ def parallel_map(
     """
     _validate_backend(backend)
     items = list(items)
-    workers = default_worker_count() if workers is None else int(workers)
+    workers = _resolve_workers(workers)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     workers = min(workers, len(items))
@@ -435,13 +451,7 @@ def simulate_chunked(
         raise ConfigurationError(
             f"power_histogram_bins must be >= 0, got {power_histogram_bins!r}"
         )
-    workers = (
-        default_worker_count()
-        if workers is None
-        else _as_index("workers", workers)
-    )
-    if workers < 0:
-        raise ConfigurationError(f"workers must be >= 0, got {workers!r}")
+    workers = _resolve_workers(workers)
     batch = xs.size
     schedule = _resolve_schedule(batch, schedule, rng, sng_kind, base_seed)
     if workers > 1 and batch > 1:
@@ -465,7 +475,7 @@ def simulate_chunked(
     tile = min(chunk_length, length)
     coefficients = np.asarray(circuit.polynomial.coefficients, dtype=float)
     source = _StreamSource(
-        sng_kind, kernel, schedule, xs, coefficients, sng_width, length
+        sng_kind, schedule, xs, coefficients, sng_width, length
     )
     noise = (
         _ReceiverNoise(schedule, circuit.params.detector.noise_current_a, tile)
@@ -490,15 +500,15 @@ def simulate_chunked(
     chunk_count = 0
     for start in range(0, length, chunk_length):
         count = min(chunk_length, length - start)
-        form, data_streams, coeff_streams = source.take(start, count)
-        data_streams = _pin_stuck(form, data_streams, fault, count)
+        data_words, coeff_words = source.take(start, count)
+        data_words = _pin_stuck(data_words, fault, count)
         noise_a = noise.draw(count) if noise is not None else None
         histogram_inc: Optional["np.ndarray[Any, Any]"] = None
-        if form == "words":
+        if kernel == "packed":
             ones_inc, error_inc, histogram_inc = packed_tile_statistics(
                 circuit,
-                data_streams,
-                coeff_streams,
+                data_words,
+                coeff_words,
                 count,
                 noise_a=noise_a,
                 histogram_edges=edges,
@@ -507,7 +517,7 @@ def simulate_chunked(
             )
         else:
             powers, output_bits, ideal_bits, _ = optical_pass(
-                circuit, data_streams, coeff_streams, noise_a
+                circuit, data_words, coeff_words, noise_a, count
             )
             if fault_channel is not None:
                 output_bits = fault_channel.apply_bits(output_bits, start)
@@ -773,18 +783,15 @@ class RuntimeConfig:
             raise ConfigurationError(
                 f"vectorized must be a bool, got {self.vectorized!r}"
             )
-        for name in ("workers", "chunk_length"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _as_index(name, value))
-        if self.chunk_length is not None and self.chunk_length <= 0:
-            raise ConfigurationError(
-                f"chunk_length must be positive, got {self.chunk_length!r}"
-            )
-        if self.workers is not None and self.workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0, got {self.workers!r}"
-            )
+        if self.workers is not None:
+            object.__setattr__(self, "workers", _resolve_workers(self.workers))
+        if self.chunk_length is not None:
+            chunk_length = _as_index("chunk_length", self.chunk_length)
+            if chunk_length <= 0:
+                raise ConfigurationError(
+                    f"chunk_length must be positive, got {chunk_length!r}"
+                )
+            object.__setattr__(self, "chunk_length", chunk_length)
         if self.cache is not None and not isinstance(
             self.cache, EvaluationCache
         ):

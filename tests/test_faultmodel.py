@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.session import EvalSpec, Evaluator
-from repro.simulation.engine import derive_seed_schedule, simulate_batch
+from repro.simulation.engine import simulate_batch
 from repro.simulation.faultmodel import (
     FAULT_PROBABILITY_BITS,
     FaultSpec,
@@ -107,6 +107,19 @@ class TestFaultSpec:
             FaultSpec(decay_tau_clocks=0)
         with pytest.raises(ConfigurationError):
             FaultSpec(drift_ramp_per_mclock=-0.5)
+        # Bools are flags, not counts or rates: True is not 1 clock, 1.0
+        # or channel 1.
+        for field in (
+            "shift_clocks",
+            "decay_tau_clocks",
+            "stuck_channel",
+            "stuck_value",
+            "flip_probability",
+            "drift_ramp_per_mclock",
+        ):
+            for flag in (True, False, np.True_):
+                with pytest.raises(ConfigurationError, match=field):
+                    FaultSpec(**{field: flag})
 
     def test_stuck_channel_validated_against_order(self, circuit):
         # Faults are validated before anything else, so the cached path

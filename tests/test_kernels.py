@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import repro
 from repro.errors import ConfigurationError
-from repro.simulation import kernels
+from repro.simulation import engine, kernels
 from repro.simulation.faultmodel import FaultSpec
 from repro.simulation.engine import (
+    _PackedCursor,
     _UniformCursor,
     derive_seed_schedule,
     simulate_batch,
@@ -252,6 +253,42 @@ class TestPackedWordSources:
         with pytest.raises(ConfigurationError):
             PackedSobolSource.create(
                 np.array([[-1, 2]]), np.array([[0.5, 0.5]]), 8
+            )
+
+    # Two rows x three channels of six distinct values at width 16: the
+    # gather takes 18 x length floats against the cycle's 6 x 2**16, so
+    # 1000 clocks gather and 30000 read the packed cycle.
+    @pytest.mark.parametrize("kind", ["lfsr", "sobol"])
+    @pytest.mark.parametrize(
+        "length, tile, cycle",
+        [(1000, 333, False), (30_000, 10_001, True)],
+        ids=["gather", "cycle"],
+    )
+    def test_packed_cursor_matches_uniform_cursor(
+        self, kind, length, tile, cycle
+    ):
+        base_seeds = np.array([3, 77])
+        values = np.array([[0.1, 0.5, 0.9], [0.25, 0.55, 0.75]])
+
+        def reference(offset, count):
+            uniforms = _UniformCursor(kind, base_seeds, 3, 16).take(
+                offset, count
+            )
+            return pack_bits((uniforms < values[..., None]).astype(np.uint8))
+
+        def cursor():
+            bank = _PackedCursor(kind, base_seeds, 3, 16, values, length)
+            assert (bank._source is not None) is cycle
+            return bank
+
+        assert np.array_equal(cursor().take(0, length), reference(0, length))
+        resumed = cursor()
+        starts = range(0, length, tile)
+        assert len(starts) >= 3
+        for start in starts:
+            count = min(tile, length - start)
+            assert np.array_equal(
+                resumed.take(start, count), reference(start, count)
             )
 
     @pytest.mark.parametrize("length", [64, 96, 250, 8192 + 777])
@@ -589,6 +626,30 @@ class TestSessionAndServing:
         assert other.spec is reference.spec
         xs = np.linspace(0, 1, 16)
         assert_batches_equal(reference.evaluate(xs), other.evaluate(xs))
+
+    @pytest.mark.parametrize(
+        "batch, length, base_seed, owner, name",
+        [
+            (16, 1 << 14, None, engine, "lfsr_uniform_windows"),
+            (1, 4096, 11, kernels.PackedLfsrSource, "create"),
+        ],
+        ids=["long-reads-cycle", "short-gathers"],
+    )
+    def test_default_call_takes_its_side_of_the_size_rule(
+        self, circuit, monkeypatch, batch, length, base_seed, owner, name
+    ):
+        # Both kernels read one packed front end; a default 16 x 2**14
+        # call never gathers float uniforms, and a one-input serving call
+        # never packs a 2**16-clock cycle.
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(owner, name, forbidden)
+        spec = repro.EvalSpec(length=length, base_seed=base_seed)
+        result = repro.Evaluator(circuit, spec).evaluate(
+            np.linspace(0.05, 0.95, batch)
+        )
+        assert result.values.shape == (batch,)
 
     def test_with_kernel_validates(self, circuit):
         session = repro.Evaluator(circuit, repro.EvalSpec(length=64))

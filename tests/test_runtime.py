@@ -35,6 +35,7 @@ from repro.simulation.runtime import (
     RuntimeConfig,
     default_worker_count,
     parallel_map,
+    resolve_pool,
     run_batch,
     simulate_chunked,
 )
@@ -700,6 +701,24 @@ class TestParallelMap:
         )
         assert result == [42]
         assert state == [41]  # ran in this process, not a worker
+
+    @pytest.mark.parametrize("workers", [2.7, 1.5, True, "2", -1])
+    def test_explicit_workers_checked_like_runtime_config(self, workers):
+        # Every explicit count follows RuntimeConfig(workers=...): int()
+        # would truncate 2.7 into a pool size and read True as 1.
+        with pytest.raises(ConfigurationError, match="workers"):
+            RuntimeConfig(workers=workers)
+        with pytest.raises(ConfigurationError, match="workers"):
+            parallel_map(_square, [1, 2], workers=workers)
+        with pytest.raises(ConfigurationError, match="workers"):
+            resolve_pool(None, workers=workers)
+        with pytest.raises(ConfigurationError, match="workers"):
+            resolve_pool(RuntimeConfig(), workers=workers)
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_monte_carlo(paper_section5a_parameters(), samples=2,
+                            workers=workers)
+        with pytest.raises(ConfigurationError, match="workers"):
+            grid_sweep(_sweep_metric, workers=workers, a=[1.0], b=[0.1])
 
 
 def _sweep_metric(a: float, b: float) -> float:
