@@ -75,10 +75,7 @@ from .simulation import (
     kernel_capabilities,
     run_batch,
     simulate_batch,
-    simulate_batch_sharded,
     simulate_chunked,
-    simulate_evaluation,
-    simulate_sweep,
 )
 from .serving import (
     BatchServer,
@@ -173,10 +170,7 @@ __all__ = [
     "derive_seed_schedule",
     "run_batch",
     "simulate_batch",
-    "simulate_batch_sharded",
     "simulate_chunked",
-    "simulate_evaluation",
-    "simulate_sweep",
     "TransientSimulator",
     "CalibrationController",
     "FaultInjector",

@@ -48,14 +48,14 @@ from .errors import ConfigurationError
 
 if TYPE_CHECKING:
     from .core.circuit import OpticalStochasticCircuit
-from .simulation.engine import (
-    _as_index,
-    _validate_base_seed,
-    _validate_sng_width,
-)
+from .simulation.engine import _check_eval_fields
 from .simulation.faultmodel import FaultSpec
-from .simulation.runtime import RuntimeConfig, run_batch
-from .stochastic.sng import SNG_KINDS
+from .simulation.runtime import (
+    RuntimeConfig,
+    _check_cache_seed,
+    _check_runtime,
+    run_batch,
+)
 
 __all__ = [
     "DEFAULT_STREAM_CHUNK",
@@ -66,8 +66,6 @@ __all__ = [
 
 DEFAULT_STREAM_CHUNK: int = 1 << 16
 """Tile size :meth:`Evaluator.stream` falls back to when none is bound."""
-
-_GRACE_NOTE = "removal due after the policy's two-PR grace window"
 
 DEPRECATED_WRAPPERS: Dict[str, Dict[str, Any]] = {
     "repro.stochastic.image.apply_circuit_kernel": {
@@ -93,23 +91,32 @@ DEPRECATED_WRAPPERS: Dict[str, Dict[str, Any]] = {
         "replacement": (
             "Evaluator(circuit, EvalSpec(...)).evaluate([x], rng=rng), row 0"
         ),
-        "removal_note": _GRACE_NOTE,
-        "removed": False,
+        "removal_note": (
+            "deprecated in PR 17; removed in PR 19 after the policy's "
+            "two-PR grace window — call the session replacement"
+        ),
+        "removed": True,
     },
     "repro.simulation.functional.simulate_sweep": {
         "replacement": (
             "Evaluator(circuit, EvalSpec(...)).evaluate(xs, rng=rng).values"
         ),
-        "removal_note": _GRACE_NOTE,
-        "removed": False,
+        "removal_note": (
+            "deprecated in PR 17; removed in PR 19 after the policy's "
+            "two-PR grace window — call the session replacement"
+        ),
+        "removed": True,
     },
     "repro.simulation.runtime.simulate_batch_sharded": {
         "replacement": (
             "Evaluator(circuit, spec, RuntimeConfig(workers=N, "
             "backend=...)).evaluate(xs)"
         ),
-        "removal_note": _GRACE_NOTE,
-        "removed": False,
+        "removal_note": (
+            "deprecated in PR 17; removed in PR 19 after the policy's "
+            "two-PR grace window — call the session replacement"
+        ),
+        "removed": True,
     },
 }
 """Legacy free functions folded into the session API.
@@ -117,12 +124,10 @@ DEPRECATED_WRAPPERS: Dict[str, Dict[str, Any]] = {
 Each maps a dotted legacy entry point to its session-method
 ``replacement`` plus a ``removal_note`` recording the deprecation and
 removal history (the policy: wrappers survive at least two PRs past
-deprecation before removal).  Entries with ``removed: False`` still
-resolve, as shims that warn ``DeprecationWarning`` with the entry's
-text and return the same bits as their replacement.  Entries with
-``removed: True`` no longer resolve — the registry stays as the
-migration record, and ``tests/test_public_api.py`` enforces that
-removed names are really gone while their replacements exist.
+deprecation before removal).  Entries with ``removed: True`` no longer
+resolve — the registry stays as the migration record, and repro-lint's
+RL002 and ``tests/test_public_api.py`` enforce that removed names are
+really gone while their replacements exist.
 """
 
 
@@ -170,33 +175,19 @@ class EvalSpec:
     fault: Optional[FaultSpec] = None
 
     def __post_init__(self) -> None:
-        # Normalize to plain ints (accepting numpy integers), rejecting
-        # floats and other non-integral values outright — the whole
-        # point of the spec is that misconfiguration fails here, not as
-        # an opaque TypeError deep inside the engine.
-        for name in ("length", "sng_width", "base_seed"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _as_index(name, value))
-        if self.length <= 0:
-            raise ConfigurationError(
-                f"length must be positive, got {self.length!r}"
-            )
-        if self.sng_kind not in SNG_KINDS:
-            raise ConfigurationError(
-                f"unknown SNG kind {self.sng_kind!r}; expected one of "
-                f"{SNG_KINDS}"
-            )
-        if self.sng_width < 1:
-            raise ConfigurationError(
-                f"sng_width must be >= 1, got {self.sng_width!r}"
-            )
-        _validate_base_seed(self.base_seed)
-        _validate_sng_width(self.sng_kind, self.sng_width)
-        if self.fault is not None and not isinstance(self.fault, FaultSpec):
-            raise ConfigurationError(
-                f"fault must be a FaultSpec, got {self.fault!r}"
-            )
+        # The engine's rule book, shared with run_batch: misconfiguration
+        # fails here with the message every entry point gives, not as an
+        # opaque TypeError deep inside the engine.
+        normalized = _check_eval_fields(
+            self.length,
+            self.sng_kind,
+            self.sng_width,
+            self.noisy,
+            self.base_seed,
+            self.fault,
+        )
+        for name, value in zip(("length", "sng_width", "base_seed"), normalized):
+            object.__setattr__(self, name, value)
 
     def replace(self, **changes: Any) -> "EvalSpec":
         """A copy of the spec with *changes* applied (re-validated)."""
@@ -269,16 +260,7 @@ class Evaluator:
         runtime = RuntimeConfig() if runtime is None else runtime
         if not isinstance(spec, EvalSpec):
             raise ConfigurationError(f"spec must be an EvalSpec, got {spec!r}")
-        if not isinstance(runtime, RuntimeConfig):
-            raise ConfigurationError(
-                f"runtime must be a RuntimeConfig, got {runtime!r}"
-            )
-        if runtime.cache_requested and spec.base_seed is None:
-            raise ConfigurationError(
-                "the runtime enables the evaluation cache but the spec has "
-                "no fixed base_seed; rng-derived seeds make every call "
-                "unique — pin base_seed in the EvalSpec or disable the cache"
-            )
+        _check_cache_seed(_check_runtime(runtime), spec.base_seed)
         self.circuit: "OpticalStochasticCircuit" = circuit
         self.spec: EvalSpec = spec
         self.runtime: RuntimeConfig = runtime

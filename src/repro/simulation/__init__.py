@@ -28,7 +28,7 @@ from .engine import (
     derive_seed_schedule,
     simulate_batch,
 )
-from .functional import OpticalEvaluation, simulate_evaluation, simulate_sweep
+from .functional import OpticalEvaluation
 from .runtime import (
     ChunkedEvaluation,
     EvaluationCache,
@@ -38,7 +38,6 @@ from .runtime import (
     parallel_map,
     resolve_vectorized,
     run_batch,
-    simulate_batch_sharded,
     simulate_chunked,
 )
 from .noise import apply_ber_flips, effective_probability_after_flips
@@ -74,8 +73,6 @@ __all__ = [
     "SeedSchedule",
     "derive_seed_schedule",
     "simulate_batch",
-    "simulate_evaluation",
-    "simulate_sweep",
     "ChunkedEvaluation",
     "EvaluationCache",
     "RuntimeConfig",
@@ -84,7 +81,6 @@ __all__ = [
     "parallel_map",
     "resolve_vectorized",
     "run_batch",
-    "simulate_batch_sharded",
     "simulate_chunked",
     "apply_ber_flips",
     "effective_probability_after_flips",

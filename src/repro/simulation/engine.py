@@ -27,6 +27,13 @@ is this function's one caller in the package: every evaluation —
 there.  The schedule consumes ``rng`` row by row, so looping
 single-input evaluations over ``xs`` with one ``rng`` gives exactly
 the rows of one ``simulate_batch(circuit, xs, rng=rng)`` call.
+
+The fields of a design point — ``length``, ``sng_kind``, ``sng_width``,
+``noisy``, ``base_seed``, ``fault`` — have one rule book,
+:func:`_check_eval_fields`: :class:`repro.session.EvalSpec`, ``run_batch``,
+:func:`simulate_batch` and ``simulate_chunked`` all call it, so a value
+one refuses, all refuse with the same
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -205,19 +212,19 @@ def derive_seed_schedule(
     makes noisy runs cacheable.  Otherwise the per-row protocol consumes
     *rng* as ``(data seed, coeff seed, noise seed)`` per row.
     """
-    if batch <= 0:
-        raise ConfigurationError(f"batch must be positive, got {batch!r}")
-    if sng_kind not in SNG_KINDS:
+    batch = _positive_index("batch", batch)
+    if rng is not None and not isinstance(rng, np.random.Generator):
         raise ConfigurationError(
-            f"unknown SNG kind {sng_kind!r}; expected one of {SNG_KINDS}"
+            f"rng must be a numpy Generator or None, got {rng!r}"
         )
-    _validate_base_seed(base_seed)
+    _check_sng_kind(sng_kind)
+    base_seed = _check_base_seed(base_seed)
     seeded = sng_kind != "counter"
     data_seeds = np.empty(batch, dtype=np.int64)
     coeff_seeds = np.empty(batch, dtype=np.int64)
     noise_seeds = np.empty(batch, dtype=np.int64)
     if base_seed is not None:
-        fixed = int(base_seed)
+        fixed = base_seed
         data_seeds[:] = fixed
         coeff_seeds[:] = fixed + COEFF_SEED_STRIDE
         noise_seeds[:] = np.random.default_rng(
@@ -233,47 +240,6 @@ def derive_seed_schedule(
             coeff_seeds[row] = _DEFAULT_FIXED_SEED + COEFF_SEED_STRIDE
         noise_seeds[row] = int(rng.integers(0, _NOISE_SEED_SPACE))
     return SeedSchedule(data_seeds, coeff_seeds, noise_seeds)
-
-
-def _validate_base_seed(base_seed: Optional[int]) -> None:
-    """Reject the negative seeds the scalar factory path refuses.
-
-    A negative ``base_seed`` used to wrap silently through the uint64
-    cast in :func:`van_der_corput` (sobol) and the modulus in
-    :func:`derive_lfsr_seeds`, while ``make_independent_sngs`` raised on
-    the derived negative ``bit_offset`` — the batched and scalar paths
-    must fail identically instead.
-    """
-    if base_seed is not None and int(base_seed) < 0:
-        raise ConfigurationError(
-            f"base_seed must be >= 0, got {base_seed!r}"
-        )
-
-
-def _validate_sng_width(sng_kind: str, sng_width: int) -> None:
-    """Per-kind width validation matching the scalar constructors.
-
-    The sobol batched path feeds ``sng_width`` straight into
-    :func:`van_der_corput`, which accepts any bit count — while the
-    scalar :class:`repro.stochastic.sng.SobolLikeSNG` enforces
-    ``bits in [1, 30]``.  ``sng_width=32`` would silently produce wrong
-    samples batched but raise scalar; validate here so both paths raise
-    the same :class:`ConfigurationError`.  The LFSR's own ``width >= 2``
-    rule is checked here too, before the seed derivation divides by the
-    register period; wider widths without a tap set fail in the shared
-    tap-table validation.  Counter and chaotic randomizers ignore the
-    width.
-    """
-    if sng_kind == "sobol" and not 1 <= int(sng_width) <= 30:
-        raise ConfigurationError(
-            f"sng_width must be in [1, 30] for the sobol randomizer, "
-            f"got {sng_width!r}"
-        )
-    if sng_kind == "lfsr" and int(sng_width) < 2:
-        raise ConfigurationError(
-            f"sng_width must be >= 2 for the lfsr randomizer, "
-            f"got {sng_width!r}"
-        )
 
 
 class _UniformCursor:
@@ -620,7 +586,7 @@ def simulate_batch(
     """
     kernel = resolve_kernel(kernel)
     xs = _validate_batch_inputs(
-        circuit, xs, length, sng_kind, base_seed, sng_width, fault
+        circuit, xs, length, noisy, sng_kind, base_seed, sng_width, fault
     )
     schedule = _resolve_schedule(xs.size, schedule, rng, sng_kind, base_seed)
     coefficients = np.asarray(circuit.polynomial.coefficients, dtype=float)
@@ -675,16 +641,105 @@ def _as_index(name: str, value: Any) -> int:
     raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
+def _positive_index(name: str, value: Any) -> int:
+    """:func:`_as_index`, then at least 1."""
+    index = _as_index(name, value)
+    if index <= 0:
+        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    return index
+
+
+def _as_bool(name: str, value: Any) -> bool:
+    """*value* if it is a bool, else :class:`ConfigurationError`.
+
+    ``"no"`` is truthy and ``None`` falsy: a flag that is not a bool
+    would silently pick a branch.
+    """
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
+def _check_sng_kind(sng_kind: Any) -> None:
+    if sng_kind not in SNG_KINDS:
+        raise ConfigurationError(
+            f"unknown SNG kind {sng_kind!r}; expected one of {SNG_KINDS}"
+        )
+
+
+def _check_base_seed(base_seed: Any) -> Optional[int]:
+    """``None``, or *base_seed* as a non-negative plain int.
+
+    A negative seed would wrap silently through the uint64 cast of
+    :func:`van_der_corput` (sobol) and the modulus of
+    :func:`derive_lfsr_seeds`, while the scalar factory path refuses it.
+    """
+    if base_seed is None:
+        return None
+    base_seed = _as_index("base_seed", base_seed)
+    if base_seed < 0:
+        raise ConfigurationError(f"base_seed must be >= 0, got {base_seed!r}")
+    return base_seed
+
+
+def _check_eval_fields(
+    length: Any,
+    sng_kind: Any,
+    sng_width: Any,
+    noisy: Any,
+    base_seed: Any,
+    fault: Any,
+) -> Tuple[int, int, Optional[int]]:
+    """The one rule book of an evaluation design point.
+
+    :class:`repro.session.EvalSpec` and every engine and runtime entry
+    (through :func:`_validate_batch_inputs`) check their fields here, so
+    a value one of them refuses, all refuse with the same
+    :class:`ConfigurationError`.  Returns ``(length, sng_width,
+    base_seed)`` as plain ints.
+
+    ``sng_width`` is at least 1 for every kind, and the per-kind rules
+    match the scalar constructors: :class:`~repro.stochastic.sng.SobolLikeSNG`
+    takes ``[1, 30]`` bits (the batched :func:`van_der_corput` accepts
+    any count and would silently produce wrong samples), an LFSR at
+    least 2 (checked before the seed derivation divides by the register
+    period; wider widths without a tap set fail in the tap table).
+    """
+    length = _positive_index("length", length)
+    _check_sng_kind(sng_kind)
+    sng_width = _positive_index("sng_width", sng_width)
+    if sng_kind == "sobol" and sng_width > 30:
+        raise ConfigurationError(
+            f"sng_width must be in [1, 30] for the sobol randomizer, "
+            f"got {sng_width!r}"
+        )
+    if sng_kind == "lfsr" and sng_width < 2:
+        raise ConfigurationError(
+            f"sng_width must be >= 2 for the lfsr randomizer, "
+            f"got {sng_width!r}"
+        )
+    _as_bool("noisy", noisy)
+    base_seed = _check_base_seed(base_seed)
+    if fault is not None and not isinstance(fault, FaultSpec):
+        raise ConfigurationError(f"fault must be a FaultSpec, got {fault!r}")
+    return length, sng_width, base_seed
+
+
 def _validate_batch_inputs(
     circuit: Any,
     xs: Any,
     length: int,
+    noisy: bool,
     sng_kind: str,
     base_seed: Optional[int],
     sng_width: int,
-    fault: Optional[FaultSpec] = None,
+    fault: Optional[FaultSpec],
 ) -> "np.ndarray[Any, Any]":
-    """Shared entry validation of the one-shot and runtime batch paths."""
+    """Shared entry validation of the one-shot and runtime batch paths.
+
+    The circuit and inputs, then the :func:`_check_eval_fields` rule
+    book, then the fault against the circuit order.
+    """
     from ..core.circuit import OpticalStochasticCircuit
 
     if not isinstance(circuit, OpticalStochasticCircuit):
@@ -699,21 +754,8 @@ def _validate_batch_inputs(
         raise ConfigurationError("xs must be a non-empty 1-D array")
     if not np.all((xs >= 0.0) & (xs <= 1.0)):  # also rejects NaN
         raise ConfigurationError("x must be in [0, 1]")
-    if _as_index("length", length) <= 0:
-        raise ConfigurationError(f"length must be positive, got {length!r}")
-    if sng_kind not in SNG_KINDS:
-        raise ConfigurationError(
-            f"unknown SNG kind {sng_kind!r}; expected one of {SNG_KINDS}"
-        )
-    if base_seed is not None:
-        _as_index("base_seed", base_seed)
-    _validate_base_seed(base_seed)
-    _validate_sng_width(sng_kind, _as_index("sng_width", sng_width))
+    _check_eval_fields(length, sng_kind, sng_width, noisy, base_seed, fault)
     if fault is not None:
-        if not isinstance(fault, FaultSpec):
-            raise ConfigurationError(
-                f"fault must be a FaultSpec, got {fault!r}"
-            )
         fault.validate_against_order(circuit.params.order)
     return xs
 

@@ -16,26 +16,22 @@ Runs the complete Fig. 3 pipeline for one evaluation:
 :meth:`repro.core.circuit.OpticalStochasticCircuit.evaluate` runs it as
 row 0 of a serial single-tile :func:`repro.simulation.runtime.run_batch`
 over ``[x]`` (the call :class:`repro.session.Evaluator` makes) and
-returns an :class:`OpticalEvaluation` view of that row.  The free
-functions :func:`simulate_evaluation` and :func:`simulate_sweep` are
-deprecated shims over the same call (``session.DEPRECATED_WRAPPERS``).
-The seed schedule consumes ``rng`` row by row, so looping single
-evaluations over ``xs`` with one ``rng`` gives exactly the rows of one
-batched call; ``base_seed`` pins the whole schedule instead.
+returns an :class:`OpticalEvaluation` view of that row.  The seed
+schedule consumes ``rng`` row by row, so looping single evaluations
+over ``xs`` with one ``rng`` gives exactly the rows of one batched
+call; ``base_seed`` pins the whole schedule instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..stochastic.bitstream import Bitstream
 from .engine import BatchEvaluation
-from .runtime import RuntimeConfig, _warn_deprecated, run_batch
 
-__all__ = ["OpticalEvaluation", "simulate_evaluation", "simulate_sweep"]
+__all__ = ["OpticalEvaluation"]
 
 
 @dataclass(frozen=True)
@@ -80,64 +76,3 @@ def _evaluation_from_batch(batch: BatchEvaluation, row: int) -> OpticalEvaluatio
         select_levels=batch.select_levels[row],
     )
 
-
-def simulate_evaluation(
-    circuit,
-    x: float,
-    length: int = 1024,
-    rng: Optional[np.random.Generator] = None,
-    noisy: bool = True,
-    sng_kind: str = "lfsr",
-    base_seed: Optional[int] = None,
-    sng_width: int = 16,
-) -> OpticalEvaluation:
-    """Deprecated: row 0 of ``Evaluator(circuit, EvalSpec(...)).evaluate([x])``.
-
-    Runs the optical circuit for *length* bit slots on input *x* and
-    returns the same :class:`OpticalEvaluation` bits as before
-    (:meth:`repro.core.circuit.OpticalStochasticCircuit.evaluate` is the
-    non-deprecated form).
-    """
-    _warn_deprecated("repro.simulation.functional.simulate_evaluation")
-    return _evaluation_from_batch(
-        run_batch(
-            circuit,
-            [x],
-            length=length,
-            rng=rng,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            base_seed=base_seed,
-            sng_width=sng_width,
-            config=RuntimeConfig(workers=0),
-        ),
-        0,
-    )
-
-
-def simulate_sweep(
-    circuit,
-    xs,
-    length: int = 1024,
-    rng: Optional[np.random.Generator] = None,
-    noisy: bool = True,
-    sng_kind: str = "lfsr",
-    base_seed: Optional[int] = None,
-    sng_width: int = 16,
-) -> np.ndarray:
-    """Deprecated: ``Evaluator(circuit, EvalSpec(...)).evaluate(xs).values``.
-
-    De-randomized outputs across the inputs *xs*, one batched pass.
-    """
-    _warn_deprecated("repro.simulation.functional.simulate_sweep")
-    return run_batch(
-        circuit,
-        xs,
-        length=length,
-        rng=rng,
-        noisy=noisy,
-        sng_kind=sng_kind,
-        base_seed=base_seed,
-        sng_width=sng_width,
-        config=RuntimeConfig(workers=0),
-    ).values

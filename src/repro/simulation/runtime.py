@@ -47,7 +47,6 @@ import multiprocessing
 import os
 import sys
 import threading
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -73,8 +72,10 @@ from ..stochastic.sng import derive_lfsr_seeds  # noqa: F401
 from .engine import (
     BatchEvaluation,
     SeedSchedule,
+    _as_bool,
     _as_index,
     _pin_stuck,
+    _positive_index,
     _ReceiverNoise,
     _resolve_schedule,
     _StreamSource,
@@ -96,7 +97,6 @@ __all__ = [
     "resolve_pool",
     "resolve_vectorized",
     "run_batch",
-    "simulate_batch_sharded",
     "simulate_chunked",
 ]
 
@@ -185,11 +185,7 @@ def resolve_pool(
     if workers is not None:
         workers = _resolve_workers(workers)
     if runtime is not None:
-        if not isinstance(runtime, RuntimeConfig):
-            raise ConfigurationError(
-                f"runtime must be a RuntimeConfig, got {runtime!r}"
-            )
-        backend = runtime.backend
+        backend = _check_runtime(runtime).backend
         if workers is None:
             workers = runtime.resolved_workers
     return workers, backend
@@ -210,11 +206,7 @@ def resolve_vectorized(
     if vectorized is not None:
         return bool(vectorized)
     if runtime is not None:
-        if not isinstance(runtime, RuntimeConfig):
-            raise ConfigurationError(
-                f"runtime must be a RuntimeConfig, got {runtime!r}"
-            )
-        return runtime.vectorized
+        return _check_runtime(runtime).vectorized
     return False
 
 
@@ -437,13 +429,9 @@ def simulate_chunked(
     _validate_backend(backend)
     kernel = resolve_kernel(kernel)
     xs = _validate_batch_inputs(
-        circuit, xs, length, sng_kind, base_seed, sng_width, fault
+        circuit, xs, length, noisy, sng_kind, base_seed, sng_width, fault
     )
-    chunk_length = _as_index("chunk_length", chunk_length)
-    if chunk_length <= 0:
-        raise ConfigurationError(
-            f"chunk_length must be positive, got {chunk_length!r}"
-        )
+    chunk_length = _positive_index("chunk_length", chunk_length)
     power_histogram_bins = _as_index(
         "power_histogram_bins", power_histogram_bins
     )
@@ -546,64 +534,6 @@ def simulate_chunked(
     )
 
 
-def _warn_deprecated(name: str) -> None:
-    """The deprecation call of every shim in ``session.DEPRECATED_WRAPPERS``.
-
-    The registry is imported at call time (``session`` imports this
-    module); ``stacklevel=3`` points the warning at the shim's caller.
-    """
-    from ..session import DEPRECATED_WRAPPERS
-
-    entry = DEPRECATED_WRAPPERS[name]
-    warnings.warn(
-        f"{name} is deprecated ({entry['removal_note']}); use "
-        f"{entry['replacement']}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def simulate_batch_sharded(
-    circuit: Any,
-    xs: Any,
-    length: int = 1024,
-    rng: Optional[np.random.Generator] = None,
-    noisy: bool = True,
-    sng_kind: str = "lfsr",
-    base_seed: Optional[int] = None,
-    sng_width: int = 16,
-    workers: Optional[int] = None,
-    backend: str = "process",
-    schedule: Optional[SeedSchedule] = None,
-    kernel: str = "numpy",
-    fault: Optional[FaultSpec] = None,
-) -> ChunkedEvaluation:
-    """Deprecated: the single-tile :func:`simulate_chunked`.
-
-    Use ``Evaluator(circuit, spec, RuntimeConfig(workers=N,
-    backend=...)).evaluate(xs)`` (see ``DEPRECATED_WRAPPERS`` in
-    :mod:`repro.session`).  Returns the same
-    :class:`ChunkedEvaluation` bits as before.
-    """
-    _warn_deprecated("repro.simulation.runtime.simulate_batch_sharded")
-    return simulate_chunked(
-        circuit,
-        xs,
-        length=length,
-        chunk_length=length,
-        rng=rng,
-        noisy=noisy,
-        sng_kind=sng_kind,
-        base_seed=base_seed,
-        sng_width=sng_width,
-        schedule=schedule,
-        workers=workers,
-        backend=backend,
-        kernel=kernel,
-        fault=fault,
-    )
-
-
 # -- keyed evaluation cache ----------------------------------------------------
 
 
@@ -633,12 +563,7 @@ class EvaluationCache:
     """
 
     def __init__(self, max_entries: int = 16) -> None:
-        max_entries = _as_index("max_entries", max_entries)
-        if max_entries < 1:
-            raise ConfigurationError(
-                f"max_entries must be >= 1, got {max_entries!r}"
-            )
-        self.max_entries = max_entries
+        self.max_entries = _positive_index("max_entries", max_entries)
         self._entries: "OrderedDict[Tuple[Any, ...], Evaluation]" = (
             OrderedDict()
         )
@@ -761,10 +686,10 @@ class RuntimeConfig:
 
     Every construction-knowable misconfiguration fails in
     ``__post_init__`` — an invalid backend, kernel, chunk size, worker
-    count or cache object never survives to the first evaluation.  The
-    one check that needs the seed policy (cache without a fixed
-    ``base_seed``) fails on **every** :func:`run_batch` path, and at
-    construction when the config is bound to a spec in a
+    count, non-bool flag or cache object never survives to the first
+    evaluation.  The one check that needs the seed policy (cache
+    without a fixed ``base_seed``) fails on **every** :func:`run_batch`
+    path, and at construction when the config is bound to a spec in a
     :class:`repro.session.Evaluator`.
     """
 
@@ -779,18 +704,12 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         _validate_backend(self.backend)
         resolve_kernel(self.kernel)
-        if not isinstance(self.vectorized, bool):
-            raise ConfigurationError(
-                f"vectorized must be a bool, got {self.vectorized!r}"
-            )
+        _as_bool("use_cache", self.use_cache)
+        _as_bool("vectorized", self.vectorized)
         if self.workers is not None:
             object.__setattr__(self, "workers", _resolve_workers(self.workers))
         if self.chunk_length is not None:
-            chunk_length = _as_index("chunk_length", self.chunk_length)
-            if chunk_length <= 0:
-                raise ConfigurationError(
-                    f"chunk_length must be positive, got {chunk_length!r}"
-                )
+            chunk_length = _positive_index("chunk_length", self.chunk_length)
             object.__setattr__(self, "chunk_length", chunk_length)
         if self.cache is not None and not isinstance(
             self.cache, EvaluationCache
@@ -808,6 +727,30 @@ class RuntimeConfig:
     def resolved_workers(self) -> int:
         """The effective worker count (environment default applied)."""
         return default_worker_count() if self.workers is None else self.workers
+
+
+def _check_runtime(runtime: Any) -> RuntimeConfig:
+    """*runtime* if it is a :class:`RuntimeConfig`, else a typed error."""
+    if not isinstance(runtime, RuntimeConfig):
+        raise ConfigurationError(
+            f"runtime must be a RuntimeConfig, got {runtime!r}"
+        )
+    return runtime
+
+
+def _check_cache_seed(runtime: RuntimeConfig, base_seed: Any) -> None:
+    """Refuse a cache request without a fixed *base_seed*.
+
+    Silently recomputing while the caller believes memoization is on
+    would defeat the config: :func:`run_batch` fails on every dispatch
+    path, and :class:`repro.session.Evaluator` at construction.
+    """
+    if runtime.cache_requested and base_seed is None:
+        raise ConfigurationError(
+            "the runtime enables the evaluation cache but base_seed is "
+            "None; rng-derived seeds make every call unique — pin "
+            "base_seed or disable the cache"
+        )
 
 
 def run_batch(
@@ -852,17 +795,10 @@ def run_batch(
     strategy too.  A bare ``simulate_batch`` call derives its schedule
     the same way, so it returns the same bits as a single-tile run.
     """
-    config = config or RuntimeConfig()
-    if config.cache_requested and base_seed is None:
-        # Silently recomputing while the caller believes memoization is
-        # on would defeat the config; fail on every dispatch path.
-        raise ConfigurationError(
-            "RuntimeConfig enables the evaluation cache but base_seed is "
-            "None; rng-derived seeds make every call unique — pass a "
-            "fixed base_seed or disable the cache"
-        )
+    config = RuntimeConfig() if config is None else _check_runtime(config)
+    _check_cache_seed(config, base_seed)
     xs = _validate_batch_inputs(
-        circuit, xs, length, sng_kind, base_seed, sng_width, fault
+        circuit, xs, length, noisy, sng_kind, base_seed, sng_width, fault
     )
     workers = config.resolved_workers
     chunk_length = config.chunk_length or length

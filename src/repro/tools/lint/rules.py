@@ -527,7 +527,7 @@ class AsyncPurityRule(RuleVisitor):
 # --------------------------------------------------------------------------
 
 #: Call sites whose callable arguments cross the process boundary.
-_SHARD_ENTRY_POINTS = {"parallel_map", "simulate_batch_sharded"}
+_SHARD_ENTRY_POINTS = {"parallel_map"}
 
 
 class ShardSafetyRule(RuleVisitor):
@@ -542,7 +542,7 @@ class ShardSafetyRule(RuleVisitor):
     name = "RL004"
     description = (
         "shard-safety: no lambdas or closure-local functions passed to "
-        "parallel_map / simulate_batch_sharded"
+        "parallel_map"
     )
 
     def __init__(self, source: FileSource) -> None:

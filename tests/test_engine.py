@@ -27,7 +27,7 @@ from repro.simulation.engine import (
 from repro.simulation.faultmodel import FaultSpec
 from repro.simulation.kernels import KERNELS, pass_context
 from repro.simulation.receiver import OpticalReceiver
-from repro.simulation.runtime import RuntimeConfig, run_batch
+from repro.simulation.runtime import RuntimeConfig, run_batch, simulate_chunked
 from repro.stochastic import LFSR
 from repro.stochastic.bernstein import BernsteinPolynomial
 from repro.stochastic.bitstream import Bitstream
@@ -406,6 +406,24 @@ class TestBatchEvaluationContainer:
                 simulate_batch(circuit, [0.5], sng_width=width)
         with pytest.raises(ConfigurationError, match="FaultSpec"):
             simulate_batch(circuit, [0.5], fault="flip")
+        # A bad rng or batch size fails typed, not as an AttributeError
+        # or TypeError from inside the seed derivation.
+        for evaluate in (
+            lambda rng: Evaluator(circuit, EvalSpec(length=64)).evaluate(
+                [0.5], rng=rng
+            ),
+            lambda rng: run_batch(circuit, [0.5], length=64, rng=rng),
+            lambda rng: simulate_batch(circuit, [0.5], length=64, rng=rng),
+            lambda rng: simulate_chunked(
+                circuit, [0.5], length=64, chunk_length=32, rng=rng
+            ),
+        ):
+            with pytest.raises(ConfigurationError, match="rng"):
+                evaluate(5)
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            derive_seed_schedule(2.5, base_seed=1)
+        with pytest.raises(ConfigurationError, match="positive"):
+            derive_seed_schedule(0, base_seed=1)
 
     def test_nan_inputs_rejected(self):
         # NaN survives any()/< checks; the batch path must reject it

@@ -8,6 +8,8 @@ backends, and trajectory faults (drift ramps, laser decay) stitch exactly across
 chunk boundaries.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -170,18 +172,47 @@ class TestFaultSpec:
         assert np.any(bare.output_bits != bare.ideal_bits)
 
 
+def _quantized(probability):
+    one = 1 << FAULT_PROBABILITY_BITS
+    return np.clip(np.rint(np.asarray(probability) * one), 0, one) / one
+
+
+def _assert_binomial(flips, p_q, trials):
+    """Realized flips within 6 sigma (+1) of a sum of Bernoulli(p_q) draws.
+
+    *p_q* is one quantized probability per clock (or a scalar); each
+    clock is drawn *trials* times.
+    """
+    mean = trials * float(np.sum(p_q))
+    variance = trials * float(np.sum(p_q * (1.0 - p_q)))
+    assert abs(int(flips) - mean) <= 6.0 * math.sqrt(variance) + 1.0
+
+
 class TestBernoulliMasks:
     def test_mask_rate_tracks_probability(self):
         seeds = np.arange(64, dtype=np.uint64) + np.uint64(1)
         words = 4096
-        for p in (0.0, 0.25, 0.5, 0.9, 1.0):
+        clocks = seeds.size * words * 64
+        for p in (0.0, 1e-4, 1e-3, 0.25, 0.5, 0.9, 1.0):
             mask = packed_bernoulli_words(seeds, 0, _planes(p, 64 * words))
-            rate = popcount(mask).sum() / (seeds.size * words * 64)
-            assert rate == pytest.approx(
-                round(p * (1 << FAULT_PROBABILITY_BITS))
-                / (1 << FAULT_PROBABILITY_BITS),
-                abs=2e-3,
-            )
+            _assert_binomial(popcount(mask).sum(), _quantized(p), clocks)
+
+    def test_drift_ramp_flips_track_the_quantized_trajectory(self):
+        # The flip rate ramps from 1e-4 to about 1.1e-3 over 2**20 clocks;
+        # the realized flips follow the sum of the per-clock quantized
+        # probabilities, not the mean rate.
+        rows, length = 16, 1 << 20
+        spec = FaultSpec(flip_probability=1e-4, drift_ramp_per_mclock=1e-3)
+        channel = PackedFaultChannel(
+            spec, np.arange(rows, dtype=np.int64) + 3, length
+        )
+        clean = np.zeros((rows, length // 64), dtype=np.uint64)
+        flips = popcount(channel.apply_words(clean, 0, length)).sum()
+        t = np.arange(length, dtype=np.float64)
+        p_q = _quantized(
+            spec.flip_probability + spec.drift_ramp_per_mclock * t / (1 << 20)
+        )
+        _assert_binomial(flips, p_q, rows)
 
     def test_masks_are_absolutely_addressed(self):
         seeds = np.array([123, 456], dtype=np.uint64)

@@ -383,7 +383,7 @@ class TestShardSafety:
                 def shift(x):
                     return x + offset
 
-                return simulate_batch_sharded(shift, items)
+                return parallel_map(shift, items)
             """,
             select=["RL004"],
         )

@@ -1,10 +1,8 @@
 """Tests for the top-level public API surface."""
 
 import importlib
-import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
@@ -16,14 +14,6 @@ PACKAGE_DIR = Path(repro.__file__).resolve().parent
 REMOVED_WRAPPERS = sorted(
     name for name, entry in DEPRECATED_WRAPPERS.items() if entry["removed"]
 )
-LIVE_SHIMS = sorted(
-    name for name, entry in DEPRECATED_WRAPPERS.items() if not entry["removed"]
-)
-
-
-def _resolve(dotted):
-    module_name, _, attribute = dotted.rpartition(".")
-    return getattr(importlib.import_module(module_name), attribute)
 
 
 class TestLazyAPI:
@@ -142,121 +132,3 @@ class TestPublicAPIContract:
         assert cached_session.evaluate([0.5]) is first
         assert cache.hits == 1
 
-
-# -- live deprecation shims ------------------------------------------------------
-
-SHIM_XS = [0.1, 0.55, 0.9]
-SHIM_LENGTH = 256
-
-
-def _single_fields(evaluation):
-    return (
-        evaluation.value,
-        evaluation.output_bits.bits,
-        evaluation.ideal_bits.bits,
-        evaluation.received_power_mw,
-        evaluation.select_levels,
-    )
-
-
-def _row_fields(batch):
-    return (
-        batch.values[0],
-        batch.output_bits[0],
-        batch.ideal_bits[0],
-        batch.received_power_mw[0],
-        batch.select_levels[0],
-    )
-
-
-def _statistics(result):
-    return (
-        result.values,
-        result.expected,
-        result.ones_count,
-        result.transmission_bit_errors,
-    )
-
-
-SHARDED = repro.RuntimeConfig(workers=2, backend="thread")
-
-# dotted name -> (call the shim, call its registry replacement)
-SHIM_CASES = {
-    "repro.simulation.functional.simulate_evaluation": (
-        lambda shim, circuit, seeding: _single_fields(
-            shim(circuit, SHIM_XS[1], length=SHIM_LENGTH, **seeding)
-        ),
-        lambda circuit, spec, rng: _row_fields(
-            repro.Evaluator(circuit, spec).evaluate([SHIM_XS[1]], rng=rng)
-        ),
-    ),
-    "repro.simulation.functional.simulate_sweep": (
-        lambda shim, circuit, seeding: (
-            shim(circuit, SHIM_XS, length=SHIM_LENGTH, **seeding),
-        ),
-        lambda circuit, spec, rng: (
-            repro.Evaluator(circuit, spec).evaluate(SHIM_XS, rng=rng).values,
-        ),
-    ),
-    "repro.simulation.runtime.simulate_batch_sharded": (
-        lambda shim, circuit, seeding: _statistics(
-            shim(
-                circuit,
-                SHIM_XS,
-                length=SHIM_LENGTH,
-                workers=2,
-                backend="thread",
-                **seeding,
-            )
-        ),
-        lambda circuit, spec, rng: _statistics(
-            repro.Evaluator(circuit, spec, SHARDED).evaluate(SHIM_XS, rng=rng)
-        ),
-    ),
-}
-
-
-@pytest.fixture(scope="module")
-def noisy_circuit():
-    # Starved probes: receiver noise flips bits, so the comparison
-    # covers the noise draw, not only the noiseless decisions.
-    return repro.OpticalStochasticCircuit(
-        repro.paper_section5a_parameters(probe_power_mw=0.06),
-        repro.BernsteinPolynomial([0.25, 0.625, 0.375]),
-    )
-
-
-class TestDeprecatedShims:
-    """Every ``removed: False`` entry warns and equals its replacement."""
-
-    def test_every_live_shim_has_a_case(self):
-        assert set(LIVE_SHIMS) == set(SHIM_CASES)
-
-    @pytest.mark.parametrize("seeding", ["rng", "base_seed"])
-    @pytest.mark.parametrize("dotted", LIVE_SHIMS)
-    def test_shim_warns_and_matches_replacement(
-        self, noisy_circuit, dotted, seeding
-    ):
-        entry = DEPRECATED_WRAPPERS[dotted]
-        assert "Evaluator" in entry["replacement"]
-        shim = _resolve(dotted)
-        assert getattr(repro, dotted.rpartition(".")[2]) is shim
-        call_shim, call_replacement = SHIM_CASES[dotted]
-        if seeding == "rng":
-            shim_seeding = {"rng": np.random.default_rng(7)}
-            spec = repro.EvalSpec(length=SHIM_LENGTH)
-            rng = np.random.default_rng(7)
-        else:
-            shim_seeding = {"base_seed": 11}
-            spec = repro.EvalSpec(length=SHIM_LENGTH, base_seed=11)
-            rng = None
-        with pytest.warns(
-            DeprecationWarning, match=re.escape(entry["replacement"])
-        ) as record:
-            got = call_shim(shim, noisy_circuit, shim_seeding)
-        # The warning points at the shim's caller, not into the package.
-        assert [w.filename for w in record] == [__file__]
-        expected = call_replacement(noisy_circuit, spec, rng)
-        assert len(got) == len(expected)
-        for shim_field, replacement_field in zip(got, expected):
-            assert np.array_equal(shim_field, replacement_field)

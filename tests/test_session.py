@@ -10,6 +10,7 @@ from repro.exploration.tradeoffs import measured_accuracy_frontier
 from repro.experiments import list_experiments, run_experiment
 from repro.experiments.registry import experiment_config_parameters
 from repro.session import EvalSpec, Evaluator
+from repro.simulation.engine import simulate_batch
 from repro.simulation.montecarlo import run_monte_carlo
 from repro.simulation.runtime import (
     ChunkedEvaluation,
@@ -92,6 +93,40 @@ class TestEvalSpec:
         # A noisy unpinned counter still draws noise seeds from the rng.
         assert not EvalSpec(sng_kind="counter").deterministic
         assert not EvalSpec().deterministic
+
+
+# Fields EvalSpec and every engine entry point must refuse alike.
+RULE_BOOK_CASES = [
+    {"sng_kind": "counter", "sng_width": 0},
+    {"sng_kind": "counter", "sng_width": -3},
+    {"sng_kind": "chaotic", "sng_width": 0},
+    {"sng_kind": "chaotic", "sng_width": -3},
+    {"sng_kind": "sobol", "sng_width": 31},
+    {"sng_width": 1},
+    {"noisy": "no"},
+    {"noisy": None},
+    {"noisy": 1},
+    {"sng_kind": ["lfsr"]},
+    {"sng_kind": "quantum"},
+    {"base_seed": True},
+    {"base_seed": -1},
+    {"length": 0},
+    {"length": 10.5},
+    {"fault": "flip"},
+]
+
+
+class TestOneRuleBook:
+    @pytest.mark.parametrize(
+        "entry", [run_batch, simulate_batch, simulate_chunked]
+    )
+    @pytest.mark.parametrize("fields", RULE_BOOK_CASES, ids=repr)
+    def test_spec_and_entry_points_refuse_alike(self, circuit, fields, entry):
+        with pytest.raises(ConfigurationError) as spec_error:
+            EvalSpec(**fields)
+        with pytest.raises(ConfigurationError) as entry_error:
+            entry(circuit, [0.5], **fields)
+        assert str(entry_error.value) == str(spec_error.value)
 
 
 class TestEvaluatorConstruction:
@@ -390,6 +425,18 @@ class TestRuntimeConfigValidation:
         with pytest.raises(ConfigurationError, match="positive"):
             session.stream([0.5], chunk_length=0)
         assert session.stream([0.5], chunk_length=np.int64(64)).chunk_count == 4
+        # bool("no") is True: a non-bool flag must not switch the cache on.
+        for bad in ("no", 1, None):
+            with pytest.raises(ConfigurationError, match="use_cache must be a bool"):
+                RuntimeConfig(use_cache=bad)
+
+    def test_run_batch_rejects_a_non_config(self, circuit):
+        # Not a config: a typed error, not an AttributeError on a field.
+        for bad in ({"workers": 0}, {}, "serial"):
+            with pytest.raises(
+                ConfigurationError, match="must be a RuntimeConfig"
+            ):
+                run_batch(circuit, [0.5], length=64, config=bad)
 
     def test_cache_requested_property(self):
         assert not RuntimeConfig().cache_requested
