@@ -62,10 +62,11 @@ __all__ = [
 def __getattr__(name):
     """Lazily expose the high-level API to keep ``import repro`` light.
 
-    The heavy subpackages (scipy-dependent core, simulation) are imported
-    on first attribute access rather than at package import time.  Uses
-    ``importlib`` rather than ``from . import _api`` because the latter
-    re-enters this ``__getattr__`` while ``_api`` is still initializing.
+    The heavy subpackages (the numpy-backed core, simulation and serving)
+    are imported on first attribute access rather than at package import
+    time.  Uses ``importlib`` rather than ``from . import _api`` because
+    the latter re-enters this ``__getattr__`` while ``_api`` is still
+    initializing.
     """
     import importlib
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 from ..errors import ConfigurationError, DesignInfeasibleError
 from .link_budget import received_power_table
@@ -44,9 +44,9 @@ __all__ = [
 
 def ber_for_snr(snr: float) -> float:
     """Paper Eq. 9: OOK bit-error rate for a given electrical SNR."""
-    if snr < 0.0:
+    if not snr >= 0.0:
         raise ConfigurationError(f"snr must be >= 0, got {snr!r}")
-    return 0.5 * float(erfc(snr / (2.0 * math.sqrt(2.0))))
+    return 0.5 * math.erfc(snr / (2.0 * math.sqrt(2.0)))
 
 
 def required_snr_for_ber(ber: float) -> float:
@@ -58,7 +58,8 @@ def required_snr_for_ber(ber: float) -> float:
     """
     if not 0.0 < ber < 0.5:
         raise ConfigurationError(f"ber must be in (0, 0.5), got {ber!r}")
-    return 2.0 * math.sqrt(2.0) * float(erfcinv(2.0 * ber))
+    # erfcinv(2 ber) = -Phi^-1(ber) / sqrt(2), so SNR = -2 Phi^-1(ber).
+    return -2.0 * NormalDist().inv_cdf(ber)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ throughput-accuracy tradeoff discussion (Sections V-B and V-D).
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from ..errors import ConfigurationError
 
@@ -25,6 +25,15 @@ __all__ = [
     "required_stream_length",
     "stream_error_std",
 ]
+
+
+def _two_sided_z(confidence: float) -> float:
+    """Standard-normal ``z`` with ``P(|Z| < z) = confidence``.
+
+    Taken from the lower tail so that a confidence within an ulp of 1
+    still gives a finite quantile.
+    """
+    return -NormalDist().inv_cdf((1.0 - confidence) / 2.0)
 
 
 def _as_arrays(estimates: Sequence[float], references: Sequence[float]):
@@ -93,7 +102,7 @@ def binomial_confidence_interval(
             f"confidence must be in (0, 1), got {confidence!r}"
         )
     p = ones_count / length
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = _two_sided_z(confidence)
     half_width = z * math.sqrt(max(p * (1.0 - p), 1e-12) / length)
     return (max(0.0, p - half_width), min(1.0, p + half_width))
 
@@ -108,7 +117,7 @@ def required_stream_length(
     the tolerated error quadruples the stream length (and computation
     time), which optical transmission speed can buy back.
     """
-    if epsilon <= 0.0 or epsilon >= 0.5:
+    if not 0.0 < epsilon < 0.5:
         raise ConfigurationError(
             f"epsilon must be in (0, 0.5), got {epsilon!r}"
         )
@@ -116,5 +125,5 @@ def required_stream_length(
         raise ConfigurationError(
             f"confidence must be in (0, 1), got {confidence!r}"
         )
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = _two_sided_z(confidence)
     return int(math.ceil((z / (2.0 * epsilon)) ** 2))

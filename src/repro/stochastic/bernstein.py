@@ -14,10 +14,10 @@ out-of-range coefficients without changing the function.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import comb
 
 from ..errors import ConfigurationError, DesignInfeasibleError
 from ..units import ArrayLike
@@ -37,7 +37,7 @@ def bernstein_basis(i: int, n: int, x: ArrayLike) -> ArrayLike:
     if not 0 <= i <= n:
         raise ConfigurationError(f"need 0 <= i <= n, got i={i}, n={n}")
     x = np.asarray(x, dtype=float)
-    value = comb(n, i, exact=True) * x**i * (1.0 - x) ** (n - i)
+    value = comb(n, i) * x**i * (1.0 - x) ** (n - i)
     if value.ndim == 0:
         return float(value)
     return value
@@ -183,21 +183,69 @@ class BernsteinPolynomial:
             values = np.asarray(function(nodes), dtype=float)
             return cls(values)
         if method == "least_squares":
-            from scipy.optimize import lsq_linear
-
+            if samples < degree + 1:
+                raise ConfigurationError(
+                    f"a degree-{degree} fit needs at least {degree + 1} "
+                    f"samples, got {samples!r}"
+                )
             grid = np.linspace(0.0, 1.0, samples)
             basis = np.stack(
                 [bernstein_basis(i, degree, grid) for i in range(degree + 1)],
                 axis=1,
             )
             target = np.asarray(function(grid), dtype=float)
-            solution = lsq_linear(basis, target, bounds=(0.0, 1.0))
-            if not solution.success:  # pragma: no cover - solver failure
-                raise DesignInfeasibleError(
-                    "bounded least-squares fit failed: " + solution.message
-                )
-            return cls(np.clip(solution.x, 0.0, 1.0))
+            return cls(_unit_box_lstsq(basis, target))
         raise ConfigurationError(f"unknown method {method!r}")
+
+
+def _unit_box_lstsq(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Minimize ``||matrix @ b - target||`` subject to ``0 <= b <= 1``.
+
+    Primal active-set method for the bounded least-squares problem: fix
+    the variables in the working set at their bounds, solve the rest
+    unconstrained, and either step toward that solution until a free
+    variable hits a bound (which joins the working set) or, when the
+    solution is feasible, release the bound variable whose Lagrange
+    multiplier has the wrong sign.  No step raises the objective, so the
+    loop ends at the KKT point; the iteration cap only guards against
+    cycling on degenerate ties.  Variables at a bound are exactly 0 or 1.
+    """
+    x = np.clip(np.linalg.lstsq(matrix, target, rcond=None)[0], 0.0, 1.0)
+    bound = (x == 0.0) | (x == 1.0)
+    scale = np.abs(matrix).sum() * (np.abs(target).max(initial=0.0) + 1.0)
+    tolerance = 1e-13 * scale
+    for _ in range(10 * (x.size + 1) ** 2):
+        free = ~bound
+        residual = target - matrix[:, bound] @ x[bound]
+        step = np.linalg.lstsq(matrix[:, free], residual, rcond=None)[0]
+        outside = (step < 0.0) | (step > 1.0)
+        if outside.any():
+            # Walk from x toward the free solution until the first bound.
+            current = x[free]
+            limit = np.where(step < 0.0, 0.0, 1.0)
+            toward = step - current
+            ratios = np.full(current.shape, np.inf)
+            ratios[outside] = (limit - current)[outside] / toward[outside]
+            alpha = ratios.min()
+            blocking = outside & (ratios <= alpha)
+            moved = current + alpha * toward
+            moved[blocking] = limit[blocking]
+            x[free] = np.clip(moved, 0.0, 1.0)
+            bound[np.flatnonzero(free)[blocking]] = True
+            continue
+        x[free] = step
+        # Multipliers of the active bounds: a lower bound is right while
+        # the gradient there is >= 0, an upper bound while it is <= 0.
+        gradient = matrix.T @ (matrix @ x - target)
+        wrong = np.where(x == 0.0, -gradient, gradient)
+        wrong[~bound] = 0.0
+        worst = int(np.argmax(wrong))
+        if wrong[worst] <= tolerance:
+            return x
+        bound[worst] = False
+    raise DesignInfeasibleError(  # pragma: no cover - degenerate cycling
+        "bounded least-squares fit did not converge"
+    )
 
 
 def power_to_bernstein(power_coefficients: Sequence[float]) -> np.ndarray:
@@ -215,7 +263,7 @@ def power_to_bernstein(power_coefficients: Sequence[float]) -> np.ndarray:
     b = np.zeros(n + 1)
     for i in range(n + 1):
         for k in range(i + 1):
-            b[i] += comb(i, k, exact=True) / comb(n, k, exact=True) * a[k]
+            b[i] += comb(i, k) / comb(n, k) * a[k]
     return b
 
 
@@ -233,8 +281,8 @@ def bernstein_to_power(bernstein_coefficients: Sequence[float]) -> np.ndarray:
     for k in range(n + 1):
         total = 0.0
         for i in range(k + 1):
-            total += (-1) ** (k - i) * comb(k, i, exact=True) * b[i]
-        a[k] = comb(n, k, exact=True) * total
+            total += (-1) ** (k - i) * comb(k, i) * b[i]
+        a[k] = comb(n, k) * total
     return a
 
 

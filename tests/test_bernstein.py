@@ -1,9 +1,13 @@
 """Tests for Bernstein polynomial machinery (paper Eq. 1)."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
+from scipy.special import comb as scipy_comb
 
 from repro.errors import ConfigurationError, DesignInfeasibleError
 from repro.stochastic import (
@@ -13,7 +17,7 @@ from repro.stochastic import (
     degree_elevation,
     power_to_bernstein,
 )
-from repro.stochastic.bernstein import bernstein_to_power
+from repro.stochastic.bernstein import _unit_box_lstsq, bernstein_to_power
 from repro.stochastic.polynomial import PAPER_EXAMPLE_F1
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
@@ -44,6 +48,11 @@ class TestBasis:
             assert bernstein_basis(k, n, x) == pytest.approx(
                 binom.pmf(k, n, x)
             )
+
+    def test_math_comb_matches_scipy(self):
+        for n in range(40):
+            for k in range(n + 1):
+                assert comb(n, k) == scipy_comb(n, k, exact=True)
 
     def test_index_validation(self):
         with pytest.raises(ConfigurationError):
@@ -158,7 +167,70 @@ class TestFromFunction:
         with pytest.raises(ConfigurationError):
             BernsteinPolynomial.from_function(lambda x: x, 3, method="magic")
 
+    def test_least_squares_needs_degree_plus_one_samples(self):
+        for samples in (0, 1, 3):
+            with pytest.raises(ConfigurationError):
+                BernsteinPolynomial.from_function(
+                    lambda x: x, 3, method="least_squares", samples=samples
+                )
+        fit = BernsteinPolynomial.from_function(
+            lambda x: x, 3, method="least_squares", samples=4
+        )
+        assert np.allclose(fit.coefficients, [0.0, 1 / 3, 2 / 3, 1.0])
+
     def test_evaluation_shapes(self):
         poly = BernsteinPolynomial([0.2, 0.8])
         assert isinstance(poly(0.5), float)
         assert poly(np.array([0.0, 1.0])).shape == (2,)
+
+
+@st.composite
+def bounded_fit_problems(draw):
+    degree = draw(st.integers(min_value=0, max_value=8))
+    samples = draw(st.integers(min_value=degree + 1, max_value=48))
+    target = draw(
+        st.lists(
+            st.floats(min_value=-0.5, max_value=1.5),
+            min_size=samples,
+            max_size=samples,
+        )
+    )
+    grid = np.linspace(0.0, 1.0, samples)
+    basis = np.stack(
+        [bernstein_basis(i, degree, grid) for i in range(degree + 1)], axis=1
+    )
+    return basis, np.asarray(target)
+
+
+class TestUnitBoxLeastSquares:
+    """The bounded fit behind ``method="least_squares"``, with scipy's
+    ``lsq_linear`` as a test-only oracle."""
+
+    @given(problem=bounded_fit_problems())
+    def test_feasible_kkt_and_no_worse_than_lsq_linear(self, problem):
+        basis, target = problem
+        b = _unit_box_lstsq(basis, target)
+        assert np.all((b >= 0.0) & (b <= 1.0))
+
+        # KKT: zero gradient on free coefficients, and the gradient
+        # pushes each bound coefficient outward.
+        gradient = basis.T @ (basis @ b - target)
+        tolerance = 1e-9 * np.abs(basis).sum() * (np.abs(target).max() + 1.0)
+        free = (b > 0.0) & (b < 1.0)
+        assert np.all(np.abs(gradient[free]) <= tolerance)
+        assert np.all(gradient[b == 0.0] >= -tolerance)
+        assert np.all(gradient[b == 1.0] <= tolerance)
+
+        def objective(x):
+            return float(np.sum((basis @ x - target) ** 2))
+
+        reference = np.clip(lsq_linear(basis, target, bounds=(0.0, 1.0)).x, 0, 1)
+        # The absolute slack only matters when both fits are exact.
+        assert objective(b) <= objective(reference) * (1 + 1e-9) + 1e-15
+
+    def test_gamma_fit_matches_lsq_linear(self):
+        grid = np.linspace(0.0, 1.0, 513)
+        basis = np.stack([bernstein_basis(i, 6, grid) for i in range(7)], axis=1)
+        target = grid**0.45
+        reference = lsq_linear(basis, target, bounds=(0.0, 1.0)).x
+        assert np.allclose(_unit_box_lstsq(basis, target), reference, atol=1e-8)

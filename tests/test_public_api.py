@@ -1,6 +1,10 @@
 """Tests for the top-level public API surface."""
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -132,3 +136,51 @@ class TestPublicAPIContract:
         assert cached_session.evaluate([0.5]) is first
         assert cache.hits == 1
 
+
+
+# Runs in a fresh interpreter with scipy blocked: ``sys.modules[name] =
+# None`` makes every ``import scipy...`` raise ImportError, so each step
+# below proves that path needs numpy alone.
+NUMPY_ONLY_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    sys.modules["scipy"] = None
+
+    import repro
+    from repro import _api
+    from repro.stochastic import required_stream_length
+
+    for name in _api.__all__:
+        getattr(repro, name)
+    circuit = repro.OpticalStochasticCircuit.from_design(
+        repro.mrr_first_design(order=2, wl_spacing_nm=1.0),
+        repro.BernsteinPolynomial([0.25, 0.625, 0.375]),
+    )
+    result = repro.Evaluator(circuit, repro.EvalSpec(length=256)).evaluate(
+        [0.25, 0.5]
+    )
+    assert len(result.values) == 2
+    assert repro.BatchServer is not None
+    assert repro.gamma_bernstein().is_sc_implementable()
+    assert repro.required_snr_for_ber(1e-6) > 0.0
+    assert required_stream_length(0.01) > 0
+    loaded = [m for m in sys.modules if m.startswith("scipy.")]
+    assert sys.modules["scipy"] is None and not loaded, loaded
+    print("numpy-only ok")
+    """
+)
+
+
+class TestNumpyOnlyRuntime:
+    def test_api_and_evaluation_run_without_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+        completed = subprocess.run(
+            [sys.executable, "-c", NUMPY_ONLY_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "numpy-only ok"

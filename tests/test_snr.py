@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import erfc, erfcinv
 
 from repro.core.params import paper_section5a_parameters
 from repro.core.snr import (
@@ -50,6 +52,44 @@ class TestEq9:
             required_snr_for_ber(0.6)
         with pytest.raises(ConfigurationError):
             ber_for_snr(-1.0)
+        with pytest.raises(ConfigurationError):
+            ber_for_snr(float("nan"))
+        with pytest.raises(ConfigurationError):
+            required_snr_for_ber(float("nan"))
+
+    def test_infinite_snr_has_zero_ber(self):
+        assert ber_for_snr(math.inf) == 0.0
+
+
+# BERs from the paper's 1e-6 target down to the smallest normal-range
+# values the inverse must still handle, plus the near-0.5 end.
+ORACLE_BERS = np.concatenate(
+    [np.logspace(-300, -1, 600), [0.2, 0.3, 0.4, 0.45, 0.49, 0.4999]]
+)
+
+
+class TestEq9AgainstScipy:
+    """scipy is a test-only oracle for the stdlib special functions."""
+
+    def test_ber_matches_scipy_erfc(self):
+        snrs = [required_snr_for_ber(ber) for ber in ORACLE_BERS]
+        snrs += [0.0, 1e-3, 1.0, 10.0, 100.0]
+        for snr in snrs:
+            expected = 0.5 * float(erfc(snr / (2.0 * math.sqrt(2.0))))
+            assert ber_for_snr(snr) == pytest.approx(expected, rel=1e-13)
+
+    def test_required_snr_matches_scipy_erfcinv(self):
+        for ber in ORACLE_BERS:
+            expected = 2.0 * math.sqrt(2.0) * float(erfcinv(2.0 * ber))
+            assert required_snr_for_ber(ber) == pytest.approx(
+                expected, rel=1e-14
+            )
+
+    def test_roundtrip_at_tiny_bers(self):
+        for ber in (1e-300, 1e-200, 1e-100, 1e-30):
+            assert ber_for_snr(required_snr_for_ber(ber)) == pytest.approx(
+                ber, rel=1e-9
+            )
 
 
 class TestEyeAndSNR:
