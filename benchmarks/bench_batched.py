@@ -8,16 +8,20 @@ One leg per run, one ``BENCH_*.json`` artifact per leg:
   measured tracemalloc peak of one streamed tile per kernel
   (``BENCH_kernels.json``);
 * ``faults`` — numpy vs packed under one composite fault scenario
-  (flips + desynchronization + drift ramp) at the same size
+  (flips + desynchronization + drift ramp) at the same size, with the
+  per-``2**16``-clock-tile split of the packed fault path: threshold
+  plane build, Bernoulli compare, shift and cursor take
   (``BENCH_faults.json``);
 * ``serving`` — an open-loop saturation study of the admission-
   controlled ``BatchServer`` (``BENCH_serving.json``): seeded Poisson
   arrivals at 0.5x / 1x / 2x of the measured saturation rate through an
   unbounded baseline, a shedding server and a degrading server.
 
-The kernels and faults legs only time: the tier-1 test suite owns every
+The kernels leg only times: the tier-1 test suite owns every
 bit-exactness check between kernels, workers, chunk lengths and fault
-scenarios.  The serving leg exits non-zero unless its four wall-clock
+scenarios.  The faults leg exits non-zero unless the two kernels'
+output and ideal bits are identical, so the run that times them also
+checks them.  The serving leg exits non-zero unless its four wall-clock
 gates hold, which no deterministic test can express: the unbounded
 baseline's queue grows past the bounded cap, the shedding server's
 traced allocation peak stays at or below the baseline's, the served p99
@@ -58,6 +62,7 @@ STREAMING_PEAK_LENGTH = 1 << 17
 
 FAULT_BATCH = 32
 FAULT_LENGTH = 1 << 20
+FAULT_STAGE_TILE = 1 << 16  # clocks per tile of the stage split
 
 SATURATION_REQUESTS = 600
 # Long enough that batch service time (~10 ms) dominates event-loop
@@ -85,19 +90,25 @@ def best_of(repetitions: int, run) -> tuple:
     return best, output
 
 
-def _time_kernels(run) -> dict:
-    """Best-of-2 seconds per kernel, and each one's ratio to numpy."""
-    seconds = {}
+def _time_kernels(run, keep=lambda outcome: None) -> tuple:
+    """Best-of-2 seconds per kernel, and each one's ratio to numpy.
+
+    Returns those timings and, per kernel, what *keep* takes from its
+    last outcome.
+    """
+    seconds, kept = {}, {}
     for kernel in ("numpy", "packed"):
         seconds[kernel], outcome = best_of(2, lambda: run(kernel))
+        kept[kernel] = keep(outcome)
         del outcome  # drop the (B, L) tensors before the next kernel runs
-    return {
+    timed = {
         kernel: {
             "seconds": round(value, 6),
             "speedup_vs_numpy": round(seconds["numpy"] / value, 2),
         }
         for kernel, value in seconds.items()
     }
+    return timed, kept
 
 
 def _measured_streaming_peaks(circuit) -> dict:
@@ -144,7 +155,7 @@ def bench_kernels(circuit) -> dict:
     """numpy vs packed on the noiseless LFSR one-shot path."""
     xs = np.linspace(0.0, 1.0, KERNEL_BATCH)
     schedule = derive_seed_schedule(KERNEL_BATCH, np.random.default_rng(SEED))
-    results = _time_kernels(
+    results, _ = _time_kernels(
         lambda kernel: simulate_batch(
             circuit,
             xs,
@@ -179,11 +190,73 @@ def bench_kernels(circuit) -> dict:
     }
 
 
+def _fault_stages(circuit, fault) -> dict:
+    """Median milliseconds per tile of each stage of the packed fault path.
+
+    Walks the leg's stream in ``FAULT_STAGE_TILE``-clock tiles, as the
+    chunked runtime does, and times each stage on its own: the flip
+    threshold-plane build, the Bernoulli compare against those planes,
+    the desynchronization shift, and the cursor take of the tile's data
+    and coefficient words.  Two walks; the median is over all tiles.
+    """
+    from repro.simulation.engine import _StreamSource
+    from repro.simulation.faultmodel import (
+        PackedFaultChannel,
+        packed_bernoulli_words,
+    )
+
+    xs = np.linspace(0.0, 1.0, FAULT_BATCH)
+    schedule = derive_seed_schedule(FAULT_BATCH, np.random.default_rng(SEED))
+    coefficients = np.asarray(circuit.polynomial.coefficients, dtype=float)
+    words = FAULT_STAGE_TILE // 64
+    samples = {
+        "plane_build": [],
+        "bernoulli_compare": [],
+        "shift": [],
+        "cursor_take": [],
+    }
+
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        samples[stage].append((time.perf_counter() - t0) * 1e3)
+        return out
+
+    for _ in range(2):
+        source = _StreamSource(
+            "lfsr", schedule, xs, coefficients, 16, FAULT_LENGTH
+        )
+        channel = PackedFaultChannel(fault, schedule.noise_seeds, FAULT_LENGTH)
+        seeds = channel._flip_seeds
+        for start in range(0, FAULT_LENGTH, FAULT_STAGE_TILE):
+            first_word = start // 64
+            timed("cursor_take", source.take, start, FAULT_STAGE_TILE)
+            planes = timed(
+                "plane_build", channel._flip_planes, first_word, words
+            )
+            mask = timed(
+                "bernoulli_compare",
+                packed_bernoulli_words,
+                seeds,
+                first_word,
+                planes,
+            )
+            timed("shift", channel._shift_words, mask, start, FAULT_STAGE_TILE)
+    return {
+        "tile_clocks": FAULT_STAGE_TILE,
+        "ms_per_tile": {
+            stage: round(float(np.median(ms)), 4)
+            for stage, ms in samples.items()
+        },
+    }
+
+
 def bench_faults(circuit) -> dict:
     """numpy vs packed one-shot fault injection on a long stream.
 
-    The packed engine builds its Bernoulli masks as uint64 word planes
-    and XORs them in place; the numpy kernel applies byte masks.
+    Both kernels apply the same uint64 mask words; the numpy kernel
+    packs its byte stream to apply them and unpacks it again.  The leg
+    fails unless both kernels give the same output and ideal bits.
     """
     from repro.simulation.faultmodel import FaultSpec
     from repro.simulation.runtime import RuntimeConfig, run_batch
@@ -194,7 +267,7 @@ def bench_faults(circuit) -> dict:
         drift_ramp_per_mclock=0.25,
     )
     xs = np.linspace(0.0, 1.0, FAULT_BATCH)
-    results = _time_kernels(
+    results, bits = _time_kernels(
         lambda kernel: run_batch(
             circuit,
             xs,
@@ -203,8 +276,18 @@ def bench_faults(circuit) -> dict:
             base_seed=SEED,
             config=RuntimeConfig(kernel=kernel),
             fault=fault,
-        )
+        ),
+        keep=lambda outcome: (outcome.output_bits, outcome.ideal_bits),
     )
+    gates = {
+        "output_bits_identical": bool(
+            np.array_equal(bits["numpy"][0], bits["packed"][0])
+        ),
+        "ideal_bits_identical": bool(
+            np.array_equal(bits["numpy"][1], bits["packed"][1])
+        ),
+    }
+    del bits
     return {
         "benchmark": "bench_faults",
         "batch": FAULT_BATCH,
@@ -217,6 +300,9 @@ def bench_faults(circuit) -> dict:
             "drift_ramp_per_mclock": fault.drift_ramp_per_mclock,
         },
         "kernels": results,
+        "stages": _fault_stages(circuit, fault),
+        "gates": gates,
+        "passed": all(gates.values()),
     }
 
 
@@ -485,6 +571,20 @@ def _print_kernel_rows(artifact) -> None:
             f"  {name:<7s}: {row['seconds'] * 1e3:9.1f} ms "
             f"({row['speedup_vs_numpy']:.2f}x vs numpy)"
         )
+    if "stages" in artifact:
+        stages = artifact["stages"]
+        print(
+            f"  packed fault path per {stages['tile_clocks']}-clock tile: "
+            + ", ".join(
+                f"{stage} {ms:.2f} ms"
+                for stage, ms in stages["ms_per_tile"].items()
+            )
+        )
+    if "gates" in artifact:
+        print(
+            "  gates: "
+            + ", ".join(f"{k}={v}" for k, v in artifact["gates"].items())
+        )
     if "measured_streaming_peak_ratio" in artifact:
         print(
             f"  streamed-tile allocation peak, numpy / packed: "
@@ -560,7 +660,9 @@ def main(argv=None) -> int:
     print(f"  artifact written to {out}")
     if not artifact.get("passed", True):
         failed = [key for key, ok in artifact["gates"].items() if not ok]
-        print("FAILED: serving gates: " + ", ".join(failed), file=sys.stderr)
+        print(
+            f"FAILED: {args.leg} gates: " + ", ".join(failed), file=sys.stderr
+        )
         return 1
     return 0
 

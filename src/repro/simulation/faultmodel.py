@@ -23,6 +23,19 @@ counter-based splitmix64 hash and compared bit-sliced against the
 word operations: no unpacked ``(B, L)`` float tensor ever exists on the
 packed path (RL009-clean — see CONTRIBUTING).
 
+Threshold planes are built per 64-clock word, not per clock.  A
+constant rate broadcasts one word of planes.  The drift ramp's
+quantized threshold ``rint(clip(p + r * t / 2**20) * 2**16)`` is
+monotone in ``t`` (every IEEE operation in it rounds monotonically), so
+a word holds at most the two values at its first and last clock
+whenever those differ by at most one: the builder evaluates the rate at
+the two word endpoints, bisects for the split lane where the value
+steps up, and assembles each plane from the endpoint bits.  Only words
+that hold more than two values (ramps steeper than one threshold step
+per word) are quantized and packed clock by clock.  The compare walks
+the planes MSB first and hashes the low planes only for the words
+where some lane is still undecided.
+
 Canonical application order (both layouts, documented and tested):
 
 1. **stuck** — the pinned data-MZI channel is forced to
@@ -43,12 +56,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .kernels import _word_count, pack_bits, unpack_bits
+from .kernels import _WORD_BITS, _word_count, pack_bits, unpack_bits
 
 __all__ = [
     "FAULT_PROBABILITY_BITS",
@@ -67,6 +80,7 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_MULT_2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN_SQUARED = np.uint64((int(_GOLDEN) ** 2) & int(_ALL_ONES))
 # Domain tags decorrelating the flip and erasure mask streams derived
 # from the same per-row seed.
 _FLIP_DOMAIN = np.uint64(0xF11BF11BF11BF11B)
@@ -214,10 +228,23 @@ class FaultSpec:
 
 def _mix64(x: "np.ndarray[Any, Any]") -> "np.ndarray[Any, Any]":
     """splitmix64 finalizer over a uint64 array (counter-based hashing)."""
-    z = x * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX_MULT_1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_MULT_2
-    return np.asarray(z ^ (z >> np.uint64(31)))
+    z = np.asarray(x * _GOLDEN)
+    _finalize64(z, np.empty_like(z))
+    return z
+
+
+def _finalize64(
+    z: "np.ndarray[Any, Any]", scratch: "np.ndarray[Any, Any]"
+) -> None:
+    """The xor-shift-multiply rounds of :func:`_mix64`, in place on *z*."""
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= _MIX_MULT_1
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= _MIX_MULT_2
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 def _mask_tail(words: "np.ndarray[Any, Any]", count: int) -> None:
@@ -275,6 +302,84 @@ def _threshold_planes(
     )
 
 
+def _ramp_planes(
+    thresholds_at: "Callable[[np.ndarray[Any, Any]], np.ndarray[Any, Any]]",
+    first_word: int,
+    word_total: int,
+) -> Tuple["np.ndarray[Any, Any]", ...]:
+    """Threshold planes of a monotone per-clock ramp, built per word.
+
+    *thresholds_at* maps absolute int64 clocks to their quantized
+    thresholds and must be non-decreasing in the clock.  A word whose
+    last-clock threshold exceeds its first-clock one by at most one
+    holds the low value up to a split lane and the high value from
+    there: six bisection steps find that lane, and every plane is the
+    low value's bit below it and the high value's bit from it.  Words
+    that hold more than two values are quantized and packed per clock.
+    Bit-identical to :func:`_threshold_planes` of *thresholds_at* over
+    every clock of the words.
+    """
+    starts = _WORD_BITS * (
+        np.int64(first_word) + np.arange(word_total, dtype=np.int64)
+    )
+    low = thresholds_at(starts)
+    high = thresholds_at(starts + (_WORD_BITS - 1))
+    # The last lane still at the low value: lane 0 holds it, and each
+    # step keeps the candidate lane when its threshold has not stepped.
+    last = np.zeros(word_total, dtype=np.int64)
+    for step in (32, 16, 8, 4, 2, 1):
+        candidate = last + step
+        np.copyto(
+            last, candidate, where=thresholds_at(starts + candidate) == low
+        )
+    low_lanes = _ALL_ONES >> (_WORD_BITS - 1 - last).astype(np.uint64)
+    bits = np.arange(FAULT_PROBABILITY_BITS + 1, dtype=np.int64)[:, None]
+    low_set = (-((low >> bits) & 1)).view(np.uint64)
+    high_set = (-((high >> bits) & 1)).view(np.uint64)
+    planes = (low_set & low_lanes) | (high_set & ~low_lanes)
+    steep = np.flatnonzero(high - low > 1)
+    if steep.size:
+        clocks = starts[steep, None] + np.arange(_WORD_BITS, dtype=np.int64)
+        planes[:, steep] = _threshold_planes(thresholds_at(clocks.ravel()))
+    return tuple(planes)
+
+
+_FULL_WIDTH_PLANES = 10
+"""Planes compared on every word before the undecided words are compacted.
+
+After ten planes a lane is still undecided with probability ``2**-10``,
+so about ``1 - (1 - 2**-10)**64``, or 6%, of the words carry on.
+"""
+
+
+def _compare_planes(
+    less: "np.ndarray[Any, Any]",
+    equal: "np.ndarray[Any, Any]",
+    base: "np.ndarray[Any, Any]",
+    keys: "np.ndarray[Any, Any]",
+    planes: "List[Tuple[int, np.ndarray[Any, Any]]]",
+) -> None:
+    """Bit-sliced ``U < T`` steps over ``(j, plane)`` pairs, MSB first.
+
+    Updates *less* and *equal* in place.  Plane ``j``'s uniform bits
+    are ``_mix64(seed + (key + j + 1) * _GOLDEN)``, with *base* holding
+    ``seed * _GOLDEN`` (the multiply that opens :func:`_mix64`, folded
+    into both terms: uint64 arithmetic is exact modulo ``2**64``).  A
+    still-equal lane whose bits differ is decided: ``U < T`` exactly
+    where the threshold bit is the set one.
+    """
+    uniform = np.empty_like(less)
+    scratch = np.empty_like(less)
+    for j, threshold in planes:
+        np.add(base, (keys + np.uint64(j + 1)) * _GOLDEN_SQUARED, out=uniform)
+        _finalize64(uniform, scratch)
+        uniform ^= threshold
+        uniform &= equal
+        equal ^= uniform
+        uniform &= threshold
+        less |= uniform
+
+
 def packed_bernoulli_words(
     seeds: "np.ndarray[Any, Any]",
     first_word: int,
@@ -289,23 +394,37 @@ def packed_bernoulli_words(
     the counter-based splitmix64 hash of ``(seed, absolute word,
     plane)``.  Pure function of the absolute position, so any tiling of
     the stream reproduces the same mask bits.
+
+    The planes run MSB first; a lane whose bits have differed once is
+    decided, so after :data:`_FULL_WIDTH_PLANES` planes only the words
+    with an undecided lane are hashed and compared further.
     """
     word_total = planes[0].shape[0]
     counters = np.uint64(first_word) + np.arange(word_total, dtype=np.uint64)
-    base = seeds[:, None]
-    plane_count = np.uint64(FAULT_PROBABILITY_BITS + 1)
+    keys = counters * np.uint64(FAULT_PROBABILITY_BITS + 1)
+    base = (seeds * _GOLDEN)[:, None]
     # Top plane: threshold saturated at probability one — the uniform
     # (which spans [0, 2**FAULT_PROBABILITY_BITS)) is always below it.
     top = planes[FAULT_PROBABILITY_BITS][None, :]
     less = np.broadcast_to(top, (seeds.shape[0], word_total)).copy()
     equal = ~less
-    for j in range(FAULT_PROBABILITY_BITS - 1, -1, -1):
-        uniform = _mix64(
-            base + (counters * plane_count + np.uint64(j + 1)) * _GOLDEN
+    split = FAULT_PROBABILITY_BITS - _FULL_WIDTH_PLANES
+    high_planes = range(FAULT_PROBABILITY_BITS - 1, split - 1, -1)
+    _compare_planes(
+        less, equal, base, keys, [(j, planes[j]) for j in high_planes]
+    )
+    undecided = np.flatnonzero(equal)
+    if undecided.size:
+        rows, cols = np.divmod(undecided, word_total)
+        sub_less = less.ravel()[undecided]
+        _compare_planes(
+            sub_less,
+            equal.ravel()[undecided],
+            base[rows, 0],
+            keys[cols],
+            [(j, planes[j][cols]) for j in range(split - 1, -1, -1)],
         )
-        threshold = planes[j][None, :]
-        less |= equal & ~uniform & threshold
-        equal &= ~(uniform ^ threshold)
+        less.ravel()[undecided] = sub_less
     return less
 
 
@@ -334,13 +453,18 @@ class PackedFaultChannel:
             raise ConfigurationError(
                 f"spec must be a FaultSpec, got {spec!r}"
             )
-        seeds = np.atleast_1d(np.asarray(fault_seeds)).astype(np.uint64)
-        if seeds.ndim != 1 or seeds.size == 0:
+        from .engine import _positive_index
+
+        seeds = np.atleast_1d(np.asarray(fault_seeds))
+        # A float seed would truncate silently and a bool is a flag.
+        if seeds.ndim != 1 or seeds.size == 0 or seeds.dtype.kind not in "iu":
             raise ConfigurationError(
-                "fault_seeds must be a non-empty 1-D integer array"
+                "fault_seeds must be a non-empty 1-D integer array, got "
+                f"{fault_seeds!r}"
             )
+        seeds = seeds.astype(np.uint64)
         self._spec = spec
-        self._length = int(length)
+        self._length = _positive_index("length", length)
         self._flip_seeds = _mix64(seeds ^ _FLIP_DOMAIN)
         self._erase_seeds = _mix64(seeds ^ _ERASE_DOMAIN)
         self._next_offset = 0
@@ -374,15 +498,18 @@ class PackedFaultChannel:
     def _flip_planes(
         self, first_word: int, word_total: int
     ) -> Tuple["np.ndarray[Any, Any]", ...]:
-        spec = self._spec
         if self._flat_flip_planes is not None:
             flat = self._flat_flip_planes
             return tuple(
                 np.broadcast_to(plane[:1], (word_total,)) for plane in flat
             )
-        clocks = np.uint64(64) * np.uint64(first_word) + np.arange(
-            64 * word_total, dtype=np.uint64
-        )
+        return _ramp_planes(self._drift_thresholds, first_word, word_total)
+
+    def _drift_thresholds(
+        self, clocks: "np.ndarray[Any, Any]"
+    ) -> "np.ndarray[Any, Any]":
+        """Quantized drifting flip thresholds at absolute *clocks*."""
+        spec = self._spec
         rates = np.clip(
             spec.flip_probability
             + spec.drift_ramp_per_mclock
@@ -390,11 +517,13 @@ class PackedFaultChannel:
             0.0,
             1.0,
         )
-        return _threshold_planes(_quantized_thresholds(rates))
+        return _quantized_thresholds(rates)
 
     def _erase_planes(
         self, first_word: int, word_total: int
     ) -> Tuple["np.ndarray[Any, Any]", ...]:
+        # Per clock: np.exp is not guaranteed monotone to the last ulp,
+        # so the word-endpoint builder of the drift ramp does not apply.
         tau = self._spec.decay_tau_clocks
         assert tau is not None
         clocks = np.uint64(64) * np.uint64(first_word) + np.arange(
@@ -457,6 +586,31 @@ class PackedFaultChannel:
         self._next_offset = offset + count
         return observed
 
+    def _check_tile(
+        self, words: "np.ndarray[Any, Any]", offset: int, count: int
+    ) -> None:
+        """Reject a malformed tile before any mask is built."""
+        from .engine import _as_index
+
+        offset = _as_index("offset", offset)
+        count = _as_index("count", count)
+        if offset < 0 or count <= 0 or offset + count > self._length:
+            raise ConfigurationError(
+                f"tile [{offset}, {offset + count}) is outside the "
+                f"{self._length}-clock stream"
+            )
+        expected = (self.batch_size, _word_count(count))
+        if not isinstance(words, np.ndarray):
+            got = type(words).__name__
+        elif words.shape == expected and words.dtype == np.uint64:
+            return
+        else:
+            got = f"{words.dtype} array of shape {words.shape}"
+        raise ConfigurationError(
+            f"a {count}-clock tile of this channel is a uint64 array of "
+            f"shape {expected}, got {got}"
+        )
+
     def apply_words(
         self, words: "np.ndarray[Any, Any]", offset: int, count: int
     ) -> "np.ndarray[Any, Any]":
@@ -468,6 +622,7 @@ class PackedFaultChannel:
         erasure, then flips, then the desynchronization shift — see the
         module docstring.
         """
+        self._check_tile(words, offset, count)
         spec = self._spec
         observed = words
         if spec.decay_tau_clocks is not None:

@@ -599,11 +599,16 @@ class _PackedCycleSource:
             + int(offset)
             + _WORD_BITS * np.arange(words, dtype=np.int64)
         ) % self._period
-        word_index = positions >> 6
         shift = (positions & 63).astype(np.uint64)
-        rows = self._inverse[..., None]
-        lo = self._packed_cycles[rows, word_index]
-        hi = self._packed_cycles[rows, word_index + 1]
+        # One flat gather per half-window (np.take without an axis reads
+        # the flattened cycles): a stream's row starts at inverse * stride.
+        cycles = self._packed_cycles
+        flat_index = self._inverse[..., None] * cycles.shape[-1] + (
+            positions >> 6
+        )
+        lo = np.take(cycles, flat_index)
+        flat_index += 1
+        hi = np.take(cycles, flat_index)
         high_part = hi << ((np.uint64(_WORD_BITS) - shift) & np.uint64(63))
         out = (lo >> shift) | np.where(shift == 0, np.uint64(0), high_part)
         tail = count % _WORD_BITS

@@ -12,7 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import packed_reference as reference
 import repro
 from repro.errors import ConfigurationError
 from repro.session import EvalSpec, Evaluator
@@ -24,6 +27,7 @@ from repro.simulation.faultmodel import (
     packed_bernoulli_words,
     _quantized_thresholds,
     _threshold_planes,
+    _window_words,
 )
 
 
@@ -221,6 +225,149 @@ class TestBernoulliMasks:
         assert np.array_equal(whole[:, 3:], tail)
 
 
+def _steep_words(channel, first_word, word_total):
+    """Words whose thresholds hold more than two values (per-clock path)."""
+    starts = 64 * (first_word + np.arange(word_total, dtype=np.int64))
+    low = channel._drift_thresholds(starts)
+    high = channel._drift_thresholds(starts + 63)
+    return int(np.count_nonzero(high - low > 1))
+
+
+class TestWordLevelPlanes:
+    """Drift planes from word endpoints equal the per-clock packing."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        flip=st.floats(min_value=0.0, max_value=1.0),
+        log_ramp=st.floats(min_value=-3.0, max_value=math.log10(5000.0)),
+        first_word=st.integers(min_value=0, max_value=1 << 16),
+        word_total=st.integers(min_value=1, max_value=1025),
+    )
+    # Saturation at probability one inside the first word, on the
+    # per-clock path; and a shallow ramp crossing 1 - 2**-16 mid-word.
+    @example(flip=0.9, log_ramp=math.log10(5000.0), first_word=0, word_total=3)
+    @example(
+        flip=65535.4 / 65536, log_ramp=math.log10(0.25), first_word=0,
+        word_total=1,
+    )
+    def test_ramp_planes_match_per_clock_reference(
+        self, flip, log_ramp, first_word, word_total
+    ):
+        spec = FaultSpec(
+            flip_probability=flip, drift_ramp_per_mclock=10.0 ** log_ramp
+        )
+        channel = PackedFaultChannel(spec, [1], 1 << 40)
+        planes = channel._flip_planes(first_word, word_total)
+        expected = reference.flip_planes(spec, first_word, word_total)
+        for plane, want in zip(planes, expected, strict=True):
+            assert np.array_equal(plane, want)
+
+    def test_top_plane_set_where_the_ramp_saturates(self):
+        spec = FaultSpec(
+            flip_probability=65535.4 / 65536, drift_ramp_per_mclock=0.25
+        )
+        channel = PackedFaultChannel(spec, [1], 1 << 20)
+        top = channel._flip_planes(0, 2)[FAULT_PROBABILITY_BITS]
+        # Below the split lane the threshold is 2**16 - 1, above it 2**16.
+        assert top[0] not in (0, (1 << 64) - 1)
+        assert top[1] == (1 << 64) - 1
+        assert top[0] == reference.flip_planes(spec, 0, 1)[-1][0]
+
+    @pytest.mark.parametrize(
+        "ramp, first_word, word_total", [(3000.0, 0, 40), (5000.0, 1, 1025)]
+    )
+    def test_steep_ramp_takes_the_per_clock_path(
+        self, ramp, first_word, word_total
+    ):
+        spec = FaultSpec(flip_probability=0.0, drift_ramp_per_mclock=ramp)
+        channel = PackedFaultChannel(spec, [1], 1 << 20)
+        assert _steep_words(channel, first_word, word_total) > 0
+        planes = channel._flip_planes(first_word, word_total)
+        expected = reference.flip_planes(spec, first_word, word_total)
+        for plane, want in zip(planes, expected, strict=True):
+            assert np.array_equal(plane, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        flip=st.floats(min_value=0.0, max_value=1.0),
+        log_ramp=st.floats(min_value=-3.0, max_value=math.log10(5000.0)),
+        offset=st.integers(min_value=0, max_value=1 << 22),
+        count=st.integers(min_value=1, max_value=1025 * 64 - 63),
+    )
+    def test_flip_masks_match_reference_at_any_offset(
+        self, flip, log_ramp, offset, count
+    ):
+        # Word-aligned and unaligned tile offsets: an unaligned tile
+        # reads one extra word and re-windows it.
+        spec = FaultSpec(
+            flip_probability=flip, drift_ramp_per_mclock=10.0 ** log_ramp
+        )
+        seeds = np.array([5, 9], dtype=np.int64)
+        channel = PackedFaultChannel(spec, seeds, offset + count)
+        clean = np.zeros((2, (count + 63) // 64), dtype=np.uint64)
+        first_word = offset >> 6
+        word_total = (count + 63) // 64 + (1 if offset & 63 else 0)
+        aligned = reference.bernoulli_words(
+            channel._flip_seeds,
+            first_word,
+            reference.flip_planes(spec, first_word, word_total),
+        )
+        expected = _window_words(aligned, offset & 63, count)
+        assert np.array_equal(channel.apply_words(clean, offset, count), expected)
+
+
+class TestCompactedCompare:
+    """Hashing only undecided words equals the full 17-plane compare."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rows=st.integers(min_value=1, max_value=5),
+        first_word=st.integers(min_value=0, max_value=1 << 40),
+        word_total=st.integers(min_value=1, max_value=300),
+        top_density=st.sampled_from([0.0, 0.01, 0.5]),
+    )
+    def test_random_planes_match_full_compare(
+        self, seed, rows, first_word, word_total, top_density
+    ):
+        # Arbitrary plane bits: the compare is bitwise per lane, so it
+        # must agree on any planes, not only quantized ramps.
+        rng = np.random.default_rng(seed)
+        seeds = rng.integers(0, 1 << 64, size=rows, dtype=np.uint64)
+        planes = tuple(
+            rng.integers(0, 1 << 64, size=word_total, dtype=np.uint64)
+            for _ in range(FAULT_PROBABILITY_BITS)
+        ) + (
+            pack_bits(
+                (rng.random(64 * word_total) < top_density).astype(np.uint8)
+            ),
+        )
+        assert np.array_equal(
+            packed_bernoulli_words(seeds, first_word, planes),
+            reference.bernoulli_words(seeds, first_word, planes),
+        )
+
+    @pytest.mark.parametrize(
+        "flip, ramp",
+        [(0.0, 0.0), (1.0, 0.0), (0.01, 0.0), (0.3, 0.0), (0.01, 0.25)],
+    )
+    def test_channel_planes_match_full_compare(self, flip, ramp):
+        # p = 0 and p = 1 and the constant-rate broadcast planes; p = 1
+        # decides every lane on the top plane, so no word survives the
+        # compaction.
+        spec = FaultSpec(flip_probability=flip, drift_ramp_per_mclock=ramp)
+        channel = PackedFaultChannel(spec, np.arange(4) + 7, 1 << 20)
+        seeds = channel._flip_seeds
+        for first_word, word_total in ((0, 1), (3, 1024), (1 << 14, 257)):
+            planes = channel._flip_planes(first_word, word_total)
+            mask = packed_bernoulli_words(seeds, first_word, planes)
+            assert np.array_equal(
+                mask, reference.bernoulli_words(seeds, first_word, planes)
+            )
+            if flip == 1.0:
+                assert (mask == np.uint64((1 << 64) - 1)).all()
+
+
 class TestChannelSemantics:
     def test_shift_delays_the_stream(self, circuit):
         delay = 5
@@ -276,6 +423,48 @@ class TestChannelSemantics:
         )
         via_bits = PackedFaultChannel(spec, seeds, 500).apply_bits(bits, 0)
         assert np.array_equal(via_words, via_bits)
+
+    @pytest.mark.parametrize(
+        "words, offset, count",
+        [
+            # One row given to a four-row channel.
+            (np.zeros((1, 2), dtype=np.uint64), 0, 128),
+            # Three words for a two-word tile.
+            (np.zeros((4, 3), dtype=np.uint64), 0, 128),
+            (np.zeros((4, 2), dtype=np.int64), 0, 128),
+            (np.zeros((4, 2, 1), dtype=np.uint64), 0, 128),
+            ([[0], [0], [0], [0]], 0, 1),
+            # Windows outside the channel's 256-clock stream.
+            (np.zeros((4, 2), dtype=np.uint64), 200, 128),
+            (np.zeros((4, 1), dtype=np.uint64), -1, 1),
+            (np.zeros((4, 0), dtype=np.uint64), 0, 0),
+            (np.zeros((4, 2), dtype=np.uint64), 0.0, 128),
+        ],
+    )
+    def test_malformed_tiles_are_rejected(
+        self, monkeypatch, words, offset, count
+    ):
+        spec = FaultSpec(flip_probability=0.1, decay_tau_clocks=50)
+        channel = PackedFaultChannel(spec, np.arange(4), 256)
+
+        def no_masks(*args):
+            raise AssertionError("a mask was built for a malformed tile")
+
+        monkeypatch.setattr(channel, "_mask_words", no_masks)
+        with pytest.raises(ConfigurationError):
+            channel.apply_words(words, offset, count)
+
+    @pytest.mark.parametrize(
+        "seeds", [[1.7], np.array([2.0]), [True], [], [[1, 2]], ["1"]]
+    )
+    def test_non_integer_seeds_are_rejected(self, seeds):
+        with pytest.raises(ConfigurationError):
+            PackedFaultChannel(FaultSpec(flip_probability=0.1), seeds, 64)
+
+    @pytest.mark.parametrize("length", [0, -5, 64.0, None])
+    def test_stream_length_must_be_a_positive_integer(self, length):
+        with pytest.raises(ConfigurationError):
+            PackedFaultChannel(FaultSpec(flip_probability=0.1), [1], length)
 
     def test_channel_requires_sequential_offsets(self):
         spec = FaultSpec(shift_clocks=2)

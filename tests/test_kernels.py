@@ -49,6 +49,8 @@ from repro.stochastic.sng import (
     derive_sobol_offsets,
 )
 
+import packed_reference as reference
+
 BATCH_FIELDS = (
     "xs",
     "values",
@@ -202,6 +204,56 @@ class TestPackingPrimitives:
         assert (
             packed_lfsr_comparator_bits(seeds, np.array([[0.5, 0.5]]), 64, 24)
             is None
+        )
+
+
+class TestFlatCycleGather:
+    """``take`` reads cycle words with one flat gather per half-window.
+
+    Parity against the two 2-D row/word gathers it replaced, over
+    windows that cross the cycle's wrap, end mid-word and run longer
+    than the period.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        width=st.sampled_from([5, 8, 16]),
+        kind=st.sampled_from(["lfsr", "sobol"]),
+        before_wrap=st.integers(min_value=-70, max_value=200),
+        count=st.integers(min_value=1, max_value=3 * (1 << 16)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_take_matches_row_word_gather(
+        self, width, kind, before_wrap, count, seed
+    ):
+        rng = np.random.default_rng(seed)
+        period = (1 << width) - 1 if kind == "lfsr" else 1 << width
+        starts = rng.integers(1, 1 << width, size=(3, 2))
+        # Few distinct values, so streams share cycle rows.
+        values = rng.choice([0.125, 0.5, 0.875], size=(3, 2))
+        create = PackedLfsrSource if kind == "lfsr" else PackedSobolSource
+        source = create.create(starts, values, width)
+        assert source is not None
+        # A window starting just before (or past) the first wrap.
+        offset = max(period - before_wrap, 0)
+        count = min(count, 4 * period + 67)
+        assert np.array_equal(
+            source.take(offset, count),
+            reference.cycle_take(source, offset, count),
+        )
+
+    @pytest.mark.parametrize(
+        "offset, count",
+        [((1 << 16) - 3, 70), ((1 << 16) - 1, 1), (65000, 1 << 17), (5, 130)],
+    )
+    def test_take_crosses_the_lfsr_wrap(self, offset, count):
+        seeds = derive_lfsr_seeds(np.array([3, 77, 5]), 3, 16)
+        values = np.array([[0.1, 0.5, 0.9], [0.25, 0.5, 0.75], [0.5] * 3])
+        source = PackedLfsrSource.create(seeds, values, 16)
+        assert source is not None
+        assert np.array_equal(
+            source.take(offset, count),
+            reference.cycle_take(source, offset, count),
         )
 
 
