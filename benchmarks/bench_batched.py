@@ -3,14 +3,15 @@
 
 One leg per run, one ``BENCH_*.json`` artifact per leg:
 
-* ``kernels`` — numpy vs packed on the noiseless LFSR one-shot path
-  (``B=32``, ``L=2**20``), with the layout bit-tensor bytes and a
-  measured tracemalloc peak of one streamed tile per kernel
+* ``kernels`` — the production packed pass against the byte-wise test
+  reference (``tests/packed_reference.py``) on the noiseless LFSR
+  one-shot path (``B=32``, ``L=2**20``), with the layout bit-tensor
+  bytes and a measured tracemalloc peak of one streamed tile per pass
   (``BENCH_kernels.json``);
-* ``faults`` — numpy vs packed under one composite fault scenario
-  (flips + desynchronization + drift ramp) at the same size, with the
-  per-``2**16``-clock-tile split of the packed fault path: threshold
-  plane build, Bernoulli compare, shift and cursor take
+* ``faults`` — production against the reference under one composite
+  fault scenario (flips + desynchronization + drift ramp) at the same
+  size, with the per-``2**16``-clock-tile split of the packed fault
+  path: threshold plane build, Bernoulli compare, shift and cursor take
   (``BENCH_faults.json``);
 * ``serving`` — an open-loop saturation study of the admission-
   controlled ``BatchServer`` (``BENCH_serving.json``): seeded Poisson
@@ -18,15 +19,16 @@ One leg per run, one ``BENCH_*.json`` artifact per leg:
   unbounded baseline, a shedding server and a degrading server.
 
 The kernels leg only times: the tier-1 test suite owns every
-bit-exactness check between kernels, workers, chunk lengths and fault
-scenarios.  The faults leg exits non-zero unless the two kernels'
-output and ideal bits are identical, so the run that times them also
-checks them.  The serving leg exits non-zero unless its four wall-clock
-gates hold, which no deterministic test can express: the unbounded
-baseline's queue grows past the bounded cap, the shedding server's
-traced allocation peak stays at or below the baseline's, the served p99
-stays inside the configured deadline, and the degrading server serves
-at least 95% of all requests.
+bit-exactness check between production and the reference, workers,
+chunk lengths and fault scenarios.  The faults leg exits non-zero
+unless production's and the reference's output and ideal bits are
+identical, so the run that times them also checks them.  The serving
+leg exits non-zero unless its four wall-clock gates hold, which no
+deterministic test can express: the unbounded baseline's queue grows
+past the bounded cap, the shedding server's traced allocation peak
+stays at or below the baseline's, the served p99 stays inside the
+configured deadline, and the degrading server serves at least 95% of
+all requests.
 
 Every artifact carries the environment block of ``perfbench/run.py``
 (cores, CPU model, Python and numpy versions, git sha, load average)
@@ -54,7 +56,7 @@ from repro.stochastic.bernstein import BernsteinPolynomial
 ORDER = 2
 SEED = 0xBEEF
 
-# B=32 keeps the numpy one-shot pass at L=2**20 near 2 GB peak RSS
+# B=32 keeps the reference one-shot pass at L=2**20 near 2 GB peak RSS
 # (1976 MiB for either leg on a 2-vCPU Xeon VM, numpy 2.4.6).
 KERNEL_BATCH = 32
 KERNEL_LENGTH = 1 << 20
@@ -90,37 +92,51 @@ def best_of(repetitions: int, run) -> tuple:
     return best, output
 
 
-def _time_kernels(run, keep=lambda outcome: None) -> tuple:
-    """Best-of-2 seconds per kernel, and each one's ratio to numpy.
+PASSES = ("reference", "production")
+"""Row labels: the test suite's byte-wise reference pass, then the package's."""
 
-    Returns those timings and, per kernel, what *keep* takes from its
-    last outcome.
+
+def _on_pass(kernel_pass, run):
+    """*run()* on the named pass: the reference is swapped in for the call."""
+    import packed_reference
+
+    with packed_reference.running(kernel_pass):
+        return run()
+
+
+def _time_passes(run, keep=lambda outcome: None) -> tuple:
+    """Best-of-2 seconds per pass, and each one's speedup over the reference.
+
+    Returns those timings and, per pass, what *keep* takes from its last
+    outcome.
     """
     seconds, kept = {}, {}
-    for kernel in ("numpy", "packed"):
-        seconds[kernel], outcome = best_of(2, lambda: run(kernel))
-        kept[kernel] = keep(outcome)
-        del outcome  # drop the (B, L) tensors before the next kernel runs
+    for kernel_pass in PASSES:
+        seconds[kernel_pass], outcome = best_of(
+            2, lambda: _on_pass(kernel_pass, run)
+        )
+        kept[kernel_pass] = keep(outcome)
+        del outcome  # drop the (B, L) tensors before the next pass runs
     timed = {
-        kernel: {
+        kernel_pass: {
             "seconds": round(value, 6),
-            "speedup_vs_numpy": round(seconds["numpy"] / value, 2),
+            "speedup_vs_reference": round(seconds["reference"] / value, 2),
         }
-        for kernel, value in seconds.items()
+        for kernel_pass, value in seconds.items()
     }
     return timed, kept
 
 
 def _measured_streaming_peaks(circuit) -> dict:
-    """tracemalloc peak per kernel for one noiseless streamed tile.
+    """tracemalloc peak per pass for one noiseless streamed tile.
 
     The layout arithmetic (1 bit vs 1 byte per clock) says the packed
     bit tensors are 8x smaller *by construction*; this measures the
-    claim so a regression (e.g. a packed path silently falling back to
+    claim so a regression (e.g. the packed path silently falling back to
     per-clock byte tensors) shows up in the artifact.  The chunked
     statistics path is measured because it returns only ``O(batch)``
     accumulators — the one-shot path's returned ``(B, L)`` float64
-    tensors are identical across kernels and would mask the bit-tensor
+    tensors are identical on both passes and would mask the bit-tensor
     difference.  numpy allocates through tracemalloc-visible hooks, so
     the traced peak covers the tile tensors.
     """
@@ -130,9 +146,8 @@ def _measured_streaming_peaks(circuit) -> dict:
 
     xs = np.linspace(0.0, 1.0, KERNEL_BATCH)
     schedule = derive_seed_schedule(xs.size, np.random.default_rng(SEED))
-    peaks = {}
-    for kernel in ("numpy", "packed"):
-        run = lambda kernel=kernel: simulate_chunked(
+    def run():
+        return simulate_chunked(
             circuit,
             xs,
             length=STREAMING_PEAK_LENGTH,
@@ -140,38 +155,40 @@ def _measured_streaming_peaks(circuit) -> dict:
             noisy=False,
             schedule=schedule,
             workers=0,
-            kernel=kernel,
         )
-        run()  # warm caches (cycle tables, pass context) outside the trace
+
+    peaks = {}
+    for kernel_pass in PASSES:
+        # Warm caches (cycle tables, pass context) outside the trace.
+        _on_pass(kernel_pass, run)
         tracemalloc.start()
-        run()
+        _on_pass(kernel_pass, run)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        peaks[kernel] = int(peak)
+        peaks[kernel_pass] = int(peak)
     return peaks
 
 
 def bench_kernels(circuit) -> dict:
-    """numpy vs packed on the noiseless LFSR one-shot path."""
+    """Production vs the reference on the noiseless LFSR one-shot path."""
     xs = np.linspace(0.0, 1.0, KERNEL_BATCH)
     schedule = derive_seed_schedule(KERNEL_BATCH, np.random.default_rng(SEED))
-    results, _ = _time_kernels(
-        lambda kernel: simulate_batch(
+    results, _ = _time_passes(
+        lambda: simulate_batch(
             circuit,
             xs,
             length=KERNEL_LENGTH,
             noisy=False,
             schedule=schedule,
-            kernel=kernel,
         )
     )
     # One byte per clock per data/coefficient stream vs one bit packed.
-    numpy_bit_bytes = KERNEL_BATCH * (2 * ORDER + 1) * KERNEL_LENGTH
-    results["numpy"]["bit_tensor_bytes"] = numpy_bit_bytes
-    results["packed"]["bit_tensor_bytes"] = numpy_bit_bytes // 8
+    byte_tensor_bytes = KERNEL_BATCH * (2 * ORDER + 1) * KERNEL_LENGTH
+    results["reference"]["bit_tensor_bytes"] = byte_tensor_bytes
+    results["production"]["bit_tensor_bytes"] = byte_tensor_bytes // 8
     peaks = _measured_streaming_peaks(circuit)
-    for kernel, peak in peaks.items():
-        results[kernel]["measured_streaming_peak_bytes"] = peak
+    for kernel_pass, peak in peaks.items():
+        results[kernel_pass]["measured_streaming_peak_bytes"] = peak
     return {
         "benchmark": "bench_kernels",
         "batch": KERNEL_BATCH,
@@ -185,7 +202,7 @@ def bench_kernels(circuit) -> dict:
         # one tile of KERNEL_BATCH rows x this many clocks.
         "streaming_peak_length": STREAMING_PEAK_LENGTH,
         "measured_streaming_peak_ratio": round(
-            peaks["numpy"] / peaks["packed"], 2
+            peaks["reference"] / peaks["production"], 2
         ),
     }
 
@@ -252,11 +269,10 @@ def _fault_stages(circuit, fault) -> dict:
 
 
 def bench_faults(circuit) -> dict:
-    """numpy vs packed one-shot fault injection on a long stream.
+    """Production vs the reference: one-shot fault injection, long stream.
 
-    Both kernels apply the same uint64 mask words; the numpy kernel
-    packs its byte stream to apply them and unpacks it again.  The leg
-    fails unless both kernels give the same output and ideal bits.
+    Both passes feed the same uint64 fault mask words.  The leg fails
+    unless both give the same output and ideal bits.
     """
     from repro.simulation.faultmodel import FaultSpec
     from repro.simulation.runtime import RuntimeConfig, run_batch
@@ -267,24 +283,24 @@ def bench_faults(circuit) -> dict:
         drift_ramp_per_mclock=0.25,
     )
     xs = np.linspace(0.0, 1.0, FAULT_BATCH)
-    results, bits = _time_kernels(
-        lambda kernel: run_batch(
+    results, bits = _time_passes(
+        lambda: run_batch(
             circuit,
             xs,
             length=FAULT_LENGTH,
             noisy=False,
             base_seed=SEED,
-            config=RuntimeConfig(kernel=kernel),
+            config=RuntimeConfig(workers=0),
             fault=fault,
         ),
         keep=lambda outcome: (outcome.output_bits, outcome.ideal_bits),
     )
     gates = {
         "output_bits_identical": bool(
-            np.array_equal(bits["numpy"][0], bits["packed"][0])
+            np.array_equal(bits["reference"][0], bits["production"][0])
         ),
         "ideal_bits_identical": bool(
-            np.array_equal(bits["numpy"][1], bits["packed"][1])
+            np.array_equal(bits["reference"][1], bits["production"][1])
         ),
     }
     del bits
@@ -568,8 +584,8 @@ def _print_kernel_rows(artifact) -> None:
     )
     for name, row in artifact["kernels"].items():
         print(
-            f"  {name:<7s}: {row['seconds'] * 1e3:9.1f} ms "
-            f"({row['speedup_vs_numpy']:.2f}x vs numpy)"
+            f"  {name:<10s}: {row['seconds'] * 1e3:9.1f} ms "
+            f"({row['speedup_vs_reference']:.2f}x vs reference)"
         )
     if "stages" in artifact:
         stages = artifact["stages"]
@@ -587,7 +603,7 @@ def _print_kernel_rows(artifact) -> None:
         )
     if "measured_streaming_peak_ratio" in artifact:
         print(
-            f"  streamed-tile allocation peak, numpy / packed: "
+            f"  streamed-tile allocation peak, reference / production: "
             f"{artifact['measured_streaming_peak_ratio']:.1f}x"
         )
 
@@ -639,8 +655,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = args.out or f"BENCH_{args.leg}.json"
     bench, report = LEGS[args.leg]
-    # perfbench/run.py owns the environment record of every benchmark.
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    # perfbench/run.py owns the environment record of every benchmark;
+    # tests/packed_reference.py holds the reference pass the kernels and
+    # faults legs time production against.
+    root = Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(root), str(root / "tests")]
     from perfbench.run import environment, read_steal_ticks
 
     circuit = OpticalStochasticCircuit(

@@ -4,8 +4,8 @@
 The paper motivates stochastic computing by graceful degradation under
 soft errors (Section II-A).  This example measures the claim with the
 schedule-seeded fault engine (:mod:`repro.simulation.faultmodel`) on
-``L = 2**20`` streams, running on the packed kernel so word-level fault
-masks never unpack the megabit streams:
+``L = 2**20`` streams; the packed kernel applies word-level fault masks
+without unpacking the megabit streams:
 
 1. sweep the per-clock bit-flip rate and watch the output error track
    the flip rate (never an MSB-style blowup);
@@ -33,7 +33,6 @@ def main() -> None:
     program = repro.BernsteinPolynomial([0.25, 0.625, 0.375])
     circuit = repro.OpticalStochasticCircuit(params, program)
     spec = repro.EvalSpec(length=STREAM_LENGTH, base_seed=BASE_SEED)
-    runtime = repro.RuntimeConfig(kernel="packed")
     xs = np.linspace(0.0, 1.0, 5)
 
     # --- 1. flip-rate frontier ----------------------------------------------
@@ -44,7 +43,6 @@ def main() -> None:
         [0.0, 1e-4, 1e-3, 1e-2, 1e-1],
         xs=xs,
         spec=spec,
-        runtime=runtime,
     )
     elapsed = time.perf_counter() - start
     print(f"{'flip rate':>10} | {'mean |err|':>10} | {'link BER':>9}")
@@ -60,7 +58,7 @@ def main() -> None:
 
     # --- 2. stuck-MZI and drift scenarios -----------------------------------
     print("=== structural scenarios (same seeds, same streams) ===")
-    session = repro.Evaluator(circuit, spec, runtime)
+    session = repro.Evaluator(circuit, spec)
     scenarios = {
         "clean": None,
         "stuck MZI@1": FaultSpec(stuck_channel=0, stuck_value=1),

@@ -27,7 +27,6 @@ from pathlib import Path
 from ..errors import ConfigurationError
 from ..reporting.csvio import write_csv
 from ..session import EvalSpec
-from ..simulation.kernels import KERNELS
 from ..simulation.runtime import RuntimeConfig
 from ..stochastic.sng import SNG_KINDS
 from .registry import (
@@ -133,11 +132,10 @@ def main(argv=None) -> int:
     )
     runtime_group.add_argument(
         "--kernel",
-        choices=KERNELS,
         default=None,
         help=(
-            "engine compute kernel: numpy (reference) or packed (uint64 "
-            "bit-plane)"
+            "engine compute kernel: packed (uint64 bit-plane), the only "
+            "one; numpy is a deprecated alias of packed"
         ),
     )
     args = parser.parse_args(argv)

@@ -110,7 +110,7 @@ def fault_frontier_study(
             "Faults are schedule-seeded receiver-side channel scenarios "
             "(FaultSpec): per-clock flips, stream desynchronization, a "
             "stuck select MZI and thermal-drift/laser-decay trajectories. "
-            "Realizations are bit-exact across kernels, workers and "
+            "Realizations are bit-exact across workers and "
             "chunk sizes, so the frontier is a reproducible artifact, "
             "not a sampling anecdote."
         ),

@@ -28,13 +28,12 @@ loop for sustained overload:
   an immutable :class:`~repro.serving.metrics.MetricsSnapshot`.
 
 The served session's :class:`~repro.simulation.runtime.RuntimeConfig`
-knobs — workers, chunking and the engine's compute ``kernel``
-(``"numpy"``/``"packed"``) — flow straight through
+knobs — workers and chunking — flow straight through
 :meth:`~repro.session.Evaluator.evaluate`, so a server can be pointed
-at the packed bit-plane kernel and row sharding for throughput without
-any serving-side change, and serves the same values (a sharded session
-returns its statistics result, whose ``values`` are all a server
-reads).
+at row sharding for throughput without any serving-side change, and
+serves the same values (a sharded session returns its statistics
+result, whose ``values`` are all a server reads).  Every batch runs the
+engine's one optical pass, the packed bit-plane kernel.
 
 Determinism contract
 --------------------

@@ -13,10 +13,8 @@ signature.  Here they become two frozen objects bound once:
   rng-derived per call) and the noisy flag.  This is the paper's notion
   of a design point: SNG choice x stream length x architecture.
 * :class:`~repro.simulation.runtime.RuntimeConfig` — *how fast* to
-  evaluate it: workers, chunk size, cache, and the engine's compute
-  ``kernel`` (``"numpy"``/``"packed"``, see
-  :mod:`repro.simulation.kernels`).  Pure wall-clock/memory levers;
-  never changes an output bit.
+  evaluate it: workers, chunk size and cache.  Pure wall-clock/memory
+  levers; never changes an output bit.
 
 :class:`Evaluator` binds a circuit to one spec/runtime pair and exposes
 every workload shape as a method — :meth:`~Evaluator.evaluate`
@@ -118,13 +116,28 @@ DEPRECATED_WRAPPERS: Dict[str, Dict[str, Any]] = {
         ),
         "removed": True,
     },
+    "repro.simulation.kernels.KERNELS['numpy']": {
+        "replacement": (
+            "the default kernel: drop kernel='numpy' from RuntimeConfig, "
+            "Evaluator.with_kernel, simulate_batch, simulate_chunked and "
+            "the experiments CLI --kernel"
+        ),
+        "removal_note": (
+            "deprecated alias of the bit-identical packed kernel since "
+            "the numpy pass left the package for the test suite's "
+            "reference; removed after the policy's two-PR grace window, "
+            "together with KERNELS, available_kernels, resolve_kernel "
+            "and kernel_capabilities"
+        ),
+        "removed": False,
+    },
 }
-"""Legacy free functions folded into the session API.
+"""Legacy entry points and aliases folded into the session API.
 
-Each maps a dotted legacy entry point to its session-method
-``replacement`` plus a ``removal_note`` recording the deprecation and
-removal history (the policy: wrappers survive at least two PRs past
-deprecation before removal).  Entries with ``removed: True`` no longer
+Each maps a dotted legacy entry point to its ``replacement`` plus a
+``removal_note`` recording the deprecation and removal history (the
+policy: wrappers and aliases survive at least two PRs past deprecation
+before removal).  Entries with ``removed: True`` no longer
 resolve — the registry stays as the migration record, and repro-lint's
 RL002 and ``tests/test_public_api.py`` enforce that removed names are
 really gone while their replacements exist.
@@ -284,13 +297,14 @@ class Evaluator:
         return Evaluator(self.circuit, self.spec, runtime)
 
     def with_kernel(self, kernel: str) -> "Evaluator":
-        """A new session running on another compute kernel.
+        """A new session on the named compute kernel.
 
-        Kernels (:data:`repro.simulation.kernels.KERNELS`) are pure
-        wall-clock/memory levers — the derived session returns
-        bit-for-bit identical results.  Unknown or unavailable kernels
-        raise :class:`~repro.errors.ConfigurationError` here, not on
-        the first evaluation.
+        ``"packed"`` (:data:`repro.simulation.kernels.KERNELS`) is the
+        only kernel, so the derived session returns the same bits.
+        ``"numpy"`` is a deprecated alias that warns once, here, and
+        binds ``"packed"``.  Unknown kernels raise
+        :class:`~repro.errors.ConfigurationError` here, not on the first
+        evaluation.
         """
         return self.with_runtime(
             dataclasses.replace(self.runtime, kernel=kernel)
@@ -304,7 +318,7 @@ class Evaluator:
         derive one session per fault point and compare accuracy.
         Unlike the runtime knobs this changes which bits are produced,
         but the realization is schedule-seeded, so results remain
-        bit-for-bit identical across kernels, workers and chunk sizes.
+        bit-for-bit identical across workers and chunk sizes.
         """
         return self.with_options(fault=fault)
 

@@ -10,11 +10,10 @@ vector of inputs in one such pass:
    ``(data seed, coeff seed, noise seed)`` triple, derived from the
    caller's ``rng`` (or a fixed ``base_seed``);
 2. data and coefficient streams are generated array-first as packed
-   ``uint64`` comparator words, 64 clocks per word — the one layout both
-   kernels take (:class:`_StreamSource`);
-3. the kernel's optical pass (the numpy kernel unpacks the words on
-   entry) maps each clock's select level and coefficient pattern to its
-   received power in the precomputed Eq. 6 pattern table;
+   ``uint64`` comparator words, 64 clocks per word (:class:`_StreamSource`);
+3. the packed optical pass maps each clock's select level and
+   coefficient pattern to its received power in the precomputed Eq. 6
+   pattern table;
 4. the receiver slices the whole batch at once, each row's Gaussian
    noise drawn from its private generator seeded by the schedule.
 
@@ -64,14 +63,15 @@ from .kernels import (
     PackedChaoticSource,
     PackedLfsrSource,
     PackedSobolSource,
-    optical_pass,
     pack_bits,
-    # Not called in this module; bound because perfbench/tracing.py
-    # wraps this module attribute by name.
-    packed_lfsr_comparator_bits,  # noqa: F401
     packed_optical_pass,
     resolve_kernel,
+    unpack_bits,
 )
+
+# Not called in this module; bound because perfbench/tracing.py wraps
+# these module attributes by name.
+from .kernels import optical_pass, packed_lfsr_comparator_bits  # noqa: F401
 
 __all__ = [
     "BatchEvaluation",
@@ -345,7 +345,7 @@ class _PackedCursor:
     ``take(offset, count)`` returns the ``(B, channels, ceil(count/64))``
     uint64 word slab covering stream clocks ``[offset, offset + count)``
     — bit-for-bit ``pack_bits(uniforms < values)`` of the window
-    :class:`_UniformCursor` produces; both kernels take these words.
+    :class:`_UniformCursor` produces; the optical pass takes these words.
     Table-cached LFSR and Sobol banks read them straight off the packed
     cycle of each distinct value
     (:class:`repro.simulation.kernels.PackedLfsrSource` /
@@ -409,8 +409,8 @@ class _StreamSource:
     stream clocks ``[start, start + count)``: the ``order`` data streams
     that drive the MZIs and the ``order + 1`` coefficient streams that
     drive the MRRs, as ``(B, C, ceil(count / 64))`` packed uint64 words
-    (:func:`repro.simulation.kernels.pack_bits` layout) — the one layout
-    both kernels take.  A one-shot evaluation takes ``(0, length)``, the
+    (:func:`repro.simulation.kernels.pack_bits` layout) — the layout the
+    optical pass takes.  A one-shot evaluation takes ``(0, length)``, the
     tile loop takes its tiles in order: seeded banks resume through
     their :class:`_PackedCursor`, the counter randomizer's deterministic
     streams are packed windows of :func:`exact_bit_window`.
@@ -526,7 +526,7 @@ def simulate_batch(
     base_seed: Optional[int] = None,
     sng_width: int = 16,
     schedule: Optional[SeedSchedule] = None,
-    kernel: str = "numpy",
+    kernel: str = "packed",
     fault: Optional[FaultSpec] = None,
 ) -> BatchEvaluation:
     """Run the optical circuit on every input in *xs* in one array pass.
@@ -571,20 +571,18 @@ def simulate_batch(
         relocatable across shards and tiles.
     kernel:
         Compute kernel (:data:`repro.simulation.kernels.KERNELS`):
-        ``"numpy"`` (reference, default) or ``"packed"``
-        (dependency-free uint64 bit-plane engine).  A pure wall-clock/
-        memory lever: both kernels return bit-for-bit identical
-        results.
+        ``"packed"``, the uint64 bit-plane pass and the only one.
+        ``"numpy"`` is a deprecated alias that warns and returns the
+        same bits.
     fault:
         Optional :class:`~repro.simulation.faultmodel.FaultSpec` fault
         scenario.  A stuck MZI pins its data channel before the optical
         pass; channel faults (decay erasure, flips/drift, the
         desynchronization shift) transform the observed output stream,
         seeded from the schedule's per-row ``noise_seeds`` so the
-        realization is bit-exact across kernels, workers and chunk
-        sizes.
+        realization is bit-exact across workers and chunk sizes.
     """
-    kernel = resolve_kernel(kernel)
+    resolve_kernel(kernel)
     xs = _validate_batch_inputs(
         circuit, xs, length, noisy, sng_kind, base_seed, sng_width, fault
     )
@@ -602,13 +600,13 @@ def simulate_batch(
         if noisy
         else None
     )
-    optics = packed_optical_pass if kernel == "packed" else optical_pass
-    powers, output_bits, ideal_bits, levels = optics(
+    powers, output_bits, ideal_bits, levels = packed_optical_pass(
         circuit, data_words, coeff_words, noise_a, length
     )
     channel = fault_channel_for(fault, schedule.noise_seeds, length)
     if channel is not None:
-        output_bits = channel.apply_bits(output_bits, 0)
+        observed = channel.apply_words(pack_bits(output_bits), 0, length)
+        output_bits = unpack_bits(observed, length)
 
     # Vectorized de Casteljau is elementwise: identical floats to calling
     # circuit.expected_value(x) per row.

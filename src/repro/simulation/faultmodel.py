@@ -15,9 +15,9 @@ Determinism contract
 Fault realizations are seeded from the per-row ``noise_seeds`` of the
 evaluation's :class:`~repro.simulation.engine.SeedSchedule` and indexed
 by the **absolute** 64-clock word of the stream, so the exact same bits
-flip whatever the worker count, shard layout, chunk length or compute
-kernel — the same relocatability protocol the runtime's
-sharded/chunked paths rely on.  Mask words are generated by a
+flip whatever the worker count, shard layout or chunk length — the
+same relocatability protocol the runtime's sharded/chunked paths rely
+on.  Mask words are generated by a
 counter-based splitmix64 hash and compared bit-sliced against the
 (possibly time-varying) quantized probability, entirely in ``uint64``
 word operations: no unpacked ``(B, L)`` float tensor ever exists on the
@@ -61,7 +61,7 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from .kernels import _WORD_BITS, _word_count, pack_bits, unpack_bits
+from .kernels import _WORD_BITS, _word_count, pack_bits
 
 __all__ = [
     "FAULT_PROBABILITY_BITS",
@@ -432,12 +432,9 @@ class PackedFaultChannel:
     """Stateful word-level applier of one :class:`FaultSpec`'s stream faults.
 
     Bound to one evaluation (spec, per-row seeds, stream length), it
-    transforms the engine's observed output stream tile by tile:
-    ``apply_words`` for packed ``(B, W)`` uint64 tiles,
-    ``apply_bits`` for ``(B, count)`` uint8 tiles (the numpy kernel's
-    layout — internally the *same* mask words, so the two layouts are
-    bit-for-bit identical by construction).  Flip and erasure masks are
-    pure functions of the absolute clock position; the
+    transforms the engine's observed output stream tile by tile through
+    :meth:`apply_words` on packed ``(B, W)`` uint64 tiles.  Flip and
+    erasure masks are pure functions of the absolute clock position; the
     desynchronization shift carries the last ``shift_clocks`` emitted
     bits across tiles, so tiles must be applied in stream order when a
     shift is active (enforced, like the runtime's stateful cursors).
@@ -635,20 +632,6 @@ class PackedFaultChannel:
         if observed is words:
             observed = words.copy()
         return observed
-
-    def apply_bits(
-        self, bits: "np.ndarray[Any, Any]", offset: int
-    ) -> "np.ndarray[Any, Any]":
-        """Byte-layout twin of :meth:`apply_words`, bit-for-bit.
-
-        Packs the clean ``(B, count)`` uint8 tile, applies the exact
-        same word-level masks and shift, and unpacks — the numpy
-        kernel's fault path can therefore never diverge from the packed
-        one.
-        """
-        count = int(bits.shape[-1])
-        observed = self.apply_words(pack_bits(bits), offset, count)
-        return unpack_bits(observed, count)
 
 
 def fault_channel_for(

@@ -1,39 +1,23 @@
-"""Pluggable compute kernels for the bit-level evaluation engine.
+"""The packed bit-plane kernel of the bit-level evaluation engine.
 
 The paper's premise is that stochastic computing trades precision for
-ultra-cheap single-gate bitwise logic on long bit streams.  The numpy
-engine of PR 1 vectorized the pipeline but still spends one *byte* (or
-one float64) of memory traffic per stream *bit*; this module adds a
-**kernel** dimension — orthogonal to the process/thread *pool* backend
-of :mod:`repro.simulation.runtime` — with two implementations behind
-the unchanged ``simulate_batch`` signature:
+ultra-cheap single-gate bitwise logic on long bit streams.  This module
+holds the engine's one optical pass, which works that way: it stays on
+the stream front end's words, 64 clocks per uint64 (``(B, C, L//64)``),
+builds the adder level as a carry-save bit-sliced sum across channels,
+and resolves each receiver decision through precomputed
+per-``(pattern, level)`` flat tables.  Statistics-only consumers (the
+chunked streaming runtime) accumulate ones/bit-error counts straight
+from packed words via popcount (:func:`popcount` — ``np.bitwise_count``
+when the numpy build has it, a 16-bit LUT otherwise).
 
-``"numpy"``
-    The reference engine: unpacks the streams to ``(B, C, L)`` uint8 bit
-    tensors on entry, then one fancy index into the Eq. 6 pattern table
-    per clock.  Always available.
-``"packed"``
-    Dependency-free bit-plane engine: stays on the streams' words,
-    64 clocks per uint64 (``(B, C, L//64)``), the adder level is a
-    carry-save bit-sliced sum across channels, and the receiver decision
-    is resolved through precomputed per-``(pattern, level)`` flat tables
-    — so the bit tensors shrink 8× and the hot noiseless path runs on
-    words instead of bytes.  Statistics-only consumers (the chunked
-    streaming runtime) accumulate ones/bit-error counts straight from
-    packed words via popcount (:func:`popcount` —
-    ``np.bitwise_count`` when the numpy build has it, a 16-bit LUT
-    otherwise).
-
-Both kernels take the same packed comparator words from the engine's
-one stream front end (:class:`repro.simulation.engine._StreamSource`),
-so they differ only from the optical pass on.  The packed kernel is
-**bit-for-bit identical** to ``"numpy"`` for all four SNG kinds, noisy
-and noiseless (enforced by the parity matrices in
-``tests/test_kernels.py``; ``bench_batched.py kernels`` only times the
-two): the packed pass re-derives exactly the same adder levels and
-receiver thresholds, only in a different data layout.  Choosing a
-kernel is therefore a pure wall-clock/memory lever, like the pool
-backend and the chunk size.
+The byte-wise pass that unpacks the words to ``(B, C, L)`` uint8
+tensors and fancy-indexes the Eq. 6 pattern table per clock lives in
+the test suite (``tests/packed_reference.py``) as the reference the
+parity matrices compare this pass against, bit for bit, for all four
+SNG kinds, noisy and noiseless, with and without faults.
+``kernel="numpy"`` is a deprecated alias of ``"packed"``: it warns and
+never changes a bit.
 
 The module also owns the memoized per-circuit pass context
 (:func:`pass_context`): the link budget, Eq. 6 table and threshold
@@ -45,6 +29,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import warnings
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -79,8 +64,10 @@ __all__ = [
     "packed_tile_statistics",
 ]
 
-KERNELS: Tuple[str, ...] = ("numpy", "packed")
+KERNELS: Tuple[str, ...] = ("packed",)
 """Compute-kernel implementations behind ``simulate_batch``."""
+
+_DEPRECATED_KERNELS = ("numpy",)
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
@@ -98,11 +85,22 @@ def available_kernels() -> Tuple[str, ...]:
 def resolve_kernel(kernel: str) -> str:
     """Validate a kernel name, failing fast on unknown ones.
 
-    Unknown names raise whatever the caller is — a
-    :class:`~repro.simulation.runtime.RuntimeConfig` constructor, the
-    engine entry points, the CLI — so a typo can never silently fall
-    back to the reference kernel.
+    Every spelling of the knob —
+    :class:`~repro.simulation.runtime.RuntimeConfig`,
+    ``Evaluator.with_kernel``, the engine entry points, the CLI — comes
+    through here.  ``"numpy"`` is a deprecated alias: it emits one
+    :class:`DeprecationWarning` and resolves to ``"packed"``, whose bits
+    are identical.  Unknown names raise
+    :class:`~repro.errors.ConfigurationError`.
     """
+    if kernel in _DEPRECATED_KERNELS:
+        warnings.warn(
+            f"kernel={kernel!r} is deprecated; the packed kernel is the only "
+            "pass and returns identical bits, so drop the argument",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+        return "packed"
     if kernel not in KERNELS:
         raise ConfigurationError(
             f"unknown kernel {kernel!r}; expected one of {KERNELS}"
@@ -115,27 +113,16 @@ def kernel_capabilities() -> Dict[str, Dict[str, Any]]:
 
     Keys mirror :data:`KERNELS`; each entry records availability, the
     extra requirement (if any), the relative per-bit memory footprint of
-    the bit tensors, and a one-line description of when the kernel wins.
+    the bit tensors, and a one-line description.
     """
     return {
-        "numpy": {
-            "available": True,
-            "requires": None,
-            "bit_tensor_bytes_per_bit": 1.0,
-            "description": (
-                "reference engine and the default: unpacks the stream "
-                "words to uint8 bit tensors; the oracle the packed "
-                "kernel's parity tests compare against"
-            ),
-        },
         "packed": {
             "available": True,
             "requires": None,
             "bit_tensor_bytes_per_bit": 1.0 / 8.0,
             "description": (
-                "dependency-free uint64 bit-plane engine: 8x smaller bit "
-                "tensors; wins most on long noiseless streams (the pass "
-                "runs on words, not bytes)"
+                "dependency-free uint64 bit-plane engine: one bit per "
+                "clock per stream; the pass runs on words, not bytes"
             ),
         },
     }
@@ -233,18 +220,18 @@ def popcount(
 
 
 class CircuitPassContext:
-    """Per-circuit precomputation shared by every kernel.
+    """Per-circuit precomputation of the optical pass.
 
     Holds the link budget, the Eq. 6 received-power table and the
     calibrated threshold receiver — built once per circuit rather than
     once per optical pass, i.e. once per tile of a chunked stream —
-    plus the packed kernel's flat per-``(pattern, level)`` lookup
-    tables, built lazily on first packed use.
+    plus the flat per-``(pattern, level)`` lookup tables, built lazily
+    on first use.
 
     The flat tables index on ``key = (level << channel_count) |
     pattern``: ``flat_powers[key]`` / ``flat_currents[key]`` are copies
-    of the same float64 values the numpy kernel gathers (float copies
-    are bit-exact), ``flat_decisions[key]`` is the noiseless threshold
+    of the Eq. 6 table's float64 values and their photocurrents (float
+    copies are bit-exact), ``flat_decisions[key]`` is the noiseless threshold
     decision, and ``flat_ideal[key]`` the multiplexer's selected
     coefficient bit.
     """
@@ -273,7 +260,7 @@ class CircuitPassContext:
         return max(1, int(self.order).bit_length())
 
     def _flat_tables(self) -> Dict[str, Any]:
-        """The packed kernel's flat lookup tables (built once, lazily)."""
+        """The flat lookup tables (built once, lazily)."""
         flat = self._flat
         if flat is None:
             order, channels = self.order, self.channel_count
@@ -361,76 +348,7 @@ def clear_pass_context_cache() -> None:
         _CONTEXT_CACHE.clear()
 
 
-# -- the numpy reference kernel ------------------------------------------------
-
-
-def _pattern_index(
-    coeff_bits: "np.ndarray[Any, Any]",
-) -> "np.ndarray[Any, Any]":
-    """Coefficient pattern per clock: ``(B, L)`` int64 from ``(B, C, L)``.
-
-    Bit ``c`` of the result is channel ``c``'s transmitted bit.  The
-    accumulation runs in the narrowest unsigned dtype that holds the
-    pattern (uint8 up to 8 channels, uint16 up to 16) and widens to
-    int64 once at the end — replacing the old per-channel ``(B, L)``
-    int64 shift/or temporaries with byte-wide ones, ~4x faster at the
-    benchmark shape.  Pure integer bit-ops: exact in any order.
-    """
-    channel_count = coeff_bits.shape[1]
-    dtype: Any
-    if channel_count <= 8:
-        dtype = np.uint8
-    elif channel_count <= 16:
-        dtype = np.uint16
-    else:
-        dtype = np.int64
-    pattern = np.zeros(
-        (coeff_bits.shape[0], coeff_bits.shape[2]), dtype=dtype
-    )
-    for channel in range(channel_count):
-        plane = coeff_bits[:, channel, :]
-        if plane.dtype != dtype:
-            plane = plane.astype(dtype)
-        pattern |= plane << channel
-    return pattern.astype(np.int64)
-
-
-def optical_pass(
-    circuit: Any,
-    data_words: "np.ndarray[Any, Any]",
-    coeff_words: "np.ndarray[Any, Any]",
-    noise_a: Optional["np.ndarray[Any, Any]"],
-    length: int,
-) -> Tuple[
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-]:
-    """Steps 3-4 of the pipeline for one tile of packed streams.
-
-    The numpy reference kernel's per-clock optics + receiver pass, with
-    the arguments of :func:`packed_optical_pass`: the packed words are
-    unpacked to ``(B, C, length)`` byte tensors on entry.  Returns
-    ``(powers, output_bits, ideal_bits, levels)``; shared by the
-    one-shot batch evaluation and the chunked streaming runtime so the
-    two stay bit-for-bit identical per tile.
-    """
-    context = pass_context(circuit)
-    data_bits = unpack_bits(data_words, length)
-    coeff_bits = unpack_bits(coeff_words, length)
-    levels = data_bits.sum(axis=1, dtype=np.int64)
-    pattern_index = _pattern_index(coeff_bits)
-    powers = context.table[pattern_index, levels]
-    output_bits, _ = context.receiver.decide_batch(powers, noise_a=noise_a)
-    # Reference: the bits the ideal (electronic) multiplexer would pick.
-    ideal_bits = np.take_along_axis(coeff_bits, levels[:, None, :], axis=1)[
-        :, 0, :
-    ]
-    return powers, output_bits, np.ascontiguousarray(ideal_bits), levels
-
-
-# -- the packed bit-plane kernel -----------------------------------------------
+# -- the optical pass ----------------------------------------------------------
 
 
 def _bit_plane_sum(
@@ -463,7 +381,7 @@ def _packed_keys(
 
     Key bit ``c`` is coefficient channel ``c``'s bit and the bits above
     are the bit-sliced adder level (``key = (level << channels) |
-    pattern``).  This is the packed kernels' only per-clock byte
+    pattern``).  This is the pass's only per-clock byte
     materialization.
     """
     dtype = context._flat_tables()["key_dtype"]
@@ -489,13 +407,13 @@ def packed_optical_pass(
     "np.ndarray[Any, Any]",
     "np.ndarray[Any, Any]",
 ]:
-    """The packed kernel's optics + receiver pass, full per-clock output.
+    """Steps 3-4 of the pipeline for one tile: optics + receiver, per clock.
 
     Takes ``(B, C, W)`` packed word tensors (see :func:`pack_bits`) and
-    returns the same ``(powers, output_bits, ideal_bits, levels)`` tuple
-    as the numpy pass, bit-for-bit: per-clock keys are assembled from
-    the coefficient and bit-sliced level planes, and every observable is
-    a flat-table gather of exactly the values the numpy kernel computes.
+    returns ``(powers, output_bits, ideal_bits, levels)`` as ``(B,
+    length)`` arrays: per-clock keys are assembled from the coefficient
+    and bit-sliced level planes, and every observable is a flat-table
+    gather of the Eq. 6 table and receiver values.
     """
     context = pass_context(circuit)
     flat = context._flat_tables()
@@ -505,6 +423,10 @@ def packed_optical_pass(
     output_bits = _decisions(context, flat, keys, noise_a)
     ideal_bits = flat["ideal"].take(keys)
     return powers, output_bits, ideal_bits, levels
+
+
+optical_pass = packed_optical_pass
+"""The one optical pass, under the name the tracing harness also wraps."""
 
 
 def _decisions(
@@ -517,10 +439,9 @@ def _decisions(
 
     The single definition of the packed decision rule — shared by the
     full-output pass and the chunked statistics accumulator so the two
-    can never diverge.  Noiseless, a flat-table gather; noisy,
-    bit-for-bit the numpy kernel's ``decide_batch``: identical currents
-    (flat-gathered photocurrents plus the same noise draw), identical
-    strict ``>`` threshold.
+    can never diverge.  Noiseless, a flat-table gather; noisy, the
+    flat-gathered photocurrents plus the row's noise draw against the
+    receiver's strict ``>`` threshold.
     """
     if noise_a is None:
         return flat["decisions"].take(keys)
@@ -849,10 +770,11 @@ def packed_tile_statistics(
 ]:
     """Accumulator increments for one packed tile: ``(ones, errors, hist)``.
 
-    The chunked streaming runtime's packed hot path: per-row ones and
-    link bit-error counts (and the optional received-power histogram)
-    straight from packed words, bit-exact with running the numpy pass on
-    the unpacked tile and summing.  One sequence serves every tile:
+    The chunked streaming runtime's tile step: per-row ones and link
+    bit-error counts (and the optional received-power histogram)
+    straight from packed words, bit-exact with summing the per-clock
+    output of :func:`packed_optical_pass` over the tile.  One sequence
+    serves every tile:
 
     1. Output and ideal words.  Noiseless, with the (verified)
        separated-band property that the threshold decision equals the

@@ -98,36 +98,3 @@ class OpticalReceiver:
             currents_a=currents,
             threshold_a=self.threshold_a,
         )
-
-    def decide_batch(
-        self,
-        powers_mw: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-        noise_a: Optional[np.ndarray] = None,
-    ) -> tuple:
-        """Slice a whole ``(batch, length)`` block of received powers.
-
-        Returns ``(bits, currents_a)`` as arrays of the same shape.  Noise
-        is added from *noise_a* when given (pre-drawn Gaussian currents,
-        letting the batched engine control rng consumption order), else
-        drawn from *rng*; with neither the decision is noiseless.
-        """
-        powers = np.asarray(powers_mw, dtype=float)
-        if powers.ndim != 2 or powers.size == 0:
-            raise ConfigurationError("powers_mw must be a non-empty 2-D array")
-        if np.any(powers < 0.0):
-            raise ConfigurationError("received powers must be >= 0")
-        if noise_a is not None:
-            noise = np.asarray(noise_a, dtype=float)
-            if noise.shape != powers.shape:
-                raise ConfigurationError(
-                    f"noise_a shape {noise.shape} must match powers shape "
-                    f"{powers.shape}"
-                )
-            currents = np.asarray(self.detector.photocurrent_a(powers)) + noise
-        elif rng is not None:
-            currents = np.asarray(self.detector.sample(powers, rng))
-        else:
-            currents = np.asarray(self.detector.photocurrent_a(powers))
-        bits = (currents > self.threshold_a).astype(np.uint8)
-        return bits, currents

@@ -84,7 +84,7 @@ from .engine import (
     simulate_batch,
 )
 from .faultmodel import FaultSpec, fault_channel_for
-from .kernels import optical_pass, packed_tile_statistics, resolve_kernel
+from .kernels import packed_tile_statistics, resolve_kernel
 
 __all__ = [
     "BACKENDS",
@@ -381,7 +381,7 @@ def simulate_chunked(
     power_histogram_bins: int = 0,
     workers: Optional[int] = None,
     backend: str = "process",
-    kernel: str = "numpy",
+    kernel: str = "packed",
     fault: Optional[FaultSpec] = None,
 ) -> ChunkedEvaluation:
     """Stream an evaluation through ``(B, chunk_length)`` tiles.
@@ -412,22 +412,22 @@ def simulate_chunked(
     travel back from a worker, so the pool pipes carry the same few
     kilobytes whatever the stream length.
 
-    With the packed *kernel* each tile is evaluated on 64-clock uint64
-    words: the ones/bit-error accumulators are popcounts of packed
-    output words instead of sums over per-clock byte tensors
+    Each tile is evaluated on 64-clock uint64 words: the ones/bit-error
+    accumulators are popcounts of packed output words
     (:func:`repro.simulation.kernels.packed_tile_statistics`), and on
-    the noiseless LFSR path no per-clock array is materialized at all.
-    The accumulated statistics stay bit-exact with the numpy kernel's.
+    the noiseless path no per-clock array is materialized at all.
+    *kernel* accepts ``"packed"``, the only kernel; ``"numpy"`` is a
+    deprecated alias that warns and changes no bit.
 
     *fault* injects a :class:`~repro.simulation.faultmodel.FaultSpec`
     scenario: flip/erasure masks are pure functions of the absolute
     clock index and the per-row schedule seeds, and the
     desynchronization shift carries its bits across tiles — so the
     accumulated statistics are bit-exact with the one-shot faulted
-    evaluation whatever the chunk length, worker count or kernel.
+    evaluation whatever the chunk length or worker count.
     """
     _validate_backend(backend)
-    kernel = resolve_kernel(kernel)
+    resolve_kernel(kernel)
     xs = _validate_batch_inputs(
         circuit, xs, length, noisy, sng_kind, base_seed, sng_width, fault
     )
@@ -456,7 +456,6 @@ def simulate_chunked(
                 sng_kind=sng_kind,
                 sng_width=sng_width,
                 power_histogram_bins=power_histogram_bins,
-                kernel=kernel,
                 fault=fault,
             ),
         )
@@ -491,28 +490,16 @@ def simulate_chunked(
         data_words, coeff_words = source.take(start, count)
         data_words = _pin_stuck(data_words, fault, count)
         noise_a = noise.draw(count) if noise is not None else None
-        histogram_inc: Optional["np.ndarray[Any, Any]"] = None
-        if kernel == "packed":
-            ones_inc, error_inc, histogram_inc = packed_tile_statistics(
-                circuit,
-                data_words,
-                coeff_words,
-                count,
-                noise_a=noise_a,
-                histogram_edges=edges,
-                fault_channel=fault_channel,
-                clock_offset=start,
-            )
-        else:
-            powers, output_bits, ideal_bits, _ = optical_pass(
-                circuit, data_words, coeff_words, noise_a, count
-            )
-            if fault_channel is not None:
-                output_bits = fault_channel.apply_bits(output_bits, start)
-            ones_inc = output_bits.sum(axis=1, dtype=np.int64)
-            error_inc = np.sum(output_bits != ideal_bits, axis=1, dtype=np.int64)
-            if edges is not None:
-                histogram_inc = np.histogram(powers, bins=edges)[0]
+        ones_inc, error_inc, histogram_inc = packed_tile_statistics(
+            circuit,
+            data_words,
+            coeff_words,
+            count,
+            noise_a=noise_a,
+            histogram_edges=edges,
+            fault_channel=fault_channel,
+            clock_offset=start,
+        )
         ones_count += ones_inc
         error_count += error_inc
         if histogram is not None:
@@ -677,12 +664,12 @@ class RuntimeConfig:
     expose ``values``, ``expected``, ``absolute_errors``,
     ``transmission_ber`` and ``mean_absolute_error``.
 
-    ``kernel`` selects the engine's compute kernel
-    (:data:`repro.simulation.kernels.KERNELS`): ``"numpy"`` (reference,
-    default) or ``"packed"`` (dependency-free uint64 bit-plane engine).
-    Not to be confused with ``backend``, which picks the process/thread
-    *pool* for sharded fan-out — the two compose freely, and like every
-    other knob here the kernel never changes an output bit.
+    ``kernel`` names the engine's compute kernel
+    (:data:`repro.simulation.kernels.KERNELS`): ``"packed"``, the
+    uint64 bit-plane pass and the only one.  ``"numpy"`` is a deprecated
+    alias: the config warns once at construction and stores
+    ``"packed"``.  Not to be confused with ``backend``, which picks the
+    process/thread *pool* for sharded fan-out.
 
     Every construction-knowable misconfiguration fails in
     ``__post_init__`` — an invalid backend, kernel, chunk size, worker
@@ -699,11 +686,11 @@ class RuntimeConfig:
     use_cache: bool = False
     cache: Optional[EvaluationCache] = None
     vectorized: bool = False
-    kernel: str = "numpy"
+    kernel: str = "packed"
 
     def __post_init__(self) -> None:
         _validate_backend(self.backend)
-        resolve_kernel(self.kernel)
+        object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
         _as_bool("use_cache", self.use_cache)
         _as_bool("vectorized", self.vectorized)
         if self.workers is not None:
@@ -785,10 +772,9 @@ def run_batch(
     pinned in memory.
 
     Every strategy runs over the **same** pre-derived seed schedule, so
-    the worker count, chunk size and compute kernel
-    (``config.kernel``) are pure wall-clock/memory knobs: changing them
-    never changes a single output bit or accumulated statistic for a
-    given *rng* seed (or *base_seed*).  That includes an injected
+    the worker count and chunk size are pure wall-clock/memory knobs:
+    changing them never changes a single output bit or accumulated
+    statistic for a given *rng* seed (or *base_seed*).  That includes an injected
     *fault* (:class:`~repro.simulation.faultmodel.FaultSpec`): its
     realization is seeded from the same schedule and addressed by
     absolute clock index, so the faulted bits are identical on every
@@ -834,7 +820,6 @@ def run_batch(
             schedule=schedule,
             workers=workers,
             backend=config.backend,
-            kernel=config.kernel,
             fault=fault,
         )
     else:
@@ -846,7 +831,6 @@ def run_batch(
             sng_kind=sng_kind,
             sng_width=sng_width,
             schedule=schedule,
-            kernel=config.kernel,
             fault=fault,
         )
     if cache is not None:

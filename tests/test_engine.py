@@ -25,7 +25,7 @@ from repro.simulation.engine import (
     simulate_batch,
 )
 from repro.simulation.faultmodel import FaultSpec
-from repro.simulation.kernels import KERNELS, pass_context
+from repro.simulation.kernels import pass_context
 from repro.simulation.receiver import OpticalReceiver
 from repro.simulation.runtime import RuntimeConfig, run_batch, simulate_chunked
 from repro.stochastic import LFSR
@@ -41,6 +41,8 @@ from repro.stochastic.sng import (
     SobolLikeSNG,
     make_independent_sngs,
 )
+
+import packed_reference as reference
 
 ALL_KINDS = list(SNG_KINDS)
 
@@ -287,22 +289,24 @@ class TestOneSeedProtocol:
     """A bare call derives its seed schedule exactly like run_batch."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel_pass", reference.PASSES)
     @pytest.mark.parametrize("noisy", [False, True])
     @pytest.mark.parametrize("fault", PROTOCOL_FAULTS, ids=["clean", "fault"])
     def test_bare_call_matches_single_tile_run_batch(
-        self, kind, kernel, noisy, fault
+        self, kind, kernel_pass, noisy, fault
     ):
+        # The bare call runs on the reference or the production pass,
+        # run_batch on production.
         circuit = _circuit(2)
         xs = [0.1, 0.5, 0.8]
         options = dict(length=300, noisy=noisy, sng_kind=kind, fault=fault)
-        bare = simulate_batch(
-            circuit, xs, rng=np.random.default_rng(21), kernel=kernel,
-            **options,
-        )
+        with reference.running(kernel_pass):
+            bare = simulate_batch(
+                circuit, xs, rng=np.random.default_rng(21), **options
+            )
         runtime = run_batch(
             circuit, xs, rng=np.random.default_rng(21),
-            config=RuntimeConfig(workers=0, kernel=kernel), **options,
+            config=RuntimeConfig(workers=0), **options,
         )
         assert isinstance(runtime, BatchEvaluation)
         for name in (
@@ -324,17 +328,18 @@ class TestReceiverNoiseOracle:
     is Poisson-binomial around the sum of those probabilities.
     """
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_noise_flips_match_q_function(self, kernel):
+    @pytest.mark.parametrize("kernel_pass", reference.PASSES)
+    def test_noise_flips_match_q_function(self, kernel_pass):
         circuit = OpticalStochasticCircuit.from_design(
             mrr_first_design(order=2, wl_spacing_nm=1.0, probe_power_mw=0.05),
             BernsteinPolynomial([0.25, 0.625, 0.375]),
         )
         xs = np.linspace(0.0, 1.0, 16)
         schedule = derive_seed_schedule(16, np.random.default_rng(2019))
-        options = dict(length=1 << 14, schedule=schedule, kernel=kernel)
-        noisy = simulate_batch(circuit, xs, **options)
-        clean = simulate_batch(circuit, xs, noisy=False, **options)
+        options = dict(length=1 << 14, schedule=schedule)
+        with reference.running(kernel_pass):
+            noisy = simulate_batch(circuit, xs, **options)
+            clean = simulate_batch(circuit, xs, noisy=False, **options)
         flips = np.count_nonzero(noisy.output_bits != clean.output_bits)
 
         receiver = pass_context(circuit).receiver

@@ -3,9 +3,10 @@
 The contract under test: a :class:`FaultSpec` names a *scenario*, and
 the realized fault bits are a pure function of (spec, seed schedule,
 absolute clock index) — so fault-injected evaluations are bit-for-bit
-identical across kernels, worker counts, chunk lengths and pool
-backends, and trajectory faults (drift ramps, laser decay) stitch exactly across
-chunk boundaries.
+identical between the production pass and the test reference, and
+across worker counts, chunk lengths and pool backends, and trajectory
+faults (drift ramps, laser decay) stitch exactly across chunk
+boundaries.
 """
 
 import math
@@ -38,7 +39,6 @@ def _planes(probability, clocks):
 from repro.simulation.kernels import (
     pack_bits,
     popcount,
-    unpack_bits,
 )
 from repro.simulation.montecarlo import fault_frontier
 from repro.simulation.runtime import EvaluationCache, RuntimeConfig, run_batch
@@ -410,20 +410,6 @@ class TestChannelSemantics:
         # pinning a select MZI changes both sides identically.
         assert np.asarray(stuck.transmission_ber).sum() == 0.0
 
-    def test_apply_bits_matches_apply_words(self):
-        rng = np.random.default_rng(5)
-        bits = rng.integers(0, 2, size=(3, 500), dtype=np.uint8)
-        spec = FaultSpec(flip_probability=0.1, shift_clocks=3)
-        seeds = np.arange(3, dtype=np.int64) + 40
-        via_words = unpack_bits(
-            PackedFaultChannel(spec, seeds, 500).apply_words(
-                pack_bits(bits), 0, 500
-            ),
-            500,
-        )
-        via_bits = PackedFaultChannel(spec, seeds, 500).apply_bits(bits, 0)
-        assert np.array_equal(via_words, via_bits)
-
     @pytest.mark.parametrize(
         "words, offset, count",
         [
@@ -475,58 +461,47 @@ class TestChannelSemantics:
 
 
 class TestParityMatrix:
-    @pytest.mark.parametrize("kernel", ["packed"])
     @pytest.mark.parametrize("sng_kind", ["lfsr", "counter", "sobol", "chaotic"])
     @pytest.mark.parametrize("noisy", [False, True])
     @pytest.mark.parametrize(
         "scenario", list(PARITY_SCENARIOS.values()), ids=list(PARITY_SCENARIOS)
     )
     def test_kernels_bit_identical_under_faults(
-        self, circuit, kernel, sng_kind, noisy, scenario
+        self, circuit, sng_kind, noisy, scenario
     ):
         xs = np.linspace(0.0, 1.0, 4)
-        reference = run_batch(
-            circuit,
-            xs,
-            length=LENGTH,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            base_seed=9,
-            fault=scenario,
-        )
-        other = run_batch(
-            circuit,
-            xs,
-            length=LENGTH,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            base_seed=9,
-            config=RuntimeConfig(kernel=kernel),
-            fault=scenario,
-        )
-        assert np.array_equal(reference.values, other.values)
-        assert np.array_equal(reference.output_bits, other.output_bits)
+
+        def run():
+            return run_batch(
+                circuit,
+                xs,
+                length=LENGTH,
+                noisy=noisy,
+                sng_kind=sng_kind,
+                base_seed=9,
+                fault=scenario,
+            )
+
+        with reference.installed():
+            expected = run()
+        production = run()
+        assert np.array_equal(expected.values, production.values)
+        assert np.array_equal(expected.output_bits, production.output_bits)
         assert np.array_equal(
-            reference.transmission_bit_errors,
-            other.transmission_bit_errors,
+            expected.transmission_bit_errors,
+            production.transmission_bit_errors,
         )
 
-    @pytest.mark.parametrize("kernel", ["numpy", "packed"])
-    def test_clean_run_unchanged_by_null_channel(self, circuit, kernel):
+    @pytest.mark.parametrize("kernel_pass", reference.PASSES)
+    def test_clean_run_unchanged_by_null_channel(self, circuit, kernel_pass):
         xs = [0.25, 0.75]
-        clean = run_batch(
-            circuit,
-            xs,
-            length=LENGTH,
-            base_seed=9,
-            config=RuntimeConfig(kernel=kernel),
-        )
+        with reference.running(kernel_pass):
+            clean = run_batch(circuit, xs, length=LENGTH, base_seed=9)
         nulled = run_batch(
             circuit,
             xs,
             length=LENGTH,
             base_seed=9,
-            config=RuntimeConfig(kernel=kernel),
             fault=None,
         )
         assert np.array_equal(clean.output_bits, nulled.output_bits)
@@ -534,30 +509,30 @@ class TestParityMatrix:
 
 class TestRelocatability:
     @pytest.mark.parametrize("chunk_length", [64, 100, 333, 999])
-    @pytest.mark.parametrize("kernel", ["numpy", "packed"])
+    @pytest.mark.parametrize("kernel_pass", reference.PASSES)
     @pytest.mark.parametrize("noisy", [True, False])
     def test_trajectory_faults_stitch_across_chunks(
-        self, circuit, chunk_length, kernel, noisy
+        self, circuit, chunk_length, kernel_pass, noisy
     ):
         """Drift at absolute clock k must not depend on the tiling.
 
-        ``noisy=False`` with the packed kernel is the word-level mux
-        tile under a fault channel — the ``stream-fault`` path.
+        The one-shot side runs on the reference or the production pass,
+        the tiles on production.  ``noisy=False`` tiles are the
+        word-level mux under a fault channel — the ``stream-fault`` path.
         """
         xs = np.linspace(0.1, 0.9, 3)
-        one_shot = run_batch(
-            circuit, xs, length=LENGTH, noisy=noisy, base_seed=21,
-            fault=TRAJECTORY,
-        )
+        with reference.running(kernel_pass):
+            one_shot = run_batch(
+                circuit, xs, length=LENGTH, noisy=noisy, base_seed=21,
+                fault=TRAJECTORY,
+            )
         chunked = run_batch(
             circuit,
             xs,
             length=LENGTH,
             noisy=noisy,
             base_seed=21,
-            config=RuntimeConfig(
-                kernel=kernel, chunk_length=chunk_length, workers=0
-            ),
+            config=RuntimeConfig(chunk_length=chunk_length, workers=0),
             fault=TRAJECTORY,
         )
         assert np.array_equal(
@@ -578,16 +553,18 @@ class TestRelocatability:
         ],
     )
     def test_workers_and_kernels_change_no_bit(self, circuit, config):
+        # Serial on the reference pass, sharded on production.
         xs = np.linspace(0.0, 1.0, 5)
-        serial = run_batch(
-            circuit,
-            xs,
-            length=LENGTH,
-            noisy=True,
-            base_seed=13,
-            config=RuntimeConfig(workers=0),
-            fault=COMPOSITE,
-        )
+        with reference.installed():
+            serial = run_batch(
+                circuit,
+                xs,
+                length=LENGTH,
+                noisy=True,
+                base_seed=13,
+                config=RuntimeConfig(workers=0),
+                fault=COMPOSITE,
+            )
         sharded = run_batch(
             circuit,
             xs,

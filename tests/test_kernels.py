@@ -1,12 +1,15 @@
-"""Tests for the pluggable compute-kernel layer (repro.simulation.kernels).
+"""Tests for the compute-kernel layer (repro.simulation.kernels).
 
-The contract under test: every kernel is **bit-for-bit identical** to
-the ``"numpy"`` reference for all four SNG kinds, noisy and noiseless,
-one-shot and composed with the chunking/sharding runtime — choosing a
-kernel is a pure wall-clock/memory lever.
+The contract under test: the packed pass is **bit-for-bit identical**
+to the byte-wise reference pass of ``tests/packed_reference.py`` for
+all four SNG kinds, noisy and noiseless, one-shot and composed with the
+chunking/sharding runtime.  Each parity case runs its reference side
+inside ``reference.installed()`` and its production side as shipped.
+``kernel="numpy"`` is a deprecated alias that warns and changes no bit.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -61,7 +64,6 @@ BATCH_FIELDS = (
     "select_levels",
 )
 
-NON_NUMPY_KERNELS = [k for k in KERNELS if k != "numpy"]
 
 
 @pytest.fixture(scope="module")
@@ -72,36 +74,35 @@ def circuit():
     )
 
 
-def assert_batches_equal(reference, other):
+def assert_batches_equal(expected, other):
     for field in BATCH_FIELDS:
         assert np.array_equal(
-            getattr(reference, field), getattr(other, field)
+            getattr(expected, field), getattr(other, field)
         ), field
     assert np.array_equal(
-        reference.transmission_bit_errors, other.transmission_bit_errors
+        expected.transmission_bit_errors, other.transmission_bit_errors
     )
 
 
-def assert_statistics_match(reference, statistics):
+def assert_statistics_match(expected, statistics):
     """A sharded statistics result equals the per-clock reductions."""
-    assert np.array_equal(reference.xs, statistics.xs)
-    assert np.array_equal(reference.values, statistics.values)
-    assert np.array_equal(reference.expected, statistics.expected)
+    assert np.array_equal(expected.xs, statistics.xs)
+    assert np.array_equal(expected.values, statistics.values)
+    assert np.array_equal(expected.expected, statistics.expected)
     assert np.array_equal(
-        reference.output_bits.sum(axis=1), statistics.ones_count
+        expected.output_bits.sum(axis=1), statistics.ones_count
     )
     assert np.array_equal(
-        reference.transmission_bit_errors,
+        expected.transmission_bit_errors,
         statistics.transmission_bit_errors,
     )
 
 
 class TestRegistry:
     def test_registry_names(self):
-        assert KERNELS == ("numpy", "packed")
-        assert set(available_kernels()) <= set(KERNELS)
-        assert "numpy" in available_kernels()
-        assert "packed" in available_kernels()
+        assert KERNELS == ("packed",)
+        assert available_kernels() == KERNELS
+        assert RuntimeConfig().kernel == "packed"
 
     def test_resolve_unknown_kernel(self):
         with pytest.raises(ConfigurationError, match="unknown kernel"):
@@ -110,7 +111,7 @@ class TestRegistry:
     def test_capabilities_cover_registry(self):
         table = kernel_capabilities()
         assert set(table) == set(KERNELS)
-        assert table["numpy"]["available"] is True
+        assert table["packed"]["available"] is True
         assert table["packed"]["bit_tensor_bytes_per_bit"] == pytest.approx(
             1 / 8
         )
@@ -131,6 +132,90 @@ class TestRegistry:
         assert config.kernel == "packed"
         with pytest.raises(ConfigurationError, match="unknown backend"):
             RuntimeConfig(backend="packed")
+
+
+ALIAS_WARNING = "kernel='numpy' is deprecated"
+
+
+def _alias_run(circuit, spelling, alias):
+    """One evaluation through *spelling*, with the numpy alias or without."""
+    kernel = {"kernel": "numpy"} if alias else {}
+    xs = np.linspace(0.05, 0.95, 4)
+    spec = repro.EvalSpec(length=300)
+    if spelling == "RuntimeConfig":
+        session = repro.Evaluator(circuit, spec, RuntimeConfig(**kernel))
+        return session.evaluate(xs, rng=np.random.default_rng(3))
+    if spelling == "with_kernel":
+        session = repro.Evaluator(circuit, spec)
+        if alias:
+            session = session.with_kernel("numpy")
+        return session.evaluate(xs, rng=np.random.default_rng(3))
+    if spelling == "simulate_batch":
+        return simulate_batch(
+            circuit, xs, length=300, rng=np.random.default_rng(3), **kernel
+        )
+    return simulate_chunked(
+        circuit,
+        xs,
+        length=300,
+        chunk_length=96,
+        rng=np.random.default_rng(3),
+        power_histogram_bins=8,
+        workers=0,
+        **kernel,
+    )
+
+
+class TestDeprecatedNumpyAlias:
+    """``kernel="numpy"`` warns once per spelling and never changes a bit."""
+
+    @pytest.mark.parametrize(
+        "spelling",
+        ["RuntimeConfig", "with_kernel", "simulate_batch", "simulate_chunked"],
+    )
+    def test_alias_warns_and_matches_the_default(self, circuit, spelling):
+        with pytest.warns(DeprecationWarning, match=ALIAS_WARNING) as record:
+            aliased = _alias_run(circuit, spelling, alias=True)
+        assert len(record) == 1
+        default = _alias_run(circuit, spelling, alias=False)
+        if spelling == "simulate_chunked":
+            assert np.array_equal(aliased.ones_count, default.ones_count)
+            assert np.array_equal(
+                aliased.transmission_bit_errors,
+                default.transmission_bit_errors,
+            )
+            assert np.array_equal(
+                aliased.power_histogram, default.power_histogram
+            )
+        else:
+            assert_batches_equal(default, aliased)
+
+    def test_cli_alias_warns_and_matches_the_default(self, capsys):
+        from repro.experiments.__main__ import main
+
+        argv = ["accuracy", "--sng-kind", "lfsr", "--length", "256"]
+        with pytest.warns(DeprecationWarning, match=ALIAS_WARNING) as record:
+            assert main(argv + ["--kernel", "numpy"]) == 0
+        assert len(record) == 1
+        aliased = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == aliased
+        assert main(argv + ["--kernel", "bogus"]) == 2
+        assert "unknown kernel" in capsys.readouterr().err
+
+    def test_config_stores_the_resolved_kernel(self):
+        with pytest.warns(DeprecationWarning, match=ALIAS_WARNING):
+            config = RuntimeConfig(kernel="numpy")
+        assert config.kernel == "packed"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dataclasses.replace(config, workers=0)
+
+    def test_alias_is_an_error_under_the_suite_filter(self):
+        # pyproject.toml's filterwarnings makes the alias an error, so no
+        # test or example run under pytest can lean on it unnoticed.
+        with pytest.raises(DeprecationWarning, match=ALIAS_WARNING):
+            RuntimeConfig(kernel="numpy")
 
 
 class TestPackingPrimitives:
@@ -426,96 +511,71 @@ class TestPassContextMemoization:
         bad = OverlappingCircuit(circuit.params, circuit.polynomial)
         assert bad.fingerprint() == circuit.fingerprint()
         assert not bad.link_budget().bands_separated
-        for kernel in ("numpy", "packed"):
-            for _ in range(2):
-                with pytest.raises(repro.SimulationError, match="overlap"):
-                    simulate_batch(bad, [0.5], length=64, kernel=kernel)
+        for kernel_pass in reference.PASSES:
+            with reference.running(kernel_pass):
+                for _ in range(2):
+                    with pytest.raises(repro.SimulationError, match="overlap"):
+                        simulate_batch(bad, [0.5], length=64)
 
 
 class TestKernelParity:
-    @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     @pytest.mark.parametrize("sng_kind", SNG_KINDS)
     @pytest.mark.parametrize("noisy", [True, False])
-    def test_one_shot_parity_schedule(self, circuit, kernel, sng_kind, noisy):
+    def test_one_shot_parity_schedule(self, circuit, sng_kind, noisy):
         xs = np.linspace(0, 1, 6)
         # 300 is neither a multiple of 64 nor below one word.
         schedule = derive_seed_schedule(
             xs.size, np.random.default_rng(13), sng_kind=sng_kind
         )
-        reference = simulate_batch(
-            circuit,
-            xs,
-            length=300,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            schedule=schedule,
+        options = dict(
+            length=300, noisy=noisy, sng_kind=sng_kind, schedule=schedule
         )
-        other = simulate_batch(
-            circuit,
-            xs,
-            length=300,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            schedule=schedule,
-            kernel=kernel,
-        )
-        assert_batches_equal(reference, other)
+        with reference.installed():
+            expected = simulate_batch(circuit, xs, **options)
+        assert_batches_equal(expected, simulate_batch(circuit, xs, **options))
 
-    @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     # 70_001 runs the whole pipeline across the LFSR's 2**16 - 1 wrap.
-    @pytest.mark.parametrize("length", [40, 64, 65, 128, 1000, 70_001])
-    def test_one_shot_parity_tails(self, circuit, kernel, length):
+    @pytest.mark.parametrize(
+        "length", [1, 2, 40, 63, 64, 65, 128, 1000, 70_001]
+    )
+    def test_one_shot_parity_tails(self, circuit, length):
         xs = np.linspace(0, 1, 5)
         schedule = derive_seed_schedule(xs.size, np.random.default_rng(7))
-        reference = simulate_batch(
-            circuit, xs, length=length, schedule=schedule
+        with reference.installed():
+            expected = simulate_batch(
+                circuit, xs, length=length, schedule=schedule
+            )
+        assert_batches_equal(
+            expected,
+            simulate_batch(circuit, xs, length=length, schedule=schedule),
         )
-        other = simulate_batch(
-            circuit, xs, length=length, schedule=schedule, kernel=kernel
-        )
-        assert_batches_equal(reference, other)
 
-    @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     @pytest.mark.parametrize("sng_kind", ["lfsr", "sobol"])
-    def test_one_shot_parity_rng_protocol(self, circuit, kernel, sng_kind):
+    def test_one_shot_parity_rng_protocol(self, circuit, sng_kind):
         # Without a schedule the engine consumes the caller's rng; the
-        # kernels must not perturb that consumption order.
+        # pass must not perturb that consumption order.
         xs = np.linspace(0, 1, 4)
-        reference = simulate_batch(
-            circuit,
-            xs,
-            length=200,
-            rng=np.random.default_rng(21),
-            sng_kind=sng_kind,
-        )
-        other = simulate_batch(
-            circuit,
-            xs,
-            length=200,
-            rng=np.random.default_rng(21),
-            sng_kind=sng_kind,
-            kernel=kernel,
-        )
-        assert_batches_equal(reference, other)
 
-    @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
+        def run():
+            return simulate_batch(
+                circuit,
+                xs,
+                length=200,
+                rng=np.random.default_rng(21),
+                sng_kind=sng_kind,
+            )
+
+        with reference.installed():
+            expected = run()
+        assert_batches_equal(expected, run())
+
     @pytest.mark.parametrize("sng_width", [5, 8, 16])
-    def test_one_shot_parity_base_seed_and_width(
-        self, circuit, kernel, sng_width
-    ):
+    def test_one_shot_parity_base_seed_and_width(self, circuit, sng_width):
         xs = np.linspace(0, 1, 4)
-        reference = simulate_batch(
-            circuit, xs, length=500, base_seed=42, sng_width=sng_width
-        )
-        other = simulate_batch(
-            circuit,
-            xs,
-            length=500,
-            base_seed=42,
-            sng_width=sng_width,
-            kernel=kernel,
-        )
-        assert_batches_equal(reference, other)
+        options = dict(length=500, base_seed=42, sng_width=sng_width)
+        with reference.installed():
+            expected = simulate_batch(circuit, xs, **options)
+        assert_batches_equal(expected, simulate_batch(circuit, xs, **options))
 
 
 # The trajectory scenario of test_faultmodel's tile-stitching test:
@@ -529,71 +589,68 @@ TRAJECTORY = FaultSpec(
 
 
 class TestRuntimeComposition:
-    @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
     @pytest.mark.parametrize("sng_kind", SNG_KINDS)
     @pytest.mark.parametrize("noisy", [True, False])
     @pytest.mark.parametrize(
         "fault", [None, TRAJECTORY], ids=["clean", "trajectory"]
     )
+    # 96-clock tiles are deliberately not 64-aligned; 1-, 3- and 7-clock
+    # tiles split every word, over a 130-clock stream that ends two
+    # clocks into its third word.
+    @pytest.mark.parametrize(
+        "length, chunk_length",
+        [(1000, 96), (130, 1), (130, 3), (130, 7)],
+        ids=["chunk96", "chunk1", "chunk3", "chunk7"],
+    )
     def test_chunked_statistics_parity(
-        self, circuit, kernel, sng_kind, noisy, fault
+        self, circuit, sng_kind, noisy, fault, length, chunk_length
     ):
         xs = np.linspace(0.05, 0.95, 4)
         schedule = derive_seed_schedule(
             xs.size, np.random.default_rng(31), sng_kind=sng_kind
         )
-        one_shot = simulate_batch(
-            circuit,
-            xs,
-            length=1000,
+        options = dict(
+            length=length,
             noisy=noisy,
             sng_kind=sng_kind,
             schedule=schedule,
             fault=fault,
         )
-        reference = simulate_chunked(
-            circuit,
-            xs,
-            length=1000,
-            chunk_length=96,  # tiles deliberately not 64-aligned
-            noisy=noisy,
-            sng_kind=sng_kind,
-            schedule=schedule,
-            power_histogram_bins=16,
-            workers=0,
-            fault=fault,
-        )
-        chunked = simulate_chunked(
-            circuit,
-            xs,
-            length=1000,
-            chunk_length=96,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            schedule=schedule,
-            power_histogram_bins=16,
-            workers=0,
-            kernel=kernel,
-            fault=fault,
-        )
-        assert np.array_equal(
-            chunked.ones_count, one_shot.output_bits.sum(axis=1)
-        )
-        assert np.array_equal(chunked.ones_count, reference.ones_count)
-        assert np.array_equal(
-            chunked.transmission_bit_errors,
-            reference.transmission_bit_errors,
-        )
-        assert np.array_equal(
-            chunked.power_histogram, reference.power_histogram
-        )
-        assert np.array_equal(chunked.power_bin_edges, reference.power_bin_edges)
 
-    @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
-    def test_sharded_parity(self, circuit, kernel):
+        def chunked():
+            return simulate_chunked(
+                circuit,
+                xs,
+                chunk_length=chunk_length,
+                power_histogram_bins=16,
+                workers=0,
+                **options,
+            )
+
+        one_shot = simulate_batch(circuit, xs, **options)
+        with reference.installed():
+            expected = chunked()
+        statistics = chunked()
+        assert np.array_equal(
+            statistics.ones_count, one_shot.output_bits.sum(axis=1)
+        )
+        assert np.array_equal(statistics.ones_count, expected.ones_count)
+        assert np.array_equal(
+            statistics.transmission_bit_errors,
+            expected.transmission_bit_errors,
+        )
+        assert np.array_equal(
+            statistics.power_histogram, expected.power_histogram
+        )
+        assert np.array_equal(
+            statistics.power_bin_edges, expected.power_bin_edges
+        )
+
+    def test_sharded_parity(self, circuit):
         xs = np.linspace(0, 1, 8)
         schedule = derive_seed_schedule(xs.size, np.random.default_rng(5))
-        serial = simulate_batch(circuit, xs, length=400, schedule=schedule)
+        with reference.installed():
+            serial = simulate_batch(circuit, xs, length=400, schedule=schedule)
         sharded = simulate_chunked(
             circuit,
             xs,
@@ -602,82 +659,112 @@ class TestRuntimeComposition:
             schedule=schedule,
             workers=2,
             backend="thread",
-            kernel=kernel,
         )
         assert_statistics_match(serial, sharded)
 
-    @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
-    def test_run_batch_strategy_never_changes_bits(self, circuit, kernel):
+    def test_run_batch_strategy_never_changes_bits(self, circuit):
         xs = np.linspace(0, 1, 6)
-        reference = run_batch(
-            circuit, xs, length=512, base_seed=9, config=RuntimeConfig()
-        )
-        direct = run_batch(
-            circuit,
-            xs,
-            length=512,
-            base_seed=9,
-            config=RuntimeConfig(kernel=kernel),
-        )
-        assert_batches_equal(reference, direct)
-        sharded = run_batch(
-            circuit,
-            xs,
-            length=512,
-            base_seed=9,
-            config=RuntimeConfig(
-                kernel=kernel, workers=2, backend="thread"
-            ),
-        )
-        assert_statistics_match(reference, sharded)
-        chunked_reference = run_batch(
-            circuit,
-            xs,
-            length=512,
-            base_seed=9,
-            config=RuntimeConfig(chunk_length=128),
-        )
-        chunked = run_batch(
-            circuit,
-            xs,
-            length=512,
-            base_seed=9,
-            config=RuntimeConfig(kernel=kernel, chunk_length=128),
-        )
-        assert np.array_equal(
-            chunked.ones_count, chunked_reference.ones_count
-        )
-        assert np.array_equal(chunked.values, reference.values)
+
+        def run(**config):
+            return run_batch(
+                circuit,
+                xs,
+                length=512,
+                base_seed=9,
+                config=RuntimeConfig(**config),
+            )
+
+        with reference.installed():
+            expected = run()
+            chunked_expected = run(chunk_length=128)
+        assert_batches_equal(expected, run())
+        assert_statistics_match(expected, run(workers=2, backend="thread"))
+        chunked = run(chunk_length=128)
+        assert np.array_equal(chunked.ones_count, chunked_expected.ones_count)
+        assert np.array_equal(chunked.values, expected.values)
 
     def test_cache_entries_shared_across_kernels(self, circuit):
         # The kernel is excluded from the cache key on purpose: results
-        # are bit-identical, so a packed request may serve a numpy-
-        # computed entry (and vice versa) by identity.
+        # are bit-identical, so a production request may serve an entry
+        # the reference pass computed, by identity.
         from repro.simulation.runtime import EvaluationCache
 
         cache = EvaluationCache()
-        numpy_config = RuntimeConfig(cache=cache)
-        packed_config = RuntimeConfig(cache=cache, kernel="packed")
-        first = run_batch(
-            circuit, [0.5], length=128, base_seed=5, config=numpy_config
-        )
+        with reference.installed():
+            first = run_batch(
+                circuit,
+                [0.5],
+                length=128,
+                base_seed=5,
+                config=RuntimeConfig(cache=cache),
+            )
         second = run_batch(
-            circuit, [0.5], length=128, base_seed=5, config=packed_config
+            circuit,
+            [0.5],
+            length=128,
+            base_seed=5,
+            config=RuntimeConfig(cache=cache, kernel="packed"),
         )
         assert second is first
         assert cache.hits == 1
 
 
 class TestSessionAndServing:
-    @pytest.mark.parametrize("kernel", NON_NUMPY_KERNELS)
-    def test_evaluator_kernel_parity(self, circuit, kernel):
+    def test_evaluator_kernel_parity(self, circuit):
         spec = repro.EvalSpec(length=256, base_seed=11, noisy=False)
-        reference = repro.Evaluator(circuit, spec)
-        other = reference.with_kernel(kernel)
-        assert other.kernel == kernel
-        assert other.spec is reference.spec
+        session = repro.Evaluator(circuit, spec)
+        other = session.with_kernel("packed")
+        assert session.kernel == other.kernel == "packed"
+        assert other.spec is session.spec
         xs = np.linspace(0, 1, 16)
-        assert_batches_equal(reference.evaluate(xs), other.evaluate(xs))
+        with reference.installed():
+            expected = session.evaluate(xs)
+        assert_batches_equal(expected, other.evaluate(xs))
+
+    @pytest.mark.parametrize(
+        "batch, length, noisy, base_seed",
+        [
+            (16, 1 << 14, True, None),
+            (1, 4096, False, 2019),
+            (2, 4096, False, 2019),
+            (4, 4096, False, 2019),
+        ],
+        ids=["oneshot-default", "serve-open-1", "serve-open-2", "serve-open-4"],
+    )
+    def test_benchmark_shapes_match_reference(
+        self, batch, length, noisy, base_seed
+    ):
+        # The shapes, circuit and seed policies of the repository
+        # benchmark's oneshot-default and serve-open workloads: the
+        # default session's every per-clock field equals the reference
+        # pass's.
+        circuit = repro.OpticalStochasticCircuit.from_design(
+            repro.mrr_first_design(order=2, wl_spacing_nm=1.0),
+            repro.BernsteinPolynomial([0.25, 0.625, 0.375]),
+        )
+        session = repro.Evaluator(
+            circuit,
+            repro.EvalSpec(length=length, noisy=noisy, base_seed=base_seed),
+        )
+        xs = np.random.default_rng([batch, length]).random(batch)
+
+        def evaluate():
+            rng = None if base_seed is not None else np.random.default_rng(7)
+            return session.evaluate(xs, rng=rng)
+
+        with reference.installed():
+            expected = evaluate()
+        production = evaluate()
+        for field in (
+            "values",
+            "output_bits",
+            "ideal_bits",
+            "select_levels",
+            "received_power_mw",
+        ):
+            assert np.array_equal(
+                getattr(expected, field), getattr(production, field)
+            ), field
 
     @pytest.mark.parametrize(
         "batch, length, base_seed, owner, name",
@@ -690,9 +777,8 @@ class TestSessionAndServing:
     def test_default_call_takes_its_side_of_the_size_rule(
         self, circuit, monkeypatch, batch, length, base_seed, owner, name
     ):
-        # Both kernels read one packed front end; a default 16 x 2**14
-        # call never gathers float uniforms, and a one-input serving call
-        # never packs a 2**16-clock cycle.
+        # A default 16 x 2**14 call never gathers float uniforms, and a
+        # one-input serving call never packs a 2**16-clock cycle.
         def forbidden(*args, **kwargs):
             raise AssertionError(f"{name} called")
 
@@ -718,12 +804,6 @@ class TestSessionAndServing:
             async with repro.BatchServer(evaluator) as server:
                 return await server.submit_many(xs)
 
-        reference = asyncio.run(serve(repro.Evaluator(circuit, spec)))
-        packed = asyncio.run(
-            serve(
-                repro.Evaluator(
-                    circuit, spec, RuntimeConfig(kernel="packed")
-                )
-            )
-        )
-        assert reference == packed
+        with reference.installed():
+            expected = asyncio.run(serve(repro.Evaluator(circuit, spec)))
+        assert asyncio.run(serve(repro.Evaluator(circuit, spec))) == expected

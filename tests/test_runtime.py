@@ -44,6 +44,8 @@ from repro.stochastic.bitstream import exact_bit_matrix, exact_bit_window
 from repro.stochastic.lfsr import lfsr_uniform_windows
 from repro.stochastic.sng import SNG_KINDS, SobolLikeSNG, chaotic_orbit
 
+import packed_reference as reference
+
 ALL_KINDS = list(SNG_KINDS)
 
 
@@ -106,15 +108,20 @@ PARITY_LENGTH = 300  # not a multiple of 64: exercises the packed tail word
 
 
 @functools.lru_cache(maxsize=None)
-def _serial_reference(circuit, kind, noisy, fault):
-    """The serial one-shot pass the sharded parity matrix reduces."""
+def _serial_reference(circuit, kind, noisy, fault, kernel_pass):
+    """The serial one-shot pass the sharded parity matrix reduces.
+
+    *kernel_pass* names the optical pass it runs on: the test reference
+    or production (``packed_reference.PASSES``).
+    """
     schedule = derive_seed_schedule(
         PARITY_XS.size, sng_kind=kind, base_seed=11
     )
-    serial = simulate_batch(
-        circuit, PARITY_XS, length=PARITY_LENGTH, noisy=noisy,
-        sng_kind=kind, schedule=schedule, fault=fault,
-    )
+    with reference.running(kernel_pass):
+        serial = simulate_batch(
+            circuit, PARITY_XS, length=PARITY_LENGTH, noisy=noisy,
+            sng_kind=kind, schedule=schedule, fault=fault,
+        )
     return schedule, serial
 
 
@@ -131,12 +138,14 @@ class TestShardedEquivalence:
     )
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("kernel", ["numpy", "packed"])
+    @pytest.mark.parametrize("kernel_pass", reference.PASSES)
     def test_statistics_match_serial_reductions(
-        self, circuit, kernel, kind, noisy, fault, chunk_length, workers,
-        backend,
+        self, circuit, kernel_pass, kind, noisy, fault, chunk_length,
+        workers, backend,
     ):
-        schedule, serial = _serial_reference(circuit, kind, noisy, fault)
+        schedule, serial = _serial_reference(
+            circuit, kind, noisy, fault, kernel_pass
+        )
         sharded = simulate_chunked(
             circuit,
             PARITY_XS,
@@ -148,7 +157,6 @@ class TestShardedEquivalence:
             power_histogram_bins=8,
             workers=workers,
             backend=backend,
-            kernel=kernel,
             fault=fault,
         )
         assert sharded.chunk_count == -(-PARITY_LENGTH // chunk_length)
