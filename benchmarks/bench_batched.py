@@ -6,7 +6,9 @@ One leg per run, one ``BENCH_*.json`` artifact per leg:
 * ``kernels`` — the production packed pass against the byte-wise test
   reference (``tests/packed_reference.py``) on the noiseless LFSR
   one-shot path (``B=32``, ``L=2**20``), with the layout bit-tensor
-  bytes and a measured tracemalloc peak of one streamed tile per pass
+  bytes and a measured tracemalloc peak of one streamed tile per pass,
+  plus production's chunked statistics noisy against noiseless at the
+  BER-1e-6 design (``B=64``, ``L=2**16``, ``2**14``-clock tiles)
   (``BENCH_kernels.json``);
 * ``faults`` — production against the reference under one composite
   fault scenario (flips + desynchronization + drift ramp) at the same
@@ -18,9 +20,10 @@ One leg per run, one ``BENCH_*.json`` artifact per leg:
   arrivals at 0.5x / 1x / 2x of the measured saturation rate through an
   unbounded baseline, a shedding server and a degrading server.
 
-The kernels leg only times: the tier-1 test suite owns every
-bit-exactness check between production and the reference, workers,
-chunk lengths and fault scenarios.  The faults leg exits non-zero
+The kernels leg times, and exits non-zero unless receiver noise costs
+at most 1.5x the noiseless chunked run: the tier-1 test suite owns
+every bit-exactness check between production and the reference,
+workers, chunk lengths and fault scenarios.  The faults leg exits non-zero
 unless production's and the reference's output and ideal bits are
 identical, so the run that times them also checks them.  The serving
 leg exits non-zero unless its four wall-clock gates hold, which no
@@ -61,6 +64,13 @@ SEED = 0xBEEF
 KERNEL_BATCH = 32
 KERNEL_LENGTH = 1 << 20
 STREAMING_PEAK_LENGTH = 1 << 17
+
+# The chunked noise row: the laser sized for BER 1e-6, where receiver
+# noise flips a few decisions per run.
+NOISE_BATCH = 64
+NOISE_LENGTH = 1 << 16
+NOISE_CHUNK = 1 << 14
+NOISE_COST_LIMIT = 1.5  # gate: noisy chunked time <= this x noiseless
 
 FAULT_BATCH = 32
 FAULT_LENGTH = 1 << 20
@@ -169,6 +179,51 @@ def _measured_streaming_peaks(circuit) -> dict:
     return peaks
 
 
+def _chunked_noise_cost() -> dict:
+    """Best-of-5 chunked production run, noisy and noiseless.
+
+    Both sides evaluate the same seed schedule at the BER-1e-6 design
+    (``mrr_first_design(order=2, wl_spacing_nm=1.0)``, the repository
+    benchmark's circuit) after one warm-up run each.
+    """
+    from repro.core.design import mrr_first_design
+    from repro.simulation.runtime import simulate_chunked
+
+    circuit = OpticalStochasticCircuit.from_design(
+        mrr_first_design(order=2, wl_spacing_nm=1.0),
+        BernsteinPolynomial([0.25, 0.625, 0.375]),
+    )
+    xs = np.linspace(0.0, 1.0, NOISE_BATCH)
+    schedule = derive_seed_schedule(NOISE_BATCH, np.random.default_rng(SEED))
+    row = {
+        "batch": NOISE_BATCH,
+        "length": NOISE_LENGTH,
+        "chunk_length": NOISE_CHUNK,
+        "ber": circuit.ber(),
+    }
+    for noisy in (False, True):
+        def run():
+            return simulate_chunked(
+                circuit,
+                xs,
+                length=NOISE_LENGTH,
+                chunk_length=NOISE_CHUNK,
+                noisy=noisy,
+                schedule=schedule,
+                workers=0,
+            )
+
+        run()
+        seconds, outcome = best_of(5, run)
+        side = "noisy" if noisy else "noiseless"
+        row[f"{side}_seconds"] = round(seconds, 6)
+        row[f"{side}_bit_errors"] = int(outcome.transmission_bit_errors.sum())
+    row["noisy_over_noiseless"] = round(
+        row["noisy_seconds"] / row["noiseless_seconds"], 2
+    )
+    return row
+
+
 def bench_kernels(circuit) -> dict:
     """Production vs the reference on the noiseless LFSR one-shot path."""
     xs = np.linspace(0.0, 1.0, KERNEL_BATCH)
@@ -189,6 +244,11 @@ def bench_kernels(circuit) -> dict:
     peaks = _measured_streaming_peaks(circuit)
     for kernel_pass, peak in peaks.items():
         results[kernel_pass]["measured_streaming_peak_bytes"] = peak
+    noise = _chunked_noise_cost()
+    gates = {
+        "noisy_chunked_within_limit": noise["noisy_over_noiseless"]
+        <= NOISE_COST_LIMIT,
+    }
     return {
         "benchmark": "bench_kernels",
         "batch": KERNEL_BATCH,
@@ -204,6 +264,9 @@ def bench_kernels(circuit) -> dict:
         "measured_streaming_peak_ratio": round(
             peaks["reference"] / peaks["production"], 2
         ),
+        "chunked_noise_cost": {**noise, "limit": NOISE_COST_LIMIT},
+        "gates": gates,
+        "passed": all(gates.values()),
     }
 
 
@@ -605,6 +668,16 @@ def _print_kernel_rows(artifact) -> None:
         print(
             f"  streamed-tile allocation peak, reference / production: "
             f"{artifact['measured_streaming_peak_ratio']:.1f}x"
+        )
+    if "chunked_noise_cost" in artifact:
+        noise = artifact["chunked_noise_cost"]
+        print(
+            f"  chunked {noise['batch']} x {noise['length']} bits in "
+            f"{noise['chunk_length']}-clock tiles: noisy "
+            f"{noise['noisy_seconds'] * 1e3:.1f} ms vs noiseless "
+            f"{noise['noiseless_seconds'] * 1e3:.1f} ms "
+            f"({noise['noisy_over_noiseless']:.2f}x, limit "
+            f"{noise['limit']:.1f}x)"
         )
 
 

@@ -14,12 +14,16 @@ vector of inputs in one such pass:
 3. the packed optical pass maps each clock's select level and
    coefficient pattern to its received power in the precomputed Eq. 6
    pattern table;
-4. the receiver slices the whole batch at once, each row's Gaussian
-   noise drawn from its private generator seeded by the schedule.
+4. the receiver slices the whole batch at once: the noiseless decision
+   is a flat-table gather, and Gaussian receiver noise enters as sparse
+   flips of it — each row's candidate flip clocks are gap-sampled from
+   its private generator seeded by the schedule (:class:`_NoiseFlips`),
+   so a call draws normals in proportion to the flips the noise can
+   make, not to the clocks.
 
-Steps 1-2 and the noise draw are the front end the runtime's tile loop
-(:func:`repro.simulation.runtime.simulate_chunked`) shares window by
-window, so a one-shot call and a single-tile ``run_batch`` under the
+Steps 1-2 and the flip candidates are the front end the runtime's tile
+loop (:func:`repro.simulation.runtime.simulate_chunked`) shares window
+by window, so a one-shot call and a single-tile ``run_batch`` under the
 same ``rng`` return the same bits.  :func:`repro.simulation.runtime.run_batch`
 is this function's one caller in the package: every evaluation —
 ``Evaluator.evaluate``, ``circuit.evaluate`` / ``evaluate_batch`` — enters
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,11 +64,13 @@ from ..stochastic.sng import (
 )
 from .faultmodel import FaultSpec, fault_channel_for, pin_stuck_words
 from .kernels import (
+    FlipCandidates,
     PackedChaoticSource,
     PackedLfsrSource,
     PackedSobolSource,
     pack_bits,
     packed_optical_pass,
+    pass_context,
     resolve_kernel,
     unpack_bits,
 )
@@ -86,6 +92,12 @@ COEFF_SEED_STRIDE = 0x9E3779B9
 
 _DEFAULT_FIXED_SEED = 0x5EED
 _NOISE_SEED_SPACE = 1 << 62
+_NOISE_PROTOCOL = 2
+"""Version of the receiver-noise bit protocol (part of the cache key).
+
+1 drew one normal per clock and row; 2 draws the sparse gap-sampled
+flips of :class:`_NoiseFlips`.  Noisy bits differ between versions.
+"""
 _FALLBACK_RNG_SEED = 0xD47E
 """Seed of the derivation rng when the caller passes neither rng nor seeds."""
 
@@ -154,9 +166,10 @@ class SeedSchedule:
 
     ``noise_seeds[b]`` seeds a **fresh, private** generator for row
     ``b``'s receiver noise (``default_rng(noise_seeds[b])``), which is
-    what lets chunked evaluation draw the same noise stream in tiles:
-    numpy Generators produce identical normals whether drawn in one call
-    or split across consecutive calls.
+    what lets chunked evaluation see the same noise in tiles: the row's
+    flip candidates are drawn from it in blocks that depend only on the
+    circuit, and a carried candidate buffer hands each tile the
+    candidates that fall inside it.
     """
 
     data_seeds: "np.ndarray[Any, Any]"
@@ -470,33 +483,136 @@ class _StreamSource:
         return data_bank.take(start, count), coeff_bank.take(start, count)
 
 
-class _ReceiverNoise:
-    """Each row's receiver-noise currents, drawn window by window.
+class _NoiseFlips:
+    """Each row's receiver-noise flip candidates, window by window.
 
-    Row ``b`` draws from its private generator
-    ``schedule.row_noise_rng(b)``; numpy Generators produce the same
-    normals whether drawn in one call or across consecutive calls, so a
-    one-shot draw of ``length`` samples equals the tile loop's draws
-    concatenated.  :meth:`draw` fills one preallocated ``(B, tile)``
-    buffer row by row and returns its first ``count`` columns.
+    Additive Gaussian current noise flips a clock's noiseless decision
+    with a key-dependent probability ``p_k`` of about ``1e-6`` at the
+    paper's BER target, so the sampler draws only the candidate flips
+    (:class:`~repro.simulation.kernels.CircuitPassContext` holds the
+    rates).  Every clock is a candidate with probability ``q = max
+    p_k``, so the gaps between candidates are geometric: with the
+    row's normals ``(z1, z2, z3)`` of RMS ``sigma``, ``E = (z1**2 +
+    z2**2) / (2 sigma**2)`` is Exp(1) and the next candidate sits
+    ``floor(E / lambda)`` clocks past the previous one's successor
+    (``lambda = -log1p(-q)``); the kernel accepts it with probability
+    ``p_k / q`` by comparing ``z3`` with the key's threshold.
+
+    Row ``b`` draws its triples from its private generator
+    ``schedule.row_noise_rng(b)`` in blocks of ``K`` (the context's
+    ``flip_block``, a function of the circuit alone), once at
+    construction — a zero-size draw when no key can flip — and again
+    only when a window reaches past its carried candidate buffer.
+    Candidates carry over from window to window, so a one-shot window
+    and any tiling of the stream, on any row shard, see the same
+    flips.  Positions are compared as floats before any integer cast:
+    a gap past the stream end (``E / lambda`` can reach ``1e300`` at
+    high SNR) ends the row's candidates.
     """
 
-    def __init__(self, schedule: SeedSchedule, sigma: float, tile: int) -> None:
-        self._rngs = [
-            schedule.row_noise_rng(row) for row in range(schedule.batch_size)
-        ]
-        self._sigma = sigma
-        # The receiver noise is float current by nature: one (B, tile)
-        # buffer, reused by every tile, is its whole footprint.
-        self._buffer = np.empty(  # repro-lint: disable=RL009
-            (schedule.batch_size, tile), dtype=float
+    def __init__(
+        self,
+        schedule: SeedSchedule,
+        flat: Dict[str, Any],
+        sigma: float,
+        length: int,
+    ) -> None:
+        self._length = int(length)
+        self._sigma = float(sigma)
+        self._lambda = float(flat["flip_lambda"])
+        self._block = int(flat["flip_block"])
+        batch = schedule.batch_size
+        self._rngs = [schedule.row_noise_rng(row) for row in range(batch)]
+        # Per row: the last candidate clock drawn, whether more blocks
+        # may follow it, the drawn candidates not yet taken (clocks as
+        # exact float64 integers, and acceptance draws), and the first
+        # of those clocks, or the stream length when none is left.
+        self._last = np.full(batch, -1.0)
+        self._open = np.ones(batch, dtype=bool)
+        self._clocks: List["np.ndarray[Any, Any]"] = [np.empty(0)] * batch
+        self._draws: List["np.ndarray[Any, Any]"] = [np.empty(0)] * batch
+        self._next = np.full(batch, float(length))
+        self._draw_blocks(list(range(batch)))
+
+    def _draw_blocks(self, rows: List[int]) -> None:
+        """Replace the pending candidates of *rows* by their next block."""
+        block = self._block
+        triples = np.stack(
+            [self._rngs[row].normal(0.0, self._sigma, 3 * block) for row in rows]
+        ).reshape(len(rows), block, 3)
+        z1, z2, z3 = triples[..., 0], triples[..., 1], triples[..., 2]
+        exponential = (z1 * z1 + z2 * z2) / (2.0 * self._sigma**2)
+        # Gaps are capped at 2**53 clocks, past every stream, so none
+        # overflows however small lambda is.
+        lam = self._lambda
+        gaps = np.floor(np.minimum(exponential, _GAP_CAP * lam) / lam)
+        clocks = self._last[rows, None] + np.cumsum(gaps + 1.0, axis=1)
+        inside = np.count_nonzero(clocks < self._length, axis=1)
+        # A block that ends inside the stream may have more after it.
+        self._open[rows] = (inside == block) & (block > 0)
+        for row, count, row_clocks, row_draws in zip(rows, inside, clocks, z3):
+            self._clocks[row] = row_clocks[:count]
+            self._draws[row] = row_draws[:count]
+            if count:
+                self._last[row] = row_clocks[count - 1]
+                self._next[row] = row_clocks[0]
+            else:
+                self._next[row] = self._length
+
+    def take(self, start: int, count: int) -> FlipCandidates:
+        """The candidates at stream clocks ``[start, start + count)``.
+
+        Windows are taken in stream order; clocks are returned counted
+        from *start*.
+        """
+        stop = start + count
+        rows: List["np.ndarray[Any, Any]"] = []
+        clocks: List["np.ndarray[Any, Any]"] = []
+        draws: List["np.ndarray[Any, Any]"] = []
+        for row in np.flatnonzero(self._next < stop).tolist():
+            while True:
+                pending = self._clocks[row]
+                end = int(pending.searchsorted(stop))
+                rows.append(np.full(end, row, dtype=np.int64))
+                clocks.append(pending[:end].astype(np.int64) - start)
+                draws.append(self._draws[row][:end])
+                self._clocks[row] = pending[end:]
+                self._draws[row] = self._draws[row][end:]
+                if end < pending.size or not self._open[row]:
+                    break
+                self._draw_blocks([row])
+            pending = self._clocks[row]
+            self._next[row] = pending[0] if pending.size else self._length
+        if not rows:
+            return FlipCandidates(
+                np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=float),
+            )
+        return FlipCandidates(
+            np.concatenate(rows), np.concatenate(clocks), np.concatenate(draws)
         )
 
-    def draw(self, count: int) -> "np.ndarray[Any, Any]":
-        noise_a = self._buffer[:, :count]
-        for row, rng in enumerate(self._rngs):
-            noise_a[row] = rng.normal(0.0, self._sigma, count)
-        return noise_a
+
+_GAP_CAP = float(1 << 53)
+
+
+def _noise_flips(
+    circuit: "OpticalStochasticCircuit",
+    schedule: SeedSchedule,
+    noisy: bool,
+    length: int,
+) -> Optional[_NoiseFlips]:
+    """The receiver-noise flip sampler of a run, ``None`` when noiseless."""
+    if not noisy:
+        return None
+    context = pass_context(circuit)
+    return _NoiseFlips(
+        schedule,
+        context._flat_tables(),
+        context.receiver.detector.noise_current_a,
+        length,
+    )
 
 
 def _pin_stuck(
@@ -532,11 +648,11 @@ def simulate_batch(
     """Run the optical circuit on every input in *xs* in one array pass.
 
     The one-shot evaluation is the single-window case of the runtime's
-    tile loop: the same stream source, receiver-noise draw and fault
-    channel, taken once over ``[0, length)``, followed by the per-clock
-    optical pass.  It always runs under a :class:`SeedSchedule`, so for
-    the same arguments it returns the same bits as a single-tile
-    :func:`repro.simulation.runtime.run_batch`.
+    tile loop: the same stream source, receiver-noise flip candidates
+    and fault channel, taken once over ``[0, length)``, followed by the
+    per-clock optical pass.  It always runs under a
+    :class:`SeedSchedule`, so for the same arguments it returns the same
+    bits as a single-tile :func:`repro.simulation.runtime.run_batch`.
 
     Parameters
     ----------
@@ -553,7 +669,9 @@ def simulate_batch(
         used when omitted.  Ignored with *base_seed* or *schedule*.
     noisy:
         When False the receiver slices noiselessly — isolating the
-        stochastic-computing error from the transmission error.
+        stochastic-computing error from the transmission error.  When
+        True each decision flips with the probability Gaussian receiver
+        noise gives it, ``Q(|I - thr| / sigma)``.
     sng_kind:
         Randomizer family: ``"lfsr"`` (default), ``"counter"``,
         ``"sobol"`` or ``"chaotic"``.
@@ -566,8 +684,8 @@ def simulate_batch(
         LFSR register width / comparator resolution in bits.
     schedule:
         Explicit per-row :class:`SeedSchedule`.  When given, *rng* and
-        *base_seed* are ignored.  Each row's receiver noise comes from
-        its private seeded generator, which is what makes rows
+        *base_seed* are ignored.  Each row's receiver-noise flips come
+        from its private seeded generator, which is what makes rows
         relocatable across shards and tiles.
     kernel:
         Compute kernel (:data:`repro.simulation.kernels.KERNELS`):
@@ -593,15 +711,10 @@ def simulate_batch(
     )
     data_words, coeff_words = source.take(0, length)
     data_words = _pin_stuck(data_words, fault, length)
-    noise_a = (
-        _ReceiverNoise(
-            schedule, circuit.params.detector.noise_current_a, length
-        ).draw(length)
-        if noisy
-        else None
-    )
+    noise = _noise_flips(circuit, schedule, noisy, length)
+    candidates = noise.take(0, length) if noise is not None else None
     powers, output_bits, ideal_bits, levels = packed_optical_pass(
-        circuit, data_words, coeff_words, noise_a, length
+        circuit, data_words, coeff_words, candidates, length
     )
     channel = fault_channel_for(fault, schedule.noise_seeds, length)
     if channel is not None:

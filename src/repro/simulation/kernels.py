@@ -6,10 +6,13 @@ holds the engine's one optical pass, which works that way: it stays on
 the stream front end's words, 64 clocks per uint64 (``(B, C, L//64)``),
 builds the adder level as a carry-save bit-sliced sum across channels,
 and resolves each receiver decision through precomputed
-per-``(pattern, level)`` flat tables.  Statistics-only consumers (the
-chunked streaming runtime) accumulate ones/bit-error counts straight
-from packed words via popcount (:func:`popcount` — ``np.bitwise_count``
-when the numpy build has it, a 16-bit LUT otherwise).
+per-``(pattern, level)`` flat tables.  Receiver noise arrives as sparse
+flip candidates (:class:`FlipCandidates`), accepted against a per-key
+threshold and toggled into the noiseless decisions.  Statistics-only
+consumers (the chunked streaming runtime) accumulate ones/bit-error
+counts straight from packed words via popcount (:func:`popcount` —
+``np.bitwise_count`` when the numpy build has it, a 16-bit LUT
+otherwise).
 
 The byte-wise pass that unpacks the words to ``(B, C, L)`` uint8
 tensors and fancy-indexes the Eq. 6 pattern table per clock lives in
@@ -20,18 +23,21 @@ SNG kinds, noisy and noiseless, with and without faults.
 never changes a bit.
 
 The module also owns the memoized per-circuit pass context
-(:func:`pass_context`): the link budget, Eq. 6 table and threshold
-receiver are built once per circuit fingerprint instead of once per
-optical pass, i.e. once per tile of a chunked stream.
+(:func:`pass_context`): the link budget, Eq. 6 table, threshold
+receiver and per-key flip rates are built once per circuit fingerprint
+instead of once per optical pass, i.e. once per tile of a chunked
+stream.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import warnings
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from statistics import NormalDist
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +68,7 @@ __all__ = [
     "PackedChaoticSource",
     "packed_lfsr_comparator_bits",
     "packed_tile_statistics",
+    "FlipCandidates",
 ]
 
 KERNELS: Tuple[str, ...] = ("packed",)
@@ -229,11 +236,22 @@ class CircuitPassContext:
     on first use.
 
     The flat tables index on ``key = (level << channel_count) |
-    pattern``: ``flat_powers[key]`` / ``flat_currents[key]`` are copies
-    of the Eq. 6 table's float64 values and their photocurrents (float
-    copies are bit-exact), ``flat_decisions[key]`` is the noiseless threshold
-    decision, and ``flat_ideal[key]`` the multiplexer's selected
-    coefficient bit.
+    pattern``: ``flat_powers[key]`` is a copy of the Eq. 6 table's
+    float64 value (float copies are bit-exact), ``flat_decisions[key]``
+    the noiseless threshold decision on its photocurrent, and
+    ``flat_ideal[key]`` the multiplexer's selected coefficient bit.
+
+    The receiver-noise flip tables ride along.  Additive Gaussian
+    current noise of RMS ``sigma`` toggles the noiseless decision of a
+    clock with key *k* with probability ``p_k = Q(|I_k - thr| /
+    sigma)``, independently per clock.  ``flip_rate`` is ``q = max
+    p_k``, ``flip_lambda`` is ``-log1p(-q)`` (the rate of the
+    geometric gaps between candidate clocks, each clock a candidate
+    with probability ``q``), ``flip_block`` the candidates per noise
+    draw (:func:`_flip_block`) and ``flip_accept_a[k] = sigma *
+    Phi^-1(p_k / q)``: a candidate flips iff its acceptance normal
+    (RMS ``sigma``) falls below that, i.e. with probability ``p_k /
+    q``.
     """
 
     def __init__(self, circuit: Any) -> None:
@@ -289,7 +307,6 @@ class CircuitPassContext:
                 key_dtype = np.uint32
             flat = {
                 "powers": powers,
-                "currents": currents,
                 "decisions": decisions,
                 "ideal": ideal,
                 "key_dtype": key_dtype,
@@ -298,9 +315,59 @@ class CircuitPassContext:
                 # verified numerically here so the word-level statistics
                 # fast path never has to assume it.
                 "decision_is_ideal": bool(np.array_equal(decisions, ideal)),
+                **_flip_tables(currents, self.receiver),
             }
             self._flat = flat
         return flat
+
+
+def _flip_tables(
+    currents: "np.ndarray[Any, Any]", receiver: OpticalReceiver
+) -> Dict[str, Any]:
+    """The receiver-noise flip tables of :class:`CircuitPassContext`."""
+    sigma = receiver.detector.noise_current_a
+    flip_p = [
+        0.5 * math.erfc(margin / (sigma * math.sqrt(2.0)))
+        for margin in np.abs(currents - receiver.threshold_a).tolist()
+    ]
+    rate = max(flip_p)
+    accept = [
+        sigma * _normal_quantile(p / rate) if rate else -math.inf
+        for p in flip_p
+    ]
+    return {
+        "flip_p": np.asarray(flip_p, dtype=float),
+        "flip_rate": rate,
+        "flip_lambda": -math.log1p(-rate),
+        "flip_block": _flip_block(rate),
+        "flip_accept_a": np.asarray(accept, dtype=float),
+    }
+
+
+_FLIP_BLOCK_CLOCKS = 1 << 14
+"""Clocks one block of flip candidates covers, on average."""
+
+
+def _flip_block(rate: float) -> int:
+    """Flip candidates drawn per block at candidate rate *rate*.
+
+    A function of the circuit alone (through ``q``), so every tiling
+    draws the same blocks: enough candidates for
+    :data:`_FLIP_BLOCK_CLOCKS` clocks on average, at least one, and
+    none at all when no key can flip.
+    """
+    if rate <= 0.0:
+        return 0
+    return max(1, math.ceil(rate * _FLIP_BLOCK_CLOCKS))
+
+
+def _normal_quantile(probability: float) -> float:
+    """``Phi^-1(probability)``, with the endpoints at -inf and +inf."""
+    if probability <= 0.0:
+        return -math.inf
+    if probability >= 1.0:
+        return math.inf
+    return NormalDist().inv_cdf(probability)
 
 
 _CONTEXT_CACHE: "OrderedDict[Tuple[Any, Any], CircuitPassContext]" = (
@@ -371,35 +438,87 @@ def _bit_plane_sum(
     return planes
 
 
-def _packed_keys(
+def _key_planes(
     context: CircuitPassContext,
     data_words: "np.ndarray[Any, Any]",
     coeff_words: "np.ndarray[Any, Any]",
-    length: int,
-) -> "np.ndarray[Any, Any]":
-    """Per-clock flat lookup keys: ``(B, length)`` of the key dtype.
+) -> List["np.ndarray[Any, Any]"]:
+    """The ``(B, W)`` word planes of the flat lookup key, low bit first.
 
     Key bit ``c`` is coefficient channel ``c``'s bit and the bits above
     are the bit-sliced adder level (``key = (level << channels) |
-    pattern``).  This is the pass's only per-clock byte
-    materialization.
+    pattern``).
     """
-    dtype = context._flat_tables()["key_dtype"]
     planes = [
         coeff_words[:, channel, :] for channel in range(context.channel_count)
     ]
     planes.extend(_bit_plane_sum(data_words)[: context.level_bits])
-    keys = np.zeros((coeff_words.shape[0], int(length)), dtype=dtype)
+    return planes
+
+
+def _packed_keys(
+    context: CircuitPassContext,
+    planes: List["np.ndarray[Any, Any]"],
+    length: int,
+) -> "np.ndarray[Any, Any]":
+    """Per-clock flat lookup keys: ``(B, length)`` of the key dtype.
+
+    This is the pass's only per-clock byte materialization.
+    """
+    dtype = context._flat_tables()["key_dtype"]
+    keys = np.zeros((planes[0].shape[0], int(length)), dtype=dtype)
     for index, plane in enumerate(planes):
-        keys |= unpack_bits(plane, length).astype(dtype) << dtype(index)
+        bits = unpack_bits(plane, length).astype(dtype, copy=False)
+        np.left_shift(bits, dtype(index), out=bits)
+        keys |= bits
     return keys
+
+
+def _keys_at(
+    planes: List["np.ndarray[Any, Any]"],
+    rows: "np.ndarray[Any, Any]",
+    clocks: "np.ndarray[Any, Any]",
+) -> "np.ndarray[Any, Any]":
+    """The flat keys of the ``(rows, clocks)`` clocks, read off the planes."""
+    words = clocks >> 6
+    shifts = (clocks & 63).astype(np.uint64)
+    keys = np.zeros(rows.shape, dtype=np.int64)
+    for index, plane in enumerate(planes):
+        bits = (plane[rows, words] >> shifts) & np.uint64(1)
+        keys |= bits.astype(np.int64) << index
+    return keys
+
+
+class FlipCandidates(NamedTuple):
+    """The receiver-noise flip candidates of one tile.
+
+    Candidate ``i`` is clock ``clocks[i]`` (counted from the tile's first
+    clock) of row ``rows[i]``; it flips that clock's decision iff
+    ``draws[i] < flat_accept_a[key]`` for the clock's flat key (see
+    :class:`CircuitPassContext`).  Candidates are sorted by row, then
+    clock, and never repeat a clock.
+    """
+
+    rows: "np.ndarray[Any, Any]"
+    clocks: "np.ndarray[Any, Any]"
+    draws: "np.ndarray[Any, Any]"
+
+
+def _accepted(
+    flat: Dict[str, Any],
+    candidates: FlipCandidates,
+    keys: "np.ndarray[Any, Any]",
+) -> Tuple["np.ndarray[Any, Any]", "np.ndarray[Any, Any]"]:
+    """``(rows, clocks)`` of the candidates whose flip is accepted."""
+    accept = candidates.draws < flat["flip_accept_a"].take(keys)
+    return candidates.rows[accept], candidates.clocks[accept]
 
 
 def packed_optical_pass(
     circuit: Any,
     data_words: "np.ndarray[Any, Any]",
     coeff_words: "np.ndarray[Any, Any]",
-    noise_a: Optional["np.ndarray[Any, Any]"],
+    candidates: Optional[FlipCandidates],
     length: int,
 ) -> Tuple[
     "np.ndarray[Any, Any]",
@@ -413,46 +532,31 @@ def packed_optical_pass(
     returns ``(powers, output_bits, ideal_bits, levels)`` as ``(B,
     length)`` arrays: per-clock keys are assembled from the coefficient
     and bit-sliced level planes, and every observable is a flat-table
-    gather of the Eq. 6 table and receiver values.
+    gather of the Eq. 6 table and receiver values.  The decisions are
+    the noiseless ones with the accepted receiver-noise flips among
+    *candidates* (``None`` = noiseless) toggled.
     """
     context = pass_context(circuit)
     flat = context._flat_tables()
-    keys = _packed_keys(context, data_words, coeff_words, length)
+    # Gathers with intp indices run several times faster than with the
+    # compact key dtype, which numpy converts inside every take.
+    keys = _packed_keys(
+        context, _key_planes(context, data_words, coeff_words), length
+    ).astype(np.intp)
     powers = flat["powers"].take(keys)
-    levels = (keys >> np.uint8(context.channel_count)).astype(np.int64)
-    output_bits = _decisions(context, flat, keys, noise_a)
+    levels = (keys >> context.channel_count).astype(np.int64, copy=False)
+    output_bits = flat["decisions"].take(keys)
+    if candidates is not None and candidates.rows.size:
+        rows, clocks = _accepted(
+            flat, candidates, keys[candidates.rows, candidates.clocks]
+        )
+        output_bits[rows, clocks] ^= np.uint8(1)
     ideal_bits = flat["ideal"].take(keys)
     return powers, output_bits, ideal_bits, levels
 
 
 optical_pass = packed_optical_pass
 """The one optical pass, under the name the tracing harness also wraps."""
-
-
-def _decisions(
-    context: CircuitPassContext,
-    flat: Dict[str, Any],
-    keys: "np.ndarray[Any, Any]",
-    noise_a: Optional["np.ndarray[Any, Any]"],
-) -> "np.ndarray[Any, Any]":
-    """Receiver decisions from per-clock keys, under pre-drawn noise if any.
-
-    The single definition of the packed decision rule — shared by the
-    full-output pass and the chunked statistics accumulator so the two
-    can never diverge.  Noiseless, a flat-table gather; noisy, the
-    flat-gathered photocurrents plus the row's noise draw against the
-    receiver's strict ``>`` threshold.
-    """
-    if noise_a is None:
-        return flat["decisions"].take(keys)
-    noise = np.asarray(noise_a, dtype=float)
-    if noise.shape != keys.shape:
-        raise ConfigurationError(
-            f"noise_a shape {noise.shape} must match powers shape "
-            f"{keys.shape}"
-        )
-    currents = flat["currents"].take(keys) + noise
-    return (currents > context.receiver.threshold_a).astype(np.uint8)
 
 
 # -- packed comparator-word generation -----------------------------------------
@@ -759,7 +863,7 @@ def packed_tile_statistics(
     data_words: "np.ndarray[Any, Any]",
     coeff_words: "np.ndarray[Any, Any]",
     length: int,
-    noise_a: Optional["np.ndarray[Any, Any]"] = None,
+    candidates: Optional[FlipCandidates] = None,
     histogram_edges: Optional["np.ndarray[Any, Any]"] = None,
     fault_channel: Optional[Any] = None,
     clock_offset: int = 0,
@@ -776,38 +880,55 @@ def packed_tile_statistics(
     output of :func:`packed_optical_pass` over the tile.  One sequence
     serves every tile:
 
-    1. Output and ideal words.  Noiseless, with the (verified)
-       separated-band property that the threshold decision equals the
+    1. Output and ideal words.  With the (verified) separated-band
+       property that the noiseless threshold decision equals the
        multiplexer bit, both are one word-level mux of the coefficient
        words by the bit-sliced level — no per-clock byte array at all.
-       Otherwise (receiver noise, or an exotic detector whose decisions
-       diverge from the mux) per-clock keys are assembled, the same flat
-       tables as :func:`packed_optical_pass` resolve the decisions, and
-       both streams are packed.
-    2. The observed words: with *fault_channel* (a
+       Otherwise (an exotic detector whose decisions diverge from the
+       mux) per-clock keys are assembled, the same flat tables as
+       :func:`packed_optical_pass` resolve the decisions, and both
+       streams are packed.
+    2. Receiver noise: the keys of the *candidates* clocks are read
+       bit by bit off the key planes, and the accepted flips are XORed
+       into the output words as one flip-word mask.
+    3. The observed words: with *fault_channel* (a
        :class:`~repro.simulation.faultmodel.PackedFaultChannel`) the
        output words pass through it — *clock_offset* is the tile's
        absolute stream clock, so trajectory faults and the
        desynchronization carry resume exactly across tiles.
-    3. ``ones`` and ``errors`` are popcounts of the observed words and
+    4. ``ones`` and ``errors`` are popcounts of the observed words and
        of their XOR with the ideal words.
-    4. The power histogram bins the per-key totals of the *optical*
-       powers, which receiver-side channel faults do not touch:
-       ``np.histogram`` bins each power value identically wherever it
-       appears, so weighting the distinct flat-table values by their
-       integer occurrence counts is exact.
+    5. The power histogram bins the per-key totals of the *optical*
+       powers, which receiver-side noise and channel faults do not
+       touch: ``np.histogram`` bins each power value identically
+       wherever it appears, so weighting the distinct flat-table values
+       by their integer occurrence counts is exact.
     """
     context = pass_context(circuit)
     flat = context._flat_tables()
+    planes = _key_planes(context, data_words, coeff_words)
     keys: Optional["np.ndarray[Any, Any]"] = None
-    if noise_a is None and flat["decision_is_ideal"]:
-        level_planes = _bit_plane_sum(data_words)[: context.level_bits]
+    if flat["decision_is_ideal"]:
+        level_planes = planes[context.channel_count :]
         out_words = _mux_words(coeff_words, level_planes, context.order)
         ideal_words = out_words
     else:
-        keys = _packed_keys(context, data_words, coeff_words, length)
-        out_words = pack_bits(_decisions(context, flat, keys, noise_a))
+        keys = _packed_keys(context, planes, length)
+        out_words = pack_bits(flat["decisions"].take(keys))
         ideal_words = pack_bits(flat["ideal"].take(keys))
+    if candidates is not None and candidates.rows.size:
+        rows, clocks = _accepted(
+            flat,
+            candidates,
+            _keys_at(planes, candidates.rows, candidates.clocks),
+        )
+        flips = np.zeros(out_words.shape, dtype=np.uint64)
+        np.bitwise_or.at(
+            flips,
+            (rows, clocks >> 6),
+            np.uint64(1) << (clocks & 63).astype(np.uint64),
+        )
+        out_words = out_words ^ flips
     observed = (
         out_words
         if fault_channel is None
@@ -818,7 +939,7 @@ def packed_tile_statistics(
     histogram: Optional["np.ndarray[Any, Any]"] = None
     if histogram_edges is not None:
         if keys is None:
-            keys = _packed_keys(context, data_words, coeff_words, length)
+            keys = _packed_keys(context, planes, length)
         key_counts = np.bincount(
             keys.reshape(-1).astype(np.int64), minlength=flat["powers"].size
         )

@@ -70,13 +70,14 @@ from ..errors import ConfigurationError
 # this module attribute by name.
 from ..stochastic.sng import derive_lfsr_seeds  # noqa: F401
 from .engine import (
+    _NOISE_PROTOCOL,
     BatchEvaluation,
     SeedSchedule,
     _as_bool,
     _as_index,
+    _noise_flips,
     _pin_stuck,
     _positive_index,
-    _ReceiverNoise,
     _resolve_schedule,
     _StreamSource,
     _validate_batch_inputs,
@@ -398,9 +399,11 @@ def simulate_chunked(
     streams, receiver noise and stuck-MZI pinning from the engine's one
     front end, the one-shot in a single window and this loop tile by
     tile.  Every randomizer resumes exactly (index offsets for
-    LFSR/Sobol/counter, carried orbit state for chaotic; receiver noise
-    continues from per-row seeded generators, which numpy draws
-    identically whether in one call or split across tiles).
+    LFSR/Sobol/counter, carried orbit state for chaotic), and receiver
+    noise continues from each row's carried candidate buffer: flip
+    candidates are drawn from per-row seeded generators in blocks that
+    depend only on the circuit, so every chunk length sees the same
+    flips.
 
     Tiling composes with sharding: ``workers > 1`` (default: the
     ``REPRO_RUNTIME_WORKERS`` environment setting, like every runtime
@@ -414,8 +417,9 @@ def simulate_chunked(
 
     Each tile is evaluated on 64-clock uint64 words: the ones/bit-error
     accumulators are popcounts of packed output words
-    (:func:`repro.simulation.kernels.packed_tile_statistics`), and on
-    the noiseless path no per-clock array is materialized at all.
+    (:func:`repro.simulation.kernels.packed_tile_statistics`), receiver
+    noise is a flip-word mask XORed into them, and no per-clock array
+    is materialized at all.
     *kernel* accepts ``"packed"``, the only kernel; ``"numpy"`` is a
     deprecated alias that warns and changes no bit.
 
@@ -464,11 +468,7 @@ def simulate_chunked(
     source = _StreamSource(
         sng_kind, schedule, xs, coefficients, sng_width, length
     )
-    noise = (
-        _ReceiverNoise(schedule, circuit.params.detector.noise_current_a, tile)
-        if noisy
-        else None
-    )
+    noise = _noise_flips(circuit, schedule, noisy, length)
     # One stream-fault channel for the whole run: masks are addressed by
     # absolute clock, the desynchronization carry advances tile by tile.
     fault_channel = fault_channel_for(fault, schedule.noise_seeds, length)
@@ -489,13 +489,12 @@ def simulate_chunked(
         count = min(chunk_length, length - start)
         data_words, coeff_words = source.take(start, count)
         data_words = _pin_stuck(data_words, fault, count)
-        noise_a = noise.draw(count) if noise is not None else None
         ones_inc, error_inc, histogram_inc = packed_tile_statistics(
             circuit,
             data_words,
             coeff_words,
             count,
-            noise_a=noise_a,
+            candidates=noise.take(start, count) if noise is not None else None,
             histogram_edges=edges,
             fault_channel=fault_channel,
             clock_offset=start,
@@ -528,11 +527,11 @@ class EvaluationCache:
     """LRU cache of deterministic batch evaluations.
 
     Keyed on ``circuit fingerprint x sng_kind x base_seed x sng_width x
-    length x noisy x inputs digest x fault x result type`` — everything
-    that determines a schedule-seeded evaluation and the shape of its
-    result.  Exploration sweeps that revisit the same design point skip
-    the engine pass entirely; ``hits`` / ``misses`` expose the
-    effectiveness.
+    length x noisy x inputs digest x fault x result type x receiver-noise
+    protocol version`` — everything that determines a schedule-seeded
+    evaluation and the shape of its result.  Exploration sweeps that
+    revisit the same design point skip the engine pass entirely;
+    ``hits`` / ``misses`` expose the effectiveness.
 
     Entries hold whichever result :func:`run_batch` returns for the
     config: an in-process run stores a
@@ -636,6 +635,7 @@ def _evaluation_key(
         # and the fault realization is a pure function of base_seed + spec.
         fault,
         statistics,
+        _NOISE_PROTOCOL if noisy else None,
     )
 
 

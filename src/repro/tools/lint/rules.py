@@ -661,18 +661,25 @@ class PackedPurityRule(RuleVisitor):
             for child in ast.walk(node)
         )
 
+    # The right-hand side reads the targets' *previous* bindings, so it
+    # is visited before the targets take on its taint: in
+    # ``x = unpack_bits(f(pack_bits(x)))`` the pack consumes the old x.
+
     def visit_Assign(self, node: ast.Assign) -> None:
+        self.visit(node.value)
         if self._is_tainted(node.value):
             for target in node.targets:
                 for child in ast.walk(target):
                     if isinstance(child, ast.Name):
                         self._tainted[-1].add(child.id)
-        self.generic_visit(node)
+        for target in node.targets:
+            self.visit(target)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self.visit(node.value)
         if self._is_tainted(node.value) and isinstance(node.target, ast.Name):
             self._tainted[-1].add(node.target.id)
-        self.generic_visit(node)
+        self.visit(node.target)
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func

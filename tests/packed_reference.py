@@ -12,12 +12,19 @@ against these bit for bit:
   the production pass inside a ``with`` block, through the module
   globals the engine and the tile loop call.
 * :func:`apply_bits` is the fault channel on a ``(B, L)`` uint8 tile.
+* :func:`flip_candidates` walks each row's receiver-noise flip
+  candidates one normal triple at a time, and :func:`toggle_flips`
+  accepts them clock by clock from the received power; the two passes
+  apply them.  :func:`decide_batch` with a dense ``(B, L)`` normal draw
+  is the distribution the sparse flips stand in for.
 * :func:`flip_planes`, :func:`bernoulli_words` and :func:`cycle_take`
   are the per-clock and full-width forms of the fault planes, the
   Bernoulli compare and the cycle gather.
 """
 
 import contextlib
+import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -28,7 +35,12 @@ from repro.simulation.faultmodel import (
     _quantized_thresholds,
     _threshold_planes,
 )
-from repro.simulation.kernels import pack_bits, pass_context, unpack_bits
+from repro.simulation.kernels import (
+    FlipCandidates,
+    pack_bits,
+    pass_context,
+    unpack_bits,
+)
 
 PASSES = ("reference", "production")
 """The two ways a parity case can run: swapped to the reference, or not."""
@@ -126,7 +138,77 @@ def decide_batch(receiver, powers, noise_a):
     return (currents > receiver.threshold_a).astype(np.uint8)
 
 
-def optical_pass(circuit, data_words, coeff_words, noise_a, length):
+def flip_probability(receiver, current):
+    """``Q(|current - thr| / sigma)``: the chance noise flips the decision."""
+    sigma = receiver.detector.noise_current_a
+    margin = abs(current - receiver.threshold_a)
+    return 0.5 * math.erfc(margin / (sigma * math.sqrt(2.0)))
+
+
+def flip_rate(circuit):
+    """``q``: the largest flip probability over the Eq. 6 table."""
+    context = pass_context(circuit)
+    currents = context.receiver.detector.photocurrent_a(context.table)
+    return max(
+        flip_probability(context.receiver, current)
+        for current in np.ravel(currents).tolist()
+    )
+
+
+def flip_candidates(circuit, schedule, length):
+    """Every row's flip candidates over ``[0, length)``, triple by triple.
+
+    Row ``b`` reads normal triples ``(z1, z2, z3)`` of RMS ``sigma`` from
+    ``schedule.row_noise_rng(b)``; the next candidate sits ``floor(E /
+    lambda)`` clocks past the previous one's successor, ``E = (z1**2 +
+    z2**2) / (2 sigma**2)``, and carries ``z3`` as its acceptance draw.
+    """
+    sigma = pass_context(circuit).receiver.detector.noise_current_a
+    rate = flip_rate(circuit)
+    lam = -math.log1p(-rate)
+    rows, clocks, draws = [], [], []
+    for row in range(schedule.batch_size if rate > 0.0 else 0):
+        rng = schedule.row_noise_rng(row)
+        clock = -1
+        while True:
+            z1, z2, z3 = rng.normal(0.0, sigma, 3)
+            exponential = (z1 * z1 + z2 * z2) / (2.0 * sigma**2)
+            clock += math.floor(min(exponential, 2.0**53 * lam) / lam) + 1
+            if clock >= length:
+                break
+            rows.append(row)
+            clocks.append(clock)
+            draws.append(z3)
+    return FlipCandidates(
+        np.asarray(rows, dtype=np.int64),
+        np.asarray(clocks, dtype=np.int64),
+        np.asarray(draws, dtype=float),
+    )
+
+
+def toggle_flips(circuit, powers, output_bits, candidates):
+    """Toggle, in place, each candidate clock whose flip is accepted.
+
+    A candidate at a clock with flip probability ``p`` is accepted iff
+    its draw lies below ``sigma * Phi^-1(p / q)``.
+    """
+    receiver = pass_context(circuit).receiver
+    sigma = receiver.detector.noise_current_a
+    rate = flip_rate(circuit)
+    for row, clock, draw in zip(*(part.tolist() for part in candidates)):
+        current = receiver.detector.photocurrent_a(powers[row, clock])
+        ratio = flip_probability(receiver, current) / rate
+        if ratio >= 1.0:
+            threshold = math.inf
+        elif ratio <= 0.0:
+            threshold = -math.inf
+        else:
+            threshold = sigma * NormalDist().inv_cdf(ratio)
+        if draw < threshold:
+            output_bits[row, clock] ^= 1
+
+
+def optical_pass(circuit, data_words, coeff_words, candidates, length):
     """The optics + receiver pass on unpacked byte tensors.
 
     Same arguments and ``(powers, output_bits, ideal_bits, levels)``
@@ -137,7 +219,9 @@ def optical_pass(circuit, data_words, coeff_words, noise_a, length):
     coeff_bits = unpack_bits(coeff_words, length)
     levels = data_bits.sum(axis=1, dtype=np.int64)
     powers = context.table[pattern_index(coeff_bits), levels]
-    output_bits = decide_batch(context.receiver, powers, noise_a)
+    output_bits = decide_batch(context.receiver, powers, None)
+    if candidates is not None:
+        toggle_flips(circuit, powers, output_bits, candidates)
     # The bits the ideal (electronic) multiplexer would pick.
     ideal_bits = np.take_along_axis(coeff_bits, levels[:, None, :], axis=1)
     return powers, output_bits, np.ascontiguousarray(ideal_bits[:, 0, :]), levels
@@ -154,7 +238,7 @@ def tile_statistics(
     data_words,
     coeff_words,
     length,
-    noise_a=None,
+    candidates=None,
     histogram_edges=None,
     fault_channel=None,
     clock_offset=0,
@@ -165,7 +249,7 @@ def tile_statistics(
     :func:`repro.simulation.kernels.packed_tile_statistics`.
     """
     powers, output_bits, ideal_bits, _ = optical_pass(
-        circuit, data_words, coeff_words, noise_a, length
+        circuit, data_words, coeff_words, candidates, length
     )
     if fault_channel is not None:
         output_bits = apply_bits(fault_channel, output_bits, clock_offset)

@@ -139,6 +139,55 @@ class TestBatchScalarEquivalence:
             assert np.array_equal(scalar, batched)
 
 
+def _legacy_powers(circuit, x, length, base_seed):
+    """The pre-engine pipeline's received powers, and its receiver.
+
+    Scalar SNGs with per-bit LFSR stepping, per-evaluation
+    pattern/table lookup, and the receiver calibrated on the link
+    budget's band edges.
+    """
+    params = circuit.params
+    order = params.order
+    data_sngs = make_independent_sngs(order, base_seed=base_seed)
+    coeff_sngs = make_independent_sngs(
+        order + 1, base_seed=base_seed + 0x9E3779B9
+    )
+
+    def stepped_stream(sng, value):
+        register = LFSR(sng.width, sng.seed, sng._lfsr.taps)
+        samples = np.asarray(
+            [register.step() for _ in range(length)], dtype=float
+        ) / float(1 << sng.width)
+        return Bitstream((samples < value).astype(np.uint8))
+
+    data_streams = [stepped_stream(s, x) for s in data_sngs]
+    coeff_streams = [
+        stepped_stream(s, float(b))
+        for s, b in zip(coeff_sngs, circuit.polynomial.coefficients)
+    ]
+    levels = adder_select(data_streams)
+    coeff_matrix = np.stack([s.bits for s in coeff_streams])
+    pattern_index = np.zeros(length, dtype=np.int64)
+    for channel in range(order + 1):
+        pattern_index |= coeff_matrix[channel].astype(np.int64) << channel
+    budget = received_power_table(params)
+    powers = budget.power_mw[pattern_index, levels]
+    receiver = OpticalReceiver.from_power_bands(
+        params.detector,
+        zero_level_mw=budget.zero_band_mw[1],
+        one_level_mw=budget.one_band_mw[0],
+    )
+    return powers, receiver
+
+
+def _mid_snr_circuit():
+    """Keys 1.9-2.3 sigma from the threshold: q ~ 0.03, p_k / q ~ 0.4-1."""
+    return OpticalStochasticCircuit.from_design(
+        mrr_first_design(order=2, wl_spacing_nm=0.3, probe_power_mw=0.06),
+        BernsteinPolynomial([0.25, 0.625, 0.375]),
+    )
+
+
 class TestLegacyPipelineEquivalence:
     """The vectorized pass reproduces the pre-engine per-bit pipeline."""
 
@@ -147,53 +196,45 @@ class TestLegacyPipelineEquivalence:
         length = 300
         x = 0.55
         base_seed = 0xACE1
-        params = circuit.params
-        order = params.order
+        powers, receiver = _legacy_powers(circuit, x, length, base_seed)
+        legacy_bits = receiver.decide(powers).bits.bits
 
-        # The pre-engine pipeline: scalar SNGs with per-bit LFSR
-        # stepping, per-evaluation pattern/table lookup, scalar receiver
-        # drawing the row's noise from the base_seed schedule.
-        rng = derive_seed_schedule(1, base_seed=base_seed).row_noise_rng(0)
-        data_sngs = make_independent_sngs(order, base_seed=base_seed)
-        coeff_sngs = make_independent_sngs(
-            order + 1, base_seed=base_seed + 0x9E3779B9
+        options = dict(
+            length=length, rng=np.random.default_rng(99), base_seed=base_seed
+        )
+        clean = simulate_batch(circuit, [x], noisy=False, **options)
+        assert np.array_equal(clean.received_power_mw[0], powers)
+        assert np.array_equal(clean.output_bits[0], legacy_bits)
+        noisy = simulate_batch(circuit, [x], **options)
+        assert np.array_equal(noisy.received_power_mw[0], powers)
+        assert np.array_equal(
+            noisy.output_bits ^ clean.output_bits,
+            _sampled_flips(circuit, powers, base_seed),
         )
 
-        def stepped_stream(sng, value):
-            register = LFSR(sng.width, sng.seed, sng._lfsr.taps)
-            samples = np.asarray(
-                [register.step() for _ in range(length)], dtype=float
-            ) / float(1 << sng.width)
-            return Bitstream((samples < value).astype(np.uint8))
-
-        data_streams = [stepped_stream(s, x) for s in data_sngs]
-        coeff_streams = [
-            stepped_stream(s, float(b))
-            for s, b in zip(coeff_sngs, circuit.polynomial.coefficients)
-        ]
-        levels = adder_select(data_streams)
-        coeff_matrix = np.stack([s.bits for s in coeff_streams])
-        pattern_index = np.zeros(length, dtype=np.int64)
-        for channel in range(order + 1):
-            pattern_index |= coeff_matrix[channel].astype(np.int64) << channel
-        budget = received_power_table(params)
-        powers = budget.power_mw[pattern_index, levels]
-        receiver = OpticalReceiver.from_power_bands(
-            params.detector,
-            zero_level_mw=budget.zero_band_mw[1],
-            one_level_mw=budget.one_band_mw[0],
+    def test_noisy_differs_by_the_sampled_flips_only(self):
+        circuit = _mid_snr_circuit()
+        length = 2000
+        base_seed = 0xACE1
+        powers, receiver = _legacy_powers(circuit, 0.55, length, base_seed)
+        noisy = simulate_batch(
+            circuit, [0.55], length=length, base_seed=base_seed
         )
-        legacy_bits = receiver.decide(powers, rng=rng).bits.bits
-
-        batch = simulate_batch(
-            circuit,
-            [x],
-            length=length,
-            rng=np.random.default_rng(99),
-            base_seed=base_seed,
+        flips = _sampled_flips(circuit, powers, base_seed)
+        assert 10 < np.count_nonzero(flips) < 200
+        assert np.array_equal(
+            noisy.output_bits[0],
+            receiver.decide(powers).bits.bits ^ flips[0],
         )
-        assert np.array_equal(batch.received_power_mw[0], powers)
-        assert np.array_equal(batch.output_bits[0], legacy_bits)
+
+
+def _sampled_flips(circuit, powers, base_seed):
+    """The one-row flip mask the reference walk predicts for *powers*."""
+    schedule = derive_seed_schedule(1, base_seed=base_seed)
+    candidates = reference.flip_candidates(circuit, schedule, powers.size)
+    flips = np.zeros((1, powers.size), dtype=np.uint8)
+    reference.toggle_flips(circuit, powers[None, :], flips, candidates)
+    return flips
 
 
 class TestLfsrWindows:

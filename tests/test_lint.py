@@ -447,6 +447,69 @@ class TestPackedPurity:
         )
         assert diagnostics == []
 
+    def test_rebinding_a_name_from_its_own_pack_passes(self, tmp_path):
+        # pack_bits consumes the previous x; only the new x is tainted.
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            def apply(channel, x, length):
+                x = unpack_bits(channel.apply_words(pack_bits(x)), length)
+                return x.mean()
+            """,
+            select=["RL005"],
+        )
+        assert diagnostics == []
+
+    def test_augmented_rebinding_from_its_own_pack_passes(self, tmp_path):
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            def toggle(mask, x, length):
+                x ^= unpack_bits(mask ^ pack_bits(x), length)
+                return x.sum()
+            """,
+            select=["RL005"],
+        )
+        assert diagnostics == []
+
+    def test_round_trip_inside_a_rebinding_flagged(self, tmp_path):
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            def reshard(words, length):
+                words = pack_bits(unpack_bits(words, length))
+                return words
+            """,
+            select=["RL005"],
+        )
+        assert len(diagnostics) == 1
+
+    def test_round_trip_through_a_second_name_still_flagged(self, tmp_path):
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            def apply(channel, x, length):
+                y = unpack_bits(channel.apply_words(pack_bits(x)), length)
+                return pack_bits(y)
+            """,
+            select=["RL005"],
+        )
+        assert len(diagnostics) == 1
+        assert diagnostics[0].line == 4
+
+    def test_rebound_name_feeding_a_later_pack_flagged(self, tmp_path):
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            def apply(channel, x, length):
+                x = unpack_bits(channel.apply_words(pack_bits(x)), length)
+                return pack_bits(x)
+            """,
+            select=["RL005"],
+        )
+        assert len(diagnostics) == 1
+        assert diagnostics[0].line == 4
+
     def test_taint_is_function_scoped(self, tmp_path):
         diagnostics = lint_snippet(
             tmp_path,

@@ -12,7 +12,12 @@ import packed_reference as reference
 import repro
 from repro.simulation import engine, runtime
 from repro.simulation.faultmodel import FaultSpec, PackedFaultChannel
-from repro.simulation.kernels import pack_bits, pass_context, unpack_bits
+from repro.simulation.kernels import (
+    FlipCandidates,
+    pack_bits,
+    pass_context,
+    unpack_bits,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +103,30 @@ class TestBuildingBlocks:
         ]
         with pytest.raises(repro.ConfigurationError):
             reference.decide_batch(receiver, powers, noise[:, :2])
+
+    def test_toggle_flips_accepts_below_the_key_threshold(self):
+        circuit = repro.OpticalStochasticCircuit.from_design(
+            repro.mrr_first_design(
+                order=2, wl_spacing_nm=0.3, probe_power_mw=0.06
+            ),
+            repro.BernsteinPolynomial([0.25, 0.625, 0.375]),
+        )
+        receiver = pass_context(circuit).receiver
+        powers = np.unique(pass_context(circuit).table)
+        currents = receiver.detector.photocurrent_a(powers)
+        p = np.asarray(
+            [reference.flip_probability(receiver, i) for i in currents]
+        )
+        likeliest, rarest = powers[np.argmax(p)], powers[np.argmin(p)]
+        assert p.max() == reference.flip_rate(circuit) > 2.0 * p.min()
+        # The likeliest key accepts every draw; a rarer one only draws
+        # below sigma * Phi^-1(p / q) < 0.
+        row = np.asarray([[likeliest, rarest, rarest, likeliest]])
+        bits = np.zeros(row.shape, dtype=np.uint8)
+        candidates = FlipCandidates(
+            np.zeros(3, dtype=np.int64),
+            np.asarray([0, 1, 2]),
+            np.asarray([1.0, 0.0, -1.0]),
+        )
+        reference.toggle_flips(circuit, row, bits, candidates)
+        assert bits.tolist() == [[1, 0, 1, 0]]
