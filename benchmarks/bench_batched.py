@@ -14,7 +14,8 @@ One leg per run, one ``BENCH_*.json`` artifact per leg:
   fault scenario (flips + desynchronization + drift ramp) at the same
   size, with the per-``2**16``-clock-tile split of the packed fault
   path: threshold plane build, Bernoulli compare, shift and cursor take
-  (``BENCH_faults.json``);
+  under an rng-seeded and a fixed-``base_seed`` schedule, plus the
+  fixed-seed stream set-up (``BENCH_faults.json``);
 * ``serving`` — an open-loop saturation study of the admission-
   controlled ``BatchServer`` (``BENCH_serving.json``): seeded Poisson
   arrivals at 0.5x / 1x / 2x of the measured saturation rate through an
@@ -25,7 +26,9 @@ at most 1.5x the noiseless chunked run: the tier-1 test suite owns
 every bit-exactness check between production and the reference,
 workers, chunk lengths and fault scenarios.  The faults leg exits non-zero
 unless production's and the reference's output and ideal bits are
-identical, so the run that times them also checks them.  The serving
+identical, and unless the fixed-seed stream words (whose banks are
+built from one shared row) equal the words of banks built row by row,
+tile by tile — so the run that times them also checks them.  The serving
 leg exits non-zero unless its four wall-clock gates hold, which no
 deterministic test can express: the unbounded baseline's queue grows
 past the bounded cap, the shedding server's traced allocation peak
@@ -75,6 +78,7 @@ NOISE_COST_LIMIT = 1.5  # gate: noisy chunked time <= this x noiseless
 FAULT_BATCH = 32
 FAULT_LENGTH = 1 << 20
 FAULT_STAGE_TILE = 1 << 16  # clocks per tile of the stage split
+FAULT_FIXED_SEED = 2019  # base_seed of the fixed-seed stage and gate
 
 SATURATION_REQUESTS = 600
 # Long enough that batch service time (~10 ms) dominates event-loop
@@ -277,7 +281,12 @@ def _fault_stages(circuit, fault) -> dict:
     chunked runtime does, and times each stage on its own: the flip
     threshold-plane build, the Bernoulli compare against those planes,
     the desynchronization shift, and the cursor take of the tile's data
-    and coefficient words.  Two walks; the median is over all tiles.
+    and coefficient words — under the rng-seeded schedule
+    (``cursor_take``) and under ``base_seed=FAULT_FIXED_SEED``
+    (``cursor_take_fixed_seed``), where every row of a bank shares its
+    seeds.  Two walks; the median is over all tiles.  ``stream_setup``
+    is the fixed-seed stream source's construction (packing the cycles
+    of its distinct values), paid once per stream: the median of five.
     """
     from repro.simulation.engine import _StreamSource
     from repro.simulation.faultmodel import (
@@ -287,6 +296,7 @@ def _fault_stages(circuit, fault) -> dict:
 
     xs = np.linspace(0.0, 1.0, FAULT_BATCH)
     schedule = derive_seed_schedule(FAULT_BATCH, np.random.default_rng(SEED))
+    fixed = derive_seed_schedule(FAULT_BATCH, base_seed=FAULT_FIXED_SEED)
     coefficients = np.asarray(circuit.polynomial.coefficients, dtype=float)
     words = FAULT_STAGE_TILE // 64
     samples = {
@@ -294,7 +304,12 @@ def _fault_stages(circuit, fault) -> dict:
         "bernoulli_compare": [],
         "shift": [],
         "cursor_take": [],
+        "cursor_take_fixed_seed": [],
     }
+    setups = []
+
+    def stream(rows):
+        return _StreamSource("lfsr", rows, xs, coefficients, 16, FAULT_LENGTH)
 
     def timed(stage, fn, *args):
         t0 = time.perf_counter()
@@ -302,15 +317,24 @@ def _fault_stages(circuit, fault) -> dict:
         samples[stage].append((time.perf_counter() - t0) * 1e3)
         return out
 
+    for _ in range(5):
+        t0 = time.perf_counter()
+        stream(fixed)
+        setups.append((time.perf_counter() - t0) * 1e3)
     for _ in range(2):
-        source = _StreamSource(
-            "lfsr", schedule, xs, coefficients, 16, FAULT_LENGTH
-        )
+        source = stream(schedule)
+        fixed_source = stream(fixed)
         channel = PackedFaultChannel(fault, schedule.noise_seeds, FAULT_LENGTH)
         seeds = channel._flip_seeds
         for start in range(0, FAULT_LENGTH, FAULT_STAGE_TILE):
             first_word = start // 64
             timed("cursor_take", source.take, start, FAULT_STAGE_TILE)
+            timed(
+                "cursor_take_fixed_seed",
+                fixed_source.take,
+                start,
+                FAULT_STAGE_TILE,
+            )
             planes = timed(
                 "plane_build", channel._flip_planes, first_word, words
             )
@@ -328,7 +352,45 @@ def _fault_stages(circuit, fault) -> dict:
             stage: round(float(np.median(ms)), 4)
             for stage, ms in samples.items()
         },
+        "ms_per_stream": {
+            "stream_setup": round(float(np.median(setups)), 4),
+        },
+        "fixed_base_seed": FAULT_FIXED_SEED,
     }
+
+
+def _fixed_seed_words_identical(circuit) -> bool:
+    """Whether shared-row banks give the words of row-by-row banks.
+
+    Under ``base_seed=FAULT_FIXED_SEED`` every row shares its seeds, so
+    the stream source builds each bank from one row and hands the
+    coefficient words out as a broadcast view.  Each one-row shard of
+    the same schedule builds its own banks; their words, stacked, must
+    equal the batch's on every ``FAULT_STAGE_TILE``-clock tile.
+    """
+    from repro.simulation.engine import _StreamSource
+
+    xs = np.linspace(0.0, 1.0, FAULT_BATCH)
+    fixed = derive_seed_schedule(FAULT_BATCH, base_seed=FAULT_FIXED_SEED)
+    coefficients = np.asarray(circuit.polynomial.coefficients, dtype=float)
+
+    def stream(rows, inputs):
+        return _StreamSource(
+            "lfsr", rows, inputs, coefficients, 16, FAULT_LENGTH
+        )
+
+    batch = stream(fixed, xs)
+    rows = [
+        stream(fixed.shard(row, row + 1), xs[row : row + 1])
+        for row in range(FAULT_BATCH)
+    ]
+    for start in range(0, FAULT_LENGTH, FAULT_STAGE_TILE):
+        taken = [source.take(start, FAULT_STAGE_TILE) for source in rows]
+        for bank, words in enumerate(batch.take(start, FAULT_STAGE_TILE)):
+            stacked = np.concatenate([row[bank] for row in taken])
+            if not np.array_equal(words, stacked):
+                return False
+    return True
 
 
 def bench_faults(circuit) -> dict:
@@ -365,6 +427,7 @@ def bench_faults(circuit) -> dict:
         "ideal_bits_identical": bool(
             np.array_equal(bits["reference"][1], bits["production"][1])
         ),
+        "fixed_seed_words_identical": _fixed_seed_words_identical(circuit),
     }
     del bits
     return {
@@ -657,6 +720,13 @@ def _print_kernel_rows(artifact) -> None:
             + ", ".join(
                 f"{stage} {ms:.2f} ms"
                 for stage, ms in stages["ms_per_tile"].items()
+            )
+        )
+        print(
+            "  per stream: "
+            + ", ".join(
+                f"{stage} {ms:.2f} ms"
+                for stage, ms in stages["ms_per_stream"].items()
             )
         )
     if "gates" in artifact:

@@ -58,7 +58,6 @@ from .photonics import (
 )
 from .photonics import devices
 from .simulation import (
-    KERNELS,
     BatchEvaluation,
     CalibrationController,
     ChunkedEvaluation,
@@ -69,10 +68,8 @@ from .simulation import (
     RuntimeConfig,
     SeedSchedule,
     TransientSimulator,
-    available_kernels,
     derive_seed_schedule,
     fault_frontier,
-    kernel_capabilities,
     run_batch,
     simulate_batch,
     simulate_chunked,
@@ -164,9 +161,6 @@ __all__ = [
     "EvaluationCache",
     "RuntimeConfig",
     "SeedSchedule",
-    "KERNELS",
-    "available_kernels",
-    "kernel_capabilities",
     "derive_seed_schedule",
     "run_batch",
     "simulate_batch",

@@ -11,7 +11,7 @@ Usage::
 
 The ``--sng-kind``/``--length``/``--noiseless`` flags build an
 :class:`repro.session.EvalSpec` and
-``--workers``/``--chunk-length``/``--kernel`` a
+``--workers``/``--chunk-length`` a
 :class:`repro.simulation.runtime.RuntimeConfig`; both are forwarded to
 the experiments that declare them (currently the simulation-backed
 ones, e.g. ``accuracy``).  Experiments that take no configuration are
@@ -57,18 +57,10 @@ def _build_config(args) -> tuple:
         spec_kwargs["noisy"] = False
     spec = EvalSpec(**spec_kwargs) if spec_kwargs else None
     runtime = None
-    if (
-        args.workers is not None
-        or args.chunk_length is not None
-        or args.kernel is not None
-    ):
-        runtime_kwargs = {
-            "workers": args.workers,
-            "chunk_length": args.chunk_length,
-        }
-        if args.kernel is not None:
-            runtime_kwargs["kernel"] = args.kernel
-        runtime = RuntimeConfig(**runtime_kwargs)
+    if args.workers is not None or args.chunk_length is not None:
+        runtime = RuntimeConfig(
+            workers=args.workers, chunk_length=args.chunk_length
+        )
     return spec, runtime
 
 
@@ -129,14 +121,6 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         help="stream long evaluations in bounded-memory tiles of this size",
-    )
-    runtime_group.add_argument(
-        "--kernel",
-        default=None,
-        help=(
-            "engine compute kernel: packed (uint64 bit-plane), the only "
-            "one; numpy is a deprecated alias of packed"
-        ),
     )
     args = parser.parse_args(argv)
     try:

@@ -123,13 +123,15 @@ DEPRECATED_WRAPPERS: Dict[str, Dict[str, Any]] = {
             "the experiments CLI --kernel"
         ),
         "removal_note": (
-            "deprecated alias of the bit-identical packed kernel since "
-            "the numpy pass left the package for the test suite's "
-            "reference; removed after the policy's two-PR grace window, "
-            "together with KERNELS, available_kernels, resolve_kernel "
-            "and kernel_capabilities"
+            "deprecated in PR when the numpy pass left the package for "
+            "the test suite's reference (the alias warned and ran the "
+            "bit-identical packed kernel); removed in PR after the "
+            "policy's two-PR grace window, together with KERNELS, "
+            "available_kernels, resolve_kernel, kernel_capabilities and "
+            "the experiments CLI --kernel flag — kernel='numpy' now "
+            "raises ConfigurationError"
         ),
-        "removed": False,
+        "removed": True,
     },
 }
 """Legacy entry points and aliases folded into the session API.
@@ -299,10 +301,9 @@ class Evaluator:
     def with_kernel(self, kernel: str) -> "Evaluator":
         """A new session on the named compute kernel.
 
-        ``"packed"`` (:data:`repro.simulation.kernels.KERNELS`) is the
-        only kernel, so the derived session returns the same bits.
-        ``"numpy"`` is a deprecated alias that warns once, here, and
-        binds ``"packed"``.  Unknown kernels raise
+        ``"packed"`` is the only kernel, so the derived session returns
+        the same bits; the method stays as a no-op spelling.  Any other
+        name, ``"numpy"`` included, raises
         :class:`~repro.errors.ConfigurationError` here, not on the first
         evaluation.
         """

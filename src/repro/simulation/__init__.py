@@ -13,15 +13,7 @@ utilities for the robustness studies.
 """
 
 from .receiver import OpticalReceiver, ReceiverDecision
-from .kernels import (
-    KERNELS,
-    available_kernels,
-    kernel_capabilities,
-    pack_bits,
-    popcount,
-    resolve_kernel,
-    unpack_bits,
-)
+from .kernels import pack_bits, popcount, unpack_bits
 from .engine import (
     BatchEvaluation,
     SeedSchedule,
@@ -61,12 +53,8 @@ from .montecarlo import (
 __all__ = [
     "OpticalReceiver",
     "ReceiverDecision",
-    "KERNELS",
-    "available_kernels",
-    "kernel_capabilities",
     "pack_bits",
     "popcount",
-    "resolve_kernel",
     "unpack_bits",
     "OpticalEvaluation",
     "BatchEvaluation",

@@ -71,7 +71,6 @@ from .kernels import (
     pack_bits,
     packed_optical_pass,
     pass_context,
-    resolve_kernel,
     unpack_bits,
 )
 
@@ -368,10 +367,18 @@ class _PackedCursor:
     ``rows x channels x length`` window floats number less than
     ``1 / _CYCLE_GATHER_RATIO`` of that, the bank gathers its windows
     through the unpacked cursor and compares and packs them — which
-    also bounds that float tile.  Chaotic banks pack blockwise off the
-    carried orbit (:class:`~repro.simulation.kernels.PackedChaoticSource`,
-    sequential resume like the unpacked cursor); registers and widths
-    beyond the cycle-table caps always gather.
+    also bounds that float tile.  The rule counts the bank's real rows.
+
+    An LFSR or Sobol bank whose rows all share one seed (every
+    fixed-``base_seed`` call) is built from that one row: its starts,
+    positions and gathered uniforms are ``(1, channels, ...)`` and
+    broadcast against the ``(B, channels)`` values.  When the values are
+    row-invariant too (the coefficient bank), the words are one row,
+    handed out as a read-only ``np.broadcast_to`` view.  Chaotic banks
+    keep one carried orbit per row and pack blockwise off it
+    (:class:`~repro.simulation.kernels.PackedChaoticSource`, sequential
+    resume like the unpacked cursor); registers and widths beyond the
+    cycle-table caps always gather.
     """
 
     def __init__(
@@ -386,33 +393,41 @@ class _PackedCursor:
         self._values = np.asarray(values, dtype=float)
         self._source: Optional[Any] = None
         self._cursor: Optional[_UniformCursor] = None
+        seeds = np.asarray(base_seeds, dtype=np.int64)
+        self._rows = int(seeds.size)
+        if kind != "chaotic" and bool(np.all(seeds == seeds[0])):
+            seeds = seeds[:1]
         # A set, not np.unique: a bank holds at most a batch of values.
         distinct = len(set(self._values.ravel().tolist()))
-        gathered = np.size(base_seeds) * channel_count * int(length)
+        gathered = self._rows * channel_count * int(length)
         cycle_pays = distinct << int(width) <= _CYCLE_GATHER_RATIO * gathered
         if kind == "lfsr" and cycle_pays:
-            derived = derive_lfsr_seeds(base_seeds, channel_count, width)
+            derived = derive_lfsr_seeds(seeds, channel_count, width)
             self._source = PackedLfsrSource.create(
                 derived, self._values, width
             )
         elif kind == "sobol" and cycle_pays:
-            offsets = derive_sobol_offsets(base_seeds, channel_count)
+            offsets = derive_sobol_offsets(seeds, channel_count)
             self._source = PackedSobolSource.create(
                 offsets, self._values, width
             )
         elif kind == "chaotic":
             self._source = PackedChaoticSource(
-                base_seeds, self._values, channel_count
+                seeds, self._values, channel_count
             )
         if self._source is None:
-            self._cursor = _UniformCursor(kind, base_seeds, channel_count, width)
+            self._cursor = _UniformCursor(kind, seeds, channel_count, width)
 
     def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
         if self._source is not None:
-            return np.asarray(self._source.take(offset, count))
-        assert self._cursor is not None
-        uniforms = self._cursor.take(offset, count)
-        return pack_bits((uniforms < self._values[..., None]).astype(np.uint8))
+            words = self._source.take(offset, count)
+        else:
+            assert self._cursor is not None
+            uniforms = self._cursor.take(offset, count)
+            words = pack_bits(uniforms < self._values[..., None])
+        if words.shape[0] != self._rows:
+            words = np.broadcast_to(words, (self._rows,) + words.shape[1:])
+        return words
 
 
 class _StreamSource:
@@ -688,10 +703,10 @@ def simulate_batch(
         from its private seeded generator, which is what makes rows
         relocatable across shards and tiles.
     kernel:
-        Compute kernel (:data:`repro.simulation.kernels.KERNELS`):
-        ``"packed"``, the uint64 bit-plane pass and the only one.
-        ``"numpy"`` is a deprecated alias that warns and returns the
-        same bits.
+        ``"packed"``, the uint64 bit-plane pass of
+        :mod:`repro.simulation.kernels` and the only one: the argument
+        changes nothing and stays for callers that spell it out.  Any
+        other value raises :class:`ConfigurationError`.
     fault:
         Optional :class:`~repro.simulation.faultmodel.FaultSpec` fault
         scenario.  A stuck MZI pins its data channel before the optical
@@ -700,7 +715,7 @@ def simulate_batch(
         seeded from the schedule's per-row ``noise_seeds`` so the
         realization is bit-exact across workers and chunk sizes.
     """
-    resolve_kernel(kernel)
+    _check_kernel(kernel)
     xs = _validate_batch_inputs(
         circuit, xs, length, noisy, sng_kind, base_seed, sng_width, fault
     )
@@ -775,6 +790,20 @@ def _check_sng_kind(sng_kind: Any) -> None:
     if sng_kind not in SNG_KINDS:
         raise ConfigurationError(
             f"unknown SNG kind {sng_kind!r}; expected one of {SNG_KINDS}"
+        )
+
+
+def _check_kernel(kernel: Any) -> None:
+    """Refuse every kernel name but ``"packed"``, the one pass.
+
+    The kernel knob of :class:`~repro.simulation.runtime.RuntimeConfig`,
+    ``Evaluator.with_kernel``, :func:`simulate_batch` and
+    ``simulate_chunked`` is a no-op spelling of the packed pass.
+    """
+    if kernel != "packed":
+        raise ConfigurationError(
+            f"unknown kernel {kernel!r}; the packed kernel is the only "
+            "one, so pass 'packed' or drop the argument"
         )
 
 

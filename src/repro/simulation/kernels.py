@@ -19,8 +19,6 @@ tensors and fancy-indexes the Eq. 6 pattern table per clock lives in
 the test suite (``tests/packed_reference.py``) as the reference the
 parity matrices compare this pass against, bit for bit, for all four
 SNG kinds, noisy and noiseless, with and without faults.
-``kernel="numpy"`` is a deprecated alias of ``"packed"``: it warns and
-never changes a bit.
 
 The module also owns the memoized per-circuit pass context
 (:func:`pass_context`): the link budget, Eq. 6 table, threshold
@@ -34,7 +32,6 @@ from __future__ import annotations
 import math
 import sys
 import threading
-import warnings
 from collections import OrderedDict
 from statistics import NormalDist
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
@@ -52,10 +49,6 @@ from ..stochastic.sng import (
 from .receiver import OpticalReceiver
 
 __all__ = [
-    "KERNELS",
-    "available_kernels",
-    "kernel_capabilities",
-    "resolve_kernel",
     "pack_bits",
     "unpack_bits",
     "popcount",
@@ -71,68 +64,9 @@ __all__ = [
     "FlipCandidates",
 ]
 
-KERNELS: Tuple[str, ...] = ("packed",)
-"""Compute-kernel implementations behind ``simulate_batch``."""
-
-_DEPRECATED_KERNELS = ("numpy",)
-
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 _WORD_BITS = 64
-
-
-# -- kernel registry -----------------------------------------------------------
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """The kernels usable in this environment, in registry order."""
-    return KERNELS
-
-
-def resolve_kernel(kernel: str) -> str:
-    """Validate a kernel name, failing fast on unknown ones.
-
-    Every spelling of the knob —
-    :class:`~repro.simulation.runtime.RuntimeConfig`,
-    ``Evaluator.with_kernel``, the engine entry points, the CLI — comes
-    through here.  ``"numpy"`` is a deprecated alias: it emits one
-    :class:`DeprecationWarning` and resolves to ``"packed"``, whose bits
-    are identical.  Unknown names raise
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    if kernel in _DEPRECATED_KERNELS:
-        warnings.warn(
-            f"kernel={kernel!r} is deprecated; the packed kernel is the only "
-            "pass and returns identical bits, so drop the argument",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return "packed"
-    if kernel not in KERNELS:
-        raise ConfigurationError(
-            f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-        )
-    return kernel
-
-
-def kernel_capabilities() -> Dict[str, Dict[str, Any]]:
-    """Capability table of every kernel (for docs, CLIs and probing).
-
-    Keys mirror :data:`KERNELS`; each entry records availability, the
-    extra requirement (if any), the relative per-bit memory footprint of
-    the bit tensors, and a one-line description.
-    """
-    return {
-        "packed": {
-            "available": True,
-            "requires": None,
-            "bit_tensor_bytes_per_bit": 1.0 / 8.0,
-            "description": (
-                "dependency-free uint64 bit-plane engine: one bit per "
-                "clock per stream; the pass runs on words, not bytes"
-            ),
-        },
-    }
 
 
 # -- packing primitives --------------------------------------------------------
@@ -145,20 +79,25 @@ def _word_count(length: int) -> int:
 def pack_bits(bits: "np.ndarray[Any, Any]") -> "np.ndarray[Any, Any]":
     """Pack a 0/1 bit tensor along its last axis, 64 clocks per word.
 
-    ``(..., L)`` uint8 in, ``(..., ceil(L / 64))`` uint64 out; bit ``j``
-    of word ``w`` is clock ``64 * w + j`` (little-endian bit order), and
-    tail bits past ``L`` are zero.  :func:`unpack_bits` is the exact
-    inverse.
+    ``(..., L)`` uint8 (or bool) in, ``(..., ceil(L / 64))`` uint64
+    out; bit ``j`` of word ``w`` is clock ``64 * w + j`` (little-endian
+    bit order), and tail bits past ``L`` are zero.  :func:`unpack_bits`
+    is the exact inverse.  Bool comparison results pack as they are, with
+    no uint8 copy.
     """
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)
+    if bits.dtype != np.bool_:
+        bits = np.ascontiguousarray(bits, dtype=np.uint8)
     if bits.ndim == 0:
         raise ConfigurationError("bits must have at least one axis")
     length = bits.shape[-1]
     words = _word_count(length)
     packed = np.packbits(bits, axis=-1, bitorder="little")
-    padded = np.zeros(bits.shape[:-1] + (words * 8,), dtype=np.uint8)
-    padded[..., : packed.shape[-1]] = packed
-    out = padded.view(np.uint64)
+    if packed.shape[-1] != words * 8:
+        padded = np.zeros(bits.shape[:-1] + (words * 8,), dtype=np.uint8)
+        padded[..., : packed.shape[-1]] = packed
+        packed = padded
+    out = packed.view(np.uint64)
     if sys.byteorder != "little":  # pragma: no cover - exotic platforms
         out = out.byteswap()
     return out
@@ -567,11 +506,19 @@ class _PackedCycleSource:
 
     A periodic uniform sequence compared against a fixed value yields
     the same ``period``-bit comparator sequence for every stream using
-    the same value: the cycle uniforms are compared once per *unique*
-    value and packed (tiled, so any 64-bit window is one unaligned
-    two-word read), then :meth:`take` gathers each stream's words by
-    bit offset — never materializing the ``(B, C, count)`` float64
-    uniforms.  Subclasses provide the cycle, the per-stream start
+    that value, so the cycle uniforms are compared once per *unique*
+    value, over ``period + 64`` clocks: the cycle, then its first 64
+    clocks again (wrapping for periods under 64), packed straight into
+    zero-padded words.  :meth:`take` reads a stream's word at cycle
+    position ``pos < period`` as word ``pos >> 6`` and the word after
+    it, so it never reads past bit ``period + 63`` and never
+    materializes the ``(B, C, count)`` float64 uniforms.
+
+    Starts and values broadcast against each other.  A bank whose rows
+    share their seeds passes one-row ``(1, C)`` starts against ``(B,
+    C)``-broadcastable values; when the values are row-invariant too,
+    :meth:`take` returns ``(1, C, W)`` words for the caller to
+    broadcast.  Subclasses provide the cycle, the per-stream start
     positions and ``_start_shift`` (how many cycle steps past the start
     position the stream's first clock sits).
     """
@@ -581,35 +528,25 @@ class _PackedCycleSource:
     def __init__(
         self,
         starts: "np.ndarray[Any, Any]",
-        inverse: "np.ndarray[Any, Any]",
-        packed_cycles: "np.ndarray[Any, Any]",
-        period: int,
+        values: Any,
+        uniform: "np.ndarray[Any, Any]",
     ) -> None:
-        self._starts = starts
-        self._inverse = inverse
-        self._packed_cycles = packed_cycles
-        self._period = int(period)
+        values = np.asarray(values, dtype=float)
+        unique_values, inverse = np.unique(values, return_inverse=True)
+        shape = np.broadcast_shapes(np.shape(starts), values.shape)
+        self._starts = np.asarray(starts, dtype=np.int64)
+        self._inverse = np.broadcast_to(inverse.reshape(values.shape), shape)
+        self._packed_cycles = self._pack_value_cycles(uniform, unique_values)
+        self._period = int(uniform.size)
 
     @staticmethod
     def _pack_value_cycles(
-        uniform: "np.ndarray[Any, Any]", values: Any, shape: Any
-    ) -> Tuple["np.ndarray[Any, Any]", "np.ndarray[Any, Any]"]:
-        """``(inverse, packed_cycles)`` for the unique comparison values.
-
-        One tiled packed bit array per unique comparison value: enough
-        repeats of the period that a 64-bit window starting anywhere
-        in [0, period) stays in-bounds, with periodic continuation
-        automatic (two repeats except periods shorter than 64 bits).
-        """
-        values = np.broadcast_to(np.asarray(values, dtype=float), shape)
-        unique_values, inverse = np.unique(values, return_inverse=True)
-        inverse = inverse.reshape(shape)
-        period = int(uniform.size)
-        repeats = 1 + -(-(_WORD_BITS - 1) // period)
-        cycle_bits = (uniform[None, :] < unique_values[:, None]).astype(
-            np.uint8
-        )
-        return inverse, pack_bits(np.tile(cycle_bits, (1, repeats)))
+        uniform: "np.ndarray[Any, Any]", unique_values: "np.ndarray[Any, Any]"
+    ) -> "np.ndarray[Any, Any]":
+        """One packed row per value: the cycle plus its 64-clock wrap."""
+        wrap = uniform[np.arange(_WORD_BITS) % uniform.size]
+        extended = np.concatenate((uniform, wrap))
+        return pack_bits(extended[None, :] < unique_values[:, None])
 
     def take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
         """Packed words for stream clocks ``[offset, offset + count)``."""
@@ -619,9 +556,8 @@ class _PackedCycleSource:
             )
         words = _word_count(count)
         positions = (
-            self._starts[..., None].astype(np.int64)
-            + self._start_shift
-            + int(offset)
+            self._starts[..., None]
+            + (self._start_shift + int(offset))
             + _WORD_BITS * np.arange(words, dtype=np.int64)
         ) % self._period
         shift = (positions & 63).astype(np.uint64)
@@ -631,11 +567,14 @@ class _PackedCycleSource:
         flat_index = self._inverse[..., None] * cycles.shape[-1] + (
             positions >> 6
         )
-        lo = np.take(cycles, flat_index)
+        out = np.take(cycles, flat_index)
         flat_index += 1
-        hi = np.take(cycles, flat_index)
-        high_part = hi << ((np.uint64(_WORD_BITS) - shift) & np.uint64(63))
-        out = (lo >> shift) | np.where(shift == 0, np.uint64(0), high_part)
+        high = np.take(cycles, flat_index)
+        # high << (64 - shift) as two in-range shifts: 0 at shift 0.
+        high <<= np.uint64(1)
+        high <<= np.uint64(_WORD_BITS - 1) - shift
+        out >>= shift
+        out |= high
         tail = count % _WORD_BITS
         if tail:
             out[..., -1] &= np.uint64((1 << tail) - 1)
@@ -676,10 +615,7 @@ class PackedLfsrSource(_PackedCycleSource):
         starts = position[seeds]
         if np.any(starts < 0):
             return None
-        inverse, packed_cycles = cls._pack_value_cycles(
-            uniform, values, seeds.shape
-        )
-        return cls(starts, inverse, packed_cycles, int(cycle.size))
+        return cls(starts, values, uniform)
 
 
 _SOBOL_CYCLE_CACHE: Dict[int, "np.ndarray[Any, Any]"] = {}
@@ -733,13 +669,8 @@ class PackedSobolSource(_PackedCycleSource):
         offsets = np.asarray(offsets, dtype=np.int64)
         if np.any(offsets < 0):
             raise ConfigurationError("sobol offsets must be >= 0")
-        period = 1 << int(width)
-        uniform = _sobol_cycle_uniforms(width)
-        starts = offsets % period
-        inverse, packed_cycles = cls._pack_value_cycles(
-            uniform, values, offsets.shape
-        )
-        return cls(starts, inverse, packed_cycles, period)
+        starts = offsets % (1 << int(width))
+        return cls(starts, values, _sobol_cycle_uniforms(width))
 
 
 _CHAOTIC_PACK_BLOCK = 4096
@@ -802,9 +733,10 @@ class PackedChaoticSource:
             uniforms, self._state = chaotic_orbit(
                 self._state, warmups, block, return_state=True
             )
-            bits = (uniforms < self._values[..., None]).astype(np.uint8)
             word = done // _WORD_BITS
-            out[..., word : word + _word_count(block)] = pack_bits(bits)
+            out[..., word : word + _word_count(block)] = pack_bits(
+                uniforms < self._values[..., None]
+            )
             done += block
         self._next_offset = offset + count
         return out

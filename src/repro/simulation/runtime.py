@@ -75,6 +75,7 @@ from .engine import (
     SeedSchedule,
     _as_bool,
     _as_index,
+    _check_kernel,
     _noise_flips,
     _pin_stuck,
     _positive_index,
@@ -85,7 +86,7 @@ from .engine import (
     simulate_batch,
 )
 from .faultmodel import FaultSpec, fault_channel_for
-from .kernels import packed_tile_statistics, resolve_kernel
+from .kernels import packed_tile_statistics
 
 __all__ = [
     "BACKENDS",
@@ -420,8 +421,9 @@ def simulate_chunked(
     (:func:`repro.simulation.kernels.packed_tile_statistics`), receiver
     noise is a flip-word mask XORed into them, and no per-clock array
     is materialized at all.
-    *kernel* accepts ``"packed"``, the only kernel; ``"numpy"`` is a
-    deprecated alias that warns and changes no bit.
+    *kernel* accepts ``"packed"``, the only kernel, as a no-op
+    spelling; any other value raises
+    :class:`~repro.errors.ConfigurationError`.
 
     *fault* injects a :class:`~repro.simulation.faultmodel.FaultSpec`
     scenario: flip/erasure masks are pure functions of the absolute
@@ -431,7 +433,7 @@ def simulate_chunked(
     evaluation whatever the chunk length or worker count.
     """
     _validate_backend(backend)
-    resolve_kernel(kernel)
+    _check_kernel(kernel)
     xs = _validate_batch_inputs(
         circuit, xs, length, noisy, sng_kind, base_seed, sng_width, fault
     )
@@ -664,12 +666,12 @@ class RuntimeConfig:
     expose ``values``, ``expected``, ``absolute_errors``,
     ``transmission_ber`` and ``mean_absolute_error``.
 
-    ``kernel`` names the engine's compute kernel
-    (:data:`repro.simulation.kernels.KERNELS`): ``"packed"``, the
-    uint64 bit-plane pass and the only one.  ``"numpy"`` is a deprecated
-    alias: the config warns once at construction and stores
-    ``"packed"``.  Not to be confused with ``backend``, which picks the
-    process/thread *pool* for sharded fan-out.
+    ``kernel`` accepts ``"packed"``, the uint64 bit-plane pass of
+    :mod:`repro.simulation.kernels` and the only one: a no-op spelling
+    kept for callers that name it.  Any other value raises
+    :class:`~repro.errors.ConfigurationError` at construction.  Not to
+    be confused with ``backend``, which picks the process/thread *pool*
+    for sharded fan-out.
 
     Every construction-knowable misconfiguration fails in
     ``__post_init__`` — an invalid backend, kernel, chunk size, worker
@@ -690,7 +692,7 @@ class RuntimeConfig:
 
     def __post_init__(self) -> None:
         _validate_backend(self.backend)
-        object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
+        _check_kernel(self.kernel)
         _as_bool("use_cache", self.use_cache)
         _as_bool("vectorized", self.vectorized)
         if self.workers is not None:

@@ -460,16 +460,32 @@ class TestChannelSemantics:
             channel.apply_words(np.zeros((1, 2), dtype=np.uint64), 0, 128)
 
 
+# The noisy axis of the parity matrices: the Section V-A circuit
+# noiseless and noisy (where noise flips about 1e-111 of decisions), and
+# the mid-SNR circuit noisy, where it flips a few percent.
+NOISY_AXIS = pytest.mark.parametrize(
+    "noisy, design",
+    [(False, "circuit"), (True, "circuit"), (True, "mid_snr")],
+    ids=["False", "True", "mid-snr"],
+)
+
+
 class TestParityMatrix:
     @pytest.mark.parametrize("sng_kind", ["lfsr", "counter", "sobol", "chaotic"])
-    @pytest.mark.parametrize("noisy", [False, True])
+    @NOISY_AXIS
     @pytest.mark.parametrize(
         "scenario", list(PARITY_SCENARIOS.values()), ids=list(PARITY_SCENARIOS)
     )
     def test_kernels_bit_identical_under_faults(
-        self, circuit, sng_kind, noisy, scenario
+        self, request, flipped_decisions, sng_kind, noisy, design, scenario
     ):
+        circuit = request.getfixturevalue(design)
         xs = np.linspace(0.0, 1.0, 4)
+        if design == "mid_snr":
+            assert flipped_decisions(
+                circuit, xs, length=LENGTH, sng_kind=sng_kind, base_seed=9,
+                fault=scenario,
+            ) > 0
 
         def run():
             return run_batch(
@@ -510,9 +526,10 @@ class TestParityMatrix:
 class TestRelocatability:
     @pytest.mark.parametrize("chunk_length", [64, 100, 333, 999])
     @pytest.mark.parametrize("kernel_pass", reference.PASSES)
-    @pytest.mark.parametrize("noisy", [True, False])
+    @NOISY_AXIS
     def test_trajectory_faults_stitch_across_chunks(
-        self, circuit, chunk_length, kernel_pass, noisy
+        self, request, flipped_decisions, chunk_length, kernel_pass, noisy,
+        design,
     ):
         """Drift at absolute clock k must not depend on the tiling.
 
@@ -520,7 +537,12 @@ class TestRelocatability:
         the tiles on production.  ``noisy=False`` tiles are the
         word-level mux under a fault channel — the ``stream-fault`` path.
         """
+        circuit = request.getfixturevalue(design)
         xs = np.linspace(0.1, 0.9, 3)
+        if design == "mid_snr":
+            assert flipped_decisions(
+                circuit, xs, length=LENGTH, base_seed=21, fault=TRAJECTORY
+            ) > 0
         with reference.running(kernel_pass):
             one_shot = run_batch(
                 circuit, xs, length=LENGTH, noisy=noisy, base_seed=21,

@@ -5,11 +5,11 @@ to the byte-wise reference pass of ``tests/packed_reference.py`` for
 all four SNG kinds, noisy and noiseless, one-shot and composed with the
 chunking/sharding runtime.  Each parity case runs its reference side
 inside ``reference.installed()`` and its production side as shipped.
-``kernel="numpy"`` is a deprecated alias that warns and changes no bit.
+The kernel registry is gone: ``kernel="packed"`` is a no-op spelling,
+and any other name raises.
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -27,17 +27,13 @@ from repro.simulation.engine import (
     simulate_batch,
 )
 from repro.simulation.kernels import (
-    KERNELS,
     PackedChaoticSource,
     PackedLfsrSource,
     PackedSobolSource,
-    available_kernels,
-    kernel_capabilities,
     pack_bits,
     packed_lfsr_comparator_bits,
     pass_context,
     popcount,
-    resolve_kernel,
     unpack_bits,
 )
 from repro.simulation.runtime import (
@@ -98,35 +94,67 @@ def assert_statistics_match(expected, statistics):
     )
 
 
-class TestRegistry:
-    def test_registry_names(self):
-        assert KERNELS == ("packed",)
-        assert available_kernels() == KERNELS
-        assert RuntimeConfig().kernel == "packed"
+class TestKernelRegistryRemoved:
+    """The kernel registry is gone; ``kernel="packed"`` stays a no-op.
 
-    def test_resolve_unknown_kernel(self):
+    ``RuntimeConfig(kernel=...)``, ``Evaluator.with_kernel``,
+    ``simulate_batch`` and ``simulate_chunked`` accept ``"packed"`` and
+    return the default bits; every other name, ``"numpy"`` included,
+    raises :class:`ConfigurationError`.
+    """
+
+    @pytest.mark.parametrize(
+        "module",
+        [repro, repro.simulation, kernels],
+        ids=["repro", "repro.simulation", "repro.simulation.kernels"],
+    )
+    @pytest.mark.parametrize(
+        "name",
+        ["KERNELS", "available_kernels", "resolve_kernel", "kernel_capabilities"],
+    )
+    def test_registry_names_are_gone(self, module, name):
+        assert not hasattr(module, name)
+
+    @pytest.mark.parametrize("kernel", ["numpy", "bogus"])
+    @pytest.mark.parametrize(
+        "spelling",
+        ["RuntimeConfig", "with_kernel", "simulate_batch", "simulate_chunked"],
+    )
+    def test_other_kernels_raise(self, circuit, spelling, kernel):
         with pytest.raises(ConfigurationError, match="unknown kernel"):
-            resolve_kernel("gpu")
+            _kernel_run(circuit, spelling, kernel)
 
-    def test_capabilities_cover_registry(self):
-        table = kernel_capabilities()
-        assert set(table) == set(KERNELS)
-        assert table["packed"]["available"] is True
-        assert table["packed"]["bit_tensor_bytes_per_bit"] == pytest.approx(
-            1 / 8
-        )
+    @pytest.mark.parametrize(
+        "spelling",
+        ["RuntimeConfig", "with_kernel", "simulate_batch", "simulate_chunked"],
+    )
+    def test_packed_spelling_matches_the_default(self, circuit, spelling):
+        packed = _kernel_run(circuit, spelling, "packed")
+        default = _kernel_run(circuit, spelling, None)
+        if spelling == "simulate_chunked":
+            assert np.array_equal(packed.ones_count, default.ones_count)
+            assert np.array_equal(
+                packed.transmission_bit_errors,
+                default.transmission_bit_errors,
+            )
+            assert np.array_equal(
+                packed.power_histogram, default.power_histogram
+            )
+        else:
+            assert_batches_equal(default, packed)
 
-    def test_runtime_config_rejects_unknown_kernel(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            RuntimeConfig(kernel="bogus")
+    def test_cli_has_no_kernel_flag(self, capsys):
+        from repro.experiments.__main__ import main
 
-    def test_simulate_batch_rejects_unknown_kernel(self, circuit):
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            simulate_batch(circuit, [0.5], length=64, kernel="bogus")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["accuracy", "--kernel", "packed"])
+        assert exit_info.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
 
     def test_pool_backend_and_kernel_are_distinct_knobs(self):
         # Naming hygiene: `backend` picks the worker pool, `kernel` the
         # compute implementation; both validate at construction.
+        assert RuntimeConfig().kernel == "packed"
         config = RuntimeConfig(backend="thread", kernel="packed")
         assert config.backend == "thread"
         assert config.kernel == "packed"
@@ -134,25 +162,22 @@ class TestRegistry:
             RuntimeConfig(backend="packed")
 
 
-ALIAS_WARNING = "kernel='numpy' is deprecated"
-
-
-def _alias_run(circuit, spelling, alias):
-    """One evaluation through *spelling*, with the numpy alias or without."""
-    kernel = {"kernel": "numpy"} if alias else {}
+def _kernel_run(circuit, spelling, kernel):
+    """One evaluation through *spelling*, naming *kernel* or leaving it out."""
+    named = {} if kernel is None else {"kernel": kernel}
     xs = np.linspace(0.05, 0.95, 4)
     spec = repro.EvalSpec(length=300)
     if spelling == "RuntimeConfig":
-        session = repro.Evaluator(circuit, spec, RuntimeConfig(**kernel))
+        session = repro.Evaluator(circuit, spec, RuntimeConfig(**named))
         return session.evaluate(xs, rng=np.random.default_rng(3))
     if spelling == "with_kernel":
         session = repro.Evaluator(circuit, spec)
-        if alias:
-            session = session.with_kernel("numpy")
+        if kernel is not None:
+            session = session.with_kernel(kernel)
         return session.evaluate(xs, rng=np.random.default_rng(3))
     if spelling == "simulate_batch":
         return simulate_batch(
-            circuit, xs, length=300, rng=np.random.default_rng(3), **kernel
+            circuit, xs, length=300, rng=np.random.default_rng(3), **named
         )
     return simulate_chunked(
         circuit,
@@ -162,60 +187,8 @@ def _alias_run(circuit, spelling, alias):
         rng=np.random.default_rng(3),
         power_histogram_bins=8,
         workers=0,
-        **kernel,
+        **named,
     )
-
-
-class TestDeprecatedNumpyAlias:
-    """``kernel="numpy"`` warns once per spelling and never changes a bit."""
-
-    @pytest.mark.parametrize(
-        "spelling",
-        ["RuntimeConfig", "with_kernel", "simulate_batch", "simulate_chunked"],
-    )
-    def test_alias_warns_and_matches_the_default(self, circuit, spelling):
-        with pytest.warns(DeprecationWarning, match=ALIAS_WARNING) as record:
-            aliased = _alias_run(circuit, spelling, alias=True)
-        assert len(record) == 1
-        default = _alias_run(circuit, spelling, alias=False)
-        if spelling == "simulate_chunked":
-            assert np.array_equal(aliased.ones_count, default.ones_count)
-            assert np.array_equal(
-                aliased.transmission_bit_errors,
-                default.transmission_bit_errors,
-            )
-            assert np.array_equal(
-                aliased.power_histogram, default.power_histogram
-            )
-        else:
-            assert_batches_equal(default, aliased)
-
-    def test_cli_alias_warns_and_matches_the_default(self, capsys):
-        from repro.experiments.__main__ import main
-
-        argv = ["accuracy", "--sng-kind", "lfsr", "--length", "256"]
-        with pytest.warns(DeprecationWarning, match=ALIAS_WARNING) as record:
-            assert main(argv + ["--kernel", "numpy"]) == 0
-        assert len(record) == 1
-        aliased = capsys.readouterr().out
-        assert main(argv) == 0
-        assert capsys.readouterr().out == aliased
-        assert main(argv + ["--kernel", "bogus"]) == 2
-        assert "unknown kernel" in capsys.readouterr().err
-
-    def test_config_stores_the_resolved_kernel(self):
-        with pytest.warns(DeprecationWarning, match=ALIAS_WARNING):
-            config = RuntimeConfig(kernel="numpy")
-        assert config.kernel == "packed"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            dataclasses.replace(config, workers=0)
-
-    def test_alias_is_an_error_under_the_suite_filter(self):
-        # pyproject.toml's filterwarnings makes the alias an error, so no
-        # test or example run under pytest can lean on it unnoticed.
-        with pytest.raises(DeprecationWarning, match=ALIAS_WARNING):
-            RuntimeConfig(kernel="numpy")
 
 
 class TestPackingPrimitives:
@@ -460,6 +433,89 @@ class TestPackedWordSources:
             source.take(128, 64)
 
 
+class TestCycleLayout:
+    """A packed cycle holds one period plus its 64-clock wrap per value.
+
+    Every window a cycle source hands out — at any offset, including
+    windows that cross the wrap, and for counts from one clock to past
+    two periods — is ``pack_bits(uniforms < values)`` of the float
+    cursor, for periods below and above one word, with per-row starts
+    or one row of starts shared by every row.
+    """
+
+    KINDS_WIDTHS = [("lfsr", width) for width in (3, 4, 5, 6, 7, 8, 16)] + [
+        ("sobol", width) for width in (1, 2, 3, 4, 5, 6, 7, 8, 16)
+    ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind_width=st.sampled_from(KINDS_WIDTHS),
+        # count = periods * P + clocks: 1, 63, 64, 65, P, P + 1, 2P + 3.
+        count_rule=st.sampled_from(
+            [(0, 1), (0, 63), (0, 64), (0, 65), (1, 0), (1, 1), (2, 3)]
+        ),
+        shared=st.booleans(),
+        row_values=st.booleans(),
+        data=st.data(),
+    )
+    def test_take_equals_compared_uniforms(
+        self, kind_width, count_rule, shared, row_values, data
+    ):
+        kind, width = kind_width
+        period = (1 << width) - 1 if kind == "lfsr" else 1 << width
+        periods, clocks = count_rule
+        count = periods * period + clocks
+        # Either a window that straddles a cycle wrap, or anywhere.
+        wraps = data.draw(st.integers(min_value=1, max_value=3))
+        offset = data.draw(
+            st.one_of(
+                st.integers(
+                    min_value=max(wraps * period - count - 64, 0),
+                    max_value=wraps * period + 64,
+                ),
+                st.integers(min_value=0, max_value=4 * period),
+            )
+        )
+        rng = np.random.default_rng(
+            data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        )
+        rows, channels = 3, 2
+        base_seeds = (
+            np.full(rows, int(rng.integers(0, 1 << 20)))
+            if shared
+            else rng.integers(0, 1 << 20, size=rows)
+        )
+        # Values on the cycle's grid (exact ties with a uniform), the
+        # ends of the range, and a few off-grid ones.
+        palette = [0.0, 0.5, 1.0, 1 / 3, float(rng.random())]
+        shape = (rows, 1) if row_values else (1, channels)
+        values = rng.choice(palette, size=shape)
+        # A shared bank builds its source from one row of seeds.
+        built = base_seeds[:1] if shared else base_seeds
+        if kind == "lfsr":
+            source = PackedLfsrSource.create(
+                derive_lfsr_seeds(built, channels, width), values, width
+            )
+        else:
+            source = PackedSobolSource.create(
+                derive_sobol_offsets(built, channels), values, width
+            )
+        assert source is not None
+        distinct = np.unique(values).size
+        assert source._packed_cycles.shape == (
+            distinct,
+            -(-(period + 64) // 64),
+        )
+        words = source.take(offset, count)
+        uniforms = _UniformCursor(kind, base_seeds, channels, width).take(
+            offset, count
+        )
+        expected = pack_bits(uniforms < values[..., None])
+        assert np.array_equal(
+            np.broadcast_to(words, expected.shape), expected
+        )
+
+
 class TestPassContextMemoization:
     def test_context_cached_per_fingerprint(self, circuit):
         kernels.clear_pass_context_cache()
@@ -518,21 +574,36 @@ class TestPassContextMemoization:
                         simulate_batch(bad, [0.5], length=64)
 
 
+# The noisy axis of the parity matrices: the paper's Section V-A circuit
+# noisy and noiseless (where noise flips about 1e-111 of decisions), and
+# the mid-SNR circuit noisy, where it flips a few percent.
+NOISY_AXIS = pytest.mark.parametrize(
+    "noisy, design",
+    [(True, "circuit"), (False, "circuit"), (True, "mid_snr")],
+    ids=["True", "False", "mid-snr"],
+)
+
+
 class TestKernelParity:
     @pytest.mark.parametrize("sng_kind", SNG_KINDS)
-    @pytest.mark.parametrize("noisy", [True, False])
-    def test_one_shot_parity_schedule(self, circuit, sng_kind, noisy):
+    @NOISY_AXIS
+    def test_one_shot_parity_schedule(
+        self, request, flipped_decisions, sng_kind, noisy, design
+    ):
+        circuit = request.getfixturevalue(design)
         xs = np.linspace(0, 1, 6)
         # 300 is neither a multiple of 64 nor below one word.
         schedule = derive_seed_schedule(
             xs.size, np.random.default_rng(13), sng_kind=sng_kind
         )
-        options = dict(
-            length=300, noisy=noisy, sng_kind=sng_kind, schedule=schedule
-        )
+        options = dict(length=300, sng_kind=sng_kind, schedule=schedule)
         with reference.installed():
-            expected = simulate_batch(circuit, xs, **options)
-        assert_batches_equal(expected, simulate_batch(circuit, xs, **options))
+            expected = simulate_batch(circuit, xs, noisy=noisy, **options)
+        assert_batches_equal(
+            expected, simulate_batch(circuit, xs, noisy=noisy, **options)
+        )
+        if design == "mid_snr":
+            assert flipped_decisions(circuit, xs, **options) > 0
 
     # 70_001 runs the whole pipeline across the LFSR's 2**16 - 1 wrap.
     @pytest.mark.parametrize(
@@ -590,7 +661,7 @@ TRAJECTORY = FaultSpec(
 
 class TestRuntimeComposition:
     @pytest.mark.parametrize("sng_kind", SNG_KINDS)
-    @pytest.mark.parametrize("noisy", [True, False])
+    @NOISY_AXIS
     @pytest.mark.parametrize(
         "fault", [None, TRAJECTORY], ids=["clean", "trajectory"]
     )
@@ -603,19 +674,27 @@ class TestRuntimeComposition:
         ids=["chunk96", "chunk1", "chunk3", "chunk7"],
     )
     def test_chunked_statistics_parity(
-        self, circuit, sng_kind, noisy, fault, length, chunk_length
+        self,
+        request,
+        flipped_decisions,
+        sng_kind,
+        noisy,
+        design,
+        fault,
+        length,
+        chunk_length,
     ):
+        circuit = request.getfixturevalue(design)
         xs = np.linspace(0.05, 0.95, 4)
         schedule = derive_seed_schedule(
             xs.size, np.random.default_rng(31), sng_kind=sng_kind
         )
-        options = dict(
-            length=length,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            schedule=schedule,
-            fault=fault,
+        seeded = dict(
+            length=length, sng_kind=sng_kind, schedule=schedule, fault=fault
         )
+        options = dict(noisy=noisy, **seeded)
+        if design == "mid_snr":
+            assert flipped_decisions(circuit, xs, **seeded) > 0
 
         def chunked():
             return simulate_chunked(
@@ -807,3 +886,135 @@ class TestSessionAndServing:
         with reference.installed():
             expected = asyncio.run(serve(repro.Evaluator(circuit, spec)))
         assert asyncio.run(serve(repro.Evaluator(circuit, spec))) == expected
+
+
+class TestSharedSeedBanks:
+    """A bank whose rows share one seed is built from that one row.
+
+    Under a fixed ``base_seed`` every row of a bank has the same seeds,
+    so its starts are computed for one row and the coefficient words are
+    one row broadcast to all.  The reference is the same schedule run
+    one row at a time, where each run builds its own one-row banks.
+    Width 8 puts every bank on the packed-cycle side (its 255-clock
+    period wraps inside the 300-clock stream), width 16 on the gather
+    side.
+    """
+
+    STUCK = FaultSpec(stuck_channel=0, stuck_value=1)
+    XS = np.asarray([0.1, 0.45, 0.8])
+    LENGTH = 300
+
+    def _per_row(self, circuit, options):
+        schedule = derive_seed_schedule(
+            self.XS.size, sng_kind=options["sng_kind"], base_seed=2019
+        )
+        return [
+            simulate_batch(
+                circuit,
+                self.XS[row : row + 1],
+                schedule=schedule.shard(row, row + 1),
+                **options,
+            )
+            for row in range(self.XS.size)
+        ]
+
+    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("fault", [None, STUCK], ids=["clean", "stuck"])
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noiseless"])
+    @pytest.mark.parametrize("sng_kind", SNG_KINDS)
+    def test_fixed_seed_equals_row_by_row(
+        self, mid_snr, sng_kind, noisy, fault, width
+    ):
+        options = dict(
+            length=self.LENGTH,
+            noisy=noisy,
+            sng_kind=sng_kind,
+            sng_width=width,
+            fault=fault,
+        )
+        rows = self._per_row(mid_snr, options)
+        one_shot = simulate_batch(mid_snr, self.XS, base_seed=2019, **options)
+        for field in BATCH_FIELDS:
+            assert np.array_equal(
+                getattr(one_shot, field),
+                np.concatenate([getattr(row, field) for row in rows]),
+            ), field
+        ones = np.concatenate([row.output_bits.sum(axis=1) for row in rows])
+        errors = np.concatenate([row.transmission_bit_errors for row in rows])
+        if noisy:
+            assert np.any(errors)
+        for chunk_length in (1, 7, 64, 65):
+            chunked = simulate_chunked(
+                mid_snr,
+                self.XS,
+                chunk_length=chunk_length,
+                base_seed=2019,
+                workers=0,
+                **options,
+            )
+            assert np.array_equal(chunked.ones_count, ones), chunk_length
+            assert np.array_equal(
+                chunked.transmission_bit_errors, errors
+            ), chunk_length
+
+    @pytest.mark.parametrize("sng_kind", SNG_KINDS)
+    def test_two_workers_equal_serial(self, mid_snr, sng_kind):
+        options = dict(
+            length=1000,
+            chunk_length=333,
+            sng_kind=sng_kind,
+            base_seed=2019,
+            fault=self.STUCK,
+            power_histogram_bins=8,
+        )
+        xs = np.linspace(0.05, 0.95, 5)
+        serial = simulate_chunked(mid_snr, xs, workers=0, **options)
+        sharded = simulate_chunked(
+            mid_snr, xs, workers=2, backend="thread", **options
+        )
+        for field in ("ones_count", "transmission_bit_errors", "power_histogram"):
+            assert np.array_equal(
+                getattr(serial, field), getattr(sharded, field)
+            ), field
+
+    def test_fixed_seed_stream_builds_each_bank_from_one_row(
+        self, circuit, monkeypatch
+    ):
+        # Both banks of a fixed-seed call reach the cycle source with one
+        # row of seeds; an rng-seeded call still passes every row.
+        shapes = []
+        create = PackedLfsrSource.create.__func__
+
+        def spy(cls, seeds, values, width):
+            shapes.append(np.shape(seeds))
+            return create(cls, seeds, values, width)
+
+        monkeypatch.setattr(PackedLfsrSource, "create", classmethod(spy))
+        xs = np.linspace(0.05, 0.95, 4)
+        config = RuntimeConfig(workers=0)
+
+        def stream(**spec):
+            session = repro.Evaluator(
+                circuit, repro.EvalSpec(length=1 << 16, **spec), config
+            )
+            rng = None if "base_seed" in spec else np.random.default_rng(1)
+            return session.stream(xs, chunk_length=1 << 14, rng=rng)
+
+        fixed = stream(base_seed=2019)
+        assert shapes == [(1, 2), (1, 3)]
+        shapes.clear()
+        stream()
+        assert shapes == [(4, 2), (4, 3)]
+        assert fixed.values.shape == (4,)
+
+    def test_row_invariant_words_are_a_broadcast_view(self):
+        base_seeds = np.full(4, 2019)
+        coefficients = np.array([[0.25, 0.625, 0.375]])
+        bank = _PackedCursor("lfsr", base_seeds, 3, 16, coefficients, 1 << 16)
+        words = bank.take(0, 1 << 10)
+        assert words.shape == (4, 3, 16)
+        assert words.strides[0] == 0 and not words.flags.writeable
+        uniforms = _UniformCursor("lfsr", base_seeds, 3, 16).take(0, 1 << 10)
+        assert np.array_equal(
+            words, pack_bits(uniforms < coefficients[..., None])
+        )

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.simulation import engine, kernels
 from repro.simulation.engine import derive_seed_schedule, simulate_batch
 from repro.simulation.faultmodel import FaultSpec
@@ -27,26 +26,11 @@ from repro.simulation.runtime import simulate_chunked
 
 import packed_reference as reference
 
-COEFFICIENTS = [0.25, 0.625, 0.375]
-
-
-def _design_circuit(**design):
-    return repro.OpticalStochasticCircuit.from_design(
-        repro.mrr_first_design(order=2, **design),
-        repro.BernsteinPolynomial(COEFFICIENTS),
-    )
-
 
 @pytest.fixture(scope="module")
-def mid_snr():
-    """Keys 1.9-2.3 sigma from the threshold: q ~ 0.03, p_k / q ~ 0.4-1."""
-    return _design_circuit(wl_spacing_nm=0.3, probe_power_mw=0.06)
-
-
-@pytest.fixture(scope="module")
-def default_circuit():
+def default_circuit(design_circuit):
     """The laser sized for BER 1e-6: keys sit 4.75-4.95 sigma out."""
-    return _design_circuit(wl_spacing_nm=1.0)
+    return design_circuit(wl_spacing_nm=1.0)
 
 
 def _sorted(candidates):
@@ -153,8 +137,10 @@ class TestSampler:
         [(2.0, 1e-320), (1.66, 1e-300), (1.7, 1e-316)],
         ids=["q=0", "q~1e-302", "subnormal-q"],
     )
-    def test_high_snr_runs_equal_noiseless(self, probe_power_mw, rate_below):
-        circuit = _design_circuit(
+    def test_high_snr_runs_equal_noiseless(
+        self, design_circuit, probe_power_mw, rate_below
+    ):
+        circuit = design_circuit(
             wl_spacing_nm=1.0, probe_power_mw=probe_power_mw
         )
         flat = kernels.pass_context(circuit)._flat_tables()

@@ -136,16 +136,28 @@ class TestShardedEquivalence:
     @pytest.mark.parametrize(
         "fault", [None, COMPOSITE_FAULT], ids=["clean", "faulted"]
     )
-    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    # The mid-SNR circuit is the noisy case where receiver noise flips
+    # a few percent of decisions (about 1e-111 on the Section V-A one).
+    @pytest.mark.parametrize(
+        "noisy, design",
+        [(False, "circuit"), (True, "circuit"), (True, "mid_snr")],
+        ids=["noiseless", "noisy", "noisy-mid-snr"],
+    )
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("kernel_pass", reference.PASSES)
     def test_statistics_match_serial_reductions(
-        self, circuit, kernel_pass, kind, noisy, fault, chunk_length,
+        self, request, kernel_pass, kind, noisy, design, fault, chunk_length,
         workers, backend,
     ):
+        circuit = request.getfixturevalue(design)
         schedule, serial = _serial_reference(
             circuit, kind, noisy, fault, kernel_pass
         )
+        if design == "mid_snr":
+            _, clean = _serial_reference(
+                circuit, kind, False, fault, kernel_pass
+            )
+            assert np.count_nonzero(serial.output_bits != clean.output_bits) > 0
         sharded = simulate_chunked(
             circuit,
             PARITY_XS,
