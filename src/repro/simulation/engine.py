@@ -52,7 +52,12 @@ from ..errors import ConfigurationError
 if TYPE_CHECKING:
     from ..core.circuit import OpticalStochasticCircuit
 from ..stochastic.bitstream import exact_bit_window
-from ..stochastic.lfsr import LFSR, _TABLE_MAX_WIDTH, lfsr_uniform_windows
+from ..stochastic.lfsr import (
+    LFSR,
+    MAXIMAL_TAPS,
+    _TABLE_MAX_WIDTH,
+    lfsr_uniform_windows,
+)
 from ..stochastic.sng import (
     SNG_KINDS,
     chaotic_orbit,
@@ -841,9 +846,10 @@ def _check_eval_fields(
     ``sng_width`` is at least 1 for every kind, and the per-kind rules
     match the scalar constructors: :class:`~repro.stochastic.sng.SobolLikeSNG`
     takes ``[1, 30]`` bits (the batched :func:`van_der_corput` accepts
-    any count and would silently produce wrong samples), an LFSR at
-    least 2 (checked before the seed derivation divides by the register
-    period; wider widths without a tap set fail in the tap table).
+    any count and would silently produce wrong samples), an LFSR only
+    the widths with a built-in maximal tap set
+    (:data:`~repro.stochastic.lfsr.MAXIMAL_TAPS`, 3 to 24 bits), since
+    the spec names no taps of its own.
     """
     length = _positive_index("length", length)
     _check_sng_kind(sng_kind)
@@ -853,10 +859,11 @@ def _check_eval_fields(
             f"sng_width must be in [1, 30] for the sobol randomizer, "
             f"got {sng_width!r}"
         )
-    if sng_kind == "lfsr" and sng_width < 2:
+    if sng_kind == "lfsr" and sng_width not in MAXIMAL_TAPS:
         raise ConfigurationError(
-            f"sng_width must be >= 2 for the lfsr randomizer, "
-            f"got {sng_width!r}"
+            f"sng_width must be in [{min(MAXIMAL_TAPS)}, {max(MAXIMAL_TAPS)}] "
+            f"for the lfsr randomizer (the widths with built-in maximal "
+            f"taps), got {sng_width!r}"
         )
     _as_bool("noisy", noisy)
     base_seed = _check_base_seed(base_seed)

@@ -19,7 +19,7 @@ resolves call sites against that index:
 
 The graph deliberately *over*-approximates: an unknown receiver keeps
 every project method of the attribute's name as a candidate callee.
-The dataflow rules use reachability to demand discipline (locks on
+The call-graph rules use reachability to demand discipline (locks on
 thread-reachable mutations, allocation hygiene on packed-reachable
 code), so extra edges can only ask for more discipline, never excuse
 less.

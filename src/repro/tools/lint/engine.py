@@ -5,11 +5,11 @@ parts:
 
 * :class:`FileSource` — one parsed python file: source text, AST, and
   the ``# repro-lint: disable=...`` pragma table.
-* :class:`Rule` / :class:`RuleVisitor` — a per-file check: the visitor
-  walks one module AST and calls :meth:`RuleVisitor.report` for each
-  violation.
-* :class:`ProjectRule` — a whole-file-set check (used by RL002, whose
-  invariant spans ``__init__.py`` / ``_api.py`` / ``session.py``).
+* :class:`RuleVisitor` — a per-file check: the visitor walks one
+  module AST and calls :meth:`RuleVisitor.report` for each violation.
+* :class:`ProjectRule` — a whole-file-set check (RL002, whose
+  invariant spans ``__init__.py`` / ``_api.py``, and the call-graph
+  rules RL008 and RL009).
 * :class:`LintRunner` — applies the enabled rules to a file set,
   filters suppressed diagnostics, and renders the report.
 * :func:`main` — the ``python -m repro.tools.lint`` entry point
@@ -39,7 +39,6 @@ __all__ = [
     "FileSource",
     "LintRunner",
     "ProjectRule",
-    "Rule",
     "RuleVisitor",
     "main",
 ]
@@ -99,19 +98,8 @@ class FileSource:
         return False
 
 
-class Rule:
-    """A per-file check.  Subclasses set the metadata and ``check``."""
-
-    name: str = ""
-    description: str = ""
-    default_enabled: bool = True
-
-    def check(self, source: FileSource) -> List[Diagnostic]:
-        raise NotImplementedError
-
-
 class RuleVisitor(ast.NodeVisitor):
-    """An :class:`ast.NodeVisitor` that doubles as a :class:`Rule`.
+    """An :class:`ast.NodeVisitor` that doubles as a per-file rule.
 
     Subclasses implement ``visit_*`` methods and call :meth:`report`;
     the framework handles instantiation per file, diagnostic plumbing
@@ -292,12 +280,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--graph",
-        choices=("cfg", "calls"),
+        choices=("calls",),
         help=(
-            "instead of linting, dump the analysis graphs for the "
-            "given paths: 'cfg' prints every function's control-flow "
-            "graph, 'calls' the project call graph with its thread "
-            "entry points"
+            "instead of linting, print the project call graph of the "
+            "given paths with its thread entry points"
         ),
     )
     args = parser.parse_args(argv)
@@ -329,7 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         runner.add_path(Path(path))
     if args.graph:
-        return _dump_graphs(args.graph, runner)
+        return _dump_call_graph(runner)
     diagnostics = runner.run()
     count = len(diagnostics)
     files = len(runner.sources)
@@ -361,24 +347,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 1 if diagnostics else 0
 
 
-def _dump_graphs(kind: str, runner: LintRunner) -> int:
-    """The ``--graph`` debug dumps: per-function CFGs or the call graph."""
+def _dump_call_graph(runner: LintRunner) -> int:
+    """The ``--graph calls`` debug dump: the project call graph."""
     from .callgraph import build_call_graph, module_name_for
-    from .cfg import build_cfg
 
-    if kind == "calls":
-        graph = build_call_graph(
-            [
-                (module_name_for(source.path), source.tree)
-                for source in runner.sources
-            ]
-        )
-        print("\n".join(graph.describe()))
-        return 0
-    for source in runner.sources:
-        for node in ast.walk(source.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                cfg = build_cfg(node)
-                cfg.name = f"{source.path}:{node.name}"
-                print("\n".join(cfg.describe()))
+    graph = build_call_graph(
+        [(module_name_for(source.path), source.tree) for source in runner.sources]
+    )
+    print("\n".join(graph.describe()))
     return 0

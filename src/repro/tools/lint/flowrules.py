@@ -1,17 +1,16 @@
-"""Dataflow rules: resource lifetimes, lock discipline, hot-path allocation.
+"""Call-graph rules: lock discipline and hot-path allocation.
 
-These rules ride on :mod:`.cfg` (per-function control-flow graphs and
-the worklist solver) and :mod:`.callgraph` (the project call graph):
+Both rules ride on the project call graph of :mod:`.callgraph`:
 
-* :class:`ResourceLifecycleRule` (RL007) — every acquired OS-backed
-  resource must reach a release on *every* CFG path to function exit.
 * :class:`LockDisciplineRule` (RL008) — module-level mutable state and
   module-shared instances may only be mutated while holding the
   associated ``threading.Lock``, in any function reachable from a
   thread-backend worker entry point.
-* :class:`HotPathAllocationRule` (RL009) — no ``(B, L)``-scale float
+* :class:`HotPathAllocationRule` (RL009) — no ``(B, L)``-scale
   materialization in functions reachable from the packed kernel entry
-  points (the call-graph generalization of RL005's lexical check).
+  points: no float conversion of unpacked bits, no ``unpack_bits`` →
+  ``pack_bits`` round-trip, no dense float allocation, no per-clock
+  loop.
 """
 
 from __future__ import annotations
@@ -20,13 +19,11 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import CallGraph, build_call_graph, module_name_for
-from .cfg import build_cfg, forward_may
-from .engine import Diagnostic, FileSource, ProjectRule, Rule
+from .engine import Diagnostic, FileSource, ProjectRule
 
 __all__ = [
     "HotPathAllocationRule",
     "LockDisciplineRule",
-    "ResourceLifecycleRule",
 ]
 
 
@@ -36,21 +33,6 @@ def _last_name(expr: ast.expr) -> Optional[str]:
     if isinstance(expr, ast.Attribute):
         return expr.attr
     return None
-
-
-def _mentions_name(node: ast.AST, name: str) -> bool:
-    return any(
-        isinstance(child, ast.Name) and child.id == name
-        for child in ast.walk(node)
-    )
-
-
-def _functions_of(tree: ast.Module) -> List[ast.AST]:
-    return [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
 
 
 def _shallow_walk(func: ast.AST) -> Iterator[ast.AST]:
@@ -74,205 +56,6 @@ def _diagnostic(
         rule=rule,
         message=message,
     )
-
-
-# -- RL007: resource lifecycle -------------------------------------------------
-
-
-_ACQUIRE_CALLS = {
-    "SharedMemory",
-    "ProcessPoolExecutor",
-    "ThreadPoolExecutor",
-    "Pool",
-    "open",
-    "TemporaryFile",
-    "NamedTemporaryFile",
-    "socket",
-}
-
-_RELEASE_METHODS = {
-    "close",
-    "unlink",
-    "shutdown",
-    "destroy",
-    "terminate",
-    "join",
-    "release",
-    "detach",
-}
-
-
-def _own_nodes(stmt: ast.AST) -> List[ast.AST]:
-    """The nodes a CFG statement node *itself* evaluates.
-
-    Compound statements own only their header expressions — their
-    bodies are separate CFG nodes, so scanning them here would smear a
-    branch-local release over every path through the header.
-    """
-    if isinstance(stmt, (ast.If, ast.While)):
-        return list(ast.walk(stmt.test))
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return list(ast.walk(stmt.iter)) + list(ast.walk(stmt.target))
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        nodes: List[ast.AST] = [stmt]
-        for item in stmt.items:
-            nodes.extend(ast.walk(item.context_expr))
-        return nodes
-    if isinstance(stmt, ast.Match):
-        return list(ast.walk(stmt.subject))
-    if isinstance(stmt, (ast.Try, ast.ExceptHandler)):
-        return []
-    return list(ast.walk(stmt))
-
-
-class ResourceLifecycleRule(Rule):
-    """RL007: acquired resources must be released on every CFG path."""
-
-    name = "RL007"
-    description = (
-        "resource-lifecycle: a shared_memory/executor/file "
-        "acquisition must reach a release (close/unlink/shutdown/...), a "
-        "finally, a with block, or a registered finalizer on every "
-        "control-flow path to function exit"
-    )
-
-    @classmethod
-    def check(cls, source: FileSource) -> List[Diagnostic]:
-        diagnostics: List[Diagnostic] = []
-        for func in _functions_of(source.tree):
-            diagnostics.extend(cls._check_function(source, func))
-        return diagnostics
-
-    @staticmethod
-    def _acquisition(stmt: ast.AST) -> Optional[Tuple[str, str]]:
-        """``(bound_name, acquired_callable)`` for tracked acquisitions.
-
-        Only plain-name bindings are tracked: a value that is returned,
-        stored on an object, or passed straight into another call has
-        escaped to an owner with its own lifecycle.
-        """
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target: Optional[ast.expr] = stmt.targets[0]
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            target = stmt.target
-            value = stmt.value
-        else:
-            return None
-        if not isinstance(target, ast.Name) or not isinstance(value, ast.Call):
-            return None
-        callee = _last_name(value.func)
-        if callee == "attach" and isinstance(value.func, ast.Attribute):
-            base = _last_name(value.func.value)
-            if base in _ACQUIRE_CALLS:
-                return (target.id, f"{base}.attach")
-            return None
-        if callee in _ACQUIRE_CALLS:
-            return (target.id, callee)
-        return None
-
-    @staticmethod
-    def _releases(nodes: Sequence[ast.AST], name: str) -> bool:
-        """Whether the owned nodes release, transfer or escape *name*."""
-        for node in nodes:
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == name
-                    and func.attr in _RELEASE_METHODS
-                ):
-                    return True
-                # Passed into another callable: a finalizer, a helper
-                # release, a container — ownership has moved on.
-                arguments = list(node.args) + [kw.value for kw in node.keywords]
-                if any(
-                    isinstance(arg, ast.Name) and arg.id == name
-                    for arg in arguments
-                ):
-                    return True
-            if isinstance(node, ast.Return) and node.value is not None:
-                if _mentions_name(node.value, name):
-                    return True
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                value = node.value
-                if value is not None and _mentions_name(value, name):
-                    return True
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                if any(
-                    isinstance(item.context_expr, ast.Name)
-                    and item.context_expr.id == name
-                    for item in node.items
-                ):
-                    return True
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(
-                        target, (ast.Attribute, ast.Subscript)
-                    ) and _mentions_name(node.value, name):
-                        return True
-        return False
-
-    @staticmethod
-    def _rebinds(stmt: ast.AST, name: str) -> bool:
-        if isinstance(stmt, ast.Assign):
-            return any(
-                isinstance(target, ast.Name) and target.id == name
-                for target in stmt.targets
-            )
-        if isinstance(stmt, ast.AnnAssign):
-            return isinstance(stmt.target, ast.Name) and stmt.target.id == name
-        return False
-
-    @classmethod
-    def _check_function(
-        cls, source: FileSource, func: ast.AST
-    ) -> List[Diagnostic]:
-        cfg = build_cfg(func)
-        acquisitions: Dict[str, Tuple[str, str, ast.AST]] = {}
-        gen: Dict[int, Set[str]] = {}
-        kill: Dict[int, Set[str]] = {}
-        for node in cfg.nodes:
-            if node.stmt is None:
-                continue
-            acquired = cls._acquisition(node.stmt)
-            if acquired is None:
-                continue
-            name, callee = acquired
-            resource = f"{name}@{node.line}"
-            acquisitions[resource] = (name, callee, node.stmt)
-            gen.setdefault(node.index, set()).add(resource)
-        if not acquisitions:
-            return []
-        for node in cfg.nodes:
-            if node.stmt is None:
-                continue
-            owned = _own_nodes(node.stmt)
-            for resource, (name, _callee, origin) in acquisitions.items():
-                if node.stmt is origin:
-                    continue
-                if cls._releases(owned, name) or cls._rebinds(node.stmt, name):
-                    kill.setdefault(node.index, set()).add(resource)
-        solved = forward_may(cfg, gen, kill)
-        leaked = solved.in_sets[cfg.exit]
-        diagnostics: List[Diagnostic] = []
-        for resource in sorted(leaked):
-            if resource not in acquisitions:
-                continue
-            name, callee, stmt = acquisitions[resource]
-            diagnostics.append(
-                _diagnostic(
-                    cls.name,
-                    source,
-                    stmt,
-                    f"'{name}' acquired from {callee}() may reach function "
-                    "exit without a release on some path; close/unlink/"
-                    "shutdown it on every branch, use a with block or "
-                    "try/finally, or hand it to a finalizer/owner",
-                )
-            )
-        return diagnostics
 
 
 # -- RL008: lock discipline ----------------------------------------------------
@@ -658,14 +441,15 @@ def _is_float_dtype(expr: ast.expr) -> bool:
 
 
 class HotPathAllocationRule(ProjectRule):
-    """RL009: no (B, L)-scale float materialization on packed paths."""
+    """RL009: no (B, L)-scale materialization on packed paths."""
 
     name = "RL009"
     description = (
         "hot-path-allocation: functions reachable from the packed kernel "
-        "entry points must not materialize (B, L)-scale float tensors — "
-        "no unpack_bits→astype(float), no dense multi-axis float "
-        "allocation, no per-clock python loops"
+        "entry points must not materialize (B, L)-scale tensors — "
+        "no unpack_bits→astype(float), no unpack_bits→pack_bits "
+        "round-trip, no dense multi-axis float allocation, no per-clock "
+        "python loops"
     )
 
     def check_project(
@@ -685,67 +469,98 @@ class HotPathAllocationRule(ProjectRule):
             source = by_module.get(info.module)
             if source is None:
                 continue
-            diagnostics.extend(
-                self._check_function(source, info.qname, info.node)
+            scan = _HotPathScan(
+                self.name, source, info.qname.rsplit(".", 1)[-1]
             )
+            diagnostics.extend(scan.run(info.node))
         return diagnostics
 
-    def _check_function(
-        self, source: FileSource, qname: str, func: ast.AST
-    ) -> List[Diagnostic]:
-        diagnostics: List[Diagnostic] = []
-        tainted: Set[str] = set()
-        for node in _shallow_walk(func):
-            if (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-                and _last_name(node.value.func) == "unpack_bits"
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        tainted.add(target.id)
-        short = qname.rsplit(".", 1)[-1]
-        for node in _shallow_walk(func):
-            if isinstance(node, ast.Call):
-                diagnostics.extend(
-                    self._check_call(source, short, node, tainted)
+
+class _HotPathScan(ast.NodeVisitor):
+    """One packed-reachable function body, walked in source order.
+
+    A name bound from an ``unpack_bits`` result, directly or through
+    another such name, holds the unpacked bit plane.  An assignment's
+    value is visited before its targets take on the taint, so in
+    ``x = unpack_bits(f(pack_bits(x)))`` the pack consumes the previous
+    ``x``.  Nested functions are call-graph nodes of their own and are
+    skipped here.
+    """
+
+    def __init__(self, rule: str, source: FileSource, func_name: str) -> None:
+        self.rule = rule
+        self.source = source
+        self.func_name = func_name
+        self.tainted: Set[str] = set()
+        self.diagnostics: List[Diagnostic] = []
+
+    def run(self, func: ast.AST) -> List[Diagnostic]:
+        for statement in getattr(func, "body", []):
+            self.visit(statement)
+        return self.diagnostics
+
+    def _report(self, node: ast.AST, message: str) -> None:
+        self.diagnostics.append(
+            _diagnostic(self.rule, self.source, node, message)
+        )
+
+    def _holds_plane(self, node: ast.AST) -> bool:
+        return any(
+            (
+                isinstance(child, ast.Call)
+                and _last_name(child.func) == "unpack_bits"
+            )
+            or (isinstance(child, ast.Name) and child.id in self.tainted)
+            for child in ast.walk(node)
+        )
+
+    def _skip(self, node: ast.AST) -> None:
+        return None
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _skip
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self.visit(node.value)
+        if self._holds_plane(node.value):
+            for target in node.targets:
+                self.tainted.update(
+                    child.id
+                    for child in ast.walk(target)
+                    if isinstance(child, ast.Name)
                 )
-            elif isinstance(node, ast.For):
-                diagnostics.extend(self._check_loop(source, short, node))
-        return diagnostics
+        for target in node.targets:
+            self.visit(target)
 
-    def _check_call(
-        self,
-        source: FileSource,
-        func_name: str,
-        call: ast.Call,
-        tainted: Set[str],
-    ) -> List[Diagnostic]:
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self.visit(node.value)
+        if isinstance(node.target, ast.Name) and self._holds_plane(node.value):
+            self.tainted.add(node.target.id)
+        self.visit(node.target)
+
+    def visit_Call(self, call: ast.Call) -> None:
         name = _last_name(call.func)
-        diagnostics: List[Diagnostic] = []
-        if name == "astype" and isinstance(call.func, ast.Attribute):
-            receiver = call.func.value
-            receiver_tainted = (
-                isinstance(receiver, ast.Name) and receiver.id in tainted
-            ) or (
-                isinstance(receiver, ast.Call)
-                and _last_name(receiver.func) == "unpack_bits"
+        if name == "pack_bits" and any(
+            self._holds_plane(argument) for argument in call.args
+        ):
+            self._report(
+                call,
+                "pack_bits over an unpack_bits result in packed-reachable "
+                f"'{self.func_name}' — the round-trip materializes the 64x "
+                "bit plane the packed words exist to avoid; stay in uint64 "
+                "words",
             )
+        if name == "astype" and isinstance(call.func, ast.Attribute):
             dtype_args = list(call.args) + [
                 kw.value for kw in call.keywords if kw.arg == "dtype"
             ]
-            if receiver_tainted and any(
+            if self._holds_plane(call.func.value) and any(
                 _is_float_dtype(arg) for arg in dtype_args
             ):
-                diagnostics.append(
-                    _diagnostic(
-                        self.name,
-                        source,
-                        call,
-                        "unpacked bit tensor converted to float in packed-"
-                        f"reachable '{func_name}' — a (B, L) float "
-                        "materialization; keep the data packed or integer",
-                    )
+                self._report(
+                    call,
+                    "unpacked bit tensor converted to float in packed-"
+                    f"reachable '{self.func_name}' — a (B, L) float "
+                    "materialization; keep the data packed or integer",
                 )
         if name in _DENSE_FACTORIES:
             shape = call.args[0] if call.args else None
@@ -754,41 +569,29 @@ class HotPathAllocationRule(ProjectRule):
                 dtypes.append(call.args[1])
             if isinstance(shape, ast.Tuple) and len(shape.elts) >= 2:
                 if not dtypes or any(_is_float_dtype(d) for d in dtypes):
-                    diagnostics.append(
-                        _diagnostic(
-                            self.name,
-                            source,
-                            call,
-                            f"dense multi-axis float allocation (np.{name}) "
-                            f"in packed-reachable '{func_name}'; allocate "
-                            "packed uint64 words or an integer dtype instead",
-                        )
+                    self._report(
+                        call,
+                        f"dense multi-axis float allocation (np.{name}) "
+                        f"in packed-reachable '{self.func_name}'; allocate "
+                        "packed uint64 words or an integer dtype instead",
                     )
-        return diagnostics
+        self.generic_visit(call)
 
-    def _check_loop(
-        self, source: FileSource, func_name: str, loop: ast.For
-    ) -> List[Diagnostic]:
+    def visit_For(self, loop: ast.For) -> None:
         iterator = loop.iter
-        if not (
+        if (
             isinstance(iterator, ast.Call)
             and _last_name(iterator.func) == "range"
             and len(iterator.args) == 1
+            and any(
+                isinstance(node, ast.Name) and "length" in node.id.lower()
+                for node in ast.walk(iterator.args[0])
+            )
         ):
-            return []
-        per_clock = any(
-            isinstance(node, ast.Name) and "length" in node.id.lower()
-            for node in ast.walk(iterator.args[0])
-        )
-        if not per_clock:
-            return []
-        return [
-            _diagnostic(
-                self.name,
-                source,
+            self._report(
                 loop,
                 "per-clock python loop (range over a stream length) in "
-                f"packed-reachable '{func_name}'; vectorize over packed "
-                "words instead",
+                f"packed-reachable '{self.func_name}'; vectorize over "
+                "packed words instead",
             )
-        ]
+        self.generic_visit(loop)

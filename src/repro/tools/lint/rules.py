@@ -8,14 +8,9 @@ rests on (see README "Static guarantees"):
   legacy global-state API, no argless ``default_rng()``, no inline
   numeric-literal seeds buried in function bodies.
 * **RL002 api-surface** — ``repro.__all__``, ``repro._api`` and the lazy
-  ``__getattr__`` must agree, and ``DEPRECATED_WRAPPERS`` entries marked
-  removed must be truly gone.
+  ``__getattr__`` must agree.
 * **RL003 async-purity** — no blocking calls (``time.sleep``,
   ``Future.result()``, sync file I/O) inside ``async def`` bodies.
-* **RL004 shard-safety** — no lambdas or closure-local functions handed
-  to the process-backend shard machinery; they don't pickle.
-* **RL005 packed-purity** — no ``unpack_bits`` → ``pack_bits``
-  round-trips that materialize a float/bool plane between packed words.
 * **RL006 hygiene** — no bare ``except:``, no mutable default
   arguments.
 
@@ -28,23 +23,17 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from .engine import Diagnostic, FileSource, ProjectRule, RuleVisitor
-from .flowrules import (
-    HotPathAllocationRule,
-    LockDisciplineRule,
-    ResourceLifecycleRule,
-)
+from .flowrules import HotPathAllocationRule, LockDisciplineRule
 
 __all__ = [
     "RULES",
     "ApiSurfaceRule",
     "AsyncPurityRule",
     "HygieneRule",
-    "PackedPurityRule",
     "SeedDisciplineRule",
-    "ShardSafetyRule",
     "check_api_surface",
 ]
 
@@ -232,38 +221,6 @@ def _top_level_bindings(tree: ast.Module) -> Dict[str, int]:
     return bound
 
 
-def _extract_removed_wrappers(tree: ast.Module) -> List[Tuple[str, int]]:
-    """Dotted names of ``DEPRECATED_WRAPPERS`` entries with removed=True."""
-    removed: List[Tuple[str, int]] = []
-    for node in tree.body:
-        if not (
-            isinstance(node, ast.Assign)
-            and any(
-                isinstance(target, ast.Name)
-                and target.id == "DEPRECATED_WRAPPERS"
-                for target in node.targets
-            )
-            and isinstance(node.value, ast.Dict)
-        ):
-            continue
-        for key, value in zip(node.value.keys, node.value.values):
-            if not (
-                isinstance(key, ast.Constant)
-                and isinstance(key.value, str)
-                and isinstance(value, ast.Dict)
-            ):
-                continue
-            for entry_key, entry_value in zip(value.keys, value.values):
-                if (
-                    isinstance(entry_key, ast.Constant)
-                    and entry_key.value == "removed"
-                    and isinstance(entry_value, ast.Constant)
-                    and entry_value.value is True
-                ):
-                    removed.append((key.value, key.lineno))
-    return removed
-
-
 def check_api_surface(package_dir: Path) -> List[Diagnostic]:
     """Statically verify the three-way public-API contract of *package_dir*.
 
@@ -278,9 +235,7 @@ def check_api_surface(package_dir: Path) -> List[Diagnostic]:
       ``__getattr__``);
     * the static and lazy surfaces are disjoint — a name on both would
       resolve inconsistently depending on import order;
-    * ``__init__`` defines the lazy ``__getattr__``;
-    * every ``DEPRECATED_WRAPPERS`` entry marked ``removed: True`` is
-      truly absent from its origin module and from the ``_api`` surface.
+    * ``__init__`` defines the lazy ``__getattr__``.
     """
     package_dir = Path(package_dir)
     diagnostics: List[Diagnostic] = []
@@ -355,43 +310,6 @@ def check_api_surface(package_dir: Path) -> List[Diagnostic]:
             "api-surface: __init__ defines no lazy __getattr__, so "
             "_api.__all__ names are unreachable from the package",
         )
-
-    session_path = package_dir / "session.py"
-    removed: List[Tuple[str, int]] = []
-    if session_path.is_file():
-        session_tree = ast.parse(
-            session_path.read_text(), filename=str(session_path)
-        )
-        removed = _extract_removed_wrappers(session_tree)
-
-    package_name = package_dir.name
-    for dotted, line in removed:
-        module_dotted, _, attribute = dotted.rpartition(".")
-        if attribute in api_all or attribute in api_bound:
-            report(
-                session_path,
-                line,
-                f"api-surface: wrapper '{dotted}' is marked removed but "
-                "still present on the _api surface",
-            )
-        parts = module_dotted.split(".")
-        if parts and parts[0] == package_name:
-            parts = parts[1:]
-        module_path = package_dir.joinpath(*parts).with_suffix(".py")
-        if not module_path.is_file():
-            module_path = package_dir.joinpath(*parts) / "__init__.py"
-        if module_path.is_file():
-            module_tree = ast.parse(
-                module_path.read_text(), filename=str(module_path)
-            )
-            bindings = _top_level_bindings(module_tree)
-            if attribute in bindings:
-                report(
-                    module_path,
-                    bindings[attribute],
-                    f"api-surface: '{attribute}' is marked removed in "
-                    "DEPRECATED_WRAPPERS but still bound here",
-                )
     return diagnostics
 
 
@@ -400,8 +318,8 @@ class ApiSurfaceRule(ProjectRule):
 
     name = "RL002"
     description = (
-        "api-surface: repro.__all__, _api bindings, lazy __getattr__ and "
-        "DEPRECATED_WRAPPERS removals are mutually consistent"
+        "api-surface: repro.__all__, _api bindings and the lazy "
+        "__getattr__ are mutually consistent"
     )
 
     def check_project(self, sources: Sequence[FileSource]) -> List[Diagnostic]:
@@ -523,186 +441,6 @@ class AsyncPurityRule(RuleVisitor):
 
 
 # --------------------------------------------------------------------------
-# RL004 · shard-safety
-# --------------------------------------------------------------------------
-
-#: Call sites whose callable arguments cross the process boundary.
-_SHARD_ENTRY_POINTS = {"parallel_map"}
-
-
-class ShardSafetyRule(RuleVisitor):
-    """RL004: callables handed to the shard machinery must pickle.
-
-    The process backend ships the mapped function to worker processes
-    via pickle; lambdas and closure-local ``def``s fail there with an
-    opaque ``PicklingError`` deep inside the pool.  Flag them at the
-    call site instead.
-    """
-
-    name = "RL004"
-    description = (
-        "shard-safety: no lambdas or closure-local functions passed to "
-        "parallel_map"
-    )
-
-    def __init__(self, source: FileSource) -> None:
-        super().__init__(source)
-        #: Per-enclosing-function sets of locally-defined function names.
-        self._local_defs: List[Set[str]] = []
-
-    def _visit_function(self, node: ast.AST, body: Sequence[ast.stmt]) -> None:
-        nested = {
-            statement.name
-            for statement in body
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        self._local_defs.append(nested)
-        self.generic_visit(node)
-        self._local_defs.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node, node.body)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node, node.body)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        target = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr
-            if isinstance(func, ast.Attribute)
-            else None
-        )
-        if target in _SHARD_ENTRY_POINTS:
-            arguments = list(node.args) + [
-                keyword.value for keyword in node.keywords
-            ]
-            for argument in arguments:
-                if isinstance(argument, ast.Lambda):
-                    self.report(
-                        argument,
-                        f"lambda passed to {target} — lambdas don't pickle "
-                        "across the process backend; use a module-level "
-                        "function",
-                    )
-                elif isinstance(argument, ast.Name) and any(
-                    argument.id in scope for scope in self._local_defs
-                ):
-                    self.report(
-                        argument,
-                        f"closure-local function '{argument.id}' passed to "
-                        f"{target} — nested defs don't pickle across the "
-                        "process backend; hoist it to module level",
-                    )
-        self.generic_visit(node)
-
-
-# --------------------------------------------------------------------------
-# RL005 · packed-purity
-# --------------------------------------------------------------------------
-
-
-def _contains_unpack(node: ast.AST) -> bool:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            func = child.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr
-                if isinstance(func, ast.Attribute)
-                else None
-            )
-            if name == "unpack_bits":
-                return True
-    return False
-
-
-class PackedPurityRule(RuleVisitor):
-    """RL005: no unpack→repack round-trips on the packed hot paths.
-
-    The packed kernel's 9× win comes from never materializing the
-    per-clock bool plane; an ``unpack_bits(...)`` whose result flows
-    back into ``pack_bits(...)`` silently reintroduces the 64× blow-up
-    the representation exists to avoid.  Taint is tracked per function:
-    names assigned from ``unpack_bits`` results poison any later
-    ``pack_bits`` call that consumes them.
-    """
-
-    name = "RL005"
-    description = (
-        "packed-purity: no unpack_bits -> pack_bits round-trip "
-        "materializing the bool plane inside packed hot paths"
-    )
-
-    def __init__(self, source: FileSource) -> None:
-        super().__init__(source)
-        self._tainted: List[Set[str]] = [set()]
-
-    def _visit_function(self, node: ast.AST) -> None:
-        self._tainted.append(set())
-        self.generic_visit(node)
-        self._tainted.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
-
-    def _is_tainted(self, node: ast.AST) -> bool:
-        if _contains_unpack(node):
-            return True
-        return any(
-            isinstance(child, ast.Name)
-            and any(child.id in scope for scope in self._tainted)
-            for child in ast.walk(node)
-        )
-
-    # The right-hand side reads the targets' *previous* bindings, so it
-    # is visited before the targets take on its taint: in
-    # ``x = unpack_bits(f(pack_bits(x)))`` the pack consumes the old x.
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self.visit(node.value)
-        if self._is_tainted(node.value):
-            for target in node.targets:
-                for child in ast.walk(target):
-                    if isinstance(child, ast.Name):
-                        self._tainted[-1].add(child.id)
-        for target in node.targets:
-            self.visit(target)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self.visit(node.value)
-        if self._is_tainted(node.value) and isinstance(node.target, ast.Name):
-            self._tainted[-1].add(node.target.id)
-        self.visit(node.target)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr
-            if isinstance(func, ast.Attribute)
-            else None
-        )
-        if name == "pack_bits" and any(
-            self._is_tainted(argument) for argument in node.args
-        ):
-            self.report(
-                node,
-                "pack_bits over an unpack_bits result — the round-trip "
-                "materializes the 64x bool plane the packed representation "
-                "exists to avoid; stay in uint64 words",
-            )
-        self.generic_visit(node)
-
-
-# --------------------------------------------------------------------------
 # RL006 · hygiene
 # --------------------------------------------------------------------------
 
@@ -780,10 +518,7 @@ RULES: Dict[str, Type[Any]] = {
     SeedDisciplineRule.name: SeedDisciplineRule,
     ApiSurfaceRule.name: ApiSurfaceRule,
     AsyncPurityRule.name: AsyncPurityRule,
-    ShardSafetyRule.name: ShardSafetyRule,
-    PackedPurityRule.name: PackedPurityRule,
     HygieneRule.name: HygieneRule,
-    ResourceLifecycleRule.name: ResourceLifecycleRule,
     LockDisciplineRule.name: LockDisciplineRule,
     HotPathAllocationRule.name: HotPathAllocationRule,
 }

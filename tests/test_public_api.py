@@ -67,9 +67,10 @@ class TestPublicAPIContract:
 
     def test_surfaces_consistent(self):
         # Duplicate-free __all__ lists, no dangling _api names, static
-        # and lazy surfaces disjoint, lazy __getattr__ present, removed
-        # wrappers truly gone: all delegated to the RL002 checker so the
-        # test and `repro-lint` can never drift apart.
+        # and lazy surfaces disjoint, lazy __getattr__ present: all
+        # delegated to the RL002 checker so the test and `repro-lint`
+        # can never drift apart.  Removed wrappers are checked at
+        # runtime in test_removed_wrappers_are_gone.
         diagnostics = check_api_surface(PACKAGE_DIR)
         assert diagnostics == [], "\n".join(d.format() for d in diagnostics)
 
@@ -99,13 +100,14 @@ class TestPublicAPIContract:
             assert "removed in PR" in note
 
     def test_removed_wrappers_are_gone(self):
-        # Removal means gone at *runtime* too: the legacy names no
-        # longer resolve from their imported modules or the lazy top
-        # level.  (The static side — absent from _api bindings and the
-        # origin module's source — is covered by check_api_surface in
-        # test_surfaces_consistent.)
+        # Removal means gone: the legacy names no longer resolve from
+        # their origin modules or through the lazy top level (which
+        # serves every _api binding).
         for dotted in REMOVED_WRAPPERS:
             module_name, _, attribute = dotted.rpartition(".")
+            # A subscripted key (KERNELS['numpy']) names an entry of a
+            # table that went with it: check the table's name.
+            attribute = attribute.partition("[")[0]
             module = importlib.import_module(module_name)
             assert not hasattr(module, attribute)
             with pytest.raises(AttributeError):

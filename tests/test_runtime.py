@@ -826,6 +826,91 @@ class TestRoutedConsumers:
         assert serial.yield_fraction == sharded.yield_fraction
 
 
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Record each ``parallel_map`` call, then run it for real.
+
+    Every call site imports ``parallel_map`` from the runtime module at
+    call time, so patching the module attribute sees all of them.
+    """
+    import repro.simulation.runtime as runtime_module
+
+    calls = []
+    real = runtime_module.parallel_map
+
+    def spy(fn, items, workers=None, backend="process"):
+        items = list(items)
+        calls.append((len(items), workers, backend))
+        return real(fn, items, workers=workers, backend=backend)
+
+    monkeypatch.setattr(runtime_module, "parallel_map", spy)
+    return calls
+
+
+class TestParallelMapCallSites:
+    """Each ``parallel_map`` call site runs on a real process pool.
+
+    At ``workers=2`` on the ``process`` backend the pool pickles the
+    mapped callable, so a lambda, a nested ``def`` or any other
+    unpicklable callable at a call site fails here.  Each case also
+    asserts the pooled answer equals the serial one, and that the call
+    reached the pool rather than falling back to an in-process map.
+    """
+
+    @staticmethod
+    def assert_pooled(calls):
+        assert calls, "the call site never reached parallel_map"
+        for count, workers, backend in calls:
+            assert (workers, backend) == (2, "process")
+            assert count > 1
+
+    def test_row_shards(self, circuit, pool_calls):
+        xs = np.linspace(0.0, 1.0, 5)
+        options = dict(length=600, chunk_length=128, base_seed=3)
+        serial = simulate_chunked(circuit, xs, workers=0, **options)
+        pool_calls.clear()
+        pooled = simulate_chunked(
+            circuit, xs, workers=2, backend="process", **options
+        )
+        self.assert_pooled(pool_calls)
+        assert np.array_equal(serial.ones_count, pooled.ones_count)
+        assert np.array_equal(
+            serial.transmission_bit_errors, pooled.transmission_bit_errors
+        )
+
+    def test_grid_sweep_module_level_metric(self, pool_calls):
+        axes = dict(a=[1.0, 2.0], b=[0.1, 0.2, 0.3])
+        serial = grid_sweep(_sweep_metric, workers=0, **axes)
+        pool_calls.clear()
+        pooled = grid_sweep(
+            _sweep_metric,
+            runtime=RuntimeConfig(workers=2, backend="process"),
+            **axes,
+        )
+        self.assert_pooled(pool_calls)
+        assert np.array_equal(serial.values, pooled.values)
+
+    @pytest.mark.parametrize(
+        "vectorized, samples", [(False, 8), (True, 24)],
+        ids=["scalar_corners", "vectorized_blocks"],
+    )
+    def test_monte_carlo(self, pool_calls, vectorized, samples):
+        def run(workers):
+            return run_monte_carlo(
+                paper_section5a_parameters(),
+                samples=samples,
+                rng=np.random.default_rng(6),
+                runtime=RuntimeConfig(workers=workers, backend="process"),
+                vectorized=vectorized,
+            )
+
+        serial = run(0)
+        pool_calls.clear()
+        pooled = run(2)
+        self.assert_pooled(pool_calls)
+        assert np.array_equal(serial.eye_openings_mw, pooled.eye_openings_mw)
+
+
 class TestSeedSchedule:
     def test_shard_slices(self):
         schedule = derive_seed_schedule(10, np.random.default_rng(1))

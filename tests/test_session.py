@@ -60,6 +60,13 @@ class TestEvalSpec:
             EvalSpec(sng_kind="sobol", sng_width=32)
         with pytest.raises(ConfigurationError):
             EvalSpec(sng_width=0)
+        # LFSR widths without a built-in maximal tap set fail here, not
+        # in the first evaluate().
+        for width in (2, 25):
+            with pytest.raises(ConfigurationError, match="maximal taps"):
+                EvalSpec(sng_width=width)
+        assert EvalSpec(sng_width=3).sng_width == 3
+        assert EvalSpec(sng_width=24).sng_width == 24
 
     def test_rejects_non_integral_fields(self):
         # Misconfiguration must fail at construction, not as a numpy
@@ -103,6 +110,8 @@ RULE_BOOK_CASES = [
     {"sng_kind": "chaotic", "sng_width": -3},
     {"sng_kind": "sobol", "sng_width": 31},
     {"sng_width": 1},
+    {"sng_width": 2},
+    {"sng_width": 25},
     {"noisy": "no"},
     {"noisy": None},
     {"noisy": 1},
