@@ -540,7 +540,8 @@ class _HotPathScan(ast.NodeVisitor):
     def visit_Call(self, call: ast.Call) -> None:
         name = _last_name(call.func)
         if name == "pack_bits" and any(
-            self._holds_plane(argument) for argument in call.args
+            self._holds_plane(argument)
+            for argument in [*call.args, *(kw.value for kw in call.keywords)]
         ):
             self._report(
                 call,

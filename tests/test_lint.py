@@ -6,12 +6,17 @@ self-check that ``src/repro`` lints clean.
 """
 
 import ast
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import repro.tools.lint as lint_package
 from repro.tools.lint import (
     LintRunner,
     build_call_graph,
@@ -453,6 +458,26 @@ class TestCLI:
         assert listed == {
             "RL001", "RL002", "RL003", "RL006", "RL008", "RL009",
         }
+
+    @pytest.mark.parametrize("rule", ["RL004", "RL005", "RL007"])
+    def test_retired_rule_is_unknown(self, rule, capsys):
+        # A stale --select or --disable of a retired rule fails loudly
+        # instead of linting nothing (or everything) without a word.
+        assert main(["--select", rule, "."]) == 2
+        assert main(["--disable", rule, "."]) == 2
+        assert f"unknown rule(s): {rule}" in capsys.readouterr().err
+
+    def test_graph_cfg_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "mod.py"
+        path.write_text("VALUE = 1\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--graph", "cfg", str(path)])
+        assert excinfo.value.code == 2
+
+    def test_cfg_engine_is_gone(self):
+        assert importlib.util.find_spec("repro.tools.lint.cfg") is None
+        for name in ("CFG", "build_cfg", "forward_may"):
+            assert not hasattr(lint_package, name)
 
 
 class TestSelfCheck:
@@ -1016,6 +1041,62 @@ class TestHotPathRoundTrip:
         )
         assert diagnostics == []
 
+    def test_keyword_argument_round_trip_flagged(self, tmp_path):
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            def packed_reshard(words, length):
+                plane = unpack_bits(words, length=length)
+                return pack_bits(bits=plane)
+            """,
+            select=["RL009"],
+        )
+        assert len(diagnostics) == 1
+        assert diagnostics[0].line == 4
+
+    def test_module_qualified_round_trip_flagged(self, tmp_path):
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            from repro.simulation import kernels
+
+            def packed_reshard(words, length):
+                return kernels.pack_bits(kernels.unpack_bits(words, length))
+            """,
+            select=["RL009"],
+        )
+        assert len(diagnostics) == 1
+        assert "round-trip" in diagnostics[0].message
+
+    def test_round_trip_and_float_widening_both_reported(self, tmp_path):
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            import numpy as np
+
+            def packed_mix(words, length):
+                plane = unpack_bits(words, length)
+                power = plane.astype(np.float64)
+                return pack_bits(plane), power
+            """,
+            select=["RL009"],
+        )
+        assert [d.line for d in diagnostics] == [6, 7]
+        assert "float" in diagnostics[0].message
+        assert "round-trip" in diagnostics[1].message
+
+    def test_pragma_suppresses_intentional_round_trip(self, tmp_path):
+        diagnostics = lint_snippet(
+            tmp_path,
+            """
+            def packed_reshard(words, length):
+                plane = unpack_bits(words, length)
+                return pack_bits(plane)  # repro-lint: disable=RL009
+            """,
+            select=["RL009"],
+        )
+        assert diagnostics == []
+
     def test_round_trip_off_the_packed_path_not_flagged(self, tmp_path):
         # The reach RL009 gives up against a lexical check: code no
         # packed_* entry point calls is not inspected.
@@ -1059,3 +1140,53 @@ class TestCLIFormats:
         assert main(["--graph", "calls", str(path)]) == 0
         out = capsys.readouterr().out
         assert "mod.a" in out and "mod.b" in out
+
+
+class TestClosedPipe:
+    """``python -m repro.tools.lint`` when its reader stops early.
+
+    Each case writes well over a pipe buffer (64 KiB), reads one line
+    and closes the pipe, as ``| head -1`` would: the process must exit
+    1 without a traceback.
+    """
+
+    @staticmethod
+    def run_and_close_after_one_line(args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.tools.lint", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            assert process.stdout.readline()
+            process.stdout.close()
+            stderr = process.stderr.read().decode()
+            return process.wait(timeout=120), stderr
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+
+    def test_graph_dump_to_closed_pipe(self):
+        code, stderr = self.run_and_close_after_one_line(
+            ["--graph", "calls", str(PACKAGE_DIR)]
+        )
+        assert code == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+    def test_report_to_closed_pipe(self, tmp_path):
+        path = tmp_path / "dirty.py"
+        path.write_text(
+            "".join(
+                f"def f{index}(x=[]):\n    return x\n\n"
+                for index in range(2000)
+            )
+        )
+        code, stderr = self.run_and_close_after_one_line([str(path)])
+        assert code == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

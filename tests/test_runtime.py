@@ -910,6 +910,36 @@ class TestParallelMapCallSites:
         self.assert_pooled(pool_calls)
         assert np.array_equal(serial.eye_openings_mw, pooled.eye_openings_mw)
 
+    @staticmethod
+    def _nested_def():
+        def increment(x):
+            return x + 1
+
+        return increment
+
+    @pytest.mark.parametrize(
+        "make_fn",
+        [
+            lambda: (lambda x: x + 1),
+            lambda: TestParallelMapCallSites._nested_def(),
+            lambda: functools.partial(lambda offset, x: offset + x, 1),
+        ],
+        ids=["lambda", "nested_def", "partial_over_lambda"],
+    )
+    def test_unpicklable_callable_fails_on_process_pool(self, make_fn):
+        # The failure the call-site cases above rely on: a process pool
+        # refuses any callable that does not pickle, including a partial
+        # wrapping one (the shape of the Monte Carlo corner site).
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            parallel_map(make_fn(), [1, 2, 3], workers=2, backend="process")
+
+    def test_thread_backend_maps_unpicklable_callable(self):
+        # Only the process backend pickles; a thread pool shares the
+        # address space, so the same lambda maps fine there.
+        assert parallel_map(
+            lambda x: x * 2, [1, 2, 3], workers=2, backend="thread"
+        ) == [2, 4, 6]
+
 
 class TestSeedSchedule:
     def test_shard_slices(self):

@@ -68,6 +68,18 @@ class TestEvalSpec:
         assert EvalSpec(sng_width=3).sng_width == 3
         assert EvalSpec(sng_width=24).sng_width == 24
 
+    @pytest.mark.parametrize("kind", ["counter", "sobol", "chaotic"])
+    def test_tap_table_bounds_only_the_lfsr(self, circuit, kind):
+        # MAXIMAL_TAPS limits the lfsr randomizer alone: the other kinds
+        # construct and evaluate at widths outside its 3-24 bits.
+        for width in (2, 25):
+            spec = EvalSpec(length=256, sng_kind=kind, sng_width=width)
+            result = Evaluator(circuit, spec).evaluate(
+                [0.25, 0.75], rng=np.random.default_rng(3)
+            )
+            assert result.values.shape == (2,)
+            assert np.all((result.values >= 0.0) & (result.values <= 1.0))
+
     def test_rejects_non_integral_fields(self):
         # Misconfiguration must fail at construction, not as a numpy
         # TypeError deep inside the first evaluate() call.
