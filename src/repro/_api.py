@@ -60,7 +60,7 @@ from .photonics import devices
 from .simulation import (
     BatchEvaluation,
     CalibrationController,
-    ChunkedEvaluation,
+    ChunkedEvaluation,  # deprecated alias of BatchEvaluation
     EvaluationCache,
     FaultInjector,
     FaultSpec,

@@ -183,7 +183,7 @@ class OpticalStochasticCircuit:
 
         A serial single-tile :func:`repro.simulation.runtime.run_batch`;
         returns a :class:`~repro.simulation.engine.BatchEvaluation` with
-        one row per input.
+        one row per input, whose per-clock fields decode on first read.
         """
         from ..simulation.runtime import RuntimeConfig, run_batch
 

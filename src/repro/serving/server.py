@@ -60,6 +60,7 @@ would produce.
 from __future__ import annotations
 
 import asyncio
+import math
 from concurrent.futures import ThreadPoolExecutor
 from types import TracebackType
 from typing import Any, Dict, List, Optional, Sequence, Type
@@ -73,6 +74,7 @@ from ..errors import (
     OverloadedError,
 )
 from ..session import Evaluator
+from ..simulation.engine import _as_index
 from .admission import (
     ADMISSION_POLICIES,
     DEFAULT_MAX_QUEUE,
@@ -105,6 +107,23 @@ _SERVICE_TIME_ALPHA = 0.2
 #: ``policy="degrade"`` and no explicit ladder is given: full precision,
 #: then two 4x steps down — the paper's accuracy-vs-length sweep points.
 _DEFAULT_LADDER_STEPS = (1, 4, 16)
+
+
+def _seconds(name: str, value: Any) -> float:
+    """*value* as a finite number of seconds, else a typed error.
+
+    NaN passes every bound check and infinity never elapses, so either
+    would silently switch a timer off.
+    """
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if isinstance(value, bool) or not math.isfinite(seconds):
+        raise ConfigurationError(
+            f"{name} must be a finite number of seconds, got {value!r}"
+        )
+    return seconds
 
 
 class BatchServer:
@@ -190,11 +209,13 @@ class BatchServer:
                 f"evaluator must be a repro.session.Evaluator, got "
                 f"{evaluator!r}"
             )
-        if int(max_batch_size) < 1:
+        max_batch_size = _as_index("max_batch_size", max_batch_size)
+        if max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {max_batch_size!r}"
             )
-        if float(max_batch_delay_s) < 0.0:
+        max_batch_delay_s = _seconds("max_batch_delay_s", max_batch_delay_s)
+        if max_batch_delay_s < 0.0:
             raise ConfigurationError(
                 f"max_batch_delay_s must be >= 0, got {max_batch_delay_s!r}"
             )
@@ -210,18 +231,19 @@ class BatchServer:
                 f"admission policy must be one of {ADMISSION_POLICIES}, "
                 f"got {policy!r}"
             )
-        if not isinstance(max_queue, int) or isinstance(max_queue, bool):
-            raise ConfigurationError(
-                f"max_queue must be an integer, got {max_queue!r}"
-            )
+        max_queue = _as_index("max_queue", max_queue)
         if max_queue < 0:
             raise ConfigurationError(
                 f"max_queue must be >= 0 (0 = unbounded), got {max_queue!r}"
             )
-        if default_deadline_s is not None and float(default_deadline_s) <= 0.0:
-            raise ConfigurationError(
-                f"default_deadline_s must be > 0, got {default_deadline_s!r}"
+        if default_deadline_s is not None:
+            default_deadline_s = _seconds(
+                "default_deadline_s", default_deadline_s
             )
+            if default_deadline_s <= 0.0:
+                raise ConfigurationError(
+                    f"default_deadline_s must be > 0, got {default_deadline_s!r}"
+                )
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise ConfigurationError(
                 f"retry must be a RetryPolicy, got {retry!r}"
@@ -230,7 +252,8 @@ class BatchServer:
             raise ConfigurationError(
                 f"breaker must be a CircuitBreaker, got {breaker!r}"
             )
-        if int(executor_workers) < 1:
+        executor_workers = _as_index("executor_workers", executor_workers)
+        if executor_workers < 1:
             raise ConfigurationError(
                 f"executor_workers must be >= 1, got {executor_workers!r}"
             )
@@ -265,19 +288,17 @@ class BatchServer:
                     f"({evaluator.spec.length}), got {ladder.lengths[0]}"
                 )
         self._evaluator = evaluator
-        self._max_batch_size = int(max_batch_size)
-        self._max_batch_delay_s = float(max_batch_delay_s)
+        self._max_batch_size = max_batch_size
+        self._max_batch_delay_s = max_batch_delay_s
         self._policy = policy
-        self._max_queue = int(max_queue)
-        self._default_deadline_s = (
-            None if default_deadline_s is None else float(default_deadline_s)
-        )
+        self._max_queue = max_queue
+        self._default_deadline_s = default_deadline_s
         self._retry = retry
         self._breaker = breaker
         self._ladder = ladder
         self._measure_rmse = bool(measure_rmse)
         self._clock: Clock = MonotonicClock() if clock is None else clock
-        self._executor_workers = int(executor_workers)
+        self._executor_workers = executor_workers
         self._queue: Optional[AdmissionQueue] = None
         self._worker: Optional[asyncio.Task[None]] = None
         self._executor: Optional[ThreadPoolExecutor] = None

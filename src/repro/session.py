@@ -133,6 +133,20 @@ DEPRECATED_WRAPPERS: Dict[str, Dict[str, Any]] = {
         ),
         "removed": True,
     },
+    "repro.simulation.runtime.ChunkedEvaluation": {
+        "replacement": (
+            "BatchEvaluation, the one result type that "
+            "Evaluator(circuit, spec, runtime).evaluate(xs) and .stream(xs) "
+            "return on every strategy"
+        ),
+        "removal_note": (
+            "deprecated when the one-shot and the tiled result types "
+            "merged; kept for the policy's two-PR grace window as an "
+            "alias bound to the same class object, so isinstance checks "
+            "and imports keep working"
+        ),
+        "removed": False,
+    },
 }
 """Legacy entry points and aliases folded into the session API.
 
@@ -358,12 +372,13 @@ class Evaluator:
     ) -> Any:
         """Evaluate every input in *xs* under the bound spec.
 
-        Dispatches through :func:`~repro.simulation.runtime.run_batch`:
-        returns a :class:`~repro.simulation.engine.BatchEvaluation` (or a
-        :class:`~repro.simulation.runtime.ChunkedEvaluation` when the
-        bound runtime shards rows or chunks streams longer than one
-        tile).  *rng* drives the per-row seed derivation when the spec
-        has no fixed ``base_seed``; it is ignored otherwise.
+        Dispatches through :func:`~repro.simulation.runtime.run_batch`
+        and returns a :class:`~repro.simulation.engine.BatchEvaluation`
+        of per-row counts.  Unless the bound runtime shards rows or
+        chunks streams longer than one tile, the result also decodes
+        per-clock fields (``output_bits`` and the rest) on first read.
+        *rng* drives the per-row seed derivation when the spec has no
+        fixed ``base_seed``; it is ignored otherwise.
         """
         return run_batch(
             self.circuit,
@@ -424,12 +439,12 @@ class Evaluator:
 
         Overrides the runtime's ``chunk_length`` for this call (falling
         back to the bound one, then to :data:`DEFAULT_STREAM_CHUNK`) and
-        dispatches through ``run_batch`` — so the result is a
-        :class:`~repro.simulation.runtime.ChunkedEvaluation` whenever the
-        spec's stream exceeds one tile, bit-exact with the one-shot
-        statistics and with a direct
-        :func:`~repro.simulation.runtime.simulate_chunked` call under
-        the same *rng*.
+        dispatches through ``run_batch``.  Whenever the spec's stream
+        exceeds one tile, the
+        :class:`~repro.simulation.engine.BatchEvaluation` keeps only
+        per-row counts, bit-exact with the one-shot ones and with a
+        direct :func:`~repro.simulation.runtime.simulate_chunked` call
+        under the same *rng*.
         """
         resolved = (
             chunk_length

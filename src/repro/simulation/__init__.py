@@ -22,7 +22,7 @@ from .engine import (
 )
 from .functional import OpticalEvaluation
 from .runtime import (
-    ChunkedEvaluation,
+    ChunkedEvaluation,  # deprecated alias of BatchEvaluation
     EvaluationCache,
     RuntimeConfig,
     default_evaluation_cache,

@@ -11,25 +11,25 @@ vector of inputs in one such pass:
    caller's ``rng`` (or a fixed ``base_seed``);
 2. data and coefficient streams are generated array-first as packed
    ``uint64`` comparator words, 64 clocks per word (:class:`_StreamSource`);
-3. the packed optical pass maps each clock's select level and
-   coefficient pattern to its received power in the precomputed Eq. 6
-   pattern table;
-4. the receiver slices the whole batch at once: the noiseless decision
-   is a flat-table gather, and Gaussian receiver noise enters as sparse
-   flips of it — each row's candidate flip clocks are gap-sampled from
-   its private generator seeded by the schedule (:class:`_NoiseFlips`),
-   so a call draws normals in proportion to the flips the noise can
-   make, not to the clocks.
+3. the packed optical pass stays on those words: the adder level is a
+   bit-sliced sum, and the receiver's noiseless decision the word-level
+   multiplexer of the coefficient words by it; per-clock powers and
+   levels (Eq. 6 table lookups) are decoded only when a caller reads them;
+4. Gaussian receiver noise enters as sparse flips of those decisions —
+   each row's candidate flip clocks are gap-sampled from its private
+   generator seeded by the schedule (:class:`_NoiseFlips`), so a call
+   draws normals in proportion to the flips the noise can make, not to
+   the clocks.
 
-Steps 1-2 and the flip candidates are the front end the runtime's tile
-loop (:func:`repro.simulation.runtime.simulate_chunked`) shares window
-by window, so a one-shot call and a single-tile ``run_batch`` under the
-same ``rng`` return the same bits.  :func:`repro.simulation.runtime.run_batch`
-is this function's one caller in the package: every evaluation —
-``Evaluator.evaluate``, ``circuit.evaluate`` / ``evaluate_batch`` — enters
-there.  The schedule consumes ``rng`` row by row, so looping
-single-input evaluations over ``xs`` with one ``rng`` gives exactly
-the rows of one ``simulate_batch(circuit, xs, rng=rng)`` call.
+The runtime's tile loop (:func:`repro.simulation.runtime.simulate_chunked`)
+runs the same steps window by window, so a one-shot call and a
+single-tile ``run_batch`` under the same ``rng`` return the same bits.
+:func:`repro.simulation.runtime.run_batch` is this function's one caller
+in the package: every evaluation — ``Evaluator.evaluate``,
+``circuit.evaluate`` / ``evaluate_batch`` — enters there.  The schedule
+consumes ``rng`` row by row, so looping single-input evaluations over
+``xs`` with one ``rng`` gives exactly the rows of one
+``simulate_batch(circuit, xs, rng=rng)`` call.
 
 The fields of a design point — ``length``, ``sng_kind``, ``sng_width``,
 ``noisy``, ``base_seed``, ``fault`` — have one rule book,
@@ -42,7 +42,8 @@ one refuses, all refuse with the same
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -73,10 +74,10 @@ from .kernels import (
     PackedChaoticSource,
     PackedLfsrSource,
     PackedSobolSource,
+    PassWords,
     pack_bits,
     packed_optical_pass,
     pass_context,
-    unpack_bits,
 )
 
 # Not called in this module; bound because perfbench/tracing.py wraps
@@ -106,22 +107,50 @@ _FALLBACK_RNG_SEED = 0xD47E
 """Seed of the derivation rng when the caller passes neither rng nor seeds."""
 
 
+def _per_clock(name: str, doc: str) -> "cached_property[np.ndarray[Any, Any]]":
+    """A per-clock field of :class:`BatchEvaluation`, decoded on first read."""
+
+    def decode(result: "BatchEvaluation") -> "np.ndarray[Any, Any]":
+        if result.words is None:
+            raise ConfigurationError(
+                f"{name} is a per-clock field, and this result was tiled "
+                "or sharded, so it kept only per-row counts; evaluate in "
+                "one in-process tile to read per-clock fields"
+            )
+        array: "np.ndarray[Any, Any]" = getattr(result.words, name)()
+        array.setflags(write=False)
+        return array
+
+    decode.__doc__ = doc
+    return cached_property(decode)
+
+
 @dataclass(frozen=True)
 class BatchEvaluation:
-    """Outcome of one vectorized batch of bit-level evaluations.
+    """Outcome of one batch of bit-level evaluations, one row per input.
 
-    All per-evaluation arrays are stacked along axis 0 (one row per
-    input); per-clock arrays have shape ``(batch, stream_length)``.
+    Every evaluation — one-shot, tiled or sharded — keeps ``O(B)``
+    counts: per-row ``ones_count`` (``values`` is their fraction) and
+    ``transmission_bit_errors`` (observed bits that differ from the
+    ideal multiplexer's), plus a tiled run's optional power histogram.
+    A one-shot (:func:`simulate_batch`) result also keeps the packed
+    words of its pass (``words``), from which the four per-clock
+    ``(B, stream_length)`` fields are decoded on first read, cached and
+    read-only.  A tiled or sharded result keeps no words, so its shard
+    pickles stay ``O(B)``; reading its per-clock fields raises
+    :class:`ConfigurationError`.
     """
 
     xs: "np.ndarray[Any, Any]"
-    values: "np.ndarray[Any, Any]"
     expected: "np.ndarray[Any, Any]"
     stream_length: int
-    received_power_mw: "np.ndarray[Any, Any]"
-    output_bits: "np.ndarray[Any, Any]"
-    ideal_bits: "np.ndarray[Any, Any]"
-    select_levels: "np.ndarray[Any, Any]"
+    chunk_length: int
+    chunk_count: int
+    ones_count: "np.ndarray[Any, Any]"
+    transmission_bit_errors: "np.ndarray[Any, Any]"
+    power_histogram: Optional["np.ndarray[Any, Any]"] = None
+    power_bin_edges: Optional["np.ndarray[Any, Any]"] = None
+    words: Optional[PassWords] = field(default=None, repr=False, compare=False)
 
     @property
     def batch_size(self) -> int:
@@ -129,14 +158,14 @@ class BatchEvaluation:
         return int(self.xs.size)
 
     @property
+    def values(self) -> "np.ndarray[Any, Any]":
+        """Per-row de-randomized outputs (ones fraction)."""
+        return self.ones_count / self.stream_length
+
+    @property
     def absolute_errors(self) -> "np.ndarray[Any, Any]":
         """Per-row ``|value - expected|``."""
         return np.abs(self.values - self.expected)
-
-    @property
-    def transmission_bit_errors(self) -> "np.ndarray[Any, Any]":
-        """Per-row count of bits flipped by the link + receiver noise."""
-        return np.sum(self.output_bits != self.ideal_bits, axis=1)
 
     @property
     def transmission_ber(self) -> "np.ndarray[Any, Any]":
@@ -147,6 +176,17 @@ class BatchEvaluation:
     def mean_absolute_error(self) -> float:
         """Batch-mean ``|value - expected|`` (the accuracy-sweep metric)."""
         return float(np.mean(self.absolute_errors))
+
+    received_power_mw = _per_clock(
+        "received_power_mw", "Per-clock received power (mW), from Eq. 6."
+    )
+    output_bits = _per_clock("output_bits", "Per-clock observed bits (uint8).")
+    ideal_bits = _per_clock(
+        "ideal_bits", "Per-clock bits the ideal multiplexer selects (uint8)."
+    )
+    select_levels = _per_clock(
+        "select_levels", "Per-clock adder level, the MZI ones count (int64)."
+    )
 
 
 def _derive_base_seeds(rng: np.random.Generator) -> Tuple[int, int]:
@@ -446,7 +486,9 @@ class _StreamSource:
     optical pass takes.  A one-shot evaluation takes ``(0, length)``, the
     tile loop takes its tiles in order: seeded banks resume through
     their :class:`_PackedCursor`, the counter randomizer's deterministic
-    streams are packed windows of :func:`exact_bit_window`.
+    streams are packed windows of :func:`exact_bit_window`.  A *fault*'s
+    stuck MZI is pinned here, before the pass: it changes the select
+    level, hence the powers and ideal decisions too.
     """
 
     def __init__(
@@ -457,10 +499,12 @@ class _StreamSource:
         coefficients: "np.ndarray[Any, Any]",
         width: int,
         length: int,
+        fault: Optional[FaultSpec] = None,
     ) -> None:
         self._xs = xs
         self._coefficients = coefficients
         self._length = int(length)
+        self._fault = fault
         order = coefficients.size - 1
         self._data_rows = (xs.size, order)
         self._coeff_rows = (xs.size, order + 1)
@@ -491,16 +535,20 @@ class _StreamSource:
             coeff = pack_bits(
                 exact_bit_window(self._coefficients, self._length, start, stop)
             )
-            return (
-                np.broadcast_to(
-                    data[:, None, :], self._data_rows + data.shape[-1:]
-                ),
-                np.broadcast_to(
-                    coeff[None, :, :], self._coeff_rows + coeff.shape[-1:]
-                ),
+            data_words = np.broadcast_to(
+                data[:, None, :], self._data_rows + data.shape[-1:]
             )
-        data_bank, coeff_bank = self._banks
-        return data_bank.take(start, count), coeff_bank.take(start, count)
+            coeff_words = np.broadcast_to(
+                coeff[None, :, :], self._coeff_rows + coeff.shape[-1:]
+            )
+        else:
+            data_bank, coeff_bank = self._banks
+            data_words = data_bank.take(start, count)
+            coeff_words = coeff_bank.take(start, count)
+        fault = self._fault
+        if fault is not None and fault.stuck_channel is not None:
+            data_words = pin_stuck_words(data_words, fault, count)
+        return data_words, coeff_words
 
 
 class _NoiseFlips:
@@ -635,23 +683,6 @@ def _noise_flips(
     )
 
 
-def _pin_stuck(
-    data_words: "np.ndarray[Any, Any]",
-    fault: Optional[FaultSpec],
-    count: int,
-) -> "np.ndarray[Any, Any]":
-    """The packed data streams with a stuck MZI's channel pinned.
-
-    Pinned *before* the optical pass: a stuck MZI changes the select
-    level, hence the faulty circuit's powers and ideal decisions too.
-    The streams come back unchanged without a stuck channel;
-    :func:`pin_stuck_words` copies, so broadcast views are safe to pass.
-    """
-    if fault is None or fault.stuck_channel is None:
-        return data_words
-    return pin_stuck_words(data_words, fault, count)
-
-
 def simulate_batch(
     circuit: "OpticalStochasticCircuit",
     xs: Any,
@@ -667,12 +698,13 @@ def simulate_batch(
 ) -> BatchEvaluation:
     """Run the optical circuit on every input in *xs* in one array pass.
 
-    The one-shot evaluation is the single-window case of the runtime's
-    tile loop: the same stream source, receiver-noise flip candidates
-    and fault channel, taken once over ``[0, length)``, followed by the
-    per-clock optical pass.  It always runs under a
-    :class:`SeedSchedule`, so for the same arguments it returns the same
-    bits as a single-tile :func:`repro.simulation.runtime.run_batch`.
+    The one-shot evaluation is the single-tile case of the runtime's
+    tile step: the same stream source, receiver-noise flip candidates,
+    fault channel and word-level pass, taken once over ``[0,
+    length)``; the result also keeps the pass's words.  It always runs
+    under a :class:`SeedSchedule`, so for the same arguments it returns
+    the same bits as a single-tile
+    :func:`repro.simulation.runtime.run_batch`.
 
     Parameters
     ----------
@@ -727,32 +759,28 @@ def simulate_batch(
     schedule = _resolve_schedule(xs.size, schedule, rng, sng_kind, base_seed)
     coefficients = np.asarray(circuit.polynomial.coefficients, dtype=float)
     source = _StreamSource(
-        sng_kind, schedule, xs, coefficients, sng_width, length
+        sng_kind, schedule, xs, coefficients, sng_width, length, fault
     )
-    data_words, coeff_words = source.take(0, length)
-    data_words = _pin_stuck(data_words, fault, length)
     noise = _noise_flips(circuit, schedule, noisy, length)
-    candidates = noise.take(0, length) if noise is not None else None
-    powers, output_bits, ideal_bits, levels = packed_optical_pass(
-        circuit, data_words, coeff_words, candidates, length
+    words = packed_optical_pass(
+        circuit,
+        *source.take(0, length),
+        noise.take(0, length) if noise is not None else None,
+        length,
+        fault_channel_for(fault, schedule.noise_seeds, length),
     )
-    channel = fault_channel_for(fault, schedule.noise_seeds, length)
-    if channel is not None:
-        observed = channel.apply_words(pack_bits(output_bits), 0, length)
-        output_bits = unpack_bits(observed, length)
-
     # Vectorized de Casteljau is elementwise: identical floats to calling
     # circuit.expected_value(x) per row.
     expected = np.asarray(circuit.polynomial(xs), dtype=float)
     return BatchEvaluation(
         xs=xs,
-        values=output_bits.mean(axis=1),
         expected=expected,
         stream_length=int(length),
-        received_power_mw=powers,
-        output_bits=output_bits,
-        ideal_bits=ideal_bits,
-        select_levels=levels,
+        chunk_length=int(length),
+        chunk_count=1,
+        ones_count=words.ones_count(),
+        transmission_bit_errors=words.transmission_bit_errors(),
+        words=words,
     )
 
 
@@ -812,18 +840,25 @@ def _check_kernel(kernel: Any) -> None:
         )
 
 
+_MAX_BASE_SEED = (1 << 63) - 1 - COEFF_SEED_STRIDE
+"""The largest seed whose coefficient seed still fits the int64 schedule."""
+
+
 def _check_base_seed(base_seed: Any) -> Optional[int]:
-    """``None``, or *base_seed* as a non-negative plain int.
+    """``None``, or *base_seed* as a plain int in ``[0, _MAX_BASE_SEED]``.
 
     A negative seed would wrap silently through the uint64 cast of
     :func:`van_der_corput` (sobol) and the modulus of
-    :func:`derive_lfsr_seeds`, while the scalar factory path refuses it.
+    :func:`derive_lfsr_seeds`, while the scalar factory path refuses it;
+    a larger one overflows the schedule's int64 coefficient seeds.
     """
     if base_seed is None:
         return None
     base_seed = _as_index("base_seed", base_seed)
-    if base_seed < 0:
-        raise ConfigurationError(f"base_seed must be >= 0, got {base_seed!r}")
+    if not 0 <= base_seed <= _MAX_BASE_SEED:
+        raise ConfigurationError(
+            f"base_seed must be in [0, {_MAX_BASE_SEED}], got {base_seed!r}"
+        )
     return base_seed
 
 

@@ -16,7 +16,8 @@ Runs the complete Fig. 3 pipeline for one evaluation:
 :meth:`repro.core.circuit.OpticalStochasticCircuit.evaluate` runs it as
 row 0 of a serial single-tile :func:`repro.simulation.runtime.run_batch`
 over ``[x]`` (the call :class:`repro.session.Evaluator` makes) and
-returns an :class:`OpticalEvaluation` view of that row.  The seed
+returns an :class:`OpticalEvaluation` view of that row, whose per-clock
+arrays the batch result decodes from its packed words.  The seed
 schedule consumes ``rng`` row by row, so looping single evaluations
 over ``xs`` with one ``rng`` gives exactly the rows of one batched
 call; ``base_seed`` pins the whole schedule instead.

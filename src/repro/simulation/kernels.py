@@ -8,11 +8,12 @@ builds the adder level as a carry-save bit-sliced sum across channels,
 and resolves each receiver decision through precomputed
 per-``(pattern, level)`` flat tables.  Receiver noise arrives as sparse
 flip candidates (:class:`FlipCandidates`), accepted against a per-key
-threshold and toggled into the noiseless decisions.  Statistics-only
-consumers (the chunked streaming runtime) accumulate ones/bit-error
-counts straight from packed words via popcount (:func:`popcount` —
-``np.bitwise_count`` when the numpy build has it, a 16-bit LUT
-otherwise).
+threshold and toggled into the noiseless decisions.  The pass returns
+words, never per-clock arrays (:class:`PassWords`): the ones and
+bit-error counts of every result are popcounts of them (:func:`popcount`
+— ``np.bitwise_count`` when the numpy build has it, a 16-bit LUT
+otherwise), and the per-clock powers, levels and bits of a one-shot
+result are decoded from them only when read.
 
 The byte-wise pass that unpacks the words to ``(B, C, L)`` uint8
 tensors and fancy-indexes the Eq. 6 pattern table per clock lives in
@@ -56,6 +57,7 @@ __all__ = [
     "clear_pass_context_cache",
     "optical_pass",
     "packed_optical_pass",
+    "PassWords",
     "PackedLfsrSource",
     "PackedSobolSource",
     "PackedChaoticSource",
@@ -402,7 +404,8 @@ def _packed_keys(
 ) -> "np.ndarray[Any, Any]":
     """Per-clock flat lookup keys: ``(B, length)`` of the key dtype.
 
-    This is the pass's only per-clock byte materialization.
+    Built by the pass only for a detector whose decisions diverge from
+    the multiplexer, otherwise only to decode powers or levels.
     """
     dtype = context._flat_tables()["key_dtype"]
     keys = np.zeros((planes[0].shape[0], int(length)), dtype=dtype)
@@ -453,49 +456,175 @@ def _accepted(
     return candidates.rows[accept], candidates.clocks[accept]
 
 
+def _mux_words(
+    coeff_words: "np.ndarray[Any, Any]",
+    level_planes: List["np.ndarray[Any, Any]"],
+    order: int,
+) -> "np.ndarray[Any, Any]":
+    """Word-level multiplexer: the selected coefficient bit per clock.
+
+    ``out = OR_m (level == m) & coeff[m]`` with the level-match
+    indicator built from the bit-sliced level planes — pure word ops, no
+    per-clock bytes.  Tail bits stay zero because the packed coefficient
+    words have zero tails.
+    """
+    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
+    out = np.zeros(level_planes[0].shape, dtype=np.uint64)
+    for level in range(order + 1):
+        indicator = np.full(level_planes[0].shape, ones, dtype=np.uint64)
+        for plane_index, plane in enumerate(level_planes):
+            if (level >> plane_index) & 1:
+                indicator &= plane
+            else:
+                indicator &= ~plane
+        out |= indicator & coeff_words[:, level, :]
+    return out
+
+
+class PassWords(NamedTuple):
+    """The packed words one optical pass leaves, decoded on demand.
+
+    ``planes`` are the ``(B, W)`` flat-key planes, low bit first
+    (:func:`_key_planes`), ``ideal`` the multiplexer's output words and
+    ``observed`` the receiver's output words after the accepted noise
+    flips and the fault channel.  Every result's counts are popcounts of
+    them; each per-clock method returns a fresh ``(B, length)`` array.
+    """
+
+    context: CircuitPassContext
+    planes: List["np.ndarray[Any, Any]"]
+    ideal: "np.ndarray[Any, Any]"
+    observed: "np.ndarray[Any, Any]"
+    length: int
+
+    def ones_count(self) -> "np.ndarray[Any, Any]":
+        return popcount(self.observed).sum(axis=-1)
+
+    def transmission_bit_errors(self) -> "np.ndarray[Any, Any]":
+        return popcount(self.observed ^ self.ideal).sum(axis=-1)
+
+    def power_histogram(
+        self, edges: "np.ndarray[Any, Any]"
+    ) -> "np.ndarray[Any, Any]":
+        """The optical powers binned over *edges*, as int64 counts.
+
+        Receiver noise and channel faults never touch the powers, and
+        ``np.histogram`` bins each power value identically wherever it
+        appears, so weighting the distinct flat-table values by their
+        integer key counts is exact.
+        """
+        powers = self.context._flat_tables()["powers"]
+        keys = _packed_keys(self.context, self.planes, self.length)
+        key_counts = np.bincount(
+            keys.reshape(-1).astype(np.int64), minlength=powers.size
+        )
+        counts, _ = np.histogram(powers, bins=edges, weights=key_counts)
+        return counts.astype(np.int64)
+
+    def received_power_mw(self) -> "np.ndarray[Any, Any]":
+        # Gathers with intp indices run several times faster than with
+        # the compact key dtype, which numpy converts inside every take.
+        keys = _packed_keys(self.context, self.planes, self.length)
+        return self.context._flat_tables()["powers"].take(keys.astype(np.intp))
+
+    def select_levels(self) -> "np.ndarray[Any, Any]":
+        levels = self.planes[self.context.channel_count :]
+        return _packed_keys(self.context, levels, self.length).astype(np.int64)
+
+    def output_bits(self) -> "np.ndarray[Any, Any]":
+        return unpack_bits(self.observed, self.length)
+
+    def ideal_bits(self) -> "np.ndarray[Any, Any]":
+        return unpack_bits(self.ideal, self.length)
+
+
 def packed_optical_pass(
     circuit: Any,
     data_words: "np.ndarray[Any, Any]",
     coeff_words: "np.ndarray[Any, Any]",
     candidates: Optional[FlipCandidates],
     length: int,
-) -> Tuple[
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-]:
-    """Steps 3-4 of the pipeline for one tile: optics + receiver, per clock.
+    fault_channel: Optional[Any] = None,
+    clock_offset: int = 0,
+) -> PassWords:
+    """Steps 3-4 of the pipeline for one tile: optics + receiver, in words.
 
     Takes ``(B, C, W)`` packed word tensors (see :func:`pack_bits`) and
-    returns ``(powers, output_bits, ideal_bits, levels)`` as ``(B,
-    length)`` arrays: per-clock keys are assembled from the coefficient
-    and bit-sliced level planes, and every observable is a flat-table
-    gather of the Eq. 6 table and receiver values.  The decisions are
-    the noiseless ones with the accepted receiver-noise flips among
-    *candidates* (``None`` = noiseless) toggled.
+    returns their :class:`PassWords` — the one pass of the one-shot call
+    and of every tile (:func:`packed_tile_statistics`).  With the
+    (verified) separated-band property that the noiseless threshold
+    decision equals the multiplexer bit, the output and ideal words are
+    one word-level mux of the coefficient words by the bit-sliced level;
+    an exotic detector whose decisions diverge from the mux resolves
+    per-clock keys through the flat tables instead.  The accepted flips
+    among *candidates* (``None`` = noiseless), read off the key planes,
+    are XORed in as one flip-word mask, and *fault_channel* (a
+    :class:`~repro.simulation.faultmodel.PackedFaultChannel`) transforms
+    the result at absolute clock *clock_offset*, so trajectory faults
+    and the desynchronization carry resume exactly across tiles.
     """
     context = pass_context(circuit)
     flat = context._flat_tables()
-    # Gathers with intp indices run several times faster than with the
-    # compact key dtype, which numpy converts inside every take.
-    keys = _packed_keys(
-        context, _key_planes(context, data_words, coeff_words), length
-    ).astype(np.intp)
-    powers = flat["powers"].take(keys)
-    levels = (keys >> context.channel_count).astype(np.int64, copy=False)
-    output_bits = flat["decisions"].take(keys)
+    planes = _key_planes(context, data_words, coeff_words)
+    if flat["decision_is_ideal"]:
+        level_planes = planes[context.channel_count :]
+        out_words = _mux_words(coeff_words, level_planes, context.order)
+        ideal_words = out_words
+    else:
+        keys = _packed_keys(context, planes, length)
+        out_words = pack_bits(flat["decisions"].take(keys))
+        ideal_words = pack_bits(flat["ideal"].take(keys))
     if candidates is not None and candidates.rows.size:
         rows, clocks = _accepted(
-            flat, candidates, keys[candidates.rows, candidates.clocks]
+            flat,
+            candidates,
+            _keys_at(planes, candidates.rows, candidates.clocks),
         )
-        output_bits[rows, clocks] ^= np.uint8(1)
-    ideal_bits = flat["ideal"].take(keys)
-    return powers, output_bits, ideal_bits, levels
+        flips = np.zeros(out_words.shape, dtype=np.uint64)
+        np.bitwise_or.at(
+            flips,
+            (rows, clocks >> 6),
+            np.uint64(1) << (clocks & 63).astype(np.uint64),
+        )
+        out_words = out_words ^ flips
+    if fault_channel is not None:
+        out_words = fault_channel.apply_words(out_words, clock_offset, length)
+    return PassWords(context, planes, ideal_words, out_words, length)
 
 
 optical_pass = packed_optical_pass
 """The one optical pass, under the name the tracing harness also wraps."""
+
+
+def packed_tile_statistics(
+    circuit: Any,
+    data_words: "np.ndarray[Any, Any]",
+    coeff_words: "np.ndarray[Any, Any]",
+    length: int,
+    candidates: Optional[FlipCandidates] = None,
+    histogram_edges: Optional["np.ndarray[Any, Any]"] = None,
+    fault_channel: Optional[Any] = None,
+    clock_offset: int = 0,
+) -> Tuple[
+    "np.ndarray[Any, Any]",
+    "np.ndarray[Any, Any]",
+    Optional["np.ndarray[Any, Any]"],
+]:
+    """Accumulator increments for one packed tile: ``(ones, errors, hist)``.
+
+    The chunked streaming runtime's tile step: :func:`packed_optical_pass`
+    over the tile, reduced to per-row ones and link bit-error counts
+    (and the optional received-power histogram over *histogram_edges*)
+    by popcounts of its words.
+    """
+    words = packed_optical_pass(
+        circuit, data_words, coeff_words, candidates, length,
+        fault_channel, clock_offset,
+    )
+    histogram = None
+    if histogram_edges is not None:
+        histogram = words.power_histogram(histogram_edges)
+    return words.ones_count(), words.transmission_bit_errors(), histogram
 
 
 # -- packed comparator-word generation -----------------------------------------
@@ -760,123 +889,3 @@ def packed_lfsr_comparator_bits(
     if source is None:
         return None
     return source.take(offset, length)
-
-
-# -- packed statistics (chunked streaming) -------------------------------------
-
-
-def _mux_words(
-    coeff_words: "np.ndarray[Any, Any]",
-    level_planes: List["np.ndarray[Any, Any]"],
-    order: int,
-) -> "np.ndarray[Any, Any]":
-    """Word-level multiplexer: the selected coefficient bit per clock.
-
-    ``out = OR_m (level == m) & coeff[m]`` with the level-match
-    indicator built from the bit-sliced level planes — pure word ops, no
-    per-clock bytes.  Tail bits stay zero because the packed coefficient
-    words have zero tails.
-    """
-    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-    out = np.zeros(level_planes[0].shape, dtype=np.uint64)
-    for level in range(order + 1):
-        indicator = np.full(level_planes[0].shape, ones, dtype=np.uint64)
-        for plane_index, plane in enumerate(level_planes):
-            if (level >> plane_index) & 1:
-                indicator &= plane
-            else:
-                indicator &= ~plane
-        out |= indicator & coeff_words[:, level, :]
-    return out
-
-
-def packed_tile_statistics(
-    circuit: Any,
-    data_words: "np.ndarray[Any, Any]",
-    coeff_words: "np.ndarray[Any, Any]",
-    length: int,
-    candidates: Optional[FlipCandidates] = None,
-    histogram_edges: Optional["np.ndarray[Any, Any]"] = None,
-    fault_channel: Optional[Any] = None,
-    clock_offset: int = 0,
-) -> Tuple[
-    "np.ndarray[Any, Any]",
-    "np.ndarray[Any, Any]",
-    Optional["np.ndarray[Any, Any]"],
-]:
-    """Accumulator increments for one packed tile: ``(ones, errors, hist)``.
-
-    The chunked streaming runtime's tile step: per-row ones and link
-    bit-error counts (and the optional received-power histogram)
-    straight from packed words, bit-exact with summing the per-clock
-    output of :func:`packed_optical_pass` over the tile.  One sequence
-    serves every tile:
-
-    1. Output and ideal words.  With the (verified) separated-band
-       property that the noiseless threshold decision equals the
-       multiplexer bit, both are one word-level mux of the coefficient
-       words by the bit-sliced level — no per-clock byte array at all.
-       Otherwise (an exotic detector whose decisions diverge from the
-       mux) per-clock keys are assembled, the same flat tables as
-       :func:`packed_optical_pass` resolve the decisions, and both
-       streams are packed.
-    2. Receiver noise: the keys of the *candidates* clocks are read
-       bit by bit off the key planes, and the accepted flips are XORed
-       into the output words as one flip-word mask.
-    3. The observed words: with *fault_channel* (a
-       :class:`~repro.simulation.faultmodel.PackedFaultChannel`) the
-       output words pass through it — *clock_offset* is the tile's
-       absolute stream clock, so trajectory faults and the
-       desynchronization carry resume exactly across tiles.
-    4. ``ones`` and ``errors`` are popcounts of the observed words and
-       of their XOR with the ideal words.
-    5. The power histogram bins the per-key totals of the *optical*
-       powers, which receiver-side noise and channel faults do not
-       touch: ``np.histogram`` bins each power value identically
-       wherever it appears, so weighting the distinct flat-table values
-       by their integer occurrence counts is exact.
-    """
-    context = pass_context(circuit)
-    flat = context._flat_tables()
-    planes = _key_planes(context, data_words, coeff_words)
-    keys: Optional["np.ndarray[Any, Any]"] = None
-    if flat["decision_is_ideal"]:
-        level_planes = planes[context.channel_count :]
-        out_words = _mux_words(coeff_words, level_planes, context.order)
-        ideal_words = out_words
-    else:
-        keys = _packed_keys(context, planes, length)
-        out_words = pack_bits(flat["decisions"].take(keys))
-        ideal_words = pack_bits(flat["ideal"].take(keys))
-    if candidates is not None and candidates.rows.size:
-        rows, clocks = _accepted(
-            flat,
-            candidates,
-            _keys_at(planes, candidates.rows, candidates.clocks),
-        )
-        flips = np.zeros(out_words.shape, dtype=np.uint64)
-        np.bitwise_or.at(
-            flips,
-            (rows, clocks >> 6),
-            np.uint64(1) << (clocks & 63).astype(np.uint64),
-        )
-        out_words = out_words ^ flips
-    observed = (
-        out_words
-        if fault_channel is None
-        else fault_channel.apply_words(out_words, clock_offset, length)
-    )
-    ones = popcount(observed).sum(axis=-1)
-    errors = popcount(observed ^ ideal_words).sum(axis=-1)
-    histogram: Optional["np.ndarray[Any, Any]"] = None
-    if histogram_edges is not None:
-        if keys is None:
-            keys = _packed_keys(context, planes, length)
-        key_counts = np.bincount(
-            keys.reshape(-1).astype(np.int64), minlength=flat["powers"].size
-        )
-        counts, _ = np.histogram(
-            flat["powers"], bins=histogram_edges, weights=key_counts
-        )
-        histogram = counts.astype(np.int64)
-    return ones, errors, histogram

@@ -1,7 +1,7 @@
 """Scaling runtime over the batched engine: sharding, chunking, caching.
 
 One :func:`~repro.simulation.engine.simulate_batch` call runs on a
-single core and materializes the full ``(B, L)`` power/bit tensors.
+single core and keeps the packed words of the whole ``(B, L)`` stream.
 This module is the scaling layer above the engine, built around one
 tile loop (:func:`simulate_chunked`):
 
@@ -18,7 +18,8 @@ tile loop (:func:`simulate_chunked`):
   coeff_seed, noise_seed)`` triples are pre-derived into a
   :class:`~repro.simulation.engine.SeedSchedule`, shards of rows run
   the tile loop on a process (or thread) pool, and their ``O(rows)``
-  accumulators are reassembled into one :class:`ChunkedEvaluation` that
+  accumulators are reassembled into one
+  :class:`~repro.simulation.engine.BatchEvaluation` that
   is **bit-for-bit identical** to the serial run under the same
   schedule — every row is fully determined by its seed triple, so rows
   are relocatable across workers.  A shard result pickles to the same
@@ -59,7 +60,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -77,7 +77,6 @@ from .engine import (
     _as_index,
     _check_kernel,
     _noise_flips,
-    _pin_stuck,
     _positive_index,
     _resolve_schedule,
     _StreamSource,
@@ -266,7 +265,7 @@ def _map_row_shards(
     workers: int,
     backend: str,
     options: Dict[str, Any],
-) -> ChunkedEvaluation:
+) -> BatchEvaluation:
     """Run the tile loop on row shards over the pool and reassemble.
 
     Each shard carries its input rows, its slice of the seed schedule
@@ -286,75 +285,27 @@ def _map_row_shards(
 # -- chunked streaming ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChunkedEvaluation:
-    """Accumulated statistics of a tile-streamed evaluation.
-
-    Holds only ``O(batch)`` state (plus the optional fixed-size power
-    histogram) no matter how long the stream was; the per-clock tensors
-    existed one ``(B, chunk)`` tile at a time.  All counters are
-    bit-exact with what the one-shot
-    :class:`~repro.simulation.engine.BatchEvaluation` of the same seed
-    schedule would report.
-    """
-
-    xs: "np.ndarray[Any, Any]"
-    expected: "np.ndarray[Any, Any]"
-    stream_length: int
-    chunk_length: int
-    chunk_count: int
-    ones_count: "np.ndarray[Any, Any]"
-    transmission_bit_errors: "np.ndarray[Any, Any]"
-    power_histogram: Optional["np.ndarray[Any, Any]"] = None
-    power_bin_edges: Optional["np.ndarray[Any, Any]"] = None
-
-    @property
-    def batch_size(self) -> int:
-        """Number of evaluations in the batch."""
-        return int(self.xs.size)
-
-    @property
-    def values(self) -> "np.ndarray[Any, Any]":
-        """Per-row de-randomized outputs (ones fraction)."""
-        return self.ones_count / self.stream_length
-
-    @property
-    def absolute_errors(self) -> "np.ndarray[Any, Any]":
-        """Per-row ``|value - expected|``."""
-        return np.abs(self.values - self.expected)
-
-    @property
-    def mean_absolute_error(self) -> float:
-        """Batch-mean ``|value - expected|`` (the accuracy-sweep metric)."""
-        return float(np.mean(self.absolute_errors))
-
-    @property
-    def transmission_ber(self) -> "np.ndarray[Any, Any]":
-        """Per-row observed link bit-error rate."""
-        return self.transmission_bit_errors / self.stream_length
-
-
-Evaluation = Union[BatchEvaluation, ChunkedEvaluation]
-"""Either result :func:`run_batch` returns (see :class:`RuntimeConfig`)."""
+ChunkedEvaluation = BatchEvaluation
+"""Deprecated alias of the one result type (``session.DEPRECATED_WRAPPERS``)."""
 
 
 def _shard_worker(
     payload: Tuple[Any, SeedSchedule, Dict[str, Any]],
-) -> ChunkedEvaluation:
+) -> BatchEvaluation:
     """Stream one row shard (module-level so process pools can pickle it)."""
     xs, schedule, options = payload
     return simulate_chunked(xs=xs, schedule=schedule, workers=0, **options)
 
 
 def _concatenate_chunked(
-    shards: Sequence[ChunkedEvaluation],
-) -> ChunkedEvaluation:
+    shards: Sequence[BatchEvaluation],
+) -> BatchEvaluation:
     """Reassemble row-sharded streaming results, row order preserved."""
     first = shards[0]
     histogram = first.power_histogram
     if histogram is not None:
         histogram = np.sum([s.power_histogram for s in shards], axis=0)
-    return ChunkedEvaluation(
+    return BatchEvaluation(
         xs=np.concatenate([s.xs for s in shards]),
         expected=np.concatenate([s.expected for s in shards]),
         stream_length=first.stream_length,
@@ -385,26 +336,28 @@ def simulate_chunked(
     backend: str = "process",
     kernel: str = "packed",
     fault: Optional[FaultSpec] = None,
-) -> ChunkedEvaluation:
+) -> BatchEvaluation:
     """Stream an evaluation through ``(B, chunk_length)`` tiles.
 
     The runtime's one tile loop.  Peak memory is bounded by the tile
     size instead of the stream length, so ``length >> 2**20`` runs (the
     regime where the Sobol and chaotic randomizers' ``O(1/N)``
     convergence pays off) stay cheap; ``chunk_length >= length`` is the
-    single-tile case.  The accumulated statistics — ones count, link
-    bit-error count, and the optional received-power histogram over
-    *power_histogram_bins* equal-width bins spanning the Eq. 6 table
-    range — are **bit-exact** with a one-shot ``simulate_batch(...,
-    schedule=schedule)`` of the same seed schedule: both take their
-    streams, receiver noise and stuck-MZI pinning from the engine's one
-    front end, the one-shot in a single window and this loop tile by
-    tile.  Every randomizer resumes exactly (index offsets for
-    LFSR/Sobol/counter, carried orbit state for chaotic), and receiver
-    noise continues from each row's carried candidate buffer: flip
-    candidates are drawn from per-row seeded generators in blocks that
-    depend only on the circuit, so every chunk length sees the same
-    flips.
+    single-tile case.  Each tile takes the engine's front end (streams,
+    receiver-noise candidates, stuck-MZI pinning) and runs the one-shot
+    call's word-level pass
+    (:func:`repro.simulation.kernels.packed_tile_statistics`), so the
+    accumulated counts — ones, link bit errors, and the optional
+    received-power histogram over *power_histogram_bins* equal-width
+    bins spanning the Eq. 6 table range — are **bit-exact** with a
+    one-shot ``simulate_batch(..., schedule=schedule)``.  Every
+    randomizer resumes exactly (index offsets for LFSR/Sobol/counter,
+    carried orbit state for chaotic); receiver noise continues from each
+    row's carried candidate buffer, drawn in blocks that depend only on
+    the circuit; *fault* masks are pure functions of the absolute clock
+    and the per-row schedule seeds, and the desynchronization shift
+    carries its bits across tiles.  The result keeps only the per-row
+    counts, never the words.
 
     Tiling composes with sharding: ``workers > 1`` (default: the
     ``REPRO_RUNTIME_WORKERS`` environment setting, like every runtime
@@ -414,23 +367,9 @@ def simulate_chunked(
     schedule, and per-shard histograms share the table-derived bin
     edges so they sum exactly.  Only the ``O(rows)`` accumulators
     travel back from a worker, so the pool pipes carry the same few
-    kilobytes whatever the stream length.
-
-    Each tile is evaluated on 64-clock uint64 words: the ones/bit-error
-    accumulators are popcounts of packed output words
-    (:func:`repro.simulation.kernels.packed_tile_statistics`), receiver
-    noise is a flip-word mask XORed into them, and no per-clock array
-    is materialized at all.
-    *kernel* accepts ``"packed"``, the only kernel, as a no-op
-    spelling; any other value raises
-    :class:`~repro.errors.ConfigurationError`.
-
-    *fault* injects a :class:`~repro.simulation.faultmodel.FaultSpec`
-    scenario: flip/erasure masks are pure functions of the absolute
-    clock index and the per-row schedule seeds, and the
-    desynchronization shift carries its bits across tiles — so the
-    accumulated statistics are bit-exact with the one-shot faulted
-    evaluation whatever the chunk length or worker count.
+    kilobytes whatever the stream length.  *kernel* accepts
+    ``"packed"``, the only kernel, as a no-op spelling; any other value
+    raises :class:`~repro.errors.ConfigurationError`.
     """
     _validate_backend(backend)
     _check_kernel(kernel)
@@ -465,10 +404,9 @@ def simulate_chunked(
                 fault=fault,
             ),
         )
-    tile = min(chunk_length, length)
     coefficients = np.asarray(circuit.polynomial.coefficients, dtype=float)
     source = _StreamSource(
-        sng_kind, schedule, xs, coefficients, sng_width, length
+        sng_kind, schedule, xs, coefficients, sng_width, length, fault
     )
     noise = _noise_flips(circuit, schedule, noisy, length)
     # One stream-fault channel for the whole run: masks are addressed by
@@ -486,15 +424,11 @@ def simulate_chunked(
         )
         histogram = np.zeros(power_histogram_bins, dtype=np.int64)
 
-    chunk_count = 0
     for start in range(0, length, chunk_length):
         count = min(chunk_length, length - start)
-        data_words, coeff_words = source.take(start, count)
-        data_words = _pin_stuck(data_words, fault, count)
         ones_inc, error_inc, histogram_inc = packed_tile_statistics(
             circuit,
-            data_words,
-            coeff_words,
+            *source.take(start, count),
             count,
             candidates=noise.take(start, count) if noise is not None else None,
             histogram_edges=edges,
@@ -506,15 +440,14 @@ def simulate_chunked(
         if histogram is not None:
             assert histogram_inc is not None
             histogram += histogram_inc
-        chunk_count += 1
 
     expected = np.asarray(circuit.polynomial(xs), dtype=float)
-    return ChunkedEvaluation(
+    return BatchEvaluation(
         xs=xs,
         expected=expected,
         stream_length=int(length),
-        chunk_length=tile,
-        chunk_count=chunk_count,
+        chunk_length=min(chunk_length, length),
+        chunk_count=-(-length // chunk_length),
         ones_count=ones_count,
         transmission_bit_errors=error_count,
         power_histogram=histogram,
@@ -529,20 +462,24 @@ class EvaluationCache:
     """LRU cache of deterministic batch evaluations.
 
     Keyed on ``circuit fingerprint x sng_kind x base_seed x sng_width x
-    length x noisy x inputs digest x fault x result type x receiver-noise
+    length x noisy x inputs digest x fault x kept words x receiver-noise
     protocol version`` — everything that determines a schedule-seeded
-    evaluation and the shape of its result.  Exploration sweeps that
+    evaluation and what its result keeps.  Exploration sweeps that
     revisit the same design point skip the engine pass entirely;
     ``hits`` / ``misses`` expose the effectiveness.
 
-    Entries hold whichever result :func:`run_batch` returns for the
-    config: an in-process run stores a
-    :class:`~repro.simulation.engine.BatchEvaluation` with its per-clock
-    ``(B, L)`` tensors (roughly ``18 * B * L`` bytes, so size
+    Entries hold the :class:`~repro.simulation.engine.BatchEvaluation`
+    :func:`run_batch` returns for the config.  A sharded run's entry
+    keeps ``O(B)`` counts.  An in-process run's entry also keeps the
+    pass's packed words, one bit per clock and row for each key plane
+    plus the ideal and observed streams: at most ``(order + 3 + level
+    bits) * B * L / 8`` bytes, and about ``B * L / 2`` at order 2, since
+    a fixed ``base_seed`` makes the coefficient planes one shared row.
+    Per-clock fields a caller reads are decoded once and cached on the
+    entry, about ``18 * B * L`` bytes for all four, so size
     ``max_entries`` to your memory budget — the default is deliberately
-    small), a sharded run stores its ``O(B)``
-    :class:`ChunkedEvaluation`.  The result type is part of the key, so
-    a hit always has the type the requesting config would compute.
+    small.  Whether the result keeps its words is part of the key, so a
+    hit can always decode what the requesting config's run could.
 
     The cache is thread-safe: ``backend="thread"`` sharded runs and the
     serving layer's executor threads share the process-wide default
@@ -552,7 +489,7 @@ class EvaluationCache:
 
     def __init__(self, max_entries: int = 16) -> None:
         self.max_entries = _positive_index("max_entries", max_entries)
-        self._entries: "OrderedDict[Tuple[Any, ...], Evaluation]" = (
+        self._entries: "OrderedDict[Tuple[Any, ...], BatchEvaluation]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
@@ -570,7 +507,7 @@ class EvaluationCache:
             self.hits = 0
             self.misses = 0
 
-    def lookup(self, key: Tuple[Any, ...]) -> Optional[Evaluation]:
+    def lookup(self, key: Tuple[Any, ...]) -> Optional[BatchEvaluation]:
         """The cached evaluation for *key*, refreshing its LRU slot."""
         with self._lock:
             entry = self._entries.get(key)
@@ -581,13 +518,14 @@ class EvaluationCache:
             self.hits += 1
             return entry
 
-    def store(self, key: Tuple[Any, ...], result: Evaluation) -> None:
+    def store(self, key: Tuple[Any, ...], result: BatchEvaluation) -> None:
         """Insert *result*, evicting the least-recently-used overflow.
 
-        Every ndarray field of the stored result is frozen read-only:
-        hits return the stored object by identity, so an in-place
-        mutation by one caller would otherwise silently corrupt every
-        later hit of the same key.
+        Every ndarray field of the stored result is frozen read-only
+        (decoded per-clock fields are read-only as built): hits return
+        the stored object by identity, so an in-place mutation by one
+        caller would otherwise silently corrupt every later hit of the
+        same key.
         """
         for field in dataclasses.fields(result):
             value = getattr(result, field.name)
@@ -621,7 +559,7 @@ def _evaluation_key(
     base_seed: int,
     sng_width: int,
     fault: Optional[FaultSpec],
-    statistics: bool,
+    keeps_words: bool,
 ) -> Tuple[Any, ...]:
     digest = hashlib.sha1(np.ascontiguousarray(xs).tobytes()).hexdigest()
     return (
@@ -636,7 +574,7 @@ def _evaluation_key(
         # FaultSpec is a frozen value object: equal scenarios hash equal,
         # and the fault realization is a pure function of base_seed + spec.
         fault,
-        statistics,
+        keeps_words,
         _NOISE_PROTOCOL if noisy else None,
     )
 
@@ -658,13 +596,14 @@ class RuntimeConfig:
     — results agree to floating-point rounding, an order of magnitude
     faster.
 
-    The knobs decide the result type, never its bits: an in-process
-    single-tile run returns a
-    :class:`~repro.simulation.engine.BatchEvaluation` with per-clock
-    fields, and every sharded (``workers > 1``) or multi-tile run
-    returns a :class:`ChunkedEvaluation` of ``O(B)`` statistics.  Both
-    expose ``values``, ``expected``, ``absolute_errors``,
-    ``transmission_ber`` and ``mean_absolute_error``.
+    The knobs never decide a bit, nor the result type: every run
+    returns a :class:`~repro.simulation.engine.BatchEvaluation` of
+    per-row counts (``values``, ``ones_count``,
+    ``transmission_bit_errors``, ``expected``, ``absolute_errors``,
+    ``transmission_ber``, ``mean_absolute_error``).  They decide only
+    what else it keeps: an in-process single-tile run keeps its packed
+    words and decodes per-clock fields on read, and a sharded
+    (``workers > 1``) or multi-tile run keeps none.
 
     ``kernel`` accepts ``"packed"``, the uint64 bit-plane pass of
     :mod:`repro.simulation.kernels` and the only one: a no-op spelling
@@ -753,17 +692,19 @@ def run_batch(
     sng_width: int = 16,
     config: Optional[RuntimeConfig] = None,
     fault: Optional[FaultSpec] = None,
-) -> Evaluation:
+) -> BatchEvaluation:
     """Evaluate through the runtime, picking the scaling strategy.
 
-    The result type follows one rule: an in-process single-tile run
-    (``workers <= 1`` and no ``config.chunk_length`` shorter than the
-    stream) calls the engine directly and returns a
-    :class:`~repro.simulation.engine.BatchEvaluation` with per-clock
-    fields; every sharded (``workers > 1``) or multi-tile run goes
-    through the tile loop of :func:`simulate_chunked` and returns a
-    :class:`ChunkedEvaluation`.  Consumers that only need ``values`` /
-    error statistics work with either result type unchanged.
+    Every strategy returns a
+    :class:`~repro.simulation.engine.BatchEvaluation`.  An in-process
+    single-tile run (``workers <= 1`` and no ``config.chunk_length``
+    shorter than the stream) is one pass of the engine's
+    :func:`~repro.simulation.engine.simulate_batch`; its result keeps
+    the packed words and decodes the per-clock fields on first read.
+    Every sharded (``workers > 1``) or multi-tile run goes through the
+    tile loop of :func:`simulate_chunked`; its result keeps only the
+    per-row counts, and reading a per-clock field raises
+    :class:`~repro.errors.ConfigurationError`.
 
     Inputs and *fault* are validated once, before anything else — a
     bad value raises :class:`~repro.errors.ConfigurationError` on every
@@ -791,7 +732,7 @@ def run_batch(
     workers = config.resolved_workers
     chunk_length = config.chunk_length or length
     multi_tile = length > chunk_length
-    statistics = multi_tile or workers > 1
+    one_pass = not multi_tile and workers <= 1
     cache: Optional[EvaluationCache] = None
     if config.cache_requested and not multi_tile:
         assert base_seed is not None  # checked above
@@ -801,7 +742,7 @@ def run_batch(
         xs = xs.copy()
         key = _evaluation_key(
             circuit, xs, length, noisy, sng_kind, base_seed, sng_width,
-            fault, statistics,
+            fault, one_pass,
         )
         hit = cache.lookup(key)
         if hit is not None:
@@ -809,31 +750,24 @@ def run_batch(
     schedule = derive_seed_schedule(
         xs.size, rng=rng, sng_kind=sng_kind, base_seed=base_seed
     )
-    result: Evaluation
-    if statistics:
+    options: Dict[str, Any] = dict(
+        length=length,
+        noisy=noisy,
+        sng_kind=sng_kind,
+        sng_width=sng_width,
+        schedule=schedule,
+        fault=fault,
+    )
+    if one_pass:
+        result = simulate_batch(circuit, xs, **options)
+    else:
         result = simulate_chunked(
             circuit,
             xs,
-            length=length,
             chunk_length=chunk_length,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            sng_width=sng_width,
-            schedule=schedule,
             workers=workers,
             backend=config.backend,
-            fault=fault,
-        )
-    else:
-        result = simulate_batch(
-            circuit,
-            xs,
-            length=length,
-            noisy=noisy,
-            sng_kind=sng_kind,
-            sng_width=sng_width,
-            schedule=schedule,
-            fault=fault,
+            **options,
         )
     if cache is not None:
         cache.store(key, result)

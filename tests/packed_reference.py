@@ -8,9 +8,11 @@ against these bit for bit:
 * :func:`optical_pass` and :func:`tile_statistics` are the byte-wise
   optical pass and tile step.  They unpack the stream words to
   ``(B, C, L)`` uint8 tensors, index the Eq. 6 table per clock and
-  slice with :func:`decide_batch`.  :func:`installed` swaps them in for
-  the production pass inside a ``with`` block, through the module
-  globals the engine and the tile loop call.
+  slice with :func:`decide_batch`.  The pass returns a
+  :class:`ReferencePass`, whose per-clock fields are those arrays
+  themselves rather than decodes of packed words.  :func:`installed`
+  swaps both in for the production pass inside a ``with`` block,
+  through the module globals the engine and the tile loop call.
 * :func:`apply_bits` is the fault channel on a ``(B, L)`` uint8 tile.
 * :func:`flip_candidates` walks each row's receiver-noise flip
   candidates one normal triple at a time, and :func:`toggle_flips`
@@ -208,11 +210,59 @@ def toggle_flips(circuit, powers, output_bits, candidates):
             output_bits[row, clock] ^= 1
 
 
-def optical_pass(circuit, data_words, coeff_words, candidates, length):
+class ReferencePass:
+    """The byte-wise pass's per-clock arrays behind the production interface.
+
+    Offers the methods of :class:`repro.simulation.kernels.PassWords` —
+    the counts a result keeps and the per-clock fields it decodes — but
+    computes none of them from packed words: each returns an array the
+    byte-wise pass built clock by clock, or reduces one.
+    """
+
+    def __init__(self, powers, output_bits, ideal_bits, levels):
+        self._powers = powers
+        self._output_bits = output_bits
+        self._ideal_bits = ideal_bits
+        self._levels = levels
+
+    def ones_count(self):
+        return self._output_bits.sum(axis=1, dtype=np.int64)
+
+    def transmission_bit_errors(self):
+        return np.sum(
+            self._output_bits != self._ideal_bits, axis=1, dtype=np.int64
+        )
+
+    def power_histogram(self, edges):
+        return np.histogram(self._powers, bins=edges)[0]
+
+    def received_power_mw(self):
+        return self._powers
+
+    def output_bits(self):
+        return self._output_bits
+
+    def ideal_bits(self):
+        return self._ideal_bits
+
+    def select_levels(self):
+        return self._levels
+
+
+def optical_pass(
+    circuit,
+    data_words,
+    coeff_words,
+    candidates,
+    length,
+    fault_channel=None,
+    clock_offset=0,
+):
     """The optics + receiver pass on unpacked byte tensors.
 
-    Same arguments and ``(powers, output_bits, ideal_bits, levels)``
-    result as :func:`repro.simulation.kernels.packed_optical_pass`.
+    Same arguments as :func:`repro.simulation.kernels.packed_optical_pass`;
+    returns a :class:`ReferencePass` over the per-clock powers, observed
+    bits (after the fault channel), ideal bits and levels.
     """
     context = pass_context(circuit)
     data_bits = unpack_bits(data_words, length)
@@ -222,9 +272,13 @@ def optical_pass(circuit, data_words, coeff_words, candidates, length):
     output_bits = decide_batch(context.receiver, powers, None)
     if candidates is not None:
         toggle_flips(circuit, powers, output_bits, candidates)
+    if fault_channel is not None:
+        output_bits = apply_bits(fault_channel, output_bits, clock_offset)
     # The bits the ideal (electronic) multiplexer would pick.
     ideal_bits = np.take_along_axis(coeff_bits, levels[:, None, :], axis=1)
-    return powers, output_bits, np.ascontiguousarray(ideal_bits[:, 0, :]), levels
+    return ReferencePass(
+        powers, output_bits, np.ascontiguousarray(ideal_bits[:, 0, :]), levels
+    )
 
 
 def apply_bits(channel, bits, offset):
@@ -248,17 +302,19 @@ def tile_statistics(
     Same arguments and result as
     :func:`repro.simulation.kernels.packed_tile_statistics`.
     """
-    powers, output_bits, ideal_bits, _ = optical_pass(
-        circuit, data_words, coeff_words, candidates, length
+    result = optical_pass(
+        circuit,
+        data_words,
+        coeff_words,
+        candidates,
+        length,
+        fault_channel,
+        clock_offset,
     )
-    if fault_channel is not None:
-        output_bits = apply_bits(fault_channel, output_bits, clock_offset)
-    ones = output_bits.sum(axis=1, dtype=np.int64)
-    errors = np.sum(output_bits != ideal_bits, axis=1, dtype=np.int64)
     histogram = None
     if histogram_edges is not None:
-        histogram = np.histogram(powers, bins=histogram_edges)[0]
-    return ones, errors, histogram
+        histogram = result.power_histogram(histogram_edges)
+    return result.ones_count(), result.transmission_bit_errors(), histogram
 
 
 @contextlib.contextmanager

@@ -65,7 +65,7 @@ def cached_simulate_batch(circuit, xs, cache=None, **kwargs):
 
 def _assert_statistics_match(serial, statistics, histogram_bins=0):
     """Sharded statistics equal the serial one-shot's per-clock reductions."""
-    assert isinstance(statistics, ChunkedEvaluation)
+    assert statistics.words is None
     assert np.array_equal(serial.xs, statistics.xs)
     assert np.array_equal(serial.expected, statistics.expected)
     assert np.array_equal(serial.values, statistics.values)
@@ -248,7 +248,7 @@ class TestChunkedEquivalence:
             schedule=schedule,
             power_histogram_bins=16,
         )
-        assert isinstance(chunked, ChunkedEvaluation)
+        assert chunked.words is None
         assert chunked.chunk_count == 6
         assert np.array_equal(
             chunked.ones_count, one_shot.output_bits.sum(axis=1)
@@ -513,16 +513,24 @@ class TestEvaluationCache:
         first = cached_simulate_batch(
             circuit, [0.5], length=64, base_seed=3, cache=cache
         )
+        value = float(first.values[0])
         with pytest.raises(ValueError):
-            first.values[0] = 123.0
+            first.ones_count[0] += 1
         with pytest.raises(ValueError):
             first.output_bits[0, 0] ^= 1
-        # A sharded run caches its statistics result, frozen the same way.
+        # values is computed from the frozen counts on every read, so a
+        # caller's edit of its copy never reaches the stored entry.
+        first.values[0] = 123.0
+        hit = cached_simulate_batch(
+            circuit, [0.5], length=64, base_seed=3, cache=cache
+        )
+        assert hit is first and hit.values[0] == value
+        # A sharded run caches its counts-only result, frozen the same way.
         sharded = run_batch(
             circuit, [0.5, 0.25], length=64, base_seed=3,
             config=RuntimeConfig(cache=cache, workers=2, backend="thread"),
         )
-        assert isinstance(sharded, ChunkedEvaluation)
+        assert sharded.words is None
         with pytest.raises(ValueError):
             sharded.ones_count[0] += 1
 
@@ -586,6 +594,74 @@ class TestEvaluationCache:
         assert cache.lookup(("corner", 0, 0)) in (None, entry)
 
 
+PER_CLOCK_FIELDS = (
+    "received_power_mw",
+    "output_bits",
+    "ideal_bits",
+    "select_levels",
+)
+
+
+class TestOneResultType:
+    """Every strategy returns a BatchEvaluation; only one-shot keeps words."""
+
+    def test_chunked_evaluation_is_a_deprecated_alias(self):
+        from repro.session import DEPRECATED_WRAPPERS
+
+        assert ChunkedEvaluation is BatchEvaluation
+        entry = DEPRECATED_WRAPPERS["repro.simulation.runtime.ChunkedEvaluation"]
+        assert entry["removed"] is False
+        assert "BatchEvaluation" in entry["replacement"]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RuntimeConfig(workers=2, backend="thread"),
+            RuntimeConfig(chunk_length=100),
+        ],
+        ids=["sharded", "tiled"],
+    )
+    @pytest.mark.parametrize("name", PER_CLOCK_FIELDS)
+    def test_per_clock_fields_need_kept_words(self, circuit, config, name):
+        result = run_batch(
+            circuit, [0.2, 0.7], length=256, base_seed=4, config=config
+        )
+        assert result.words is None
+        with pytest.raises(ConfigurationError, match="per-clock"):
+            getattr(result, name)
+        # The counts every result keeps still read.
+        assert result.values.shape == (2,)
+
+    @pytest.mark.parametrize("name", PER_CLOCK_FIELDS)
+    def test_decoded_fields_are_cached_and_read_only(self, circuit, name):
+        cache = EvaluationCache()
+        config = RuntimeConfig(cache=cache)
+        first = run_batch(circuit, [0.4], length=130, base_seed=6, config=config)
+        decoded = getattr(first, name)
+        assert decoded.shape == (1, 130)
+        assert not decoded.flags.writeable
+        assert getattr(first, name) is decoded
+        hit = run_batch(circuit, [0.4], length=130, base_seed=6, config=config)
+        assert hit is first and cache.hits == 1
+        assert not getattr(hit, name).flags.writeable
+
+    def test_counts_match_the_decoded_bits(self, circuit):
+        result = simulate_batch(
+            circuit, np.linspace(0, 1, 3), length=200,
+            rng=np.random.default_rng(12),
+            fault=FaultSpec(flip_probability=0.1, shift_clocks=3),
+        )
+        assert result.chunk_length == 200 and result.chunk_count == 1
+        assert np.array_equal(
+            result.ones_count, result.output_bits.sum(axis=1)
+        )
+        assert np.array_equal(
+            result.transmission_bit_errors,
+            np.sum(result.output_bits != result.ideal_bits, axis=1),
+        )
+        assert np.array_equal(result.values, result.output_bits.mean(axis=1))
+
+
 class TestRunBatchDispatcher:
     def test_strategies_agree_bit_for_bit(self, circuit):
         xs = np.linspace(0.0, 1.0, 6)
@@ -598,9 +674,10 @@ class TestRunBatchDispatcher:
             circuit, xs, length=256, rng=np.random.default_rng(2),
             config=RuntimeConfig(chunk_length=100),
         )
-        # In-process single tile: per-clock result; sharded or
-        # multi-tile: statistics result with the same reductions.
-        assert isinstance(serial, BatchEvaluation)
+        # In-process single tile: the result keeps its words and
+        # decodes per-clock fields; sharded or multi-tile: counts only,
+        # equal to the per-clock reductions.
+        assert serial.words is not None
         _assert_statistics_match(serial, sharded)
         _assert_statistics_match(serial, chunked)
 
@@ -620,7 +697,7 @@ class TestRunBatchDispatcher:
         result = run_batch(
             circuit, [0.5], length=256, base_seed=5, config=config
         )
-        assert isinstance(result, ChunkedEvaluation)
+        assert result.words is None
         assert len(cache) == 0 and cache.misses == 0
 
     def test_config_validation(self):

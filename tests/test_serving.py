@@ -65,6 +65,42 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             BatchServer(evaluator, max_batch_delay_s=-0.1)
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"default_deadline_s": float("nan")},
+            {"default_deadline_s": float("inf")},
+            {"max_batch_delay_s": float("nan")},
+            {"max_batch_delay_s": float("inf")},
+            {"max_batch_delay_s": "soon"},
+            {"max_batch_delay_s": True},
+            {"max_batch_size": 2.7},
+            {"max_batch_size": True},
+            {"max_batch_size": "8"},
+            {"executor_workers": 1.9},
+            {"executor_workers": True},
+            {"max_queue": 4.0},
+        ],
+        ids=repr,
+    )
+    def test_rejects_non_finite_durations_and_fractional_counts(
+        self, evaluator, knobs
+    ):
+        # NaN passes every bound check and would switch the deadline or
+        # the batch timer off; int() would truncate a fractional count.
+        with pytest.raises(ConfigurationError, match="must be"):
+            BatchServer(evaluator, **knobs)
+
+    def test_accepts_numpy_knobs(self, evaluator):
+        server = BatchServer(
+            evaluator,
+            max_batch_size=np.int64(8),
+            max_batch_delay_s=np.float64(0.001),
+            default_deadline_s=np.float32(0.5),
+            executor_workers=np.int32(1),
+        )
+        assert isinstance(server, BatchServer)
+
     def test_rejects_row_dependent_session(self, circuit):
         noisy = Evaluator(circuit, EvalSpec(length=64, base_seed=7))
         with pytest.raises(ConfigurationError, match="row-independent"):

@@ -10,10 +10,9 @@ from repro.exploration.tradeoffs import measured_accuracy_frontier
 from repro.experiments import list_experiments, run_experiment
 from repro.experiments.registry import experiment_config_parameters
 from repro.session import EvalSpec, Evaluator
-from repro.simulation.engine import simulate_batch
+from repro.simulation.engine import COEFF_SEED_STRIDE, simulate_batch
 from repro.simulation.montecarlo import run_monte_carlo
 from repro.simulation.runtime import (
-    ChunkedEvaluation,
     EvaluationCache,
     RuntimeConfig,
     run_batch,
@@ -22,6 +21,10 @@ from repro.simulation.runtime import (
 from repro.stochastic.bernstein import BernsteinPolynomial
 from repro.stochastic.image import radial_gradient
 from repro.stochastic.sng import SNG_KINDS
+
+
+MAX_BASE_SEED = 2**63 - 1 - COEFF_SEED_STRIDE
+"""The largest base seed whose coefficient seed fits an int64."""
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +70,22 @@ class TestEvalSpec:
                 EvalSpec(sng_width=width)
         assert EvalSpec(sng_width=3).sng_width == 3
         assert EvalSpec(sng_width=24).sng_width == 24
+        # The coefficient seed (base_seed + COEFF_SEED_STRIDE) must fit
+        # the schedule's int64 arrays: the boundary passes, one more
+        # fails here instead of as an OverflowError in evaluate().
+        assert EvalSpec(base_seed=MAX_BASE_SEED).base_seed == MAX_BASE_SEED
+        with pytest.raises(ConfigurationError, match="base_seed"):
+            EvalSpec(base_seed=MAX_BASE_SEED + 1)
+
+    @pytest.mark.parametrize("kind", SNG_KINDS)
+    def test_largest_base_seed_evaluates(self, circuit, kind):
+        session = Evaluator(
+            circuit,
+            EvalSpec(length=200, sng_kind=kind, base_seed=MAX_BASE_SEED),
+        )
+        one_shot = session.evaluate([0.3, 0.6])
+        streamed = session.stream([0.3, 0.6], chunk_length=64)
+        assert np.array_equal(one_shot.values, streamed.values)
 
     @pytest.mark.parametrize("kind", ["counter", "sobol", "chaotic"])
     def test_tap_table_bounds_only_the_lfsr(self, circuit, kind):
@@ -131,6 +150,7 @@ RULE_BOOK_CASES = [
     {"sng_kind": "quantum"},
     {"base_seed": True},
     {"base_seed": -1},
+    {"base_seed": MAX_BASE_SEED + 1},
     {"length": 0},
     {"length": 10.5},
     {"fault": "flip"},
@@ -221,7 +241,7 @@ class TestEvaluatorBitExactness:
             circuit, spec, RuntimeConfig(chunk_length=100)
         ).evaluate(xs, rng=np.random.default_rng(5))
         for statistics in (sharded, chunked):
-            assert isinstance(statistics, ChunkedEvaluation)
+            assert statistics.words is None
             assert np.array_equal(statistics.values, serial.values)
             assert np.array_equal(
                 statistics.ones_count, serial.output_bits.sum(axis=1)
@@ -244,7 +264,7 @@ class TestEvaluatorBitExactness:
             chunk_length=128,
             rng=np.random.default_rng(9),
         )
-        assert isinstance(streamed, ChunkedEvaluation)
+        assert streamed.words is None
         assert np.array_equal(streamed.ones_count, direct.ones_count)
         assert np.array_equal(
             streamed.transmission_bit_errors, direct.transmission_bit_errors
@@ -255,7 +275,7 @@ class TestEvaluatorBitExactness:
             circuit, EvalSpec(length=512), RuntimeConfig(chunk_length=128)
         )
         result = session.stream([0.5], rng=np.random.default_rng(1))
-        assert isinstance(result, ChunkedEvaluation)
+        assert result.words is None
         assert result.chunk_length == 128
 
     def test_cached_session_hits(self, circuit):
