@@ -109,8 +109,16 @@ _SERVICE_TIME_ALPHA = 0.2
 _DEFAULT_LADDER_STEPS = (1, 4, 16)
 
 
-def _seconds(name: str, value: Any) -> float:
-    """*value* as a finite number of seconds, else a typed error.
+def _at_least(name: str, value: Any, floor: int) -> int:
+    """*value* as an int of at least *floor* (the engine's index rule)."""
+    count = _as_index(name, value)
+    if count < floor:
+        raise ConfigurationError(f"{name} must be >= {floor}, got {value!r}")
+    return count
+
+
+def _seconds(name: str, value: Any, positive: bool = False) -> float:
+    """*value* as finite seconds, at least 0 (above 0 when *positive*).
 
     NaN passes every bound check and infinity never elapses, so either
     would silently switch a timer off.
@@ -119,9 +127,15 @@ def _seconds(name: str, value: Any) -> float:
         seconds = float(value)
     except (TypeError, ValueError):
         seconds = math.nan
-    if isinstance(value, bool) or not math.isfinite(seconds):
+    bound = "> 0" if positive else ">= 0"
+    if (
+        isinstance(value, bool)
+        or not math.isfinite(seconds)
+        or seconds < 0.0
+        or (positive and seconds == 0.0)
+    ):
         raise ConfigurationError(
-            f"{name} must be a finite number of seconds, got {value!r}"
+            f"{name} must be a finite number of seconds {bound}, got {value!r}"
         )
     return seconds
 
@@ -209,16 +223,8 @@ class BatchServer:
                 f"evaluator must be a repro.session.Evaluator, got "
                 f"{evaluator!r}"
             )
-        max_batch_size = _as_index("max_batch_size", max_batch_size)
-        if max_batch_size < 1:
-            raise ConfigurationError(
-                f"max_batch_size must be >= 1, got {max_batch_size!r}"
-            )
+        max_batch_size = _at_least("max_batch_size", max_batch_size, 1)
         max_batch_delay_s = _seconds("max_batch_delay_s", max_batch_delay_s)
-        if max_batch_delay_s < 0.0:
-            raise ConfigurationError(
-                f"max_batch_delay_s must be >= 0, got {max_batch_delay_s!r}"
-            )
         if not evaluator.row_independent and not allow_row_dependent:
             raise ConfigurationError(
                 "BatchServer requires a row-independent session (fixed "
@@ -231,19 +237,11 @@ class BatchServer:
                 f"admission policy must be one of {ADMISSION_POLICIES}, "
                 f"got {policy!r}"
             )
-        max_queue = _as_index("max_queue", max_queue)
-        if max_queue < 0:
-            raise ConfigurationError(
-                f"max_queue must be >= 0 (0 = unbounded), got {max_queue!r}"
-            )
+        max_queue = _at_least("max_queue", max_queue, 0)  # 0 = unbounded
         if default_deadline_s is not None:
             default_deadline_s = _seconds(
-                "default_deadline_s", default_deadline_s
+                "default_deadline_s", default_deadline_s, positive=True
             )
-            if default_deadline_s <= 0.0:
-                raise ConfigurationError(
-                    f"default_deadline_s must be > 0, got {default_deadline_s!r}"
-                )
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise ConfigurationError(
                 f"retry must be a RetryPolicy, got {retry!r}"
@@ -252,11 +250,7 @@ class BatchServer:
             raise ConfigurationError(
                 f"breaker must be a CircuitBreaker, got {breaker!r}"
             )
-        executor_workers = _as_index("executor_workers", executor_workers)
-        if executor_workers < 1:
-            raise ConfigurationError(
-                f"executor_workers must be >= 1, got {executor_workers!r}"
-            )
+        executor_workers = _at_least("executor_workers", executor_workers, 1)
         if degradation is not None:
             if not isinstance(degradation, DegradationController):
                 raise ConfigurationError(

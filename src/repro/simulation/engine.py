@@ -113,9 +113,8 @@ def _per_clock(name: str, doc: str) -> "cached_property[np.ndarray[Any, Any]]":
     def decode(result: "BatchEvaluation") -> "np.ndarray[Any, Any]":
         if result.words is None:
             raise ConfigurationError(
-                f"{name} is a per-clock field, and this result was tiled "
-                "or sharded, so it kept only per-row counts; evaluate in "
-                "one in-process tile to read per-clock fields"
+                f"{name} is a per-clock field, which a tiled or sharded "
+                "result does not keep; evaluate in one in-process tile"
             )
         array: "np.ndarray[Any, Any]" = getattr(result.words, name)()
         array.setflags(write=False)

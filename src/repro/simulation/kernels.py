@@ -506,13 +506,9 @@ class PassWords(NamedTuple):
     def power_histogram(
         self, edges: "np.ndarray[Any, Any]"
     ) -> "np.ndarray[Any, Any]":
-        """The optical powers binned over *edges*, as int64 counts.
-
-        Receiver noise and channel faults never touch the powers, and
-        ``np.histogram`` bins each power value identically wherever it
-        appears, so weighting the distinct flat-table values by their
-        integer key counts is exact.
-        """
+        """The optical powers binned over *edges*: the distinct table
+        values weighted by their key counts, exact since ``np.histogram``
+        bins a value identically wherever it appears."""
         powers = self.context._flat_tables()["powers"]
         keys = _packed_keys(self.context, self.planes, self.length)
         key_counts = np.bincount(
@@ -550,18 +546,15 @@ def packed_optical_pass(
     """Steps 3-4 of the pipeline for one tile: optics + receiver, in words.
 
     Takes ``(B, C, W)`` packed word tensors (see :func:`pack_bits`) and
-    returns their :class:`PassWords` — the one pass of the one-shot call
-    and of every tile (:func:`packed_tile_statistics`).  With the
-    (verified) separated-band property that the noiseless threshold
-    decision equals the multiplexer bit, the output and ideal words are
-    one word-level mux of the coefficient words by the bit-sliced level;
-    an exotic detector whose decisions diverge from the mux resolves
-    per-clock keys through the flat tables instead.  The accepted flips
-    among *candidates* (``None`` = noiseless), read off the key planes,
-    are XORed in as one flip-word mask, and *fault_channel* (a
-    :class:`~repro.simulation.faultmodel.PackedFaultChannel`) transforms
-    the result at absolute clock *clock_offset*, so trajectory faults
-    and the desynchronization carry resume exactly across tiles.
+    returns their :class:`PassWords`, for the one-shot call and every
+    tile alike.  With the (verified) separated-band property the output
+    and ideal words are one word-level mux of the coefficient words by
+    the bit-sliced level; an exotic detector resolves per-clock keys
+    through the flat tables instead.  The accepted flips among
+    *candidates* (``None`` = noiseless) are XORed in as one word mask,
+    then *fault_channel* applies at absolute clock *clock_offset*, so
+    trajectory faults and the desynchronization carry resume across
+    tiles.
     """
     context = pass_context(circuit)
     flat = context._flat_tables()

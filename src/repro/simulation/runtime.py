@@ -468,18 +468,13 @@ class EvaluationCache:
     revisit the same design point skip the engine pass entirely;
     ``hits`` / ``misses`` expose the effectiveness.
 
-    Entries hold the :class:`~repro.simulation.engine.BatchEvaluation`
-    :func:`run_batch` returns for the config.  A sharded run's entry
-    keeps ``O(B)`` counts.  An in-process run's entry also keeps the
-    pass's packed words, one bit per clock and row for each key plane
-    plus the ideal and observed streams: at most ``(order + 3 + level
-    bits) * B * L / 8`` bytes, and about ``B * L / 2`` at order 2, since
-    a fixed ``base_seed`` makes the coefficient planes one shared row.
-    Per-clock fields a caller reads are decoded once and cached on the
-    entry, about ``18 * B * L`` bytes for all four, so size
-    ``max_entries`` to your memory budget — the default is deliberately
-    small.  Whether the result keeps its words is part of the key, so a
-    hit can always decode what the requesting config's run could.
+    An entry keeps ``O(B)`` counts, plus for an in-process run the
+    pass's packed words (one bit per clock and row per key plane and
+    stream: about ``B * L / 2`` bytes at order 2, whose fixed-seed
+    coefficient planes are one shared row) and any per-clock fields a
+    caller decoded (``18 * B * L`` bytes for all four) — size
+    ``max_entries`` to your memory budget; the default is deliberately
+    small.  Whether the result keeps its words is part of the key.
 
     The cache is thread-safe: ``backend="thread"`` sharded runs and the
     serving layer's executor threads share the process-wide default
