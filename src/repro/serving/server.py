@@ -470,10 +470,8 @@ class BatchServer:
             raise ConfigurationError(f"x must be a number in [0, 1], got {x!r}")
         if not 0.0 <= x <= 1.0:
             raise ConfigurationError(f"x must be in [0, 1], got {x!r}")
-        if deadline_s is not None and float(deadline_s) <= 0.0:
-            raise ConfigurationError(
-                f"deadline_s must be > 0, got {deadline_s!r}"
-            )
+        if deadline_s is not None:
+            deadline_s = _seconds("deadline_s", deadline_s, positive=True)
         budget = deadline_s if deadline_s is not None else self._default_deadline_s
         now = self._clock.time()
         future: "asyncio.Future[float]" = (
@@ -482,7 +480,7 @@ class BatchServer:
         request = Request(
             x=x,
             future=future,
-            deadline=None if budget is None else now + float(budget),
+            deadline=None if budget is None else now + budget,
             submitted_at=now,
         )
         self._metrics.submitted += 1

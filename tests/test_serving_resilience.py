@@ -418,8 +418,10 @@ class TestDeadlines:
     def test_invalid_deadline_rejected(self, evaluator):
         async def scenario():
             async with BatchServer(evaluator) as server:
-                with pytest.raises(ConfigurationError, match="deadline_s"):
-                    await server.submit(0.5, deadline_s=0.0)
+                # NaN would pass a "<= 0" check and serve with no deadline.
+                for deadline_s in (0.0, float("nan"), float("inf"), "1s"):
+                    with pytest.raises(ConfigurationError, match="deadline_s"):
+                        await server.submit(0.5, deadline_s=deadline_s)
 
         asyncio.run(scenario())
 
