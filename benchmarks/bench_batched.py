@@ -510,8 +510,10 @@ def _run_saturation_scenario(evaluator, batch, schedule, **server_kwargs):
     """Drive one server configuration through the arrival schedule.
 
     Returns outcome counters, client-observed latencies of served
-    requests, the metrics snapshot, the wall-clock span, and the
-    tracemalloc peak across the run.
+    requests, the metrics snapshot, the wall-clock span, the
+    tracemalloc peak across the run, and the largest group of arrivals
+    released into one event-loop pass (the clients created between two
+    pacing sleeps, which all reach ``submit`` before the server runs).
     """
     import asyncio
     import tracemalloc
@@ -551,31 +553,40 @@ def _run_saturation_scenario(evaluator, batch, schedule, **server_kwargs):
         t0 = time.perf_counter()
         tasks = []
         pending_gap = 0.0
+        group = largest_group = 0
         for x, gap in schedule:
             tasks.append(asyncio.create_task(client(x)))
+            group += 1
             pending_gap += gap
             # Aggregate sub-5ms gaps into one sleep: the schedule's
             # *average* rate survives the event loop's timer overhead.
             if pending_gap >= 0.005:
+                largest_group = max(largest_group, group)
+                group = 0
                 await asyncio.sleep(pending_gap)
                 pending_gap = 0.0
+        largest_group = max(largest_group, group)
         await asyncio.gather(*tasks)
         elapsed = time.perf_counter() - t0
         snapshot = server.metrics()
         await server.stop()
-        return outcomes, latencies, snapshot, elapsed
+        return outcomes, latencies, snapshot, elapsed, largest_group
 
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        outcomes, latencies, snapshot, elapsed = asyncio.run(scenario())
+        outcomes, latencies, snapshot, elapsed, largest_group = asyncio.run(
+            scenario()
+        )
         peak_bytes = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return outcomes, latencies, snapshot, elapsed, peak_bytes
+    return outcomes, latencies, snapshot, elapsed, peak_bytes, largest_group
 
 
-def _scenario_report(outcomes, latencies, snapshot, elapsed, peak_bytes):
+def _scenario_report(
+    outcomes, latencies, snapshot, elapsed, peak_bytes, largest_group
+):
     sorted_latencies = sorted(latencies)
     return {
         "outcomes": dict(outcomes),
@@ -601,6 +612,7 @@ def _scenario_report(outcomes, latencies, snapshot, elapsed, peak_bytes):
         "largest_batch": snapshot.largest_batch,
         "batches": snapshot.batches,
         "tracemalloc_peak_kb": round(peak_bytes / 1024.0, 1),
+        "largest_arrival_group": largest_group,
         "rungs": [
             {
                 "rung": rung.rung,
@@ -708,6 +720,8 @@ def bench_serving(circuit) -> dict:
         "length": length,
         "max_batch_size": batch,
         "max_queue": max_queue,
+        # shed and degrade share the paced schedule, so the same value.
+        "largest_arrival_group": shed[5],
         "batch_service_seconds": round(service_s, 6),
         "saturation_rate_per_s": round(saturation_rate, 1),
         "deadline_s": round(deadline_s, 6),
@@ -774,6 +788,7 @@ def _print_serving(s) -> None:
     print(
         f"serving saturation: {s['requests']} requests x "
         f"{s['length']}-bit streams, queue cap {s['max_queue']}, "
+        f"largest arrival group {s['largest_arrival_group']} per loop pass, "
         f"deadline {s['deadline_s'] * 1e3:.1f} ms "
         f"({s['saturation_rate_per_s']:.0f} req/s saturates)"
     )

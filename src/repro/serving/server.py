@@ -27,6 +27,14 @@ loop for sustained overload:
   resilience and degradation event is counted; :meth:`metrics` exports
   an immutable :class:`~repro.serving.metrics.MetricsSnapshot`.
 
+Batching is work-conserving: the batcher takes every request already
+queued before it awaits anything, and it dispatches as soon as the
+engine is free.  Requests that arrive while a batch is in service
+queue up and form the next batch together, so batches grow with load
+and no request waits on a timer.  Only a request that finds the server
+idle with an empty queue may open a straggler window
+(``max_batch_delay_s``, 0 by default).
+
 The served session's :class:`~repro.simulation.runtime.RuntimeConfig`
 knobs — workers and chunking — flow straight through
 :meth:`~repro.session.Evaluator.evaluate`, so a server can be pointed
@@ -152,9 +160,14 @@ class BatchServer:
     max_batch_size:
         Upper bound on requests coalesced into one engine call.
     max_batch_delay_s:
-        How long the batcher waits for stragglers after the first
-        request of a batch arrives.  Zero still coalesces everything
-        already queued (pure opportunistic batching).
+        Straggler window: how long the batcher waits for more requests
+        after one arrives at an idle server with an empty queue.  The
+        default 0 serves it at once.  A request behind a backlog never
+        waits: whatever queued during the previous batch's service is
+        taken in one batch as soon as the engine is free.  A non-zero
+        window trades that much latency on an idle server for a larger
+        batch, which pays only when requests arrive in close bursts
+        and an engine call costs much more than its per-row share.
     allow_row_dependent:
         Serve sessions whose per-request results depend on batch
         composition (see the determinism contract above).
@@ -205,7 +218,7 @@ class BatchServer:
         self,
         evaluator: Evaluator,
         max_batch_size: int = 256,
-        max_batch_delay_s: float = 0.002,
+        max_batch_delay_s: float = 0.0,
         allow_row_dependent: bool = False,
         policy: str = "block",
         max_queue: int = DEFAULT_MAX_QUEUE,
@@ -509,34 +522,42 @@ class BatchServer:
         queue = self._queue
         assert queue is not None
         while True:
+            # A request that finds the engine idle and the queue empty
+            # may wait for stragglers; a backlog that queued up while
+            # the previous batch was in service dispatches at once.
+            idle = queue.empty()
             request = await queue.get()
             if request is None:
                 if queue.empty():
                     return
                 continue  # shutdown sentinel raced ahead of late requests
-            batch = await self._collect(request)
+            batch = await self._collect(
+                request, self._max_batch_delay_s if idle else 0.0
+            )
             batch = self._admit_to_batch(batch)
             if batch:
                 await self._evaluate_batch(batch)
             if self._stopping and queue.empty():
                 return
 
-    async def _collect(self, first: Request) -> List[Request]:
-        """Coalesce requests behind *first* until size or deadline."""
+    async def _collect(self, first: Request, window_s: float) -> List[Request]:
+        """Coalesce requests behind *first* until size or window close.
+
+        Everything already queued is taken first; the batcher awaits the
+        queue only while it is empty and the straggler window is open.
+        """
         loop = asyncio.get_running_loop()
         queue = self._queue
         assert queue is not None
         batch = [first]
-        deadline = loop.time() + self._max_batch_delay_s
+        deadline = loop.time() + window_s
         while len(batch) < self._max_batch_size:
-            remaining = deadline - loop.time()
-            if remaining <= 0 or self._stopping:
-                # Deadline passed: take only what is already queued.
-                try:
-                    request = queue.get_nowait()
-                except asyncio.QueueEmpty:
+            try:
+                request = queue.get_nowait()
+            except asyncio.QueueEmpty:
+                remaining = deadline - loop.time()
+                if remaining <= 0 or self._stopping:
                     break
-            else:
                 try:
                     request = await asyncio.wait_for(queue.get(), remaining)
                 except asyncio.TimeoutError:

@@ -17,15 +17,17 @@ Runs the complete Fig. 3 pipeline for one evaluation:
 row 0 of a serial single-tile :func:`repro.simulation.runtime.run_batch`
 over ``[x]`` (the call :class:`repro.session.Evaluator` makes) and
 returns an :class:`OpticalEvaluation` view of that row, whose per-clock
-arrays the batch result decodes from its packed words.  The seed
-schedule consumes ``rng`` row by row, so looping single evaluations
-over ``xs`` with one ``rng`` gives exactly the rows of one batched
-call; ``base_seed`` pins the whole schedule instead.
+arrays the batch result decodes from its packed words on first read.
+The seed schedule consumes ``rng`` row by row, so looping single
+evaluations over ``xs`` with one ``rng`` gives exactly the rows of one
+batched call; ``base_seed`` pins the whole schedule instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any
 
 import numpy as np
 
@@ -37,16 +39,23 @@ __all__ = ["OpticalEvaluation"]
 
 @dataclass(frozen=True)
 class OpticalEvaluation:
-    """Outcome of one bit-level evaluation of the optical circuit."""
+    """Outcome of one bit-level evaluation of the optical circuit.
+
+    A view of row ``row`` of a one-shot :class:`BatchEvaluation`.  The
+    counts are read off the batch; the per-clock fields
+    (``received_power_mw``, ``output_bits``, ``ideal_bits``,
+    ``select_levels``) are decoded from its packed words on first read,
+    so a caller that reads only ``value`` pays no decode.
+    """
 
     value: float
     expected: float
     x: float
     stream_length: int
-    received_power_mw: np.ndarray
-    output_bits: Bitstream
-    ideal_bits: Bitstream
-    select_levels: np.ndarray
+    transmission_bit_errors: int
+    """Bits flipped by the optical link + receiver noise."""
+    batch: BatchEvaluation = field(repr=False, compare=False)
+    row: int
 
     @property
     def absolute_error(self) -> float:
@@ -54,14 +63,31 @@ class OpticalEvaluation:
         return abs(self.value - self.expected)
 
     @property
-    def transmission_bit_errors(self) -> int:
-        """Bits flipped by the optical link + receiver noise."""
-        return int(np.sum(self.output_bits.bits != self.ideal_bits.bits))
-
-    @property
     def transmission_ber(self) -> float:
         """Observed link bit-error rate for this evaluation."""
         return self.transmission_bit_errors / self.stream_length
+
+    @cached_property
+    def received_power_mw(self) -> "np.ndarray[Any, Any]":
+        """Per-clock received power (mW), from Eq. 6."""
+        array: "np.ndarray[Any, Any]" = self.batch.received_power_mw[self.row]
+        return array
+
+    @cached_property
+    def output_bits(self) -> Bitstream:
+        """Per-clock observed bits."""
+        return Bitstream(self.batch.output_bits[self.row])
+
+    @cached_property
+    def ideal_bits(self) -> Bitstream:
+        """Per-clock bits the ideal multiplexer selects."""
+        return Bitstream(self.batch.ideal_bits[self.row])
+
+    @cached_property
+    def select_levels(self) -> "np.ndarray[Any, Any]":
+        """Per-clock adder level, the MZI ones count."""
+        array: "np.ndarray[Any, Any]" = self.batch.select_levels[self.row]
+        return array
 
 
 def _evaluation_from_batch(batch: BatchEvaluation, row: int) -> OpticalEvaluation:
@@ -71,9 +97,7 @@ def _evaluation_from_batch(batch: BatchEvaluation, row: int) -> OpticalEvaluatio
         expected=float(batch.expected[row]),
         x=float(batch.xs[row]),
         stream_length=batch.stream_length,
-        received_power_mw=batch.received_power_mw[row],
-        output_bits=Bitstream(batch.output_bits[row]),
-        ideal_bits=Bitstream(batch.ideal_bits[row]),
-        select_levels=batch.select_levels[row],
+        transmission_bit_errors=int(batch.transmission_bit_errors[row]),
+        batch=batch,
+        row=row,
     )
-

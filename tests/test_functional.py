@@ -10,6 +10,7 @@ from repro.core.design import mrr_first_design
 from repro.core.params import paper_section5a_parameters
 from repro.errors import ConfigurationError
 from repro.session import EvalSpec, Evaluator
+from repro.simulation.kernels import PassWords
 from repro.stochastic import BernsteinPolynomial, ReSCUnit
 from repro.stochastic.functions import paper_example_bernstein
 
@@ -65,6 +66,42 @@ class TestEndToEnd:
         assert result.x == 0.25
         assert 0.0 <= result.transmission_ber <= 1.0
         assert result.absolute_error == abs(result.value - result.expected)
+
+
+class TestLazyDecode:
+    PER_CLOCK = ("received_power_mw", "output_bits", "ideal_bits", "select_levels")
+
+    def test_counts_decode_nothing_and_fields_match_eager(self, monkeypatch):
+        # A starved link, so the bit-error count is not trivially 0.
+        circuit = OpticalStochasticCircuit(
+            paper_section5a_parameters(probe_power_mw=0.06),
+            BernsteinPolynomial([0.25, 0.625, 0.375]),
+        )
+        decoded = []
+        for name in self.PER_CLOCK:
+            def counting(words, _decode=getattr(PassWords, name), _name=name):
+                decoded.append(_name)
+                return _decode(words)
+
+            monkeypatch.setattr(PassWords, name, counting)
+        result = circuit.evaluate(0.5, length=2048, rng=np.random.default_rng(3))
+        assert 0.0 <= result.value <= 1.0
+        assert result.absolute_error >= 0.0
+        assert result.transmission_ber > 0.0
+        assert decoded == []
+
+        eager = circuit.evaluate_batch(
+            [0.5], length=2048, rng=np.random.default_rng(3)
+        )
+        assert result.value == eager.values[0]
+        assert np.array_equal(result.received_power_mw, eager.received_power_mw[0])
+        assert np.array_equal(result.output_bits.bits, eager.output_bits[0])
+        assert np.array_equal(result.ideal_bits.bits, eager.ideal_bits[0])
+        assert np.array_equal(result.select_levels, eager.select_levels[0])
+        assert result.transmission_bit_errors == int(
+            np.sum(eager.output_bits[0] != eager.ideal_bits[0])
+        )
+        assert sorted(set(decoded)) == sorted(self.PER_CLOCK)
 
 
 class TestAgreementWithElectronicReSC:
