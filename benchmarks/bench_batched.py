@@ -14,9 +14,10 @@ One leg per run, one ``BENCH_*.json`` artifact per leg:
 * ``faults`` — production against the reference under one composite
   fault scenario (flips + desynchronization + drift ramp) at the same
   size, with the per-``2**16``-clock-tile split of the packed fault
-  path: threshold plane build, Bernoulli compare, shift and cursor take
-  under an rng-seeded and a fixed-``base_seed`` schedule, plus the
-  fixed-seed stream set-up (``BENCH_faults.json``);
+  path: threshold plane build and Bernoulli compare (the mask memo's
+  miss path), a mask memo hit, shift and cursor take under an
+  rng-seeded and a fixed-``base_seed`` schedule, plus the fixed-seed
+  stream set-up (``BENCH_faults.json``);
 * ``serving`` — an open-loop saturation study of the admission-
   controlled ``BatchServer`` (``BENCH_serving.json``): seeded Poisson
   arrivals at 0.5x / 1x / 2x of the measured saturation rate through an
@@ -27,15 +28,16 @@ at most 1.5x the noiseless chunked run: the tier-1 test suite owns
 every bit-exactness check between production and the reference,
 workers, chunk lengths and fault scenarios.  The faults leg exits non-zero
 unless production's and the reference's output and ideal bits are
-identical, and unless the fixed-seed stream words (whose banks are
-built from one shared row) equal the words of banks built row by row,
-tile by tile — so the run that times them also checks them.  The serving
-leg exits non-zero unless its four wall-clock gates hold, which no
-deterministic test can express: the unbounded baseline's queue grows
-past the bounded cap, the shedding server's traced allocation peak
-stays at or below the baseline's, the served p99 stays inside the
-configured deadline, and the degrading server serves at least 95% of
-all requests.
+identical, unless the fixed-seed stream words (whose banks are built
+from one shared row) equal the words of banks built row by row, tile by
+tile, and unless a run served from a warm mask memo gives the bits of
+one after the memo is cleared — so the run that times them also checks
+them.  The serving leg exits non-zero unless its four wall-clock gates
+hold, which no deterministic test can express: the unbounded baseline's
+queue grows past the bounded cap, the shedding server's traced
+allocation peak stays at or below the baseline's, the served p99 stays
+inside the configured deadline, and the degrading server serves at
+least 95% of all requests.
 
 Every artifact carries the environment block of ``perfbench/run.py``
 (cores, CPU model, Python and numpy versions, git sha, load average)
@@ -80,6 +82,9 @@ FAULT_BATCH = 32
 FAULT_LENGTH = 1 << 20
 FAULT_STAGE_TILE = 1 << 16  # clocks per tile of the stage split
 FAULT_FIXED_SEED = 2019  # base_seed of the fixed-seed stage and gate
+# One-shot length of the memo gate: a 1 MiB mask of 32 rows, well inside
+# the fault channel's 4 MiB memo bound.
+MEMO_GATE_LENGTH = 1 << 18
 
 SATURATION_REQUESTS = 600
 # Long enough that batch service time (~10 ms) dominates event-loop
@@ -298,9 +303,11 @@ def _fault_stages(circuit, fault) -> dict:
 
     Walks the leg's stream in ``FAULT_STAGE_TILE``-clock tiles, as the
     chunked runtime does, and times each stage on its own: the flip
-    threshold-plane build, the Bernoulli compare against those planes,
-    the desynchronization shift, and the cursor take of the tile's data
-    and coefficient words — under the rng-seeded schedule
+    threshold-plane build from cleared caches and the Bernoulli compare
+    against those planes (the mask memo's miss path), a mask memo hit
+    (``mask_memo_hit``, the tile's mask built once before the timed
+    read), the desynchronization shift, and the cursor take of the
+    tile's data and coefficient words — under the rng-seeded schedule
     (``cursor_take``) and under ``base_seed=FAULT_FIXED_SEED``
     (``cursor_take_fixed_seed``), where every row of a bank shares its
     seeds.  Two walks; the median is over all tiles.  ``stream_setup``
@@ -310,6 +317,7 @@ def _fault_stages(circuit, fault) -> dict:
     from repro.simulation.engine import _StreamSource
     from repro.simulation.faultmodel import (
         PackedFaultChannel,
+        clear_fault_caches,
         packed_bernoulli_words,
     )
 
@@ -321,6 +329,7 @@ def _fault_stages(circuit, fault) -> dict:
     samples = {
         "plane_build": [],
         "bernoulli_compare": [],
+        "mask_memo_hit": [],
         "shift": [],
         "cursor_take": [],
         "cursor_take_fixed_seed": [],
@@ -354,6 +363,7 @@ def _fault_stages(circuit, fault) -> dict:
                 start,
                 FAULT_STAGE_TILE,
             )
+            clear_fault_caches()
             planes = timed(
                 "plane_build", channel._flip_planes, first_word, words
             )
@@ -364,7 +374,16 @@ def _fault_stages(circuit, fault) -> dict:
                 first_word,
                 planes,
             )
+            channel._mask_words("flip", start, FAULT_STAGE_TILE)
+            timed(
+                "mask_memo_hit",
+                channel._mask_words,
+                "flip",
+                start,
+                FAULT_STAGE_TILE,
+            )
             timed("shift", channel._shift_words, mask, start, FAULT_STAGE_TILE)
+    clear_fault_caches()
     return {
         "tile_clocks": FAULT_STAGE_TILE,
         "ms_per_tile": {
@@ -412,13 +431,53 @@ def _fixed_seed_words_identical(circuit) -> bool:
     return True
 
 
+def _memo_hit_bits_identical(circuit, fault) -> bool:
+    """Whether a run served from a warm mask memo gives unchanged bits.
+
+    Three one-shot fixed-seed runs of ``MEMO_GATE_LENGTH`` clocks: one
+    after the fault caches are cleared (filling the memo), one that must
+    hit the memo, and one after the caches are cleared again.  All three
+    must give the same output and ideal bits.
+    """
+    from repro.simulation import faultmodel
+    from repro.simulation.runtime import RuntimeConfig, run_batch
+
+    xs = np.linspace(0.0, 1.0, FAULT_BATCH)
+
+    def run():
+        return run_batch(
+            circuit,
+            xs,
+            length=MEMO_GATE_LENGTH,
+            noisy=False,
+            base_seed=FAULT_FIXED_SEED,
+            config=RuntimeConfig(workers=0),
+            fault=fault,
+        )
+
+    faultmodel.clear_fault_caches()
+    cold = run()
+    hits = faultmodel._MASK_MEMO.hits
+    warm = run()
+    hit = faultmodel._MASK_MEMO.hits > hits
+    faultmodel.clear_fault_caches()
+    cleared = run()
+    return hit and all(
+        np.array_equal(getattr(warm, name), getattr(other, name))
+        for other in (cold, cleared)
+        for name in ("output_bits", "ideal_bits")
+    )
+
+
 def bench_faults(circuit) -> dict:
     """Production vs the reference: one-shot fault injection, long stream.
 
-    Both passes feed the same uint64 fault mask words.  The leg fails
-    unless both give the same output and ideal bits.
+    Both passes feed the same uint64 fault mask words, built afresh on
+    every call: the caches are cleared first, so the rows time the mask
+    memo's miss path.  The leg fails unless both give the same output
+    and ideal bits.
     """
-    from repro.simulation.faultmodel import FaultSpec
+    from repro.simulation.faultmodel import FaultSpec, clear_fault_caches
     from repro.simulation.runtime import RuntimeConfig, run_batch
 
     fault = FaultSpec(
@@ -427,8 +486,10 @@ def bench_faults(circuit) -> dict:
         drift_ramp_per_mclock=0.25,
     )
     xs = np.linspace(0.0, 1.0, FAULT_BATCH)
-    results, bits = _time_passes(
-        lambda: run_batch(
+
+    def run():
+        clear_fault_caches()
+        return run_batch(
             circuit,
             xs,
             length=FAULT_LENGTH,
@@ -436,8 +497,10 @@ def bench_faults(circuit) -> dict:
             base_seed=SEED,
             config=RuntimeConfig(workers=0),
             fault=fault,
-        ),
-        keep=lambda outcome: (outcome.output_bits, outcome.ideal_bits),
+        )
+
+    results, bits = _time_passes(
+        run, keep=lambda outcome: (outcome.output_bits, outcome.ideal_bits)
     )
     gates = {
         "output_bits_identical": bool(
@@ -447,6 +510,7 @@ def bench_faults(circuit) -> dict:
             np.array_equal(bits["reference"][1], bits["production"][1])
         ),
         "fixed_seed_words_identical": _fixed_seed_words_identical(circuit),
+        "memo_hit_bits_identical": _memo_hit_bits_identical(circuit, fault),
     }
     del bits
     return {

@@ -60,7 +60,6 @@ from .photonics import devices
 from .simulation import (
     BatchEvaluation,
     CalibrationController,
-    ChunkedEvaluation,  # deprecated alias of BatchEvaluation
     EvaluationCache,
     FaultInjector,
     FaultSpec,
@@ -157,7 +156,6 @@ __all__ = [
     "devices",
     "OpticalReceiver",
     "BatchEvaluation",
-    "ChunkedEvaluation",
     "EvaluationCache",
     "RuntimeConfig",
     "SeedSchedule",

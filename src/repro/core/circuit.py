@@ -62,6 +62,7 @@ class OpticalStochasticCircuit:
         self.polynomial = polynomial
         self.model = TransmissionModel(params)
         self._link_budget_cache: Optional[LinkBudget] = None
+        self._fingerprint_cache: Optional[str] = None
 
     @classmethod
     def from_design(
@@ -80,17 +81,24 @@ class OpticalStochasticCircuit:
         Two circuits with equal parameters and coefficients evaluate
         identically under a fixed seed schedule, so this digest (plus
         the SNG configuration) keys the runtime's evaluation cache
-        (:class:`repro.simulation.runtime.EvaluationCache`).
+        (:class:`repro.simulation.runtime.EvaluationCache`).  Computed
+        once: the parameters are frozen and the coefficients read-only.
         """
-        import hashlib
+        if self._fingerprint_cache is None:
+            import hashlib
 
-        payload = "|".join(
-            (
-                repr(self.params),
-                ",".join(repr(float(c)) for c in self.polynomial.coefficients),
+            payload = "|".join(
+                (
+                    repr(self.params),
+                    ",".join(
+                        repr(float(c)) for c in self.polynomial.coefficients
+                    ),
+                )
             )
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+            self._fingerprint_cache = hashlib.sha256(
+                payload.encode("utf-8")
+            ).hexdigest()[:16]
+        return self._fingerprint_cache
 
     # -- analytical views ---------------------------------------------------------
 

@@ -140,12 +140,13 @@ DEPRECATED_WRAPPERS: Dict[str, Dict[str, Any]] = {
             "return on every strategy"
         ),
         "removal_note": (
-            "deprecated when the one-shot and the tiled result types "
-            "merged; kept for the policy's two-PR grace window as an "
-            "alias bound to the same class object, so isinstance checks "
-            "and imports keep working"
+            "deprecated in PR when the one-shot and the tiled result "
+            "types merged (the alias was bound to the same class object, "
+            "so isinstance checks and imports kept working); removed in "
+            "PR after the policy's two-PR grace window — import "
+            "BatchEvaluation"
         ),
-        "removed": False,
+        "removed": True,
     },
 }
 """Legacy entry points and aliases folded into the session API.

@@ -22,7 +22,6 @@ from .engine import (
 )
 from .functional import OpticalEvaluation
 from .runtime import (
-    ChunkedEvaluation,  # deprecated alias of BatchEvaluation
     EvaluationCache,
     RuntimeConfig,
     default_evaluation_cache,
@@ -61,7 +60,6 @@ __all__ = [
     "SeedSchedule",
     "derive_seed_schedule",
     "simulate_batch",
-    "ChunkedEvaluation",
     "EvaluationCache",
     "RuntimeConfig",
     "default_evaluation_cache",

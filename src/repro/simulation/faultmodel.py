@@ -36,6 +36,19 @@ per word) are quantized and packed clock by clock.  The compare walks
 the planes MSB first and hashes the low planes only for the words
 where some lane is still undecided.
 
+Call-invariant work is done once per process.  Under a fixed
+``base_seed`` every call gets the same ``noise_seeds``, so its mask
+words repeat bit for bit: :meth:`PackedFaultChannel._mask_words`
+memoizes each tile's mask keyed on ``(spec, kind, mixed seed bytes,
+offset, count)``.  The drift and decay threshold planes depend only on
+``(spec, kind, first word, word count)`` and are cached the same way,
+so a memo miss skips the plane build too.  Both caches are LRUs
+bounded by :data:`_CACHE_BYTES` (4 MiB) of stored arrays each; an entry
+larger than the bound is returned but not kept, and every stored array
+is read-only.  Rows whose seeds are drawn from an rng get fresh seed
+bytes on every call and never hit the mask memo; they still share the
+plane cache.  :func:`clear_fault_caches` empties both.
+
 Canonical application order (both layouts, documented and tested):
 
 1. **stuck** — the pinned data-MZI channel is forced to
@@ -55,8 +68,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Generic,
+    Hashable,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -67,6 +91,7 @@ __all__ = [
     "FAULT_PROBABILITY_BITS",
     "FaultSpec",
     "PackedFaultChannel",
+    "clear_fault_caches",
 ]
 
 FAULT_PROBABILITY_BITS = 16
@@ -428,6 +453,82 @@ def packed_bernoulli_words(
     return less
 
 
+_Value = TypeVar("_Value")
+
+_CACHE_BYTES = 4 << 20
+"""Byte bound of each fault cache: the total ``nbytes`` it stores."""
+
+
+class _ArrayLRU(Generic[_Value]):
+    """A thread-safe LRU of read-only arrays, bounded by their total bytes.
+
+    A value is one array or a tuple of arrays.  Builds run unlocked, so
+    two threads may build the same key; the first stored value wins and
+    both are equal.  A value larger than the bound is returned, not kept.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self._entries: "OrderedDict[Hashable, Tuple[_Value, int]]" = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable, build: Callable[[], _Value]) -> _Value:
+        """The value stored under *key*, built and stored on a miss."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry[0]
+            self.misses += 1
+        value = build()
+        arrays = value if isinstance(value, tuple) else (value,)
+        for array in arrays:
+            array.setflags(write=False)
+        size = sum(array.nbytes for array in arrays)
+        if size > self.max_bytes:
+            return value
+        with self._lock:
+            existing = self._entries.get(key)
+            if existing is not None:
+                return existing[0]
+            self._entries[key] = (value, size)
+            self.nbytes += size
+            while self.nbytes > self.max_bytes:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.nbytes -= dropped
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = self.hits = self.misses = 0
+
+
+_MASK_MEMO: "_ArrayLRU[np.ndarray[Any, Any]]" = _ArrayLRU(_CACHE_BYTES)
+"""Tile mask words keyed on ``(spec, kind, seed bytes, offset, count)``."""
+
+_PLANE_CACHE: "_ArrayLRU[Tuple[np.ndarray[Any, Any], ...]]" = _ArrayLRU(
+    _CACHE_BYTES
+)
+"""Drift and decay threshold planes keyed on ``(spec, kind, first word,
+word count)``."""
+
+
+def clear_fault_caches() -> None:
+    """Drop every memoized mask word and threshold plane (testing hook)."""
+    _MASK_MEMO.clear()
+    _PLANE_CACHE.clear()
+
+
 class PackedFaultChannel:
     """Stateful word-level applier of one :class:`FaultSpec`'s stream faults.
 
@@ -500,7 +601,10 @@ class PackedFaultChannel:
             return tuple(
                 np.broadcast_to(plane[:1], (word_total,)) for plane in flat
             )
-        return _ramp_planes(self._drift_thresholds, first_word, word_total)
+        return _PLANE_CACHE.get(
+            (self._spec, "flip", first_word, word_total),
+            lambda: _ramp_planes(self._drift_thresholds, first_word, word_total),
+        )
 
     def _drift_thresholds(
         self, clocks: "np.ndarray[Any, Any]"
@@ -523,26 +627,46 @@ class PackedFaultChannel:
         # so the word-endpoint builder of the drift ramp does not apply.
         tau = self._spec.decay_tau_clocks
         assert tau is not None
-        clocks = np.uint64(64) * np.uint64(first_word) + np.arange(
-            64 * word_total, dtype=np.uint64
+
+        def build() -> Tuple["np.ndarray[Any, Any]", ...]:
+            clocks = np.uint64(64) * np.uint64(first_word) + np.arange(
+                64 * word_total, dtype=np.uint64
+            )
+            rates = 1.0 - np.exp(-(clocks.astype(np.float64)) / float(tau))
+            return _threshold_planes(_quantized_thresholds(rates))
+
+        return _PLANE_CACHE.get(
+            (self._spec, "erase", first_word, word_total), build
         )
-        rates = 1.0 - np.exp(-(clocks.astype(np.float64)) / float(tau))
-        return _threshold_planes(_quantized_thresholds(rates))
 
     def _mask_words(
         self, kind: str, offset: int, count: int
     ) -> "np.ndarray[Any, Any]":
-        """Tile-aligned mask covering stream clocks ``[offset, offset+count)``."""
+        """Read-only mask covering stream clocks ``[offset, offset+count)``.
+
+        Memoized: the mask is a pure function of the spec, the mixed
+        seeds and the clock window (see the module docstring).
+        """
+        seeds = self._flip_seeds if kind == "flip" else self._erase_seeds
+        return _MASK_MEMO.get(
+            (self._spec, kind, seeds.tobytes(), offset, count),
+            lambda: self._build_mask_words(kind, seeds, offset, count),
+        )
+
+    def _build_mask_words(
+        self,
+        kind: str,
+        seeds: "np.ndarray[Any, Any]",
+        offset: int,
+        count: int,
+    ) -> "np.ndarray[Any, Any]":
+        """The mask of :meth:`_mask_words`, hashed and compared afresh."""
         first_word = offset >> 6
         shift = offset & 63
-        tile_words = _word_count(count)
-        word_total = tile_words + (1 if shift else 0)
-        if kind == "flip":
-            planes = self._flip_planes(first_word, word_total)
-            seeds = self._flip_seeds
-        else:
-            planes = self._erase_planes(first_word, word_total)
-            seeds = self._erase_seeds
+        word_total = _word_count(count) + (1 if shift else 0)
+        planes = (self._flip_planes if kind == "flip" else self._erase_planes)(
+            first_word, word_total
+        )
         aligned = packed_bernoulli_words(seeds, first_word, planes)
         return _window_words(aligned, shift, count)
 

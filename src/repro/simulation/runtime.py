@@ -89,7 +89,6 @@ from .kernels import packed_tile_statistics
 
 __all__ = [
     "BACKENDS",
-    "ChunkedEvaluation",
     "EvaluationCache",
     "RuntimeConfig",
     "default_evaluation_cache",
@@ -283,10 +282,6 @@ def _map_row_shards(
 
 
 # -- chunked streaming ---------------------------------------------------------
-
-
-ChunkedEvaluation = BatchEvaluation
-"""Deprecated alias of the one result type (``session.DEPRECATED_WRAPPERS``)."""
 
 
 def _shard_worker(

@@ -20,7 +20,8 @@ import packed_reference as reference
 import repro
 from repro.errors import ConfigurationError
 from repro.session import EvalSpec, Evaluator
-from repro.simulation.engine import simulate_batch
+from repro.simulation import faultmodel
+from repro.simulation.engine import derive_seed_schedule, simulate_batch
 from repro.simulation.faultmodel import (
     FAULT_PROBABILITY_BITS,
     FaultSpec,
@@ -458,6 +459,142 @@ class TestChannelSemantics:
         channel.apply_words(np.zeros((1, 2), dtype=np.uint64), 0, 128)
         with pytest.raises(ConfigurationError):
             channel.apply_words(np.zeros((1, 2), dtype=np.uint64), 0, 128)
+
+
+# One spec per masked family plus a shift: the drift ramp is steep
+# enough that its threshold planes differ from tile to tile.
+MEMO_SPECS = {
+    "flip": FaultSpec(flip_probability=0.05),
+    "drift": FaultSpec(flip_probability=0.01, drift_ramp_per_mclock=40.0),
+    "decay": FaultSpec(decay_tau_clocks=50_000),
+    "shift": FaultSpec(shift_clocks=5),
+}
+
+
+def _walk(spec, seeds, chunk, tiles=3):
+    """Faulted words of *tiles* consecutive *chunk*-clock tiles."""
+    channel = PackedFaultChannel(spec, seeds, chunk * tiles)
+    rng = np.random.default_rng(chunk)
+    out = []
+    for tile in range(tiles):
+        clean = pack_bits(
+            rng.integers(0, 2, (seeds.size, chunk)).astype(np.uint8)
+        )
+        out.append(channel.apply_words(clean, tile * chunk, chunk))
+    return out
+
+
+@pytest.fixture
+def fresh_fault_caches():
+    faultmodel.clear_fault_caches()
+    yield faultmodel._MASK_MEMO
+    faultmodel.clear_fault_caches()
+
+
+@pytest.mark.usefixtures("fresh_fault_caches")
+class TestFaultCaches:
+    """The mask memo and the plane cache change no bit."""
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize(
+        "spec", list(MEMO_SPECS.values()), ids=list(MEMO_SPECS)
+    )
+    @pytest.mark.parametrize("chunk", [1 << 12, 1 << 16, 1000])
+    def test_warm_memo_matches_cleared(self, chunk, spec, batch):
+        memo = faultmodel._MASK_MEMO
+        seeds = np.arange(batch, dtype=np.int64) + 31
+        cold = _walk(spec, seeds, chunk)
+        hits = memo.hits
+        warm = _walk(spec, seeds, chunk)
+        for got, want in zip(warm, cold, strict=True):
+            assert np.array_equal(got, want)
+        # Every masked tile of the second walk came from the memo.
+        assert memo.hits - hits == (3 if spec.needs_seeds else 0)
+        faultmodel.clear_fault_caches()
+        for got, want in zip(_walk(spec, seeds, chunk), cold, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_bound_is_a_module_constant(self):
+        assert faultmodel._CACHE_BYTES == 4 << 20
+        assert faultmodel._MASK_MEMO.max_bytes == faultmodel._CACHE_BYTES
+        assert faultmodel._PLANE_CACHE.max_bytes == faultmodel._CACHE_BYTES
+
+    def test_memo_bytes_never_exceed_the_bound(self, monkeypatch):
+        # Three 4-row masks of 64 words fit in the bound, a fourth evicts
+        # the least recently used.
+        memo = faultmodel._ArrayLRU(3 * 4 * 64 * 8)
+        monkeypatch.setattr(faultmodel, "_MASK_MEMO", memo)
+        spec = FaultSpec(flip_probability=0.1)
+        channel = PackedFaultChannel(spec, np.arange(4), 64 * 64 * 20)
+        clean = np.zeros((4, 64), dtype=np.uint64)
+        for tile in range(20):
+            channel.apply_words(clean, tile * 64 * 64, 64 * 64)
+            stored = sum(value.nbytes for value, _ in memo._entries.values())
+            assert memo.nbytes == stored <= memo.max_bytes
+        assert len(memo) == 3
+
+    def test_entry_over_the_bound_is_returned_not_kept(self, monkeypatch):
+        memo = faultmodel._ArrayLRU(1024)
+        monkeypatch.setattr(faultmodel, "_MASK_MEMO", memo)
+        spec = FaultSpec(flip_probability=0.1)
+        seeds = np.arange(4)
+        channel = PackedFaultChannel(spec, seeds, 4096)
+        mask = channel._mask_words("flip", 0, 4096)  # 2 KiB
+        assert mask.nbytes > memo.max_bytes
+        assert len(memo) == 0 and memo.nbytes == 0
+        expected = channel._build_mask_words(
+            "flip", channel._flip_seeds, 0, 4096
+        )
+        assert np.array_equal(mask, expected)
+
+    def test_cached_arrays_are_read_only(self):
+        spec = FaultSpec(flip_probability=0.01, decay_tau_clocks=4096,
+                         drift_ramp_per_mclock=1.0)
+        channel = PackedFaultChannel(spec, np.arange(2), 1 << 14)
+        for kind in ("flip", "erase"):
+            mask = channel._mask_words(kind, 100, 1000)
+            assert not mask.flags.writeable
+            assert channel._mask_words(kind, 100, 1000) is mask
+        for build in (channel._flip_planes, channel._erase_planes):
+            planes = build(3, 17)
+            assert not any(plane.flags.writeable for plane in planes)
+            assert build(3, 17) is planes
+
+    def test_rng_rows_never_hit_the_memo(self, circuit):
+        memo = faultmodel._MASK_MEMO
+        planes = faultmodel._PLANE_CACHE
+        spec = MEMO_SPECS["drift"]
+        rng = np.random.default_rng(8)
+        config = RuntimeConfig(chunk_length=1 << 12, workers=0)
+        for _ in range(2):
+            run_batch(circuit, np.linspace(0, 1, 4), length=1 << 14,
+                      rng=rng, noisy=False, config=config, fault=spec)
+        assert memo.hits == 0 and memo.misses == 8
+        # The planes depend on the spec and the tile only: shared.
+        assert planes.hits == 4
+
+    def test_threads_match_serial_under_a_warm_memo(self, circuit):
+        xs = np.linspace(0, 1, 6)
+        kwargs = dict(length=1 << 14, base_seed=5, fault=COMPOSITE)
+        tiles = RuntimeConfig(chunk_length=1 << 12, workers=0)
+        serial = run_batch(circuit, xs, config=tiles, **kwargs)
+        threads = RuntimeConfig(
+            workers=2, backend="thread", chunk_length=1 << 12
+        )
+        # Each shard keys its own rows' seeds: the first threaded run
+        # fills the memo, the second reads it.
+        results = []
+        for config in (tiles, threads, threads):
+            hits = faultmodel._MASK_MEMO.hits
+            results.append(run_batch(circuit, xs, config=config, **kwargs))
+        assert faultmodel._MASK_MEMO.hits > hits
+        for result in results:
+            assert np.array_equal(result.values, serial.values)
+            assert np.array_equal(result.ones_count, serial.ones_count)
+            assert np.array_equal(
+                result.transmission_bit_errors,
+                serial.transmission_bit_errors,
+            )
 
 
 # The noisy axis of the parity matrices: the Section V-A circuit

@@ -533,6 +533,21 @@ class TestPassContextMemoization:
         )
         assert pass_context(other) is not first
 
+    def test_fingerprint_computed_once_and_shared(self):
+        def build():
+            return repro.OpticalStochasticCircuit(
+                repro.paper_section5a_parameters(),
+                repro.BernsteinPolynomial([0.25, 0.625, 0.375]),
+            )
+
+        kernels.clear_pass_context_cache()
+        first, twin = build(), build()
+        digest = first.fingerprint()
+        # Hashed once per instance: later calls return the stored digest.
+        assert first.fingerprint() is digest
+        assert twin.fingerprint() == digest
+        assert pass_context(twin) is pass_context(first)
+
     def test_cached_pass_is_bit_identical(self, circuit):
         # The memoized receiver/table must produce exactly the bits the
         # rebuilt-per-call path produced (same schedule, fresh cache vs

@@ -30,7 +30,6 @@ from repro.simulation.engine import (
 from repro.simulation.montecarlo import run_monte_carlo
 from repro.simulation.faultmodel import FaultSpec
 from repro.simulation.runtime import (
-    ChunkedEvaluation,
     EvaluationCache,
     RuntimeConfig,
     default_worker_count,
@@ -604,14 +603,6 @@ PER_CLOCK_FIELDS = (
 
 class TestOneResultType:
     """Every strategy returns a BatchEvaluation; only one-shot keeps words."""
-
-    def test_chunked_evaluation_is_a_deprecated_alias(self):
-        from repro.session import DEPRECATED_WRAPPERS
-
-        assert ChunkedEvaluation is BatchEvaluation
-        entry = DEPRECATED_WRAPPERS["repro.simulation.runtime.ChunkedEvaluation"]
-        assert entry["removed"] is False
-        assert "BatchEvaluation" in entry["replacement"]
 
     @pytest.mark.parametrize(
         "config",
