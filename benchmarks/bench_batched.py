@@ -305,8 +305,9 @@ def _fault_stages(circuit, fault) -> dict:
     chunked runtime does, and times each stage on its own: the flip
     threshold-plane build from cleared caches and the Bernoulli compare
     against those planes (the mask memo's miss path), a mask memo hit
-    (``mask_memo_hit``, the tile's mask built once before the timed
-    read), the desynchronization shift, and the cursor take of the
+    (``mask_memo_hit``: the memo stores a mask on its second miss, so
+    the tile's mask is built twice before the timed read), the
+    desynchronization shift, and the cursor take of the
     tile's data and coefficient words — under the rng-seeded schedule
     (``cursor_take``) and under ``base_seed=FAULT_FIXED_SEED``
     (``cursor_take_fixed_seed``), where every row of a bank shares its
@@ -374,7 +375,8 @@ def _fault_stages(circuit, fault) -> dict:
                 first_word,
                 planes,
             )
-            channel._mask_words("flip", start, FAULT_STAGE_TILE)
+            for _ in range(2):
+                channel._mask_words("flip", start, FAULT_STAGE_TILE)
             timed(
                 "mask_memo_hit",
                 channel._mask_words,
@@ -434,10 +436,10 @@ def _fixed_seed_words_identical(circuit) -> bool:
 def _memo_hit_bits_identical(circuit, fault) -> bool:
     """Whether a run served from a warm mask memo gives unchanged bits.
 
-    Three one-shot fixed-seed runs of ``MEMO_GATE_LENGTH`` clocks: one
-    after the fault caches are cleared (filling the memo), one that must
-    hit the memo, and one after the caches are cleared again.  All three
-    must give the same output and ideal bits.
+    Four one-shot fixed-seed runs of ``MEMO_GATE_LENGTH`` clocks: two
+    after the fault caches are cleared (the memo stores a mask on its
+    second miss), one that must hit the memo, and one after the caches
+    are cleared again.  All must give the same output and ideal bits.
     """
     from repro.simulation import faultmodel
     from repro.simulation.runtime import RuntimeConfig, run_batch
@@ -457,6 +459,7 @@ def _memo_hit_bits_identical(circuit, fault) -> bool:
 
     faultmodel.clear_fault_caches()
     cold = run()
+    run()
     hits = faultmodel._MASK_MEMO.hits
     warm = run()
     hit = faultmodel._MASK_MEMO.hits > hits

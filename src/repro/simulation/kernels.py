@@ -35,7 +35,19 @@ import sys
 import threading
 from collections import OrderedDict
 from statistics import NormalDist
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -311,11 +323,92 @@ def _normal_quantile(probability: float) -> float:
     return NormalDist().inv_cdf(probability)
 
 
-_CONTEXT_CACHE: "OrderedDict[Tuple[Any, Any], CircuitPassContext]" = (
-    OrderedDict()
-)
-_CONTEXT_CACHE_MAX = 8
-_CONTEXT_LOCK = threading.Lock()
+_Value = TypeVar("_Value")
+
+_SEEN_MAX = 4096
+"""How many once-missed keys a scan-resistant cache remembers."""
+
+
+class _BoundedCache(Generic[_Value]):
+    """A thread-safe memo bounded by the total size of the values it keeps.
+
+    ``size(value)`` weighs a value (1 by default, so *bound* counts
+    entries).  Builds run unlocked, so two threads may build one key;
+    the first stored value wins.  A build that raises stores nothing,
+    and a value heavier than *bound* is returned, not kept.
+
+    By default the cache is an LRU: a new value evicts the least
+    recently used ones.  A *scan_resistant* cache never evicts: a key
+    is admitted on its second miss only, so keys seen once take no
+    room, and once full the cache keeps what it holds and returns new
+    values unstored.  A working set larger than the bound then still
+    hits on the part that fits, where an LRU would evict every entry
+    before its reuse.
+    """
+
+    def __init__(
+        self,
+        bound: int,
+        size: Callable[[_Value], int] = lambda value: 1,
+        scan_resistant: bool = False,
+    ) -> None:
+        self.bound = bound
+        self.total = 0
+        self.hits = 0
+        self.misses = 0
+        self._size = size
+        self._scan_resistant = scan_resistant
+        self._entries: "OrderedDict[Hashable, Tuple[_Value, int]]" = (
+            OrderedDict()
+        )
+        self._seen: Set[int] = set()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable, build: Callable[[], _Value]) -> _Value:
+        """The value stored under *key*, built (and maybe stored) on a miss."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry[0]
+            self.misses += 1
+        value = build()
+        size = self._size(value)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                return entry[0]
+            if self._scan_resistant:
+                # Admit on a second miss, and only while there is room.
+                digest = hash(key)
+                if digest not in self._seen or self.total + size > self.bound:
+                    if len(self._seen) >= _SEEN_MAX:
+                        self._seen.clear()
+                    self._seen.add(digest)
+                    return value
+                self._seen.discard(digest)
+            if size > self.bound:
+                return value
+            self._entries[key] = (value, size)
+            self.total += size
+            while self.total > self.bound:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.total -= dropped
+        return value
+
+    def clear(self) -> None:
+        """Drop every entry and reset the counters."""
+        with self._lock:
+            self._entries.clear()
+            self._seen.clear()
+            self.total = self.hits = self.misses = 0
+
+
+_CONTEXT_CACHE: "_BoundedCache[CircuitPassContext]" = _BoundedCache(8)
 
 
 def pass_context(circuit: Any) -> CircuitPassContext:
@@ -323,37 +416,24 @@ def pass_context(circuit: Any) -> CircuitPassContext:
 
     Keyed on the circuit's concrete type plus ``circuit.fingerprint()``
     (parameters + Bernstein program, the same digest that keys the
-    evaluation cache), LRU-bounded and thread-safe — thread-backend
-    shard workers and the serving executor hit this cache concurrently.
-    The type in the key keeps a subclass that overrides
-    ``link_budget()``/``model`` from reusing a base circuit's context;
-    both are assumed immutable per instance, as everywhere else in the
-    engine.  Failed builds — overlapping link-budget bands — are never
-    cached, so the :class:`~repro.errors.SimulationError` is raised on
-    every attempt, exactly like the unmemoized path.
+    evaluation cache), LRU-bounded at eight circuits and thread-safe —
+    thread-backend shard workers and the serving executor hit this
+    cache concurrently.  The type in the key keeps a subclass that
+    overrides ``link_budget()``/``model`` from reusing a base circuit's
+    context; both are assumed immutable per instance, as everywhere
+    else in the engine.  Failed builds — overlapping link-budget bands
+    — are never cached, so the :class:`~repro.errors.SimulationError`
+    is raised on every attempt, exactly like the unmemoized path.
     """
-    key = (type(circuit), circuit.fingerprint())
-    with _CONTEXT_LOCK:
-        context = _CONTEXT_CACHE.get(key)
-        if context is not None:
-            _CONTEXT_CACHE.move_to_end(key)
-            return context
-    context = CircuitPassContext(circuit)  # built unlocked: may raise
-    with _CONTEXT_LOCK:
-        existing = _CONTEXT_CACHE.get(key)
-        if existing is not None:
-            _CONTEXT_CACHE.move_to_end(key)
-            return existing
-        _CONTEXT_CACHE[key] = context
-        while len(_CONTEXT_CACHE) > _CONTEXT_CACHE_MAX:
-            _CONTEXT_CACHE.popitem(last=False)
-    return context
+    return _CONTEXT_CACHE.get(
+        (type(circuit), circuit.fingerprint()),
+        lambda: CircuitPassContext(circuit),
+    )
 
 
 def clear_pass_context_cache() -> None:
     """Drop every memoized pass context (testing hook)."""
-    with _CONTEXT_LOCK:
-        _CONTEXT_CACHE.clear()
+    _CONTEXT_CACHE.clear()
 
 
 # -- the optical pass ----------------------------------------------------------

@@ -20,7 +20,7 @@ import packed_reference as reference
 import repro
 from repro.errors import ConfigurationError
 from repro.session import EvalSpec, Evaluator
-from repro.simulation import faultmodel
+from repro.simulation import faultmodel, kernels
 from repro.simulation.engine import derive_seed_schedule, simulate_batch
 from repro.simulation.faultmodel import (
     FAULT_PROBABILITY_BITS,
@@ -504,44 +504,50 @@ class TestFaultCaches:
         memo = faultmodel._MASK_MEMO
         seeds = np.arange(batch, dtype=np.int64) + 31
         cold = _walk(spec, seeds, chunk)
+        # A tile's mask is stored on its second miss.
+        _walk(spec, seeds, chunk)
         hits = memo.hits
         warm = _walk(spec, seeds, chunk)
         for got, want in zip(warm, cold, strict=True):
             assert np.array_equal(got, want)
-        # Every masked tile of the second walk came from the memo.
+        # Every masked tile of the third walk came from the memo.
         assert memo.hits - hits == (3 if spec.needs_seeds else 0)
         faultmodel.clear_fault_caches()
         for got, want in zip(_walk(spec, seeds, chunk), cold, strict=True):
             assert np.array_equal(got, want)
 
-    def test_bound_is_a_module_constant(self):
-        assert faultmodel._CACHE_BYTES == 4 << 20
-        assert faultmodel._MASK_MEMO.max_bytes == faultmodel._CACHE_BYTES
-        assert faultmodel._PLANE_CACHE.max_bytes == faultmodel._CACHE_BYTES
-
     def test_memo_bytes_never_exceed_the_bound(self, monkeypatch):
-        # Three 4-row masks of 64 words fit in the bound, a fourth evicts
-        # the least recently used.
-        memo = faultmodel._ArrayLRU(3 * 4 * 64 * 8)
+        # Three 4-row masks of 64 words fit in the bound.  A stream of 20
+        # such tiles, walked three times: nothing is stored on the first
+        # walk, the first three tiles on the second, and the third walk
+        # hits on exactly those three; no tile is ever evicted.
+        memo = kernels._BoundedCache(
+            3 * 4 * 64 * 8, faultmodel._nbytes, scan_resistant=True
+        )
         monkeypatch.setattr(faultmodel, "_MASK_MEMO", memo)
         spec = FaultSpec(flip_probability=0.1)
         channel = PackedFaultChannel(spec, np.arange(4), 64 * 64 * 20)
         clean = np.zeros((4, 64), dtype=np.uint64)
-        for tile in range(20):
-            channel.apply_words(clean, tile * 64 * 64, 64 * 64)
-            stored = sum(value.nbytes for value, _ in memo._entries.values())
-            assert memo.nbytes == stored <= memo.max_bytes
-        assert len(memo) == 3
+        for walk in range(3):
+            for tile in range(20):
+                channel.apply_words(clean, tile * 64 * 64, 64 * 64)
+                stored = sum(size for _, size in memo._entries.values())
+                assert memo.total == stored <= memo.bound
+            assert len(memo) == (0 if walk == 0 else 3)
+        assert memo.hits == 3
 
     def test_entry_over_the_bound_is_returned_not_kept(self, monkeypatch):
-        memo = faultmodel._ArrayLRU(1024)
+        memo = kernels._BoundedCache(
+            1024, faultmodel._nbytes, scan_resistant=True
+        )
         monkeypatch.setattr(faultmodel, "_MASK_MEMO", memo)
         spec = FaultSpec(flip_probability=0.1)
         seeds = np.arange(4)
         channel = PackedFaultChannel(spec, seeds, 4096)
-        mask = channel._mask_words("flip", 0, 4096)  # 2 KiB
-        assert mask.nbytes > memo.max_bytes
-        assert len(memo) == 0 and memo.nbytes == 0
+        for _ in range(3):
+            mask = channel._mask_words("flip", 0, 4096)  # 2 KiB
+        assert mask.nbytes > memo.bound
+        assert len(memo) == 0 and memo.total == 0
         expected = channel._build_mask_words(
             "flip", channel._flip_seeds, 0, 4096
         )
@@ -552,10 +558,12 @@ class TestFaultCaches:
                          drift_ramp_per_mclock=1.0)
         channel = PackedFaultChannel(spec, np.arange(2), 1 << 14)
         for kind in ("flip", "erase"):
+            channel._mask_words(kind, 100, 1000)
             mask = channel._mask_words(kind, 100, 1000)
             assert not mask.flags.writeable
             assert channel._mask_words(kind, 100, 1000) is mask
         for build in (channel._flip_planes, channel._erase_planes):
+            build(3, 17)
             planes = build(3, 17)
             assert not any(plane.flags.writeable for plane in planes)
             assert build(3, 17) is planes
@@ -566,11 +574,13 @@ class TestFaultCaches:
         spec = MEMO_SPECS["drift"]
         rng = np.random.default_rng(8)
         config = RuntimeConfig(chunk_length=1 << 12, workers=0)
-        for _ in range(2):
+        for _ in range(3):
             run_batch(circuit, np.linspace(0, 1, 4), length=1 << 14,
                       rng=rng, noisy=False, config=config, fault=spec)
-        assert memo.hits == 0 and memo.misses == 8
-        # The planes depend on the spec and the tile only: shared.
+        # Fresh seeds on every call: no hit, and no mask takes room.
+        assert memo.hits == 0 and memo.misses == 12 and len(memo) == 0
+        # The planes depend on the spec and the tile only: stored on the
+        # second call, shared by the third.
         assert planes.hits == 4
 
     def test_threads_match_serial_under_a_warm_memo(self, circuit):
@@ -581,10 +591,10 @@ class TestFaultCaches:
         threads = RuntimeConfig(
             workers=2, backend="thread", chunk_length=1 << 12
         )
-        # Each shard keys its own rows' seeds: the first threaded run
-        # fills the memo, the second reads it.
+        # Each shard keys its own rows' seeds: the first two threaded
+        # runs fill the memo, the third reads it.
         results = []
-        for config in (tiles, threads, threads):
+        for config in (tiles, threads, threads, threads):
             hits = faultmodel._MASK_MEMO.hits
             results.append(run_batch(circuit, xs, config=config, **kwargs))
         assert faultmodel._MASK_MEMO.hits > hits

@@ -516,6 +516,46 @@ class TestCycleLayout:
         )
 
 
+class TestBoundedCache:
+    """The one memo helper behind the pass-context and fault caches."""
+
+    def test_lru_evicts_least_recently_used(self):
+        cache = kernels._BoundedCache(2)
+        for key in ("a", "b"):
+            cache.get(key, lambda: object())
+        kept = cache.get("a", lambda: object())
+        cache.get("c", lambda: object())  # evicts "b", the LRU entry
+        assert set(cache._entries) == {"a", "c"}
+        assert cache.get("a", lambda: object()) is kept
+        assert (cache.hits, cache.misses) == (2, 3)
+
+    def test_failed_build_stores_nothing(self):
+        cache = kernels._BoundedCache(2)
+
+        def boom():
+            raise ValueError("no")
+
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                cache.get("k", boom)
+        assert len(cache) == 0
+
+    def test_scan_resistant_admits_on_second_miss_and_never_evicts(self):
+        cache = kernels._BoundedCache(
+            10, lambda value: len(value), scan_resistant=True
+        )
+        first = cache.get("a", lambda: "x" * 4)
+        assert len(cache) == 0  # a key seen once takes no room
+        second = cache.get("a", lambda: "y" * 4)
+        assert cache.get("a", lambda: "z") is second is not first
+        for key in ("b", "b", "c", "c"):
+            cache.get(key, lambda: "w" * 4)
+        # "b" fit (8 of 10), "c" did not: refused, "a" kept.
+        assert set(cache._entries) == {"a", "b"} and cache.total == 8
+        cache.clear()
+        assert (len(cache), cache.total, cache.hits) == (0, 0, 0)
+
+
 class TestPassContextMemoization:
     def test_context_cached_per_fingerprint(self, circuit):
         kernels.clear_pass_context_cache()
