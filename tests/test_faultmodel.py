@@ -9,6 +9,7 @@ faults (drift ramps, laser decay) stitch exactly across chunk
 boundaries.
 """
 
+import asyncio
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import packed_reference as reference
 import repro
 from repro.errors import ConfigurationError
+from repro.serving import BatchServer
 from repro.session import EvalSpec, Evaluator
 from repro.simulation import faultmodel, kernels
 from repro.simulation.engine import derive_seed_schedule, simulate_batch
@@ -582,6 +584,32 @@ class TestFaultCaches:
         # The planes depend on the spec and the tile only: stored on the
         # second call, shared by the third.
         assert planes.hits == 4
+
+    def test_faulted_serving_session_hits_the_memo(self, circuit):
+        # A server bound to a pinned-seed faulted session runs each full
+        # micro-batch under the same seeds: the traffic the memo serves.
+        session = Evaluator(
+            circuit, EvalSpec(length=1 << 12, base_seed=9)
+        ).with_fault(COMPOSITE)
+        bursts = [np.linspace(0.1, 0.9, 4) + 0.01 * k for k in range(4)]
+
+        async def scenario():
+            served = []
+            async with BatchServer(
+                session, max_batch_size=4, allow_row_dependent=True
+            ) as server:
+                for xs in bursts:
+                    served.append(
+                        await asyncio.gather(
+                            *(server.submit(float(x)) for x in xs)
+                        )
+                    )
+            return served
+
+        served = asyncio.run(scenario())
+        assert faultmodel._MASK_MEMO.hits > 0
+        for xs, values in zip(bursts, served, strict=True):
+            assert np.array_equal(values, session.evaluate(xs).values)
 
     def test_threads_match_serial_under_a_warm_memo(self, circuit):
         xs = np.linspace(0, 1, 6)
