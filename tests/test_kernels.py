@@ -10,6 +10,8 @@ and any other name raises.
 """
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -554,6 +556,39 @@ class TestBoundedCache:
         assert set(cache._entries) == {"a", "b"} and cache.total == 8
         cache.clear()
         assert (len(cache), cache.total, cache.hits) == (0, 0, 0)
+
+    @pytest.mark.parametrize("scan_resistant", [False, True])
+    def test_threads_lose_no_update(self, scan_resistant):
+        cache = kernels._BoundedCache(
+            12, lambda value: len(value), scan_resistant=scan_resistant
+        )
+        calls = 3000
+        wrong = []
+
+        def hammer(worker):
+            for i in range(calls):
+                key = (worker + i) % 13
+                value = cache.get(key, lambda: "x" * (1 + key % 5))
+                if value != "x" * (1 + key % 5):
+                    wrong.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(w,)) for w in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert cache.hits + cache.misses == 8 * calls
+        sizes = sum(size for _, size in cache._entries.values())
+        assert cache.total == sizes <= cache.bound
 
 
 class TestPassContextMemoization:
