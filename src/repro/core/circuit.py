@@ -78,9 +78,11 @@ class OpticalStochasticCircuit:
     def fingerprint(self) -> str:
         """Stable digest of the design point and Bernstein program.
 
-        Two circuits with equal parameters and coefficients evaluate
-        identically under a fixed seed schedule, so this digest (plus
-        the SNG configuration) keys the runtime's evaluation cache
+        Two circuits of one type with equal parameters and coefficients
+        evaluate identically under a fixed seed schedule, so this digest
+        and the circuit's type key both of the engine's per-circuit
+        caches: the pass contexts and, with the SNG configuration, the
+        runtime's evaluation cache
         (:class:`repro.simulation.runtime.EvaluationCache`).  Computed
         once: the parameters are frozen and the coefficients read-only.
         """

@@ -43,8 +43,10 @@ Call-invariant work is done once per process.  Under a fixed
 on ``(spec, kind, mixed seed bytes, offset, count)``.  The drift and
 decay threshold planes depend only on ``(spec, kind, first word, word
 count)`` and are cached the same way, so a memo miss skips the plane
-build too.  Both caches hold up to :data:`_CACHE_BYTES` (4 MiB) of
-read-only arrays each and are scan-resistant: a key is stored on its
+build too.  Both caches are the package's one memo helper
+(:class:`repro._memo._BoundedCache`), which makes every array it builds
+read-only; each holds up to :data:`_CACHE_BYTES` (4 MiB) of arrays and
+is scan-resistant: a key is stored on its
 second miss, nothing is ever evicted, and once full a cache keeps what
 it holds.  So a stream repeated under one seed hits from its third
 call on, and if its masks outgrow the bound it still hits on the tiles
@@ -75,12 +77,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
+from .._memo import _arrays, _BoundedCache
 from ..errors import ConfigurationError
-from .kernels import _WORD_BITS, _BoundedCache, _word_count, pack_bits
+from .kernels import _WORD_BITS, _word_count, pack_bits
 
 __all__ = [
     "FAULT_PROBABILITY_BITS",
@@ -448,25 +451,12 @@ def packed_bernoulli_words(
     return less
 
 
-_T = TypeVar("_T")
-
 _CACHE_BYTES = 4 << 20
 """Byte bound of each fault cache: the total ``nbytes`` it stores."""
 
 
-def _arrays(value: Any) -> Tuple["np.ndarray[Any, Any]", ...]:
-    """A cached value, one array or a tuple of arrays, as a tuple."""
-    return value if isinstance(value, tuple) else (value,)
-
-
 def _nbytes(value: Any) -> int:
     return sum(array.nbytes for array in _arrays(value))
-
-
-def _read_only(value: _T) -> _T:
-    for array in _arrays(value):
-        array.setflags(write=False)
-    return value
 
 
 _MASK_MEMO: "_BoundedCache[np.ndarray[Any, Any]]" = _BoundedCache(
@@ -561,8 +551,8 @@ class PackedFaultChannel:
             )
         return _PLANE_CACHE.get(
             (self._spec, "flip", first_word, word_total),
-            lambda: _read_only(
-                _ramp_planes(self._drift_thresholds, first_word, word_total)
+            lambda: _ramp_planes(
+                self._drift_thresholds, first_word, word_total
             ),
         )
 
@@ -593,7 +583,7 @@ class PackedFaultChannel:
                 64 * word_total, dtype=np.uint64
             )
             rates = 1.0 - np.exp(-(clocks.astype(np.float64)) / float(tau))
-            return _read_only(_threshold_planes(_quantized_thresholds(rates)))
+            return _threshold_planes(_quantized_thresholds(rates))
 
         return _PLANE_CACHE.get(
             (self._spec, "erase", first_word, word_total), build
@@ -610,9 +600,7 @@ class PackedFaultChannel:
         seeds = self._flip_seeds if kind == "flip" else self._erase_seeds
         return _MASK_MEMO.get(
             (self._spec, kind, seeds.tobytes(), offset, count),
-            lambda: _read_only(
-                self._build_mask_words(kind, seeds, offset, count)
-            ),
+            lambda: self._build_mask_words(kind, seeds, offset, count),
         )
 
     def _build_mask_words(

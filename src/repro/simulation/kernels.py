@@ -23,36 +23,35 @@ SNG kinds, noisy and noiseless, with and without faults.
 
 The module also owns the memoized per-circuit pass context
 (:func:`pass_context`): the link budget, Eq. 6 table, threshold
-receiver and per-key flip rates are built once per circuit fingerprint
-instead of once per optical pass, i.e. once per tile of a chunked
-stream.
+receiver and per-key flip rates are built once per circuit type and
+fingerprint instead of once per optical pass, i.e. once per tile of a
+chunked stream.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import threading
-from collections import OrderedDict
 from statistics import NormalDist
 from typing import (
     Any,
-    Callable,
     Dict,
-    Generic,
-    Hashable,
     List,
     NamedTuple,
     Optional,
-    Set,
     Tuple,
-    TypeVar,
 )
 
 import numpy as np
 
+from .._memo import _BoundedCache
 from ..errors import ConfigurationError, SimulationError
-from ..stochastic.lfsr import _TABLE_MAX_WIDTH, _cycle_tables, _resolve_taps
+from ..stochastic.lfsr import (
+    _TABLE_ENTRIES,
+    _TABLE_MAX_WIDTH,
+    _cycle_tables,
+    _resolve_taps,
+)
 from ..stochastic.sng import (
     chaotic_orbit,
     chaotic_warmup,
@@ -129,31 +128,22 @@ def unpack_bits(
     return bits[..., : int(length)]
 
 
-_POPCOUNT_LUT: Optional["np.ndarray[Any, Any]"] = None
-_POPCOUNT_LOCK = threading.Lock()
+_POPCOUNT_LUT: "_BoundedCache[np.ndarray[Any, Any]]" = _BoundedCache(
+    _TABLE_ENTRIES
+)
 
 
 def _popcount_lut() -> "np.ndarray[Any, Any]":
-    """Lazily built 16-bit population-count table (64 KiB, built once).
+    """Lazily built 16-bit population-count table (64 KiB, built once)."""
 
-    Double-checked under the module lock: thread-backend shards hit the
-    fallback path concurrently on older numpy, and an unguarded lazy
-    init would build (and briefly publish) the table per racing thread.
-    """
-    global _POPCOUNT_LUT
-    lut = _POPCOUNT_LUT
-    if lut is not None:
-        return lut
-    with _POPCOUNT_LOCK:
-        lut = _POPCOUNT_LUT
-        if lut is None:
-            values = np.arange(1 << 16, dtype=np.uint16)
-            counts = np.zeros(1 << 16, dtype=np.uint8)
-            for shift in range(16):
-                counts += ((values >> shift) & 1).astype(np.uint8)
-            lut = counts
-            _POPCOUNT_LUT = lut
-    return lut
+    def build() -> "np.ndarray[Any, Any]":
+        values = np.arange(1 << 16, dtype=np.uint16)
+        counts = np.zeros(1 << 16, dtype=np.uint8)
+        for shift in range(16):
+            counts += ((values >> shift) & 1).astype(np.uint8)
+        return counts
+
+    return _POPCOUNT_LUT.get(16, build)
 
 
 def popcount(
@@ -323,111 +313,35 @@ def _normal_quantile(probability: float) -> float:
     return NormalDist().inv_cdf(probability)
 
 
-_Value = TypeVar("_Value")
-
-_SEEN_MAX = 4096
-"""How many once-missed keys a scan-resistant cache remembers."""
-
-
-class _BoundedCache(Generic[_Value]):
-    """A thread-safe memo bounded by the total size of the values it keeps.
-
-    ``size(value)`` weighs a value (1 by default, so *bound* counts
-    entries).  Builds run unlocked, so two threads may build one key;
-    the first stored value wins.  A build that raises stores nothing,
-    and a value heavier than *bound* is returned, not kept.
-
-    By default the cache is an LRU: a new value evicts the least
-    recently used ones.  A *scan_resistant* cache never evicts: a key
-    is admitted on its second miss only, so keys seen once take no
-    room, and once full the cache keeps what it holds and returns new
-    values unstored.  A working set larger than the bound then still
-    hits on the part that fits, where an LRU would evict every entry
-    before its reuse.
-    """
-
-    def __init__(
-        self,
-        bound: int,
-        size: Callable[[_Value], int] = lambda value: 1,
-        scan_resistant: bool = False,
-    ) -> None:
-        self.bound = bound
-        self.total = 0
-        self.hits = 0
-        self.misses = 0
-        self._size = size
-        self._scan_resistant = scan_resistant
-        self._entries: "OrderedDict[Hashable, Tuple[_Value, int]]" = (
-            OrderedDict()
-        )
-        self._seen: Set[int] = set()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable, build: Callable[[], _Value]) -> _Value:
-        """The value stored under *key*, built (and maybe stored) on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry[0]
-            self.misses += 1
-        value = build()
-        size = self._size(value)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                return entry[0]
-            if self._scan_resistant:
-                # Admit on a second miss, and only while there is room.
-                digest = hash(key)
-                if digest not in self._seen or self.total + size > self.bound:
-                    if len(self._seen) >= _SEEN_MAX:
-                        self._seen.clear()
-                    self._seen.add(digest)
-                    return value
-                self._seen.discard(digest)
-            if size > self.bound:
-                return value
-            self._entries[key] = (value, size)
-            self.total += size
-            while self.total > self.bound:
-                _, (_, dropped) = self._entries.popitem(last=False)
-                self.total -= dropped
-        return value
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._seen.clear()
-            self.total = self.hits = self.misses = 0
-
-
 _CONTEXT_CACHE: "_BoundedCache[CircuitPassContext]" = _BoundedCache(8)
+
+
+def _circuit_key(circuit: Any) -> Tuple[type, str]:
+    """How every cache keys a circuit: its concrete type and fingerprint.
+
+    ``circuit.fingerprint()`` digests the parameters and the Bernstein
+    program.  The type keeps a subclass that overrides
+    ``link_budget()``/``model`` from reusing what a base circuit of the
+    same design point stored; both are assumed immutable per instance,
+    as everywhere else in the engine.
+    """
+    return (type(circuit), circuit.fingerprint())
 
 
 def pass_context(circuit: Any) -> CircuitPassContext:
     """The memoized :class:`CircuitPassContext` for *circuit*.
 
-    Keyed on the circuit's concrete type plus ``circuit.fingerprint()``
-    (parameters + Bernstein program, the same digest that keys the
-    evaluation cache), LRU-bounded at eight circuits and thread-safe —
-    thread-backend shard workers and the serving executor hit this
-    cache concurrently.  The type in the key keeps a subclass that
-    overrides ``link_budget()``/``model`` from reusing a base circuit's
-    context; both are assumed immutable per instance, as everywhere
-    else in the engine.  Failed builds — overlapping link-budget bands
-    — are never cached, so the :class:`~repro.errors.SimulationError`
-    is raised on every attempt, exactly like the unmemoized path.
+    Keyed on :func:`_circuit_key`, the key the evaluation cache uses
+    too, in an LRU of eight circuits (a :class:`repro._memo.
+    _BoundedCache`, thread-safe: thread-backend shard workers and the
+    serving executor hit it concurrently).  The context is not frozen:
+    the helper freezes arrays in tuples, lists and dataclasses only.
+    Failed builds — overlapping link-budget bands — are never cached,
+    so the :class:`~repro.errors.SimulationError` is raised on every
+    attempt, exactly like the unmemoized path.
     """
     return _CONTEXT_CACHE.get(
-        (type(circuit), circuit.fingerprint()),
-        lambda: CircuitPassContext(circuit),
+        _circuit_key(circuit), lambda: CircuitPassContext(circuit)
     )
 
 
@@ -820,8 +734,9 @@ class PackedLfsrSource(_PackedCycleSource):
         return cls(starts, values, uniform)
 
 
-_SOBOL_CYCLE_CACHE: Dict[int, "np.ndarray[Any, Any]"] = {}
-_SOBOL_CYCLE_LOCK = threading.Lock()
+_SOBOL_CYCLES: "_BoundedCache[np.ndarray[Any, Any]]" = _BoundedCache(
+    _TABLE_ENTRIES
+)
 _SOBOL_CYCLE_MAX_WIDTH = _TABLE_MAX_WIDTH
 
 
@@ -834,15 +749,11 @@ def _sobol_cycle_uniforms(width: int) -> "np.ndarray[Any, Any]":
     a :class:`_PackedCycleSource`.  The table is 8 MiB at the width cap
     and shared process-wide, like the LFSR cycle tables.
     """
-    with _SOBOL_CYCLE_LOCK:
-        cycle = _SOBOL_CYCLE_CACHE.get(int(width))
-        if cycle is None:
-            cycle = van_der_corput(
-                np.arange(1 << int(width), dtype=np.int64), int(width)
-            )
-            cycle.setflags(write=False)
-            _SOBOL_CYCLE_CACHE[int(width)] = cycle
-    return cycle
+    width = int(width)
+    return _SOBOL_CYCLES.get(
+        width,
+        lambda: van_der_corput(np.arange(1 << width, dtype=np.int64), width),
+    )
 
 
 class PackedSobolSource(_PackedCycleSource):

@@ -41,14 +41,12 @@ worker count process-wide (``auto`` = one per CPU).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import multiprocessing
 import os
 import sys
 import threading
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
@@ -64,6 +62,7 @@ from typing import (
 
 import numpy as np
 
+from .._memo import _BoundedCache
 from ..errors import ConfigurationError
 
 # Not called in this module; bound because perfbench/tracing.py wraps
@@ -85,7 +84,7 @@ from .engine import (
     simulate_batch,
 )
 from .faultmodel import FaultSpec, fault_channel_for
-from .kernels import packed_tile_statistics
+from .kernels import _circuit_key, packed_tile_statistics
 
 __all__ = [
     "BACKENDS",
@@ -453,15 +452,16 @@ def simulate_chunked(
 # -- keyed evaluation cache ----------------------------------------------------
 
 
-class EvaluationCache:
+class EvaluationCache(_BoundedCache[BatchEvaluation]):
     """LRU cache of deterministic batch evaluations.
 
-    Keyed on ``circuit fingerprint x sng_kind x base_seed x sng_width x
-    length x noisy x inputs digest x fault x kept words x receiver-noise
-    protocol version`` — everything that determines a schedule-seeded
-    evaluation and what its result keeps.  Exploration sweeps that
-    revisit the same design point skip the engine pass entirely;
-    ``hits`` / ``misses`` expose the effectiveness.
+    Keyed on ``circuit type x circuit fingerprint x sng_kind x
+    base_seed x sng_width x length x noisy x inputs digest x fault x
+    kept words x receiver-noise protocol version`` — everything that
+    determines a schedule-seeded evaluation and what its result keeps.
+    Exploration sweeps that revisit the same design point skip the
+    engine pass entirely; ``hits`` / ``misses`` expose the
+    effectiveness.
 
     An entry keeps ``O(B)`` counts, plus for an in-process run the
     pass's packed words (one bit per clock and row per key plane and
@@ -471,61 +471,19 @@ class EvaluationCache:
     ``max_entries`` to your memory budget; the default is deliberately
     small.  Whether the result keeps its words is part of the key.
 
-    The cache is thread-safe: ``backend="thread"`` sharded runs and the
+    The package's one memo helper (:class:`repro._memo._BoundedCache`)
+    bounded at ``max_entries`` results: ``get(key, build)`` returns the
+    stored result or builds and stores it.  A hit is the stored object
+    itself, so a result is frozen when built: its count arrays and its
+    words are read-only, like the per-clock fields it decodes.  The
+    cache is thread-safe: ``backend="thread"`` sharded runs and the
     serving layer's executor threads share the process-wide default
-    instance, so lookup/store/clear each hold an internal lock — the
-    LRU reorder, the hit/miss counters and eviction stay atomic.
+    instance.
     """
 
     def __init__(self, max_entries: int = 16) -> None:
         self.max_entries = _positive_index("max_entries", max_entries)
-        self._entries: "OrderedDict[Tuple[Any, ...], BatchEvaluation]" = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def lookup(self, key: Tuple[Any, ...]) -> Optional[BatchEvaluation]:
-        """The cached evaluation for *key*, refreshing its LRU slot."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def store(self, key: Tuple[Any, ...], result: BatchEvaluation) -> None:
-        """Insert *result*, evicting the least-recently-used overflow.
-
-        Every ndarray field of the stored result is frozen read-only
-        (decoded per-clock fields are read-only as built): hits return
-        the stored object by identity, so an in-place mutation by one
-        caller would otherwise silently corrupt every later hit of the
-        same key.
-        """
-        for field in dataclasses.fields(result):
-            value = getattr(result, field.name)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+        super().__init__(self.max_entries)
 
 
 _DEFAULT_CACHE = EvaluationCache(max_entries=16)
@@ -553,7 +511,7 @@ def _evaluation_key(
 ) -> Tuple[Any, ...]:
     digest = hashlib.sha1(np.ascontiguousarray(xs).tobytes()).hexdigest()
     return (
-        circuit.fingerprint(),
+        _circuit_key(circuit),
         sng_kind,
         int(base_seed),
         int(sng_width),
@@ -723,35 +681,22 @@ def run_batch(
     chunk_length = config.chunk_length or length
     multi_tile = length > chunk_length
     one_pass = not multi_tile and workers <= 1
-    cache: Optional[EvaluationCache] = None
-    if config.cache_requested and not multi_tile:
-        assert base_seed is not None  # checked above
-        cache = _DEFAULT_CACHE if config.cache is None else config.cache
-        # Private copy: the stored result's arrays are frozen read-only,
-        # and xs may be the caller's own float array by identity.
-        xs = xs.copy()
-        key = _evaluation_key(
-            circuit, xs, length, noisy, sng_kind, base_seed, sng_width,
-            fault, one_pass,
+
+    def build() -> BatchEvaluation:
+        schedule = derive_seed_schedule(
+            xs.size, rng=rng, sng_kind=sng_kind, base_seed=base_seed
         )
-        hit = cache.lookup(key)
-        if hit is not None:
-            return hit
-    schedule = derive_seed_schedule(
-        xs.size, rng=rng, sng_kind=sng_kind, base_seed=base_seed
-    )
-    options: Dict[str, Any] = dict(
-        length=length,
-        noisy=noisy,
-        sng_kind=sng_kind,
-        sng_width=sng_width,
-        schedule=schedule,
-        fault=fault,
-    )
-    if one_pass:
-        result = simulate_batch(circuit, xs, **options)
-    else:
-        result = simulate_chunked(
+        options: Dict[str, Any] = dict(
+            length=length,
+            noisy=noisy,
+            sng_kind=sng_kind,
+            sng_width=sng_width,
+            schedule=schedule,
+            fault=fault,
+        )
+        if one_pass:
+            return simulate_batch(circuit, xs, **options)
+        return simulate_chunked(
             circuit,
             xs,
             chunk_length=chunk_length,
@@ -759,6 +704,16 @@ def run_batch(
             backend=config.backend,
             **options,
         )
-    if cache is not None:
-        cache.store(key, result)
-    return result
+
+    if not config.cache_requested or multi_tile:
+        return build()
+    assert base_seed is not None  # checked above
+    cache = _DEFAULT_CACHE if config.cache is None else config.cache
+    # Private copy: the stored result's arrays are frozen read-only,
+    # and xs may be the caller's own float array by identity.
+    xs = xs.copy()
+    key = _evaluation_key(
+        circuit, xs, length, noisy, sng_kind, base_seed, sng_width,
+        fault, one_pass,
+    )
+    return cache.get(key, build)

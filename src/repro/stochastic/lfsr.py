@@ -14,11 +14,11 @@ needs — by array slicing instead of per-bit Python stepping.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._memo import _BoundedCache
 from ..errors import ConfigurationError
 
 __all__ = ["LFSR", "MAXIMAL_TAPS", "lfsr_state_windows", "lfsr_uniform_windows"]
@@ -52,16 +52,21 @@ MAXIMAL_TAPS = {
 _TABLE_MAX_WIDTH = 20
 """Widest register for which the full-period cycle is cached (1M states)."""
 
-_CYCLE_CACHE: Dict[
-    Tuple[int, Tuple[int, ...]], Tuple[np.ndarray, np.ndarray, np.ndarray]
-] = {}
-_CYCLE_LOCK = threading.Lock()
+_TABLE_ENTRIES = 32
+"""Entries each build-once table memo keeps (LFSR cycles, Sobol cycles,
+the popcount LUT): more than the 18 built-in tap sets of widths 3..20
+and the Sobol widths up to :data:`_TABLE_MAX_WIDTH`, so no built-in
+width is ever evicted."""
+
+_CYCLE_TABLES: "_BoundedCache[Tuple[np.ndarray, np.ndarray, np.ndarray]]" = (
+    _BoundedCache(_TABLE_ENTRIES)
+)
 
 
 def _cycle_tables(
     width: int, taps: Tuple[int, ...]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(cycle, position, uniform)`` for the orbit of state 1.
+    """``(cycle, position, uniform)`` for the orbit of state 1, read-only.
 
     ``cycle[k]`` is the ``(k + 1)``-th successor of state 1 (the orbit
     closes with ``cycle[-1] == 1``); ``position`` maps a state to its
@@ -74,18 +79,15 @@ def _cycle_tables(
     wrap-around table: the cache then records an empty cycle, which
     sends every seed down the per-step fallback.
 
-    Built once under the module lock: thread-backend shards warm the
-    cache concurrently, and the ~1M-state walk is expensive enough
-    that racing duplicate builds (and a torn publish) must not happen.
+    Memoized per ``(width, taps)`` in the package's one memo helper,
+    which builds unlocked: two thread-backend shards that miss one key
+    at once may both walk the ~1M-state orbit, and only one copy is
+    kept and returned to both.  A lock held over the build would only
+    save that duplicate walk; the helper's own lock already keeps a
+    reader from ever seeing a torn or half-built entry.
     """
-    key = (width, taps)
-    cached = _CYCLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    with _CYCLE_LOCK:
-        cached = _CYCLE_CACHE.get(key)
-        if cached is not None:
-            return cached
+
+    def build() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         mask = (1 << width) - 1
         states = np.arange(1 << width, dtype=np.uint32)
         feedback = np.zeros_like(states)
@@ -110,8 +112,9 @@ def _cycle_tables(
         # Pre-scaled comparator samples: the float cycle is what both
         # the scalar `uniform` path and the batched gathers compute.
         uniform = cycle.astype(float) / float(1 << width)
-        _CYCLE_CACHE[key] = (cycle, position, uniform)
-        return _CYCLE_CACHE[key]
+        return cycle, position, uniform
+
+    return _CYCLE_TABLES.get((width, taps), build)
 
 
 def _window_indices(

@@ -2,8 +2,8 @@
 
 :func:`build_call_graph` indexes every function, method and class of a
 file set under module-qualified names (``repro.simulation.kernels.
-popcount``, ``repro.simulation.runtime.EvaluationCache.store``) and
-resolves call sites against that index:
+popcount``, ``repro._memo._BoundedCache.get``) and resolves call sites
+against that index:
 
 * plain names through the module's own definitions and its import
   aliases (``from .kernels import popcount as count`` included),

@@ -111,9 +111,9 @@ class _GuardedScanner:
 
     Module mode watches plain module-global names (rebinds only count
     under a ``global`` declaration); instance mode (``self_attrs``)
-    watches ``self.<attr>`` state.  The guard check is lexical —
-    exactly the double-checked-locking shape the runtime uses — and
-    does not follow calls.
+    watches ``self.<attr>`` state.  The guard check is lexical — the
+    ``with self._lock:`` blocks of the package's memo helper are its
+    shape — and does not follow calls.
     """
 
     def __init__(

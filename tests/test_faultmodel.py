@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 import packed_reference as reference
 import repro
+from repro import _memo
 from repro.errors import ConfigurationError
 from repro.serving import BatchServer
 from repro.session import EvalSpec, Evaluator
-from repro.simulation import faultmodel, kernels
+from repro.simulation import faultmodel
 from repro.simulation.engine import derive_seed_schedule, simulate_batch
 from repro.simulation.faultmodel import (
     FAULT_PROBABILITY_BITS,
@@ -523,7 +524,7 @@ class TestFaultCaches:
         # such tiles, walked three times: nothing is stored on the first
         # walk, the first three tiles on the second, and the third walk
         # hits on exactly those three; no tile is ever evicted.
-        memo = kernels._BoundedCache(
+        memo = _memo._BoundedCache(
             3 * 4 * 64 * 8, faultmodel._nbytes, scan_resistant=True
         )
         monkeypatch.setattr(faultmodel, "_MASK_MEMO", memo)
@@ -539,7 +540,7 @@ class TestFaultCaches:
         assert memo.hits == 3
 
     def test_entry_over_the_bound_is_returned_not_kept(self, monkeypatch):
-        memo = kernels._BoundedCache(
+        memo = _memo._BoundedCache(
             1024, faultmodel._nbytes, scan_resistant=True
         )
         monkeypatch.setattr(faultmodel, "_MASK_MEMO", memo)

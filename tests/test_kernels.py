@@ -12,6 +12,7 @@ and any other name raises.
 import dataclasses
 import sys
 import threading
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import _memo
 from repro.errors import ConfigurationError
 from repro.simulation import engine, kernels
 from repro.simulation.faultmodel import FaultSpec
@@ -39,11 +41,18 @@ from repro.simulation.kernels import (
     unpack_bits,
 )
 from repro.simulation.runtime import (
+    EvaluationCache,
     RuntimeConfig,
     run_batch,
     simulate_chunked,
 )
-from repro.stochastic.lfsr import lfsr_uniform_windows
+from repro.stochastic.lfsr import (
+    _TABLE_ENTRIES,
+    _TABLE_MAX_WIDTH,
+    MAXIMAL_TAPS,
+    _cycle_tables,
+    lfsr_uniform_windows,
+)
 from repro.stochastic.sng import (
     SNG_KINDS,
     derive_lfsr_seeds,
@@ -518,11 +527,60 @@ class TestCycleLayout:
         )
 
 
+@dataclasses.dataclass
+class _Held:
+    array: np.ndarray
+    pair: tuple
+
+
+class _Opaque:
+    def __init__(self):
+        self.array = np.zeros(3)
+
+
+class _Named(NamedTuple):
+    array: np.ndarray
+    count: int
+
+
 class TestBoundedCache:
-    """The one memo helper behind the pass-context and fault caches."""
+    """The package's one memo helper (``repro._memo``)."""
+
+    def test_builds_are_frozen_and_other_objects_left_alone(self):
+        cache = _memo._BoundedCache(16)
+        inner = [np.zeros(1)]
+        named = _Named(np.zeros(2), 2)
+        held = _Held(np.zeros(2), (np.zeros(1), "x"))
+        cases = {
+            "array": (np.zeros(3), lambda v: [v]),
+            "tuple": ((np.zeros(2), 7), lambda v: [v[0]]),
+            "list": ([np.zeros(2), inner], lambda v: [v[0], v[1][0]]),
+            "namedtuple": (named, lambda v: [v.array]),
+            "dataclass": (held, lambda v: [v.array, v.pair[0]]),
+        }
+        for key, (value, arrays_of) in cases.items():
+            assert cache.get(key, lambda: value) is value
+            for array in arrays_of(value):
+                assert not array.flags.writeable, key
+                with pytest.raises(ValueError):
+                    array[0] = 1
+            assert cache.get(key, lambda: None) is value
+        opaque = cache.get("object", _Opaque)
+        assert opaque.array.flags.writeable
+        assert cache.get("object", _Opaque) is opaque
+
+    def test_unstored_scan_resistant_miss_is_frozen(self):
+        cache = _memo._BoundedCache(10, scan_resistant=True)
+        value = cache.get("once", lambda: (np.zeros(4), [np.ones(2)]))
+        assert len(cache) == 0  # seen once: returned, not stored
+        assert not value[0].flags.writeable
+        assert not value[1][0].flags.writeable
+        big = _memo._BoundedCache(1, lambda value: value.size)
+        over = big.get("k", lambda: np.zeros(4))
+        assert len(big) == 0 and not over.flags.writeable
 
     def test_lru_evicts_least_recently_used(self):
-        cache = kernels._BoundedCache(2)
+        cache = _memo._BoundedCache(2)
         for key in ("a", "b"):
             cache.get(key, lambda: object())
         kept = cache.get("a", lambda: object())
@@ -532,7 +590,7 @@ class TestBoundedCache:
         assert (cache.hits, cache.misses) == (2, 3)
 
     def test_failed_build_stores_nothing(self):
-        cache = kernels._BoundedCache(2)
+        cache = _memo._BoundedCache(2)
 
         def boom():
             raise ValueError("no")
@@ -543,7 +601,7 @@ class TestBoundedCache:
         assert len(cache) == 0
 
     def test_scan_resistant_admits_on_second_miss_and_never_evicts(self):
-        cache = kernels._BoundedCache(
+        cache = _memo._BoundedCache(
             10, lambda value: len(value), scan_resistant=True
         )
         first = cache.get("a", lambda: "x" * 4)
@@ -559,7 +617,7 @@ class TestBoundedCache:
 
     @pytest.mark.parametrize("scan_resistant", [False, True])
     def test_threads_lose_no_update(self, scan_resistant):
-        cache = kernels._BoundedCache(
+        cache = _memo._BoundedCache(
             12, lambda value: len(value), scan_resistant=scan_resistant
         )
         calls = 3000
@@ -589,6 +647,42 @@ class TestBoundedCache:
         assert cache.hits + cache.misses == 8 * calls
         sizes = sum(size for _, size in cache._entries.values())
         assert cache.total == sizes <= cache.bound
+
+
+class OverlappingCircuit(repro.OpticalStochasticCircuit):
+    """The base circuit's design point and fingerprint, with a closed eye."""
+
+    def link_budget(self):
+        budget = super().link_budget()
+        # Pull the '1' band down onto the '0' band: closed eye.
+        return dataclasses.replace(
+            budget,
+            one_band_mw=(budget.zero_band_mw[0], budget.one_band_mw[1]),
+        )
+
+
+class TestBuildOnceTables:
+    """The LFSR cycle, Sobol cycle and popcount tables: built once, frozen."""
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda: _cycle_tables(12, MAXIMAL_TAPS[12]),
+            lambda: kernels._sobol_cycle_uniforms(12),
+            kernels._popcount_lut,
+        ],
+        ids=["lfsr-cycle", "sobol-cycle", "popcount-lut"],
+    )
+    def test_second_call_returns_the_same_read_only_table(self, table):
+        first = table()
+        assert table() is first
+        arrays = first if isinstance(first, tuple) else (first,)
+        assert not any(array.flags.writeable for array in arrays)
+
+    def test_no_built_in_width_is_evicted(self):
+        lfsr_keys = [w for w in MAXIMAL_TAPS if w <= _TABLE_MAX_WIDTH]
+        sobol_keys = range(kernels._SOBOL_CYCLE_MAX_WIDTH + 1)
+        assert max(len(lfsr_keys), len(sobol_keys)) <= _TABLE_ENTRIES
 
 
 class TestPassContextMemoization:
@@ -640,18 +734,6 @@ class TestPassContextMemoization:
         # cache key includes the circuit's concrete type, so even a
         # subclass sharing the healthy fixture's exact design point
         # (identical fingerprint) never reuses its cached context.
-        class OverlappingCircuit(repro.OpticalStochasticCircuit):
-            def link_budget(self):
-                budget = super().link_budget()
-                # Pull the '1' band down onto the '0' band: closed eye.
-                return dataclasses.replace(
-                    budget,
-                    one_band_mw=(
-                        budget.zero_band_mw[0],
-                        budget.one_band_mw[1],
-                    ),
-                )
-
         kernels.clear_pass_context_cache()
         simulate_batch(circuit, [0.5], length=64)  # warm the healthy key
         bad = OverlappingCircuit(circuit.params, circuit.polynomial)
@@ -662,6 +744,20 @@ class TestPassContextMemoization:
                 for _ in range(2):
                     with pytest.raises(repro.SimulationError, match="overlap"):
                         simulate_batch(bad, [0.5], length=64)
+
+    def test_evaluation_cache_keys_on_circuit_type(self, circuit):
+        # Both caches key a circuit on its type and fingerprint: a cache
+        # the healthy circuit warmed must not serve the closed-eye
+        # subclass, which raises uncached.
+        cache = EvaluationCache()
+        config = RuntimeConfig(cache=cache)
+        run_batch(circuit, [0.5], length=64, base_seed=1, config=config)
+        bad = OverlappingCircuit(circuit.params, circuit.polynomial)
+        with pytest.raises(repro.SimulationError, match="overlap"):
+            run_batch(bad, [0.5], length=64, base_seed=1, config=config)
+        assert cache.hits == 0 and cache.misses == 2
+        run_batch(circuit, [0.5], length=64, base_seed=1, config=config)
+        assert cache.hits == 1
 
 
 # The noisy axis of the parity matrices: the paper's Section V-A circuit

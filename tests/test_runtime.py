@@ -533,6 +533,28 @@ class TestEvaluationCache:
         with pytest.raises(ValueError):
             sharded.ones_count[0] += 1
 
+    def test_hit_words_are_read_only(self, circuit):
+        # The counts and the per-clock fields of a hit come from the
+        # same stored words: a writable word would let one caller's
+        # edit change the bits every later hit decodes while its counts
+        # stay put.
+        cache = EvaluationCache()
+        first = cached_simulate_batch(
+            circuit, [0.5, 0.25], length=256, base_seed=3, noisy=False,
+            cache=cache,
+        )
+        words = first.words
+        for array in (*words.planes, words.ideal, words.observed):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            words.observed[...] = 0
+        hit = cached_simulate_batch(
+            circuit, [0.5, 0.25], length=256, base_seed=3, noisy=False,
+            cache=cache,
+        )
+        assert hit is first and cache.hits == 1
+        assert np.array_equal(hit.output_bits.sum(axis=1), hit.ones_count)
+
     def test_callers_input_array_stays_writable(self, circuit):
         # Freezing the stored entry must not freeze the caller's own
         # input buffer (np.asarray can return it by identity).
@@ -555,9 +577,9 @@ class TestEvaluationCache:
 
     def test_concurrent_access_keeps_cache_consistent(self, circuit):
         # backend="thread" shards and the serving executor share the
-        # process-wide cache, so lookup/store/clear race in practice.
-        # Under the internal lock every lookup bumps exactly one
-        # counter and eviction keeps the LRU within bounds.
+        # process-wide cache, so get/clear race in practice.  Under the
+        # internal lock every get bumps exactly one counter and
+        # eviction keeps the LRU within bounds.
         cache = EvaluationCache(max_entries=8)
         entry = cached_simulate_batch(
             circuit, [0.5], length=64, base_seed=3, cache=cache
@@ -572,8 +594,7 @@ class TestEvaluationCache:
             try:
                 for index in range(rounds):
                     key = ("corner", worker % 2, index % 12)
-                    if cache.lookup(key) is None:
-                        cache.store(key, entry)
+                    assert cache.get(key, lambda: entry) is entry
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -586,11 +607,11 @@ class TestEvaluationCache:
         for thread in threads:
             thread.join()
         assert errors == []
-        # Exactly one counter bump per lookup, none lost to races.
+        # Exactly one counter bump per get, none lost to races.
         assert cache.hits + cache.misses == workers * rounds
         assert len(cache) <= 8
-        # The cache still serves correct objects afterwards.
-        assert cache.lookup(("corner", 0, 0)) in (None, entry)
+        # The cache still serves the stored object afterwards.
+        assert cache.get(("corner", 0, 0), lambda: None) in (None, entry)
 
 
 PER_CLOCK_FIELDS = (
