@@ -29,7 +29,6 @@ from .constants import (
 )
 from .errors import (
     CalibrationError,
-    CircuitOpenError,
     ConfigurationError,
     DeadlineExceededError,
     DesignInfeasibleError,
@@ -52,7 +51,6 @@ __all__ = [
     "SimulationError",
     "ServingError",
     "OverloadedError",
-    "CircuitOpenError",
     "DeadlineExceededError",
     "PAPER_OPTIMAL_WL_SPACING_NM",
     "PAPER_HEADLINE_ENERGY_PJ_PER_BIT",

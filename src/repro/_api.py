@@ -75,14 +75,12 @@ from .simulation import (
 )
 from .serving import (
     BatchServer,
-    CircuitBreaker,
     DegradationController,
     DegradationLadder,
     HistogramSnapshot,
     ManualClock,
     MetricsSnapshot,
     MonotonicClock,
-    RetryPolicy,
     RungMetrics,
     ServingStats,
 )
@@ -141,8 +139,6 @@ __all__ = [
     "MetricsSnapshot",
     "RungMetrics",
     "HistogramSnapshot",
-    "RetryPolicy",
-    "CircuitBreaker",
     "DegradationLadder",
     "DegradationController",
     "ManualClock",

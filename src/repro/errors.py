@@ -16,7 +16,6 @@ __all__ = [
     "SimulationError",
     "ServingError",
     "OverloadedError",
-    "CircuitOpenError",
     "DeadlineExceededError",
 ]
 
@@ -70,15 +69,6 @@ class OverloadedError(ServingError):
     queue is full (and by ``"degrade"`` as its last resort once the
     precision ladder alone cannot absorb the load).  Clients should
     back off and retry; the server stays healthy.
-    """
-
-
-class CircuitOpenError(OverloadedError):
-    """The circuit breaker is open: the evaluator is failing repeatedly.
-
-    Requests fail fast instead of queueing behind a known-bad engine.
-    The breaker half-opens after its recovery timeout and lets one
-    probe batch through; success closes it again.
     """
 
 

@@ -5,8 +5,7 @@ The package split of the original ``repro/serving.py`` micro-batcher:
 * :mod:`~repro.serving.server` — the :class:`BatchServer` core loop.
 * :mod:`~repro.serving.admission` — bounded queue, overload policies,
   per-request deadlines.
-* :mod:`~repro.serving.resilience` — injectable clock, seeded retry
-  backoff, circuit breaker.
+* :mod:`~repro.serving.clock` — the injectable time source.
 * :mod:`~repro.serving.degradation` — the progressive-precision ladder
   and its hysteretic controller.
 * :mod:`~repro.serving.metrics` — counters, histograms, per-rung
@@ -35,13 +34,7 @@ from .metrics import (
     RungMetrics,
     ServingStats,
 )
-from .resilience import (
-    CircuitBreaker,
-    Clock,
-    ManualClock,
-    MonotonicClock,
-    RetryPolicy,
-)
+from .clock import Clock, ManualClock, MonotonicClock
 from .server import BatchServer
 
 __all__ = [
@@ -49,7 +42,6 @@ __all__ = [
     "DEFAULT_MAX_QUEUE",
     "AdmissionQueue",
     "BatchServer",
-    "CircuitBreaker",
     "Clock",
     "DegradationController",
     "DegradationLadder",
@@ -58,7 +50,6 @@ __all__ = [
     "MetricsSnapshot",
     "MonotonicClock",
     "Request",
-    "RetryPolicy",
     "RungMetrics",
     "ServingStats",
     "measure_rung_rmse",

@@ -2,16 +2,16 @@
 
 The serving tier's contract with its operator is a single immutable
 :class:`MetricsSnapshot` — every admission decision (admitted / shed /
-expired / cancelled), every resilience event (retried / breaker
-rejections) and every degradation step is counted, queue depth and
-micro-batch size are tracked as histograms, and per-precision-rung
-latency percentiles ride on bounded reservoirs.  The legacy
+expired / cancelled), every failed request and every degradation step
+is counted, queue depth and micro-batch size are tracked as
+histograms, and per-precision-rung latency percentiles ride on bounded
+reservoirs.  The legacy
 :class:`ServingStats` coalescing summary survives unchanged as a
 derived view, so pre-package callers keep their exact semantics.
 
 Everything here is plain arithmetic on the event-loop thread: no
 locks, no wall-clock reads — timestamps come in from the server's
-:class:`~repro.serving.resilience.Clock`, which is what makes the
+:class:`~repro.serving.clock.Clock`, which is what makes the
 failure-path tests exact instead of sleep-and-hope.
 """
 
@@ -139,11 +139,9 @@ class MetricsSnapshot:
     Counters follow one request's life: ``submitted`` at entry,
     then exactly one of ``admitted`` (queued) or ``shed``; admitted
     requests end as ``served``, ``expired`` (deadline), ``cancelled``
-    (client gave up), ``failed`` (evaluator error after retries) or
-    ``breaker_rejected`` (failing fast while the breaker is open).
-    ``retried`` counts engine attempts beyond each batch's first;
-    ``degraded_served`` counts requests answered below the top
-    precision rung.
+    (client gave up) or ``failed`` (the evaluator raised for its
+    batch).  ``degraded_served`` counts requests answered below the
+    top precision rung.
     """
 
     submitted: int
@@ -153,13 +151,9 @@ class MetricsSnapshot:
     expired: int
     cancelled: int
     failed: int
-    retried: int
-    breaker_rejected: int
     degraded_served: int
     batches: int
     largest_batch: int
-    breaker_state: str
-    breaker_opened: int
     current_rung: int
     queue_depth: HistogramSnapshot
     batch_size: HistogramSnapshot
@@ -209,12 +203,9 @@ class MetricsRecorder:
         self.expired = 0
         self.cancelled = 0
         self.failed = 0
-        self.retried = 0
-        self.breaker_rejected = 0
         self.degraded_served = 0
         self.batches = 0
         self.largest_batch = 0
-        self.breaker_opened = 0
         self._queue_depth = _Histogram()
         self._batch_size = _Histogram()
         self._rungs: Dict[int, _RungRecorder] = {}
@@ -241,10 +232,7 @@ class MetricsRecorder:
         recorder.latencies.extend(latencies)
 
     def snapshot(
-        self,
-        breaker_state: str,
-        current_rung: int,
-        rung_rmse: Dict[int, Optional[float]],
+        self, current_rung: int, rung_rmse: Dict[int, Optional[float]]
     ) -> MetricsSnapshot:
         rungs: List[RungMetrics] = []
         for rung in sorted(self._rungs):
@@ -272,13 +260,9 @@ class MetricsRecorder:
             expired=self.expired,
             cancelled=self.cancelled,
             failed=self.failed,
-            retried=self.retried,
-            breaker_rejected=self.breaker_rejected,
             degraded_served=self.degraded_served,
             batches=self.batches,
             largest_batch=self.largest_batch,
-            breaker_state=breaker_state,
-            breaker_opened=self.breaker_opened,
             current_rung=current_rung,
             queue_depth=self._queue_depth.snapshot(),
             batch_size=self._batch_size.snapshot(),

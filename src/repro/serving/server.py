@@ -15,16 +15,17 @@ loop for sustained overload:
   enforced at the door *and* at batch formation, failing hopeless
   requests with :class:`~repro.errors.DeadlineExceededError` instead of
   letting them occupy batch slots.
-* **Resilience** (:mod:`repro.serving.resilience`): evaluation runs on
-  a dedicated server-owned executor (shut down in :meth:`stop`),
-  transient evaluator failures retry with seeded jittered backoff, and
-  a circuit breaker fails requests fast while the engine is known-bad.
+* **Failure isolation**: evaluation runs on a dedicated server-owned
+  executor (shut down in :meth:`stop`).  The engine is an in-process,
+  deterministic call, so a failed batch is never run again: its error
+  reaches every caller in the batch, and the next batch is served
+  normally.
 * **Graceful degradation** (:mod:`repro.serving.degradation`): under
   sustained pressure the server steps down a ladder of shorter
   stream-length rungs — stochastic computing's progressive precision —
   serving everyone at a measured RMSE cost instead of shedding.
 * **Observability** (:mod:`repro.serving.metrics`): every admission,
-  resilience and degradation event is counted; :meth:`metrics` exports
+  failure and degradation event is counted; :meth:`metrics` exports
   an immutable :class:`~repro.serving.metrics.MetricsSnapshot`.
 
 Batching is work-conserving: the batcher takes every request already
@@ -75,12 +76,7 @@ from typing import Any, Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
-from ..errors import (
-    CircuitOpenError,
-    ConfigurationError,
-    DeadlineExceededError,
-    OverloadedError,
-)
+from ..errors import ConfigurationError, DeadlineExceededError, OverloadedError
 from ..session import Evaluator
 from ..simulation.engine import _as_index
 from .admission import (
@@ -90,19 +86,13 @@ from .admission import (
     AdmissionQueue,
     Request,
 )
+from .clock import Clock, MonotonicClock
 from .degradation import (
     DegradationController,
     DegradationLadder,
     measure_rung_rmse,
 )
 from .metrics import MetricsRecorder, MetricsSnapshot, ServingStats
-from .resilience import (
-    BREAKER_CLOSED,
-    CircuitBreaker,
-    Clock,
-    MonotonicClock,
-    RetryPolicy,
-)
 
 __all__ = ["BatchServer"]
 
@@ -180,12 +170,6 @@ class BatchServer:
     default_deadline_s:
         Deadline applied to every ``submit`` that does not pass its
         own; ``None`` serves without deadlines.
-    retry:
-        Optional :class:`~repro.serving.resilience.RetryPolicy` for
-        transient evaluator failures.  ``None`` (default) keeps the
-        legacy fail-fast behaviour: the first error reaches callers.
-    breaker:
-        Optional :class:`~repro.serving.resilience.CircuitBreaker`.
     ladder:
         Optional :class:`~repro.serving.degradation.DegradationLadder`
         of stream-length rungs (rung 0 must equal the bound spec's
@@ -203,15 +187,15 @@ class BatchServer:
         annotation from the first snapshot (degrade policy only).
     clock:
         Injectable time source; tests pass a
-        :class:`~repro.serving.resilience.ManualClock` to make every
-        deadline/retry/breaker scenario deterministic.
-    executor_workers:
-        Threads in the server-owned evaluation executor.
+        :class:`~repro.serving.clock.ManualClock` to make every
+        deadline and degradation scenario deterministic.
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`stop` explicitly.  The evaluation itself runs on the
-    server's own thread executor so the event loop stays responsive
+    server's own one-thread executor so the event loop stays responsive
     while numpy (or the runtime's process pool) does the heavy lifting.
+    One thread is all it needs: the batcher awaits each batch before it
+    forms the next.
     """
 
     def __init__(
@@ -223,13 +207,10 @@ class BatchServer:
         policy: str = "block",
         max_queue: int = DEFAULT_MAX_QUEUE,
         default_deadline_s: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         ladder: Optional[DegradationLadder] = None,
         degradation: Optional[DegradationController] = None,
         measure_rmse: bool = True,
         clock: Optional[Clock] = None,
-        executor_workers: int = 1,
     ) -> None:
         if not isinstance(evaluator, Evaluator):
             raise ConfigurationError(
@@ -255,15 +236,6 @@ class BatchServer:
             default_deadline_s = _seconds(
                 "default_deadline_s", default_deadline_s, positive=True
             )
-        if retry is not None and not isinstance(retry, RetryPolicy):
-            raise ConfigurationError(
-                f"retry must be a RetryPolicy, got {retry!r}"
-            )
-        if breaker is not None and not isinstance(breaker, CircuitBreaker):
-            raise ConfigurationError(
-                f"breaker must be a CircuitBreaker, got {breaker!r}"
-            )
-        executor_workers = _at_least("executor_workers", executor_workers, 1)
         if degradation is not None:
             if not isinstance(degradation, DegradationController):
                 raise ConfigurationError(
@@ -300,12 +272,9 @@ class BatchServer:
         self._policy = policy
         self._max_queue = max_queue
         self._default_deadline_s = default_deadline_s
-        self._retry = retry
-        self._breaker = breaker
         self._ladder = ladder
         self._measure_rmse = bool(measure_rmse)
         self._clock: Clock = MonotonicClock() if clock is None else clock
-        self._executor_workers = executor_workers
         self._queue: Optional[AdmissionQueue] = None
         self._worker: Optional[asyncio.Task[None]] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -340,9 +309,6 @@ class BatchServer:
     def metrics(self) -> MetricsSnapshot:
         """Immutable snapshot of every serving counter and distribution."""
         return self._metrics.snapshot(
-            breaker_state=(
-                self._breaker.state if self._breaker else BREAKER_CLOSED
-            ),
             current_rung=self._controller.rung if self._controller else 0,
             rung_rmse=dict(self._rung_rmse),
         )
@@ -366,7 +332,7 @@ class BatchServer:
             maxsize=self._max_queue, policy=self._policy
         )
         self._executor = ThreadPoolExecutor(
-            max_workers=self._executor_workers,
+            max_workers=1,
             thread_name_prefix="repro-serving",
         )
         self._stopping = False
@@ -625,54 +591,28 @@ class BatchServer:
     async def _evaluate_batch(self, batch: List[Request]) -> None:
         loop = asyncio.get_running_loop()
         started = self._clock.time()
-        if self._breaker is not None and not self._breaker.allow(started):
-            self._metrics.breaker_rejected += len(batch)
-            error = CircuitOpenError(
-                "circuit breaker is open: the evaluator failed "
-                f"{self._breaker.failure_threshold} consecutive batches; "
-                f"retrying after {self._breaker.recovery_time_s}s"
-            )
-            for request in batch:
-                if not request.future.done():
-                    request.future.set_exception(error)
-            return
         rung = self._controller.rung if self._controller is not None else 0
         session = self._session_for_rung(rung)
         xs = np.asarray([request.x for request in batch], dtype=float)
-        delays = self._retry.delays() if self._retry is not None else ()
-        values: Optional["np.ndarray[Any, Any]"] = None
-        for attempt in range(len(delays) + 1):
-            try:
-                engine_call = loop.run_in_executor(
-                    self._executor, session.evaluate, xs
-                )
-            except RuntimeError:
-                # The executor is gone (died or shut down under us):
-                # nothing can serve these futures — fail, never hang.
-                self._fail_batch(
-                    batch,
-                    ConfigurationError(
-                        "server executor is shut down; request cannot be "
-                        "served"
-                    ),
-                )
-                return
-            try:
-                result = await engine_call
-                values = np.asarray(result.values, dtype=float)
-                break
-            except Exception as error:  # deliver the failure to every caller
-                transient = RetryPolicy.is_transient(error)
-                if transient and attempt < len(delays):
-                    self._metrics.retried += 1
-                    await self._clock.sleep(delays[attempt])
-                    continue
-                if self._breaker is not None:
-                    self._breaker.record_failure(self._clock.time())
-                    self._metrics.breaker_opened = self._breaker.times_opened
-                self._fail_batch(batch, error)
-                return
-        assert values is not None
+        try:
+            engine_call = loop.run_in_executor(
+                self._executor, session.evaluate, xs
+            )
+        except RuntimeError:
+            # The executor is gone (died or shut down under us):
+            # nothing can serve these futures — fail, never hang.
+            self._fail_batch(
+                batch,
+                ConfigurationError(
+                    "server executor is shut down; request cannot be served"
+                ),
+            )
+            return
+        try:
+            values = np.asarray((await engine_call).values, dtype=float)
+        except Exception as error:  # deliver the failure to every caller
+            self._fail_batch(batch, error)
+            return
         finished = self._clock.time()
         service_time = finished - started
         if self._service_time_ewma is None:
@@ -681,8 +621,6 @@ class BatchServer:
             self._service_time_ewma += _SERVICE_TIME_ALPHA * (
                 service_time - self._service_time_ewma
             )
-        if self._breaker is not None:
-            self._breaker.record_success(finished)
         latencies = [finished - request.submitted_at for request in batch]
         self._metrics.record_batch(
             rung=rung,

@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError
 from repro.serving import BatchServer
 from repro.session import EvalSpec, Evaluator
 from repro.simulation import faultmodel
-from repro.simulation.engine import derive_seed_schedule, simulate_batch
+from repro.simulation.engine import simulate_batch
 from repro.simulation.faultmodel import (
     FAULT_PROBABILITY_BITS,
     FaultSpec,

@@ -77,8 +77,6 @@ class TestConstruction:
             {"max_batch_size": 2.7},
             {"max_batch_size": True},
             {"max_batch_size": "8"},
-            {"executor_workers": 1.9},
-            {"executor_workers": True},
             {"max_queue": 4.0},
         ],
         ids=repr,
@@ -97,7 +95,6 @@ class TestConstruction:
             max_batch_size=np.int64(8),
             max_batch_delay_s=np.float64(0.001),
             default_deadline_s=np.float32(0.5),
-            executor_workers=np.int32(1),
         )
         assert isinstance(server, BatchServer)
 
@@ -445,7 +442,6 @@ class TestStats:
         snapshot = BatchServer(evaluator).metrics()
         assert snapshot.submitted == 0
         assert snapshot.served == 0
-        assert snapshot.breaker_state == "closed"
         assert snapshot.current_rung == 0
         assert snapshot.served_fraction == 1.0
         assert snapshot.rungs == ()

@@ -1,12 +1,12 @@
 """Deterministic tests for the serving tier's failure paths.
 
-Every scenario here — retry backoff, circuit-breaker transitions,
-deadline expiry, degradation-rung accounting — runs under a
-:class:`~repro.serving.ManualClock` and the seeded retry jitter, so the
-assertions are *exact*: counter values, clock positions and served bits
-are all pure functions of the test script.  No ``time.sleep``, no
-wall-clock tolerance bands (see CONTRIBUTING, "Testing resilience code
-with a seeded clock").
+Every scenario here — a failed batch, deadline expiry,
+degradation-rung accounting — runs under a
+:class:`~repro.serving.ManualClock` with scripted or gated evaluators,
+so the assertions are *exact*: counter values, clock positions and
+served bits are all pure functions of the test script.  No
+``time.sleep``, no wall-clock tolerance bands (see CONTRIBUTING,
+"Testing resilience code with a seeded clock").
 """
 
 import asyncio
@@ -18,7 +18,6 @@ import pytest
 from repro.core.circuit import OpticalStochasticCircuit
 from repro.core.params import paper_section5a_parameters
 from repro.errors import (
-    CircuitOpenError,
     ConfigurationError,
     DeadlineExceededError,
     OverloadedError,
@@ -26,12 +25,10 @@ from repro.errors import (
 )
 from repro.serving import (
     BatchServer,
-    CircuitBreaker,
     DegradationController,
     DegradationLadder,
     HistogramSnapshot,
     ManualClock,
-    RetryPolicy,
     measure_rung_rmse,
 )
 from repro.session import EvalSpec, Evaluator
@@ -85,240 +82,53 @@ def gated_evaluator(evaluator):
 
 
 class TestManualClock:
-    def test_advance_and_sleep_move_time_deterministically(self):
+    def test_advance_moves_time_deterministically(self):
         clock = ManualClock()
         assert clock.time() == 0.0
         clock.advance(1.5)
         assert clock.time() == 1.5
-
-        async def scenario():
-            await clock.sleep(0.25)
-            return clock.time()
-
-        assert asyncio.run(scenario()) == 1.75
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ConfigurationError):
             ManualClock().advance(-1.0)
 
 
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(base_delay_s=-0.1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=1.5)
-
-    def test_delays_are_seeded_and_stable(self):
-        policy = RetryPolicy(
-            attempts=4, base_delay_s=0.01, multiplier=2.0, jitter=0.25
-        )
-        first = policy.delays()
-        assert first == policy.delays()  # same seed, same schedule
-        assert len(first) == 3
-        for index, delay in enumerate(first):
-            base = 0.01 * 2.0**index
-            assert base * 0.75 <= delay <= base * 1.25
-        # A different seed gives a different (but equally stable) jitter.
-        other = RetryPolicy(
-            attempts=4, base_delay_s=0.01, multiplier=2.0, jitter=0.25,
-            jitter_seed=1,
-        ).delays()
-        assert other != first
-
-    def test_no_backoff_for_single_attempt(self):
-        assert RetryPolicy(attempts=1).delays() == ()
-
-    def test_transience_classification(self):
-        assert RetryPolicy.is_transient(RuntimeError("glitch"))
-        assert not RetryPolicy.is_transient(ConfigurationError("caller bug"))
-        assert not RetryPolicy.is_transient(KeyboardInterrupt())
-
-
-class TestCircuitBreakerUnit:
-    def test_trips_after_consecutive_failures_only(self):
-        breaker = CircuitBreaker(failure_threshold=3, recovery_time_s=1.0)
-        breaker.record_failure(0.0)
-        breaker.record_failure(0.1)
-        breaker.record_success(0.2)  # resets the streak
-        breaker.record_failure(0.3)
-        breaker.record_failure(0.4)
-        assert breaker.state == "closed"
-        breaker.record_failure(0.5)
-        assert breaker.state == "open"
-        assert breaker.times_opened == 1
-
-    def test_half_open_probe_cycle(self):
-        breaker = CircuitBreaker(failure_threshold=1, recovery_time_s=2.0)
-        breaker.record_failure(0.0)
-        assert breaker.state == "open"
-        assert not breaker.allow(1.9)  # still inside the recovery window
-        assert breaker.allow(2.0)  # the probe
-        assert breaker.state == "half_open"
-        breaker.record_success(2.1)
-        assert breaker.state == "closed"
-
-    def test_half_open_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=2, recovery_time_s=1.0)
-        breaker.record_failure(0.0)
-        breaker.record_failure(0.1)
-        assert breaker.allow(1.5)
-        breaker.record_failure(1.6)  # the probe fails: reopen immediately
-        assert breaker.state == "open"
-        assert breaker.times_opened == 2
-        assert not breaker.allow(2.5)
-        assert breaker.allow(2.6)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(recovery_time_s=0.0)
-
-
-class TestRetryServing:
-    def test_retry_then_succeed_is_exact(self, evaluator):
-        session, calls = flaky_evaluator(evaluator, failures=2)
-        policy = RetryPolicy(attempts=3, base_delay_s=0.01)
-        clock = ManualClock()
+class TestFailedBatch:
+    def test_failure_reaches_every_caller_and_server_recovers(
+        self, evaluator
+    ):
+        # Three requests queue up before the batcher first runs, so they
+        # share one engine call, which fails.  The server then serves
+        # the next request as if nothing had happened.
+        session, calls = flaky_evaluator(evaluator, failures=1)
+        xs_failing = (0.2, 0.4, 0.6)
 
         async def scenario():
             async with BatchServer(
-                session, max_batch_delay_s=0.0, retry=policy, clock=clock
+                session, max_batch_delay_s=0.0, clock=ManualClock()
             ) as server:
-                value = await server.submit(0.5)
-                return value, server.metrics(), clock.time()
-
-        value, metrics, elapsed = asyncio.run(scenario())
-        assert value == pytest.approx(
-            float(evaluator.evaluate([0.5]).values[0])
-        )
-        assert calls["total"] == 3
-        assert metrics.retried == 2
-        assert metrics.failed == 0
-        assert metrics.served == 1
-        # The clock advanced by exactly the seeded backoff schedule.
-        assert elapsed == pytest.approx(sum(policy.delays()[:2]))
-
-    def test_retry_exhaustion_fails_the_batch(self, evaluator):
-        session, calls = flaky_evaluator(evaluator, failures=10)
-        policy = RetryPolicy(attempts=2, base_delay_s=0.01)
-
-        async def scenario():
-            async with BatchServer(
-                session,
-                max_batch_delay_s=0.0,
-                retry=policy,
-                clock=ManualClock(),
-            ) as server:
-                with pytest.raises(RuntimeError, match="glitch"):
-                    await server.submit(0.5)
-                return server.metrics()
-
-        metrics = asyncio.run(scenario())
-        assert calls["total"] == 2
-        assert metrics.retried == 1
-        assert metrics.failed == 1
-        assert metrics.served == 0
-
-    def test_configuration_errors_are_not_retried(self, evaluator):
-        session, calls = flaky_evaluator(
-            evaluator, failures=10, error=ConfigurationError("caller bug")
-        )
-
-        async def scenario():
-            async with BatchServer(
-                session,
-                max_batch_delay_s=0.0,
-                retry=RetryPolicy(attempts=5),
-                clock=ManualClock(),
-            ) as server:
-                with pytest.raises(ConfigurationError, match="caller bug"):
-                    await server.submit(0.5)
-                return server.metrics()
-
-        metrics = asyncio.run(scenario())
-        assert calls["total"] == 1  # no retry for non-transient failures
-        assert metrics.retried == 0
-        assert metrics.failed == 1
-
-
-class TestBreakerServing:
-    def test_trip_fast_fail_probe_and_recovery(self, evaluator):
-        session, calls = flaky_evaluator(evaluator, failures=2)
-        breaker = CircuitBreaker(failure_threshold=2, recovery_time_s=1.0)
-        clock = ManualClock()
-
-        async def scenario():
-            async with BatchServer(
-                session,
-                max_batch_delay_s=0.0,
-                breaker=breaker,
-                clock=clock,
-            ) as server:
-                # Two consecutive batch failures trip the breaker.
-                for _ in range(2):
-                    with pytest.raises(RuntimeError):
-                        await server.submit(0.5)
-                assert server.metrics().breaker_state == "open"
-                # While open, requests fail fast: no engine call burned.
-                with pytest.raises(CircuitOpenError):
-                    await server.submit(0.5)
-                engine_calls_while_open = calls["total"]
-                # After the recovery window the probe goes through; the
-                # engine is healthy again, so the breaker closes.
-                clock.advance(1.0)
-                value = await server.submit(0.5)
-                return (
-                    value,
-                    engine_calls_while_open,
-                    server.metrics(),
+                outcomes = await asyncio.gather(
+                    *(server.submit(x) for x in xs_failing),
+                    return_exceptions=True,
                 )
+                failed = server.metrics()
+                value = await server.submit(0.5)
+                return outcomes, failed, value, server.metrics()
 
-        value, engine_calls_while_open, metrics = asyncio.run(scenario())
-        assert value == pytest.approx(
-            float(evaluator.evaluate([0.5]).values[0])
-        )
-        assert engine_calls_while_open == 2
-        assert calls["total"] == 3
-        assert metrics.breaker_state == "closed"
-        assert metrics.breaker_rejected == 1
-        assert metrics.breaker_opened == 1
-        assert metrics.failed == 2
+        outcomes, failed, value, metrics = asyncio.run(scenario())
+        assert len(outcomes) == len(xs_failing)
+        for outcome in outcomes:
+            assert isinstance(outcome, RuntimeError)
+            assert "transient engine glitch" in str(outcome)
+        assert failed.failed == len(xs_failing)
+        assert failed.served == 0
+        assert failed.batches == 0
+        assert value == float(evaluator.evaluate([0.5]).values[0])
+        assert metrics.failed == len(xs_failing)
         assert metrics.served == 1
+        assert calls["total"] == 2  # one shared failing call, one served
 
-    def test_failed_probe_reopens_the_breaker(self, evaluator):
-        session, calls = flaky_evaluator(evaluator, failures=10)
-        breaker = CircuitBreaker(failure_threshold=1, recovery_time_s=1.0)
-        clock = ManualClock()
-
-        async def scenario():
-            async with BatchServer(
-                session,
-                max_batch_delay_s=0.0,
-                breaker=breaker,
-                clock=clock,
-            ) as server:
-                with pytest.raises(RuntimeError):
-                    await server.submit(0.5)
-                clock.advance(1.0)
-                with pytest.raises(RuntimeError):  # the probe itself fails
-                    await server.submit(0.5)
-                return server.metrics()
-
-        metrics = asyncio.run(scenario())
-        assert metrics.breaker_state == "open"
-        assert metrics.breaker_opened == 2
-        assert calls["total"] == 2
-
-    def test_circuit_open_error_is_a_typed_overload(self):
-        # Clients backing off on OverloadedError also back off on an
-        # open breaker — and both are ServingErrors.
-        assert issubclass(CircuitOpenError, OverloadedError)
+    def test_refusals_share_the_serving_error_base(self):
         assert issubclass(OverloadedError, ServingError)
         assert issubclass(DeadlineExceededError, ServingError)
 
