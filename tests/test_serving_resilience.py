@@ -22,13 +22,16 @@ from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
     ServingError,
+    SimulationError,
 )
 from repro.serving import (
     BatchServer,
+    Clock,
     DegradationController,
     DegradationLadder,
     HistogramSnapshot,
     ManualClock,
+    MonotonicClock,
     measure_rung_rmse,
 )
 from repro.session import EvalSpec, Evaluator
@@ -92,8 +95,288 @@ class TestManualClock:
         with pytest.raises(ConfigurationError):
             ManualClock().advance(-1.0)
 
+    def test_starts_at_the_given_time(self):
+        assert ManualClock(start=2.5).time() == 2.5
+
+    def test_advances_accumulate_and_zero_is_a_no_op(self):
+        clock = ManualClock()
+        clock.advance(0.25)
+        clock.advance(0.0)
+        clock.advance(0.5)
+        assert clock.time() == 0.75
+
+    def test_rejected_advance_leaves_time_unchanged(self):
+        clock = ManualClock(start=1.0)
+        with pytest.raises(ConfigurationError):
+            clock.advance(-0.5)
+        assert clock.time() == 1.0
+
+    def test_time_moves_only_when_advanced(self):
+        clock = ManualClock(start=3.0)
+        assert [clock.time() for _ in range(3)] == [3.0, 3.0, 3.0]
+
+
+class TestMonotonicClock:
+    def test_time_never_goes_backwards(self):
+        clock = MonotonicClock()
+        readings = [clock.time() for _ in range(100)]
+        assert readings == sorted(readings)
+
+    def test_base_clock_has_no_time_source(self):
+        with pytest.raises(NotImplementedError):
+            Clock().time()
+
+    def test_server_defaults_to_the_monotonic_clock(self, evaluator):
+        assert isinstance(BatchServer(evaluator)._clock, MonotonicClock)
+        clock = ManualClock()
+        assert BatchServer(evaluator, clock=clock)._clock is clock
+
+
+def failing_then_gated_evaluator(evaluator):
+    """A derived session whose first call fails, every call gated."""
+    session, calls = flaky_evaluator(evaluator, failures=1)
+    entered = threading.Event()
+    release = threading.Event()
+    flaky_evaluate = session.evaluate
+
+    def gated(xs):
+        entered.set()
+        if not release.wait(timeout=10.0):
+            raise RuntimeError("test gate was never released")
+        return flaky_evaluate(xs)
+
+    session.evaluate = gated
+    return session, calls, entered, release
+
 
 class TestFailedBatch:
+    @pytest.mark.parametrize(
+        "error",
+        [
+            RuntimeError("engine glitch"),
+            SimulationError("inconsistent state"),
+            ConfigurationError("caller bug"),
+        ],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_engine_error_reaches_the_caller_after_one_call(
+        self, evaluator, error
+    ):
+        # The engine is deterministic, so no error type earns a second
+        # call: the caller gets the engine's own exception object.
+        session, calls = flaky_evaluator(evaluator, failures=1, error=error)
+
+        async def scenario():
+            async with BatchServer(
+                session, max_batch_delay_s=0.0, clock=ManualClock()
+            ) as server:
+                with pytest.raises(type(error)) as raised:
+                    await server.submit(0.5)
+                return raised.value, server.metrics()
+
+        raised, metrics = asyncio.run(scenario())
+        assert raised is error
+        assert calls["total"] == 1
+        assert metrics.failed == 1
+        assert metrics.served == 0
+
+    def test_callers_in_one_batch_share_the_error_object(self, evaluator):
+        session, _ = flaky_evaluator(evaluator, failures=1)
+
+        async def scenario():
+            async with BatchServer(
+                session, max_batch_delay_s=0.0, clock=ManualClock()
+            ) as server:
+                return await asyncio.gather(
+                    *(server.submit(x) for x in (0.1, 0.3, 0.5, 0.7)),
+                    return_exceptions=True,
+                )
+
+        outcomes = asyncio.run(scenario())
+        assert isinstance(outcomes[0], RuntimeError)
+        assert all(outcome is outcomes[0] for outcome in outcomes)
+
+    def test_consecutive_failed_batches_each_fail_once(self, evaluator):
+        session, calls = flaky_evaluator(evaluator, failures=2)
+
+        async def scenario():
+            async with BatchServer(
+                session, max_batch_delay_s=0.0, clock=ManualClock()
+            ) as server:
+                for _ in range(2):
+                    with pytest.raises(RuntimeError, match="glitch"):
+                        await server.submit(0.5)
+                value = await server.submit(0.5)
+                return value, server.metrics()
+
+        value, metrics = asyncio.run(scenario())
+        assert value == float(evaluator.evaluate([0.5]).values[0])
+        assert calls["total"] == 3
+        assert metrics.failed == 2
+        assert metrics.served == 1
+        assert metrics.batches == 1
+
+    def test_failed_batch_records_no_served_batch(self, evaluator):
+        session, _ = flaky_evaluator(evaluator, failures=1)
+
+        async def scenario():
+            async with BatchServer(
+                session, max_batch_delay_s=0.0, clock=ManualClock()
+            ) as server:
+                with pytest.raises(RuntimeError):
+                    await server.submit(0.5)
+                return server.metrics()
+
+        metrics = asyncio.run(scenario())
+        assert metrics.submitted == 1
+        assert metrics.admitted == 1
+        assert metrics.served_fraction == 0.0
+        assert metrics.largest_batch == 0
+        assert metrics.batch_size.total == 0
+        assert metrics.queue_depth.total == 1
+        assert metrics.rungs == ()
+
+    def test_backlog_behind_a_failed_batch_is_served(self, evaluator):
+        # The in-flight batch fails while three requests queue behind
+        # it; they form the next batch and get their direct values.
+        session, calls, entered, release = failing_then_gated_evaluator(
+            evaluator
+        )
+        xs_queued = (0.2, 0.4, 0.6)
+
+        async def scenario():
+            async with BatchServer(
+                session, max_batch_delay_s=0.0, clock=ManualClock()
+            ) as server:
+                inflight = asyncio.create_task(server.submit(0.1))
+                await asyncio.to_thread(entered.wait, 10.0)
+                queued = [
+                    asyncio.create_task(server.submit(x)) for x in xs_queued
+                ]
+                await asyncio.sleep(0)
+                release.set()
+                with pytest.raises(RuntimeError, match="glitch"):
+                    await inflight
+                values = [await task for task in queued]
+                return values, server.metrics()
+
+        values, metrics = asyncio.run(scenario())
+        direct = np.asarray(
+            evaluator.evaluate(list(xs_queued)).values, dtype=float
+        )
+        assert np.array_equal(np.asarray(values, dtype=float), direct)
+        assert calls["total"] == 2
+        assert metrics.failed == 1
+        assert metrics.served == 3
+        assert metrics.largest_batch == 3
+
+    def test_cancelled_caller_in_a_failed_batch_counts_as_cancelled(
+        self, evaluator
+    ):
+        session, _, entered, release = failing_then_gated_evaluator(
+            evaluator
+        )
+
+        async def scenario():
+            async with BatchServer(
+                session, max_batch_delay_s=0.0, clock=ManualClock()
+            ) as server:
+                gone = asyncio.create_task(server.submit(0.2))
+                waiting = asyncio.create_task(server.submit(0.4))
+                await asyncio.to_thread(entered.wait, 10.0)
+                gone.cancel()
+                await asyncio.sleep(0)
+                release.set()
+                with pytest.raises(RuntimeError, match="glitch"):
+                    await waiting
+                with pytest.raises(asyncio.CancelledError):
+                    await gone
+                return server.metrics()
+
+        metrics = asyncio.run(scenario())
+        assert metrics.failed == 1
+        assert metrics.cancelled == 1
+        assert metrics.served == 0
+
+    def test_failed_batch_does_not_set_the_service_time_estimate(
+        self, evaluator
+    ):
+        # A failure that burns 1 s of clock feeds no estimate, so a
+        # 0.1 s budget is still admitted and served afterwards.
+        clock = ManualClock()
+        session = Evaluator(
+            evaluator.circuit, evaluator.spec, evaluator.runtime
+        )
+        real_evaluate = session.evaluate
+        calls = {"total": 0}
+
+        def slow_then_fail(xs):
+            calls["total"] += 1
+            if calls["total"] == 1:
+                clock.advance(1.0)
+                raise RuntimeError("slow engine glitch")
+            return real_evaluate(xs)
+
+        session.evaluate = slow_then_fail
+
+        async def scenario():
+            async with BatchServer(
+                session, max_batch_delay_s=0.0, clock=clock
+            ) as server:
+                with pytest.raises(RuntimeError, match="glitch"):
+                    await server.submit(0.5)
+                value = await server.submit(0.5, deadline_s=0.1)
+                return value, server.metrics()
+
+        value, metrics = asyncio.run(scenario())
+        assert value == float(evaluator.evaluate([0.5]).values[0])
+        assert metrics.expired == 0
+        assert metrics.failed == 1
+        assert metrics.served == 1
+
+    def test_batches_run_one_at_a_time_on_one_server_thread(
+        self, evaluator
+    ):
+        session = Evaluator(
+            evaluator.circuit, evaluator.spec, evaluator.runtime
+        )
+        real_evaluate = session.evaluate
+        lock = threading.Lock()
+        seen = {"active": 0, "peak": 0, "threads": set()}
+
+        def tracked(xs):
+            with lock:
+                seen["active"] += 1
+                seen["peak"] = max(seen["peak"], seen["active"])
+                seen["threads"].add(threading.current_thread().name)
+            try:
+                return real_evaluate(xs)
+            finally:
+                with lock:
+                    seen["active"] -= 1
+
+        session.evaluate = tracked
+        xs = [index / 15 for index in range(16)]
+
+        async def scenario():
+            async with BatchServer(
+                session,
+                max_batch_size=4,
+                max_batch_delay_s=0.0,
+                clock=ManualClock(),
+            ) as server:
+                values = await server.submit_many(xs)
+                return values, server.metrics()
+
+        values, metrics = asyncio.run(scenario())
+        direct = np.asarray(evaluator.evaluate(xs).values, dtype=float)
+        assert np.array_equal(np.asarray(values, dtype=float), direct)
+        assert metrics.batches >= 4
+        assert seen["peak"] == 1
+        assert len(seen["threads"]) == 1
+        assert next(iter(seen["threads"])).startswith("repro-serving")
+
+
     def test_failure_reaches_every_caller_and_server_recovers(
         self, evaluator
     ):
