@@ -418,7 +418,12 @@ class _PackedCursor:
     positions and gathered uniforms are ``(1, channels, ...)`` and
     broadcast against the ``(B, channels)`` values.  When the values are
     row-invariant too (the coefficient bank), the words are one row,
-    handed out as a read-only ``np.broadcast_to`` view.  Chaotic banks
+    handed out as a read-only ``np.broadcast_to`` view.  The cycle
+    source reads such a one-row bank's windows of up to two periods as
+    contiguous slices of its packed cycles, one scalar shift per run of
+    words between wraps; a bank of per-row seeds (an rng-seeded call)
+    gathers one cycle position per word instead.  Both reads give the
+    same bits.  Chaotic banks
     keep one carried orbit per row and pack blockwise off it
     (:class:`~repro.simulation.kernels.PackedChaoticSource`, sequential
     resume like the unpacked cursor); registers and widths beyond the

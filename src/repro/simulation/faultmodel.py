@@ -83,7 +83,13 @@ import numpy as np
 
 from .._memo import _arrays, _BoundedCache
 from ..errors import ConfigurationError
-from .kernels import _WORD_BITS, _word_count, pack_bits
+from .kernels import (
+    _WORD_BITS,
+    _mask_tail,
+    _window_words,
+    _word_count,
+    pack_bits,
+)
 
 __all__ = [
     "FAULT_PROBABILITY_BITS",
@@ -270,32 +276,42 @@ def _finalize64(
     z ^= scratch
 
 
-def _mask_tail(words: "np.ndarray[Any, Any]", count: int) -> None:
-    """Zero the bits past *count* in the last word column, in place."""
-    tail = count & 63
-    if tail:
-        words[..., -1] &= np.uint64((1 << tail) - 1)
-
-
-def _window_words(
-    words: "np.ndarray[Any, Any]", start: int, count: int
+def _delayed_words(
+    head: "np.ndarray[Any, Any]",
+    delay: int,
+    words: "np.ndarray[Any, Any]",
+    count: int,
 ) -> "np.ndarray[Any, Any]":
-    """Bits ``[start, start + count)`` of packed rows, re-packed from 0.
+    """The first *count* bits of ``head[:delay] ++ words``, packed.
 
-    The unaligned two-word read of the packed cycle sources: *words*
-    must cover the window (``words.shape[-1] * 64 >= start + count``
-    when ``start`` is word-aligned, one extra word otherwise — callers
-    allocate generously).  Returns a fresh array with zero tail bits.
+    *head* holds *delay* bits and zeros past them; *words* is read from
+    its bit 0 and lands ``delay >> 6`` words up.  Built straight into
+    the result in three word passes: each word's top ``delay & 63``
+    bits spilled into the word after it, then the words shifted up by
+    ``delay & 63`` bits ORed in, then *head* ORed into the first words.
     """
-    out_words = _word_count(count)
-    first = start >> 6
-    shift = start & 63
-    if shift == 0:
-        out = words[:, first:first + out_words].copy()
+    if delay >= count:
+        return _window_words(head, 0, count)
+    out = np.empty((words.shape[0], _word_count(count)), dtype=np.uint64)
+    word_delay, bit_delay = delay >> 6, delay & 63
+    out[:, :word_delay] = 0
+    body = out[:, word_delay:]
+    moved = min(body.shape[1], words.shape[1])
+    if bit_delay:
+        spill = min(body.shape[1] - 1, words.shape[1])
+        body[:, 0] = 0
+        np.right_shift(
+            words[:, :spill],
+            np.uint64(_WORD_BITS - bit_delay),
+            out=body[:, 1 : 1 + spill],
+        )
+        body[:, 1 + spill :] = 0
+        body[:, :moved] |= words[:, :moved] << np.uint64(bit_delay)
     else:
-        lo = words[:, first:first + out_words]
-        hi = words[:, first + 1:first + 1 + out_words]
-        out = (lo >> np.uint64(shift)) | (hi << np.uint64(64 - shift))
+        body[:, :moved] = words[:, :moved]
+        body[:, moved:] = 0
+    head_words = _word_count(delay)
+    out[:, :head_words] |= head[:, :head_words]
     _mask_tail(out, count)
     return out
 
@@ -633,27 +649,16 @@ class PackedFaultChannel:
                 f"resume sequentially, expected offset {self._next_offset}, "
                 f"got {offset}"
             )
-        batch = words.shape[0]
-        tile_words = _word_count(count)
-        # The concatenation carry ++ tile holds delay + count bits; one
-        # spare word keeps the carry re-extraction window in bounds.
-        buffer = np.zeros(
-            (batch, _word_count(delay + count) + 1), dtype=np.uint64
-        )
-        buffer[:, : carry.shape[1]] = carry
-        word_delay = delay >> 6
-        bit_delay = delay & 63
-        if bit_delay == 0:
-            buffer[:, word_delay:word_delay + tile_words] |= words
+        # The stream carry ++ tile: its first count bits leave now, the
+        # delay bits after them are the next carry.
+        observed = _delayed_words(carry, delay, words, count)
+        if delay <= count:
+            self._carry = _window_words(words, count - delay, delay)
         else:
-            buffer[:, word_delay:word_delay + tile_words] |= (
-                words << np.uint64(bit_delay)
+            rest = delay - count
+            self._carry = _delayed_words(
+                _window_words(carry, count, rest), rest, words, delay
             )
-            buffer[:, word_delay + 1:word_delay + 1 + tile_words] |= (
-                words >> np.uint64(64 - bit_delay)
-            )
-        observed = _window_words(buffer, 0, count)
-        self._carry = _window_words(buffer, count, delay)
         self._next_offset = offset + count
         return observed
 

@@ -128,6 +128,44 @@ def unpack_bits(
     return bits[..., : int(length)]
 
 
+def _mask_tail(words: "np.ndarray[Any, Any]", count: int) -> None:
+    """Zero the bits past *count* in the last word column, in place."""
+    tail = count & 63
+    if tail:
+        words[..., -1] &= np.uint64((1 << tail) - 1)
+
+
+def _window_words(
+    words: "np.ndarray[Any, Any]",
+    start: int,
+    count: int,
+    out: Optional["np.ndarray[Any, Any]"] = None,
+) -> "np.ndarray[Any, Any]":
+    """Bits ``[start, start + count)`` of packed rows, re-packed from bit 0.
+
+    The unaligned two-word read of the packed cycle sources and the
+    fault channel: output word ``w`` is word ``(start >> 6) + w`` of
+    *words* shifted down by ``start & 63`` bits, ORed with the word after
+    it shifted up.  The window must lie inside the ``words.shape[-1] *
+    64`` bits; a word after the last one reads as zero.  Works along the
+    last axis of any shape and returns *out* — a fresh array when
+    ``None``, else written in place — with zero bits past *count*.
+    """
+    first = start >> 6
+    shift = start & 63
+    low = words[..., first : first + _word_count(count)]
+    if out is None:
+        out = np.empty(low.shape, dtype=np.uint64)
+    if shift == 0:
+        out[...] = low
+    else:
+        np.right_shift(low, np.uint64(shift), out=out)
+        high = words[..., first + 1 : first + 1 + low.shape[-1]]
+        out[..., : high.shape[-1]] |= high << np.uint64(_WORD_BITS - shift)
+    _mask_tail(out, count)
+    return out
+
+
 _POPCOUNT_LUT: "_BoundedCache[np.ndarray[Any, Any]]" = _BoundedCache(
     _TABLE_ENTRIES
 )
@@ -457,22 +495,27 @@ def _mux_words(
 ) -> "np.ndarray[Any, Any]":
     """Word-level multiplexer: the selected coefficient bit per clock.
 
-    ``out = OR_m (level == m) & coeff[m]`` with the level-match
-    indicator built from the bit-sliced level planes — pure word ops, no
-    per-clock bytes.  Tail bits stay zero because the packed coefficient
-    words have zero tails.
+    A select tree over the bit-sliced level, low plane first: each level
+    plane folds the candidate words in pairs, ``low ^ (plane & (low ^
+    high))`` taking ``high`` where the plane is set, and an odd last
+    candidate passes up unpaired — three word ops per pair, no per-clock
+    bytes.  Exact because the level over ``order`` data channels never
+    exceeds ``order`` (an unpaired candidate is never the other half of
+    a reachable level), and tail clocks sit at level 0, whose
+    coefficient words have zero tails.
     """
-    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-    out = np.zeros(level_planes[0].shape, dtype=np.uint64)
-    for level in range(order + 1):
-        indicator = np.full(level_planes[0].shape, ones, dtype=np.uint64)
-        for plane_index, plane in enumerate(level_planes):
-            if (level >> plane_index) & 1:
-                indicator &= plane
-            else:
-                indicator &= ~plane
-        out |= indicator & coeff_words[:, level, :]
-    return out
+    selected = [coeff_words[:, level, :] for level in range(order + 1)]
+    for plane in level_planes:
+        folded: List["np.ndarray[Any, Any]"] = []
+        for low, high in zip(selected[0::2], selected[1::2]):
+            word = low ^ high
+            word &= plane
+            word ^= low
+            folded.append(word)
+        if len(selected) % 2:
+            folded.append(selected[-1])
+        selected = folded
+    return selected[0]
 
 
 class PassWords(NamedTuple):
@@ -637,6 +680,20 @@ class _PackedCycleSource:
     broadcast.  Subclasses provide the cycle, the per-stream start
     positions and ``_start_shift`` (how many cycle steps past the start
     position the stream's first clock sits).
+
+    :meth:`take` reads a window one of two ways, picked by the starts'
+    row count and the window's length against the period:
+
+    - **slices** — one row of starts, and a window of at most two
+      periods: each channel's cycle phase is one scalar per window, so
+      the window splits where the phase wraps into at most three runs
+      of words, each a contiguous slice of the value rows' cycles read
+      with one scalar shift (:func:`_window_words`).  Longer windows
+      over short periods would split into many short runs and keep the
+      gather;
+    - **gather** — per-row starts (rng-seeded rows), or a long window:
+      one cycle position per output word, read by a flat gather of the
+      word at it and the word after it.
     """
 
     _start_shift: int = 0
@@ -654,6 +711,13 @@ class _PackedCycleSource:
         self._inverse = np.broadcast_to(inverse.reshape(values.shape), shape)
         self._packed_cycles = self._pack_value_cycles(uniform, unique_values)
         self._period = int(uniform.size)
+        # One row of starts: each channel's start, for the slice read.
+        self._row_starts: Optional[List[int]] = None
+        row_size = self._starts.shape[-1] if self._starts.ndim else 1
+        if shape and self._starts.size == row_size:
+            self._row_starts = np.broadcast_to(
+                self._starts.reshape(-1), shape[-1:]
+            ).tolist()
 
     @staticmethod
     def _pack_value_cycles(
@@ -670,6 +734,46 @@ class _PackedCycleSource:
             raise ConfigurationError(
                 f"invalid window offset={offset!r} count={count!r}"
             )
+        if self._row_starts is not None and count <= 2 * self._period:
+            return self._slice_take(self._row_starts, offset, count)
+        return self._gather_take(offset, count)
+
+    def _slice_take(
+        self, row_starts: List[int], offset: int, count: int
+    ) -> "np.ndarray[Any, Any]":
+        """The window of one row of starts, read as contiguous slices."""
+        shape = self._inverse.shape
+        rows = self._inverse.reshape(-1, shape[-1])
+        words = _word_count(count)
+        out = np.empty(rows.shape + (words,), dtype=np.uint64)
+        cycles = self._packed_cycles
+        period = self._period
+        shift = self._start_shift + int(offset)
+        for channel, start in enumerate(row_starts):
+            index = rows[:, channel]
+            word, position = 0, (start + shift) % period
+            while word < words:
+                # The words whose first clock sits before the wrap read
+                # on contiguously; the 64-clock wrap copy ends the last.
+                run = min(words - word, (period - position + 63) >> 6)
+                first = position >> 6
+                if index.size == 1:  # a view, not a one-row copy
+                    row = int(index[0])
+                    slab = cycles[row : row + 1, first : first + run + 1]
+                else:
+                    slab = cycles[index, first : first + run + 1]
+                _window_words(
+                    slab,
+                    position & 63,
+                    min(count - _WORD_BITS * word, _WORD_BITS * run),
+                    out[:, channel, word : word + run],
+                )
+                word += run
+                position = (position + _WORD_BITS * run) % period
+        return out.reshape(shape + (words,))
+
+    def _gather_take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
+        """The window of per-row starts: one cycle position per word."""
         words = _word_count(count)
         positions = (
             self._starts[..., None]
@@ -691,9 +795,7 @@ class _PackedCycleSource:
         high <<= np.uint64(_WORD_BITS - 1) - shift
         out >>= shift
         out |= high
-        tail = count % _WORD_BITS
-        if tail:
-            out[..., -1] &= np.uint64((1 << tail) - 1)
+        _mask_tail(out, count)
         return out
 
 

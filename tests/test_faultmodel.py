@@ -32,7 +32,6 @@ from repro.simulation.faultmodel import (
     packed_bernoulli_words,
     _quantized_thresholds,
     _threshold_planes,
-    _window_words,
 )
 
 
@@ -41,6 +40,7 @@ def _planes(probability, clocks):
         _quantized_thresholds(np.full(clocks, probability))
     )
 from repro.simulation.kernels import (
+    _window_words,
     pack_bits,
     popcount,
 )
@@ -732,6 +732,35 @@ class TestRelocatability:
             base_seed=21,
             config=RuntimeConfig(chunk_length=chunk_length, workers=0),
             fault=TRAJECTORY,
+        )
+        assert np.array_equal(
+            chunked.ones_count, one_shot.output_bits.sum(axis=1)
+        )
+        assert np.array_equal(
+            chunked.transmission_bit_errors,
+            one_shot.transmission_bit_errors,
+        )
+
+    @pytest.mark.parametrize("chunk_length", [64, 100])
+    @pytest.mark.parametrize("shift_clocks", [63, 64, 65, 200])
+    @NOISY_AXIS
+    def test_long_delays_stitch_across_chunks(
+        self, request, chunk_length, shift_clocks, noisy, design
+    ):
+        """A delay of a word or more, and one longer than a tile, carries
+        its bits across tiles exactly as the one-shot stream delays them."""
+        circuit = request.getfixturevalue(design)
+        fault = TRAJECTORY.replace(shift_clocks=shift_clocks)
+        xs = np.linspace(0.1, 0.9, 3)
+        options = dict(
+            length=LENGTH, noisy=noisy, base_seed=21, fault=fault
+        )
+        one_shot = run_batch(circuit, xs, **options)
+        chunked = run_batch(
+            circuit,
+            xs,
+            config=RuntimeConfig(chunk_length=chunk_length, workers=0),
+            **options,
         )
         assert np.array_equal(
             chunked.ones_count, one_shot.output_bits.sum(axis=1)

@@ -277,35 +277,55 @@ class TestPackingPrimitives:
 
 
 class TestFlatCycleGather:
-    """``take`` reads cycle words with one flat gather per half-window.
+    """``take`` reads cycle words by a flat gather or by slices.
 
-    Parity against the two 2-D row/word gathers it replaced, over
+    Parity against the two 2-D row/word gathers of the reference, over
     windows that cross the cycle's wrap, end mid-word and run longer
-    than the period.
+    than the period.  Per-row starts take the flat gather; one row of
+    starts, against per-row or row-invariant values, takes the slice
+    read for windows of up to two periods — from any phase, a word-aligned
+    one included, across up to two wraps — and the gather past that.
     """
 
-    @settings(max_examples=60, deadline=None)
+    # Starts shape and values shape of each bank layout.
+    LAYOUTS = {
+        "per-row": ((3, 2), (3, 2)),
+        "one-row": ((1, 2), (3, 1)),
+        "one-row-invariant": ((1, 2), (1, 2)),
+    }
+
+    @settings(max_examples=150, deadline=None)
     @given(
-        width=st.sampled_from([5, 8, 16]),
+        width=st.integers(min_value=3, max_value=16),
         kind=st.sampled_from(["lfsr", "sobol"]),
+        layout=st.sampled_from(sorted(LAYOUTS)),
         before_wrap=st.integers(min_value=-70, max_value=200),
+        word_aligned=st.booleans(),
         count=st.integers(min_value=1, max_value=3 * (1 << 16)),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_take_matches_row_word_gather(
-        self, width, kind, before_wrap, count, seed
+        self, width, kind, layout, before_wrap, word_aligned, count, seed
     ):
         rng = np.random.default_rng(seed)
         period = (1 << width) - 1 if kind == "lfsr" else 1 << width
-        starts = rng.integers(1, 1 << width, size=(3, 2))
+        starts_shape, values_shape = self.LAYOUTS[layout]
+        starts = rng.integers(1, 1 << width, size=starts_shape)
         # Few distinct values, so streams share cycle rows.
-        values = rng.choice([0.125, 0.5, 0.875], size=(3, 2))
+        values = rng.choice([0.125, 0.5, 0.875], size=values_shape)
         create = PackedLfsrSource if kind == "lfsr" else PackedSobolSource
         source = create.create(starts, values, width)
         assert source is not None
-        # A window starting just before (or past) the first wrap.
+        assert (source._row_starts is None) == (layout == "per-row")
+        # A window starting just before (or past) the first wrap, or one
+        # whose first channel starts on a word of the cycle.
         offset = max(period - before_wrap, 0)
-        count = min(count, 4 * period + 67)
+        if word_aligned:
+            phase = int(source._starts.flat[0]) + source._start_shift
+            target = 64 * (before_wrap % -(-period // 64))
+            offset = (target - phase) % period
+        # Counts up to two periods take the slice read of one-row starts.
+        count = 1 + (count - 1) % (4 * period + 67)
         assert np.array_equal(
             source.take(offset, count),
             reference.cycle_take(source, offset, count),
@@ -324,6 +344,42 @@ class TestFlatCycleGather:
             source.take(offset, count),
             reference.cycle_take(source, offset, count),
         )
+
+
+class TestSelectTree:
+    """The word-level multiplexer selects ``coeff[level]`` at every order.
+
+    The level planes are the bit-sliced sum of random data words, as the
+    pass builds them; the reference picks each clock's coefficient bit
+    on unpacked bits.  Lengths end mid-word, so the tail clocks (level 0
+    over zero data tails) must come out zero.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        order=st.integers(min_value=1, max_value=6),
+        rows=st.integers(min_value=1, max_value=3),
+        full_words=st.integers(min_value=0, max_value=4),
+        tail=st.integers(min_value=1, max_value=63),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_mux_words_selects_the_level_coefficient(
+        self, order, rows, full_words, tail, seed
+    ):
+        rng = np.random.default_rng(seed)
+        length = 64 * full_words + tail
+        data_bits = rng.integers(0, 2, size=(rows, order, length), dtype=np.uint8)
+        coeff_bits = rng.integers(
+            0, 2, size=(rows, order + 1, length), dtype=np.uint8
+        )
+        planes = kernels._bit_plane_sum(pack_bits(data_bits))
+        words = kernels._mux_words(
+            pack_bits(coeff_bits), planes[: order.bit_length()], order
+        )
+        level = data_bits.sum(axis=1, dtype=np.int64)
+        expected = np.take_along_axis(coeff_bits, level[:, None, :], axis=1)
+        assert np.array_equal(unpack_bits(words, length), expected[:, 0, :])
+        assert not np.any(unpack_bits(words, words.shape[-1] * 64)[:, length:])
 
 
 class TestPackedWordSources:
