@@ -714,10 +714,9 @@ class _PackedCycleSource:
         # One row of starts: each channel's start, for the slice read.
         self._row_starts: Optional[List[int]] = None
         row_size = self._starts.shape[-1] if self._starts.ndim else 1
-        if shape and self._starts.size == row_size:
-            self._row_starts = np.broadcast_to(
-                self._starts.reshape(-1), shape[-1:]
-            ).tolist()
+        if shape and row_size and self._starts.size == row_size:
+            row = self._starts.reshape(-1).tolist()
+            self._row_starts = row * (shape[-1] // row_size)
 
     @staticmethod
     def _pack_value_cycles(
