@@ -772,7 +772,7 @@ class _PackedCycleSource:
         return out.reshape(shape + (words,))
 
     def _gather_take(self, offset: int, count: int) -> "np.ndarray[Any, Any]":
-        """The window of per-row starts: one cycle position per word."""
+        """The window by a flat gather: one cycle position per word."""
         words = _word_count(count)
         positions = (
             self._starts[..., None]
